@@ -1,6 +1,6 @@
 """Fold maps, aligned frames, and weighted-estimate verification."""
 
-from .fold import SectorDomain, fold_map, fold_map_flatten, fold_map_inverse, fold_smooth_map
+from .fold import fold_map, fold_map_flatten, fold_map_inverse, fold_smooth_map
 from .frame import ConformalFrame, build_frame
 from .matrices import (
     ClaimBounds,
@@ -25,8 +25,7 @@ from .weights import (
 )
 
 __all__ = [
-    "SectorDomain", "fold_map", "fold_map_flatten", "fold_map_inverse",
-    "fold_smooth_map",
+    "fold_map", "fold_map_flatten", "fold_map_inverse", "fold_smooth_map",
     "ConformalFrame", "build_frame",
     "ClaimBounds", "anchor_block", "bform", "constant_field", "kn_matrix",
     "lipschitz_test_field", "pushed_matrix", "sample_folded_sector",

@@ -7,39 +7,8 @@ the angle (used to open a slit domain onto the half-space at n = 3/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SectorDomain:
-    """Polar box: theta in (-pi/2, pi/2), gamma1 R < rhat < gamma2 R, |x3| < R."""
-
-    gamma1: float
-    gamma2: float
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.gamma1 < self.gamma2 < 1):
-            raise ValueError("need 0 < gamma1 < gamma2 < 1")
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        rhat = math.hypot(x[0], x[1])
-        if x[0] <= 0:
-            return False
-        return (self.gamma1 * self.radius < rhat < self.gamma2 * self.radius
-                and abs(x[2]) < self.radius)
-
-    def sample(self, count: int, rng) -> np.ndarray:
-        out = []
-        while len(out) < count:
-            rhat = rng.uniform(self.gamma1 * self.radius, self.gamma2 * self.radius)
-            th = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)
-            x3 = rng.uniform(-self.radius, self.radius)
-            out.append([rhat * math.cos(th), rhat * math.sin(th), x3])
-        return np.asarray(out)
 
 
 def _polar(x):

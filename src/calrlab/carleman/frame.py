@@ -39,9 +39,6 @@ class ConformalFrame:
                         0.0])
         return self.big_z0 + off
 
-    def t_forward(self, n: float, x) -> np.ndarray:
-        return fold_map(n, self.h @ np.asarray(x, dtype=float))[0]
-
     def t_inverse(self, n: float, y) -> np.ndarray:
         return np.linalg.solve(self.h, fold_map_inverse(n, y))
 

@@ -172,14 +172,6 @@ class GluedField:
             h[i] = np.linalg.solve(jt, h[i])
         return e, h
 
-    def _refl1(self, y):
-        e, h = self._refl1_many(np.asarray(y, dtype=float)[None, :])
-        return e[0], h[0]
-
-    def _refl2(self, y):
-        e, h = self._refl2_many(np.asarray(y, dtype=float)[None, :])
-        return e[0], h[0]
-
     def eval_many(self, ys) -> tuple[np.ndarray, np.ndarray]:
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         r = np.linalg.norm(ys, axis=1)

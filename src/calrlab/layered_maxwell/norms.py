@@ -13,7 +13,7 @@ import numpy as np
 
 from ..specfun.bessel import log_dfact_minus
 from .modes import TE
-from .solver import FieldSolution
+from .solver import FieldSolution, RegionCoeffs
 from .fields import eval_field, mode_radial_components
 
 _LN10 = math.log(10.0)
@@ -21,7 +21,11 @@ _LN10 = math.log(10.0)
 
 def adaptive_gauss(fn, a: float, b: float, rel_tol: float = 1e-8,
                    order: int = 16, max_doublings: int = 10) -> float:
-    """Panel-doubling Gauss-Legendre quadrature of a vectorized integrand."""
+    """Panel-doubling Gauss-Legendre quadrature of a vectorized integrand.
+
+    Raises RuntimeError when two successive estimates still differ by more
+    than rel_tol after max_doublings doublings.
+    """
     if b <= a:
         return 0.0
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -37,7 +41,8 @@ def adaptive_gauss(fn, a: float, b: float, rel_tol: float = 1e-8,
             return total
         prev = total
         panels *= 2
-    return prev
+    raise RuntimeError(f"quadrature on [{a}, {b}] not converged after "
+                       f"{max_doublings} doublings")
 
 
 def _mode_weights(sol: FieldSolution) -> dict:
@@ -48,53 +53,58 @@ def _mode_weights(sol: FieldSolution) -> dict:
     return w
 
 
-def _segments(sol: FieldSolution, a: float, b: float):
-    cuts = sorted({a, b} | {reg.r_hi for reg in sol.regions if a < reg.r_hi < b}
-                  | {reg.r_lo for reg in sol.regions if a < reg.r_lo < b})
+def _segments(sols, a: float, b: float):
+    """[a, b] cut at every region boundary of the given solutions (regions
+    are contiguous, so the outer radii are all the boundaries)."""
+    cuts = sorted({a, b} | {reg.r_hi for sol in sols for reg in sol.regions
+                            if a < reg.r_hi < b})
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _component_density(sol: FieldSolution, weights, parts, select=None):
-    """r -> sum over modes of weighted squared component magnitudes."""
+_UNIT_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
+
+
+def _modal_density(terms, comp, omega: float):
+    """r -> r^2 sum over terms of w times the weighted squared components.
+
+    `terms` holds one (w, region, pol, n, coefficients) per mode; `comp`
+    weighs |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2.
+    """
+    ey_w, et_w, hy_w, ht_w = comp
 
     def density(r):
         r = np.atleast_1d(r)
-        idx = sol.region_index(float(r[0]))
         out = np.zeros_like(r, dtype=float)
-        for (n, pol), w in weights.items():
-            rs = sol.radial[(n, pol)]
-            comps = mode_radial_components(rs.regions[idx], pol, rs.coeffs[idx],
-                                           n, r, sol.omega)
-            e_y, e_u, e_v, h_y, h_u, h_v = comps
-            acc = np.zeros_like(r, dtype=float)
-            if "E" in parts:
-                if select is None:
-                    acc += np.abs(e_y) ** 2 + np.abs(e_u) ** 2 + np.abs(e_v) ** 2
-                else:
-                    acc += (select[0] * np.abs(e_y) ** 2
-                            + select[1] * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
-            if "H" in parts:
-                if select is None:
-                    acc += np.abs(h_y) ** 2 + np.abs(h_u) ** 2 + np.abs(h_v) ** 2
-                else:
-                    acc += (select[2] * np.abs(h_y) ** 2
-                            + select[3] * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
-            out += w * acc
+        for w, reg, pol, n, coeffs in terms:
+            e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
+                reg, pol, coeffs, n, r, omega)
+            e_sq = (ey_w * np.abs(e_y) ** 2
+                    + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
+            h_sq = (hy_w * np.abs(h_y) ** 2
+                    + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
+            out += w * (e_sq + h_sq)
         return out * r * r
 
     return density
 
 
-def l2_norm_annulus(sol: FieldSolution, a: float, b: float, parts: str = "EH",
+def _region_terms(sol: FieldSolution, weights: dict, idx: int) -> list:
+    """One density term per (n, pol) of sol, in region idx."""
+    return [(w, sol.regions[idx], pol, n, sol.radial[(n, pol)].coeffs[idx])
+            for (n, pol), w in weights.items()]
+
+
+def l2_norm_annulus(sol: FieldSolution, a: float, b: float,
                     rel_tol: float = 1e-8) -> float:
-    """Exact modal L2 norm of the selected fields over a < |x| < b."""
+    """Exact modal L2 norm of (E, H) over a < |x| < b."""
     if not (0 <= a < b):
         raise ValueError("need 0 <= a < b")
     weights = _mode_weights(sol)
     total = 0.0
-    for lo, hi in _segments(sol, a, b):
-        total += adaptive_gauss(_component_density(sol, weights, parts), lo, hi,
-                                rel_tol=rel_tol)
+    for lo, hi in _segments([sol], a, b):
+        terms = _region_terms(sol, weights, sol.region_index(0.5 * (lo + hi)))
+        density = _modal_density(terms, _UNIT_WEIGHTS, sol.omega)
+        total += adaptive_gauss(density, lo, hi, rel_tol=rel_tol)
     return math.sqrt(max(total, 0.0))
 
 
@@ -111,32 +121,22 @@ def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
         if abs(amp - sol_b.amplitudes[key]) > 1e-14 * max(1.0, abs(amp)):
             raise ValueError("difference norm needs identical source tables")
     weights = _mode_weights(sol_a)
-    cuts = sorted({a, b}
-                  | {r.r_hi for r in sol_a.regions if a < r.r_hi < b}
-                  | {r.r_hi for r in sol_b.regions if a < r.r_hi < b})
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi in _segments([sol_a, sol_b], a, b):
         mid = 0.5 * (lo + hi)
         ia, ib = sol_a.region_index(mid), sol_b.region_index(mid)
-
-        def density(r, ia=ia, ib=ib):
-            r = np.atleast_1d(r)
-            out = np.zeros_like(r, dtype=float)
-            for (n, pol), w in weights.items():
-                ra, rb = sol_a.radial[(n, pol)], sol_b.radial[(n, pol)]
-                rega, regb = ra.regions[ia], rb.regions[ib]
-                for attr in ("eps_rad", "eps_tan", "mu_rad", "mu_tan"):
-                    if abs(getattr(rega, attr) - getattr(regb, attr)) > 1e-12:
-                        raise ValueError("media differ on the comparison annulus")
-                ca, cb = ra.coeffs[ia].as_jy(), rb.coeffs[ib].as_jy()
-                diff_cj = ca.c_j - cb.c_j
-                diff_cy = ca.c_y - cb.c_y
-                from .solver import RegionCoeffs
-                dcoef = RegionCoeffs(nu=ca.nu, k=ca.k, c_j=diff_cj, c_y=diff_cy)
-                comps = mode_radial_components(rega, pol, dcoef, n, r, sol_a.omega)
-                out += w * sum(np.abs(c) ** 2 for c in comps)
-            return out * r * r
-
+        rega, regb = sol_a.regions[ia], sol_b.regions[ib]
+        for attr in ("eps_rad", "eps_tan", "mu_rad", "mu_tan"):
+            if abs(getattr(rega, attr) - getattr(regb, attr)) > 1e-12:
+                raise ValueError("media differ on the comparison annulus")
+        terms = []
+        for (n, pol), w in weights.items():
+            ca = sol_a.radial[(n, pol)].coeffs[ia].as_jy()
+            cb = sol_b.radial[(n, pol)].coeffs[ib].as_jy()
+            diff = RegionCoeffs(nu=ca.nu, k=ca.k, c_j=ca.c_j - cb.c_j,
+                                c_y=ca.c_y - cb.c_y)
+            terms.append((w, rega, pol, n, diff))
+        density = _modal_density(terms, _UNIT_WEIGHTS, sol_a.omega)
         total += adaptive_gauss(density, lo, hi, rel_tol=rel_tol)
     return math.sqrt(max(total, 0.0))
 
@@ -217,23 +217,9 @@ def _lossy_weighted_norm_sq(sol: FieldSolution, delta: float,
             continue
         if math.isinf(reg.r_hi):
             raise ValueError("lossy exterior is not supported")
-        select = tuple(v / delta for v in ims)
-
-        def density_fixed(r, idx=i, select=select):
-            r = np.atleast_1d(r)
-            out = np.zeros_like(r, dtype=float)
-            for (n, pol), w in weights.items():
-                rs = sol.radial[(n, pol)]
-                e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
-                    rs.regions[idx], pol, rs.coeffs[idx], n, r, sol.omega)
-                acc = (select[0] * np.abs(e_y) ** 2
-                       + select[1] * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2)
-                       + select[2] * np.abs(h_y) ** 2
-                       + select[3] * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
-                out += w * acc
-            return out * r * r
-
-        total += adaptive_gauss(density_fixed, reg.r_lo, reg.r_hi, rel_tol=rel_tol)
+        comp = tuple(v / delta for v in ims)
+        density = _modal_density(_region_terms(sol, weights, i), comp, sol.omega)
+        total += adaptive_gauss(density, reg.r_lo, reg.r_hi, rel_tol=rel_tol)
     return sol.omega ** 2 * total
 
 
@@ -301,7 +287,6 @@ def second_order_residual(sol: FieldSolution, a: int, samples,
             grad_ea[k] = (eval_field(sol, x + dx)[0][a]
                           - eval_field(sol, x - dx)[0][a]) / (2 * h)
         eps = eps_at(x)
-        deps = np.zeros((3, 3), dtype=complex)
         dx = np.zeros(3)
         dx[a] = h
         deps = (eps_at(x + dx) - eps_at(x - dx)) / (2 * h)

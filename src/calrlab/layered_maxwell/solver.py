@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -368,19 +366,8 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
         if key.n > n_cap:
             tail += abs(amp) ** 2
     tail = math.sqrt(tail) * source.radius
-    keys = [(n, pol) for n, pol in source.radial_keys() if n <= n_cap]
-    threads = int(os.environ.get("CALRLAB_THREADS", "1"))
-    if threads > 1 and len(keys) > 1:
-        # modes are independent; the dict reduction below is key-ordered, so
-        # the result does not depend on completion order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(
-                lambda key: _solve_radial(regions, src_idx, key[0], key[1],
-                                          omega, options), keys))
-        radial = dict(zip(keys, solved))
-    else:
-        radial = {key: _solve_radial(regions, src_idx, key[0], key[1],
-                                     omega, options) for key in keys}
+    radial = {(n, pol): _solve_radial(regions, src_idx, n, pol, omega, options)
+              for n, pol in source.radial_keys() if n <= n_cap}
     amps = {k: complex(v) for k, v in source.amplitudes.items() if k.n <= n_cap}
     return FieldSolution(medium=medium, source=source, omega=omega,
                          regions=tuple(regions), radial=radial, amplitudes=amps,

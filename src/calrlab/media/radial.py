@@ -38,12 +38,6 @@ class LayerCoeff:
     def is_constant(self) -> bool:
         return not (callable(self.rad) or callable(self.tan))
 
-    @property
-    def is_isotropic(self) -> bool:
-        if self.is_constant:
-            return complex(self.rad) == complex(self.tan)
-        return self.rad is self.tan
-
     def at(self, r: float) -> tuple[complex, complex]:
         return _at(self.rad, r), _at(self.tan, r)
 

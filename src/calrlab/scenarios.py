@@ -1,15 +1,19 @@
 """The named experiments: each binds the library modules into one study.
 
-Every scenario takes a parameter dict and an output directory, writes CSV
-tables plus a JSON manifest, and returns a result dict with an
-"assertions" list of (name, passed, detail) triples.  All randomness flows
-from the configured seed, and reductions are ordered, so reruns with the
-same config are bit-identical.
+Each scenario is registered with its parameter defaults and the tolerances
+its manifest records; its body takes the merged parameters and returns its
+tables (CSV file name -> (header, rows)), its results and its assertions, a
+list of (name, passed, detail) triples.  `run_scenario` writes the CSV
+tables plus a JSON manifest and returns the results with the assertions
+added.  All randomness flows from the configured seed, and reductions are
+ordered, so reruns with the same config are bit-identical.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,9 +56,18 @@ from .three_sphere import (
 SCENARIOS = {}
 
 
-def scenario(name):
+@dataclass(frozen=True)
+class Scenario:
+    """A registered experiment: its body, parameter defaults and tolerances."""
+
+    body: Callable
+    defaults: dict
+    tolerances: Callable    # merged params -> the manifest's tolerances
+
+
+def scenario(name, defaults, tolerances=lambda p: {}):
     def deco(fn):
-        SCENARIOS[name] = fn
+        SCENARIOS[name] = Scenario(fn, defaults, tolerances)
         return fn
     return deco
 
@@ -77,13 +90,15 @@ def _fit_loglog(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-@scenario("dcm_convergence")
-def run_dcm_convergence(params: dict, outdir: Path) -> dict:
+@scenario("dcm_convergence",
+          defaults={"r1": 1.0, "r2": 2.0, "p": 2.0, "omega": 1.0, "r_s": 5.0,
+                    "n_src": 6, "seed": 7, "layers": 96,
+                    "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "annulus": [4.0, 6.0],
+                    "slope_window": [0.85, 1.15], "bound_variation": 0.10},
+          tolerances=lambda p: {"slope_window": p["slope_window"],
+                                "bound_variation": p["bound_variation"]})
+def run_dcm_convergence(p: dict):
     """err(delta) against the homogenized limit, with the uniform exterior bound."""
-    p = {"r1": 1.0, "r2": 2.0, "p": 2.0, "omega": 1.0, "r_s": 5.0,
-         "n_src": 6, "seed": 7, "layers": 96,
-         "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "annulus": [4.0, 6.0],
-         "slope_window": [0.85, 1.15], "bound_variation": 0.10, **params}
     src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
     vac = solve(vacuum_medium(), src, p["omega"])
     j_norm = math.sqrt(src.l2_norm_sq())
@@ -100,8 +115,8 @@ def run_dcm_convergence(params: dict, outdir: Path) -> dict:
         rows.append([delta, err, ext, ext / j_norm])
     slope = _fit_loglog(p["deltas"], errs)
     variation = (max(bounds) - min(bounds)) / max(bounds)
-    write_csv(outdir / "dcm_convergence.csv",
-              ["delta", "err_l2", "exterior_l2", "exterior_over_j"], rows)
+    tables = {"dcm_convergence.csv":
+              (["delta", "err_l2", "exterior_l2", "exterior_over_j"], rows)}
     assertions = [
         ("slope_in_window",
          p["slope_window"][0] <= slope <= p["slope_window"][1],
@@ -110,20 +125,16 @@ def run_dcm_convergence(params: dict, outdir: Path) -> dict:
          f"variation={variation:.4f}"),
     ]
     results = {"slope": slope, "bound_variation": variation,
-               "errors": dict(zip(map(str, p["deltas"]), errs)),
-               "assertions": assertions}
-    write_manifest(outdir / "dcm_convergence.manifest.json", p, results,
-                   {"slope_window": p["slope_window"],
-                    "bound_variation": p["bound_variation"]})
-    return results
+               "errors": dict(zip(map(str, p["deltas"]), errs))}
+    return tables, results, assertions
 
 
-@scenario("blowup_scan")
-def run_blowup_scan(params: dict, outdir: Path) -> dict:
+@scenario("blowup_scan",
+          defaults={"r1": 1.0, "r2": 2.0, "p": 2.0, "omega": 1.0, "r_s": 3.0,
+                    "n_src": 4, "seed": 11, "layers": 64,
+                    "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "exterior": [4.0, 6.0]})
+def run_blowup_scan(p: dict):
     """Shell-norm growth for a source between r2 and r3 (localized resonance)."""
-    p = {"r1": 1.0, "r2": 2.0, "p": 2.0, "omega": 1.0, "r_s": 3.0,
-         "n_src": 4, "seed": 11, "layers": 64,
-         "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "exterior": [4.0, 6.0], **params}
     src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
     j_norm = math.sqrt(src.l2_norm_sq())
     rows = []
@@ -141,27 +152,27 @@ def run_blowup_scan(params: dict, outdir: Path) -> dict:
         rows.append([delta, s_norm, e_norm, e_norm / j_norm,
                      rep.value, rep.stability_ratio])
     growth = -_fit_loglog(p["deltas"], shell)
-    write_csv(outdir / "blowup_scan.csv",
-              ["delta", "shell_l2", "exterior_l2", "exterior_over_j",
-               "data_functional", "shell_sq_over_data"], rows)
+    tables = {"blowup_scan.csv":
+              (["delta", "shell_l2", "exterior_l2", "exterior_over_j",
+                "data_functional", "shell_sq_over_data"], rows)}
     ext_variation = (max(exterior) - min(exterior)) / max(exterior)
     assertions = [
         ("exterior_bounded", ext_variation < 0.5,
          f"variation={ext_variation:.4f}"),
     ]
     results = {"shell_growth_exponent": growth,
-               "exterior_variation": ext_variation, "assertions": assertions}
-    write_manifest(outdir / "blowup_scan.manifest.json", p, results, {})
-    return results
+               "exterior_variation": ext_variation}
+    return tables, results, assertions
 
 
-@scenario("superlens")
-def run_superlens(params: dict, outdir: Path) -> dict:
+@scenario("superlens",
+          defaults={"m": 4.0, "r0": 0.5, "r1": 1.0, "object": [2.0, 0.0, 2.0, 0.0],
+                    "omega": 1.0, "r_s": 5.0, "n_src": 4, "seed": 13, "layers": 96,
+                    "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "annulus": [4.0, 6.0],
+                    "ratio_bound": 1e-2},
+          tolerances=lambda p: {"ratio_bound": p["ratio_bound"]})
+def run_superlens(p: dict):
     """Convergence to the magnified reference as the shell loss vanishes."""
-    p = {"m": 4.0, "r0": 0.5, "r1": 1.0, "object": [2.0, 0.0, 2.0, 0.0],
-         "omega": 1.0, "r_s": 5.0, "n_src": 4, "seed": 13, "layers": 96,
-         "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "annulus": [4.0, 6.0],
-         "ratio_bound": 1e-2, **params}
     obj = (complex(p["object"][0], p["object"][1]),
            complex(p["object"][2], p["object"][3]))
     src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
@@ -175,7 +186,7 @@ def run_superlens(params: dict, outdir: Path) -> dict:
         err = l2_norm_annulus_diff(sol, ref_sol, *p["annulus"])
         errs.append(err)
         rows.append([delta, err])
-    write_csv(outdir / "superlens.csv", ["delta", "err_vs_reference"], rows)
+    tables = {"superlens.csv": (["delta", "err_vs_reference"], rows)}
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     ratio = errs[-1] / errs[0]
     assertions = [
@@ -184,18 +195,16 @@ def run_superlens(params: dict, outdir: Path) -> dict:
          f"err({p['deltas'][-1]})/err({p['deltas'][0]}) = {ratio:.3e}"),
     ]
     results = {"errors": dict(zip(map(str, p["deltas"]), errs)),
-               "ratio": ratio, "assertions": assertions}
-    write_manifest(outdir / "superlens.manifest.json", p, results,
-                   {"ratio_bound": p["ratio_bound"]})
-    return results
+               "ratio": ratio}
+    return tables, results, assertions
 
 
-@scenario("cm_cloak")
-def run_cm_cloak(params: dict, outdir: Path) -> dict:
+@scenario("cm_cloak",
+          defaults={"r2": 1.0, "r3": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 3,
+                    "seed": 17, "layers": 96, "deltas": [1e-2, 1e-3, 1e-4],
+                    "annulus": [3.0, 5.0]})
+def run_cm_cloak(p: dict):
     """Annulus cloak against free space: exterior error vs loss."""
-    p = {"r2": 1.0, "r3": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 3,
-         "seed": 17, "layers": 96, "deltas": [1e-2, 1e-3, 1e-4],
-         "annulus": [3.0, 5.0], **params}
     src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
     vac = solve(vacuum_medium(), src, p["omega"])
     rows = []
@@ -206,21 +215,20 @@ def run_cm_cloak(params: dict, outdir: Path) -> dict:
         err = l2_norm_annulus_diff(sol, vac, *p["annulus"])
         errs.append(err)
         rows.append([delta, err])
-    write_csv(outdir / "cm_cloak.csv", ["delta", "err_vs_free_space"], rows)
+    tables = {"cm_cloak.csv": (["delta", "err_vs_free_space"], rows)}
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     assertions = [("err_monotone_in_delta", monotone, f"errors={errs}")]
-    results = {"errors": dict(zip(map(str, p["deltas"]), errs)),
-               "assertions": assertions}
-    write_manifest(outdir / "cm_cloak.manifest.json", p, results, {})
-    return results
+    results = {"errors": dict(zip(map(str, p["deltas"]), errs))}
+    return tables, results, assertions
 
 
-@scenario("gluing_demo")
-def run_gluing_demo(params: dict, outdir: Path) -> dict:
+@scenario("gluing_demo",
+          defaults={"r1": 1.0, "r2": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 2,
+                    "seed": 19, "layers": 192, "deltas": [1e-2, 1e-3, 1e-4],
+                    "jump_tol": 1e-6, "ratio_variation": 2.0},
+          tolerances=lambda p: {"jump_tol": p["jump_tol"]})
+def run_gluing_demo(p: dict):
     """Removing the localized singularity: jump residuals and the delta-forcing."""
-    p = {"r1": 1.0, "r2": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 2,
-         "seed": 19, "layers": 192, "deltas": [1e-2, 1e-3, 1e-4],
-         "jump_tol": 1e-6, "ratio_variation": 2.0, **params}
     src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
     rows = []
     ratios = []
@@ -242,9 +250,9 @@ def run_gluing_demo(params: dict, outdir: Path) -> dict:
         rows.append([delta, rep.jump_rel_r2, rep.jump_rel_r3,
                      rep.maxwell_resid_norm, rep.maxwell_resid_norm / delta,
                      rep.forcing_rel_deviation])
-    write_csv(outdir / "gluing_demo.csv",
-              ["delta", "jump_rel_r2", "jump_rel_r3", "maxwell_resid",
-               "resid_over_delta", "forcing_rel_dev"], rows)
+    tables = {"gluing_demo.csv":
+              (["delta", "jump_rel_r2", "jump_rel_r3", "maxwell_resid",
+                "resid_over_delta", "forcing_rel_dev"], rows)}
     variation = max(ratios) / min(ratios)
     assertions = [
         ("jump_residuals_small", max(jumps) < p["jump_tol"],
@@ -252,18 +260,18 @@ def run_gluing_demo(params: dict, outdir: Path) -> dict:
         ("resid_over_delta_bounded", variation < p["ratio_variation"],
          f"variation={variation:.3f}"),
     ]
-    results = {"ratios": ratios, "jumps": jumps, "assertions": assertions}
-    write_manifest(outdir / "gluing_demo.manifest.json", p, results,
-                   {"jump_tol": p["jump_tol"]})
-    return results
+    results = {"ratios": ratios, "jumps": jumps}
+    return tables, results, assertions
 
 
-@scenario("three_sphere_suite")
-def run_three_sphere_suite(params: dict, outdir: Path) -> dict:
+@scenario("three_sphere_suite",
+          defaults={"count": 1000, "max_degree": 30,
+                    "radius_grid": [0.5, 1.0, 1.5, 2.0, 2.5],
+                    "monomial_max": 50, "seed": 23,
+                    "alpha_excisions": [0.2, 0.1, 0.05]},
+          tolerances=lambda p: {"ratio_bound": 1e-10, "monomial_tol": 1e-12})
+def run_three_sphere_suite(p: dict):
     """Planar sup-norm interpolation plus the partial-data evidence table."""
-    p = {"count": 1000, "max_degree": 30, "radius_grid": [0.5, 1.0, 1.5, 2.0, 2.5],
-         "monomial_max": 50, "seed": 23, "alpha_excisions": [0.2, 0.1, 0.05],
-         **params}
     rng = np.random.default_rng(p["seed"])
     radii = p["radius_grid"]
     triples = [(radii[i], radii[j], radii[k])
@@ -294,26 +302,24 @@ def run_three_sphere_suite(params: dict, outdir: Path) -> dict:
         fit = empirical_alpha(family, pb, (1.44, 1.46), (1.0, 2.0))
         alpha_rows.append(["empirical_alpha", 1.0, 1.45, 2.0, r0,
                            fit.alpha_hat, fit.intercept, fit.count])
-    write_csv(outdir / "three_sphere_suite.csv",
-              ["experiment", "r1", "r2", "r3", "r0", "lhs_or_alpha",
-               "rhs_or_intercept", "ratio_or_count"], rows + alpha_rows)
+    tables = {"three_sphere_suite.csv":
+              (["experiment", "r1", "r2", "r3", "r0", "lhs_or_alpha",
+                "rhs_or_intercept", "ratio_or_count"], rows + alpha_rows)}
     assertions = [
         ("hadamard_ratio_bound", worst <= 1.0 + 1e-10, f"max ratio={worst:.12f}"),
         ("monomial_equality", mono_dev < 1e-12, f"max |ratio-1|={mono_dev:.2e}"),
     ]
     results = {"max_ratio": worst, "monomial_deviation": mono_dev,
-               "alpha_fits": [r[5] for r in alpha_rows],
-               "assertions": assertions}
-    write_manifest(outdir / "three_sphere_suite.manifest.json", p, results,
-                   {"ratio_bound": 1e-10, "monomial_tol": 1e-12})
-    return results
+               "alpha_fits": [r[5] for r in alpha_rows]}
+    return tables, results, assertions
 
 
-@scenario("maxwell_3sphere_suite")
-def run_maxwell_3sphere_suite(params: dict, outdir: Path) -> dict:
+@scenario("maxwell_3sphere_suite",
+          defaults={"count": 200, "n_max": 20, "radii": [1.0, 1.5, 2.0], "seed": 29,
+                    "stability": 0.2},
+          tolerances=lambda p: {"stability": p["stability"]})
+def run_maxwell_3sphere_suite(p: dict):
     """Randomized interpolation constants for the tangential-trace modal norm."""
-    p = {"count": 200, "n_max": 20, "radii": [1.0, 1.5, 2.0], "seed": 29,
-         "stability": 0.2, **params}
     rng = np.random.default_rng(p["seed"])
     r1, r2, r3 = p["radii"]
     cs = []
@@ -327,9 +333,9 @@ def run_maxwell_3sphere_suite(params: dict, outdir: Path) -> dict:
     base_max = max(cs[:p["count"]])
     full_max = max(cs)
     single = check_maxwell_3sphere({(4, 2): (0.5, 0.1j, 0.2, 0.0)}, r1, r2, r3)[2]
-    write_csv(outdir / "maxwell_3sphere_suite.csv",
-              ["experiment", "r1", "r2", "r3", "r0", "lhs", "rhs", "measured_c"],
-              rows)
+    tables = {"maxwell_3sphere_suite.csv":
+              (["experiment", "r1", "r2", "r3", "r0", "lhs", "rhs", "measured_c"],
+               rows)}
     assertions = [
         ("constant_finite", np.isfinite(full_max), f"max C={full_max}"),
         ("doubling_stability",
@@ -338,20 +344,19 @@ def run_maxwell_3sphere_suite(params: dict, outdir: Path) -> dict:
         ("single_mode_closed_form", abs(single - 1.0) < 1e-8,
          f"C={single:.12f}"),
     ]
-    results = {"max_c": full_max, "base_max": base_max, "single_mode_c": single,
-               "assertions": assertions}
-    write_manifest(outdir / "maxwell_3sphere_suite.manifest.json", p, results,
-                   {"stability": p["stability"]})
-    return results
+    results = {"max_c": full_max, "base_max": base_max, "single_mode_c": single}
+    return tables, results, assertions
 
 
-@scenario("carleman_suite")
-def run_carleman_suite(params: dict, outdir: Path) -> dict:
+@scenario("carleman_suite",
+          defaults={"seed": 31, "frame_count": 50, "frame_lam": 10.0,
+                    "frame_folds": [10.0, 20.0, 40.0], "claims_lam": 1.5,
+                    "claims_samples": 80, "ps": [8.0, 16.0],
+                    "betas": [-32.0, -64.0, -128.0],
+                    "bookkeeping_lams": [1.0, 2.0], "alphas": [0.5, 0.9]},
+          tolerances=lambda p: {"anchor_tol": 1e-10})
+def run_carleman_suite(p: dict):
     """Frame exactness, claim flatness, the weighted inequality, bookkeeping."""
-    p = {"seed": 31, "frame_count": 50, "frame_lam": 10.0,
-         "frame_folds": [10.0, 20.0, 40.0], "claims_lam": 1.5,
-         "claims_samples": 80, "ps": [8.0, 16.0], "betas": [-32.0, -64.0, -128.0],
-         "bookkeeping_lams": [1.0, 2.0], "alphas": [0.5, 0.9], **params}
     rng = np.random.default_rng(p["seed"])
     # 1) anchor exactness
     worst_dev = 0.0
@@ -379,8 +384,7 @@ def run_carleman_suite(params: dict, outdir: Path) -> dict:
         claim_rows.append([n, "lower", b.lower])
         claim_rows.append([n, "drift", b.drift])
         claim_rows.append([n, "bquad", b.bquad])
-    write_csv(outdir / "carleman_claims.csv", ["n", "claim", "measured"],
-              claim_rows)
+    tables = {"carleman_claims.csv": (["n", "claim", "measured"], claim_rows)}
     flat = all(0.5 < b / a < 2.0 for a, b in zip(overall, overall[1:]))
     # 3) weighted inequality sweep
     bump = BumpFunction(a=0.68, b=0.92)
@@ -399,8 +403,8 @@ def run_carleman_suite(params: dict, outdir: Path) -> dict:
         for a, b in zip(cs[:-1], cs[1:]):
             if not (0.5 < b / a < 2.0):
                 sweep_ok = False
-    write_csv(outdir / "carleman_inequality.csv",
-              ["p", "beta", "medium", "measured_c"], ineq_rows)
+    tables["carleman_inequality.csv"] = (["p", "beta", "medium", "measured_c"],
+                                         ineq_rows)
     # 4) bookkeeping
     book_ok = True
     book_rows = []
@@ -411,23 +415,66 @@ def run_carleman_suite(params: dict, outdir: Path) -> dict:
         n0s = [minimal_fold_parameter(alpha, lam_b) for alpha in p["alphas"]]
         book_rows.append([lam_b, table.s_over_tau, math.exp(2 * lam_b), dev,
                           *n0s])
-    write_csv(outdir / "carleman_bookkeeping.csv",
-              ["lam", "s_over_tau", "e_2lam", "rel_dev",
-               *[f"n0_alpha_{a}" for a in p["alphas"]]], book_rows)
+    tables["carleman_bookkeeping.csv"] = (
+        ["lam", "s_over_tau", "e_2lam", "rel_dev",
+         *[f"n0_alpha_{a}" for a in p["alphas"]]], book_rows)
     assertions = [
         ("anchor_exactness", worst_dev < 1e-10, f"max deviation={worst_dev:.2e}"),
         ("claims_flat_in_fold", flat, f"overall={overall}"),
         ("inequality_beta_stable", sweep_ok, "see carleman_inequality.csv"),
         ("bookkeeping_limits", book_ok, "see carleman_bookkeeping.csv"),
     ]
-    results = {"anchor_deviation": worst_dev, "claims": overall,
-               "assertions": assertions}
-    write_manifest(outdir / "carleman_suite.manifest.json", p, results,
-                   {"anchor_tol": 1e-10})
-    return results
+    results = {"anchor_deviation": worst_dev, "claims": overall}
+    return tables, results, assertions
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a JSON value has its default's type: a number (an integer
+    where the default is one) or a list of such numbers."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(v, default[0])
+                                               for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int if isinstance(default, int) else (int, float))
+
+
+def scenario_params(name: str, params: dict) -> dict:
+    """The scenario's defaults updated by params.
+
+    Raises ValueError for a key the defaults lack, a value of another type
+    than its default, an empty `deltas` or a loss value that is not
+    positive, and radii that do not increase.
+    """
+    defaults = SCENARIOS[name].defaults
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValueError(f"unknown param {key!r} for scenario {name!r}; "
+                             f"known: {sorted(defaults)}")
+        if not _same_kind(value, defaults[key]):
+            raise ValueError(f"param {key!r} must have the type of its default "
+                             f"{defaults[key]!r}")
+    deltas = params.get("deltas")
+    if deltas is not None and not (deltas and min(deltas) > 0):
+        raise ValueError("'deltas' must be a non-empty list of positive numbers")
+    for key in ("radii", "annulus", "radius_grid"):
+        vals = params.get(key)
+        if vals is not None and vals != sorted(vals):
+            raise ValueError(f"'{key}' must be increasing")
+    return {**defaults, **params}
 
 
 def run_scenario(name: str, params: dict, outdir) -> dict:
+    """Run one scenario, write its CSV tables and manifest into outdir, and
+    return its results with the "assertions" triples added."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
-    return SCENARIOS[name](params, Path(outdir))
+    sc = SCENARIOS[name]
+    p = scenario_params(name, params)
+    tables, results, assertions = sc.body(p)
+    outdir = Path(outdir)
+    for filename, (header, rows) in tables.items():
+        write_csv(outdir / filename, header, rows)
+    results["assertions"] = assertions
+    write_manifest(outdir / f"{name}.manifest.json", p, results, sc.tolerances(p))
+    return results

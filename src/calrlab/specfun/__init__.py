@@ -1,10 +1,9 @@
 """Special functions: scaled spherical Bessel machinery and vector spherical harmonics."""
 
-from .scaled import ScaledArray, ScaledComplex, collapse
+from .scaled import ScaledArray, ScaledComplex
 from .bessel import (
     hat_h1,
     hat_jy,
-    hat_wronskian,
     log_dfact_minus,
     log_dfact_plus,
     normalized_bessel,
@@ -17,10 +16,8 @@ from .vsh import VshTriple, sphere_rule, sph_harm_y, vsh, vsh_coeffs, vsh_table
 __all__ = [
     "ScaledArray",
     "ScaledComplex",
-    "collapse",
     "hat_h1",
     "hat_jy",
-    "hat_wronskian",
     "log_dfact_minus",
     "log_dfact_plus",
     "normalized_bessel",

@@ -285,12 +285,6 @@ def hat_h1(nu: float, z) -> dict:
     return {"h": h, "dh": dh}
 
 
-def hat_wronskian(nu: float, z) -> complex:
-    """Exact value of jhat yhat' - jhat' yhat, which is -(2nu+1)/z^2."""
-    z = complex(z)
-    return -(2.0 * nu + 1.0) / (z * z)
-
-
 def spherical_bessel(kind: str, n: int, z):
     """j_n, y_n or h1_n at complex z.
 

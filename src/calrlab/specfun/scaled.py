@@ -166,17 +166,6 @@ class ScaledComplex:
     def to_complex(self):
         return ScaledArray.from_complex(self.mantissa).scale10(self.exp10).to_complex()
 
-    def as_array(self):
-        return ScaledArray(np.asarray(self.mantissa), np.asarray(self.exp10))
-
     def __abs__(self):
         return abs(self.mantissa) * 10.0 ** min(self.exp10, 308)
 
-
-def collapse(value):
-    """Plain complex from a ScaledArray/ScaledComplex/number."""
-    if isinstance(value, ScaledArray):
-        return value.to_complex()
-    if isinstance(value, ScaledComplex):
-        return value.to_complex()
-    return value

@@ -70,3 +70,30 @@ def test_run_bad_scenario_params_exit_config(tmp_path):
                         {"r1": 2.0, "r2": 1.0, "deltas": [1e-2]},
                         tmp_path / "outp")
     assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+
+def test_non_list_deltas_exit_config(tmp_path):
+    cfg = _write_config(tmp_path, "deltas.json", "dcm_convergence",
+                        {"deltas": "abc"}, tmp_path / "outd")
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+
+def test_unknown_param_key_exit_config(tmp_path):
+    cfg = _write_config(tmp_path, "typo.json", "maxwell_3sphere_suite",
+                        {"cont": 5}, tmp_path / "outk")
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "outk").exists()
+
+
+def test_param_of_another_type_than_its_default_exit_config(tmp_path):
+    for i, (scenario, params) in enumerate(
+            [("maxwell_3sphere_suite", {"count": "x"}),
+             ("maxwell_3sphere_suite", {"count": 5.5}),
+             ("dcm_convergence", {"annulus": 5}),
+             ("dcm_convergence", {"deltas": [1e-2, "1e-3"]})]):
+        cfg = _write_config(tmp_path, f"type{i}.json", scenario, params,
+                            tmp_path / "outt")
+        assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+        assert main(["run", str(cfg)]) == EXIT_CONFIG

@@ -1,6 +1,5 @@
 """Solution export: JSON coefficient tables and CSV field scans."""
 import json
-import os
 
 import numpy as np
 
@@ -43,16 +42,6 @@ def test_field_scan_csv(tmp_path):
     text = path.read_text().splitlines()
     assert text[0].split(",")[:3] == ["x", "y", "z"]
     assert len(text) == 3
-
-
-def test_thread_env_var_gives_identical_solution(monkeypatch):
-    sol_seq = _solution()
-    monkeypatch.setenv("CALRLAB_THREADS", "4")
-    sol_par = _solution()
-    for key in sol_seq.radial:
-        a = sol_seq.radial[key].coeffs[-1].c_y.to_complex()[0]
-        b = sol_par.radial[key].coeffs[-1].c_y.to_complex()[0]
-        assert a == b
 
 
 def test_modal_quadruple_table_feeds_trace_norm_check():

@@ -6,6 +6,7 @@ import pytest
 
 from calrlab.layered_maxwell import (
     SurfaceCurrentSource,
+    adaptive_gauss,
     data_quantity,
     eval_field,
     eval_field_many,
@@ -174,6 +175,33 @@ def test_diff_norm_matches_direct_subtraction():
         dens = np.sum(np.abs(ea - eb) ** 2 + np.abs(ha - hb) ** 2, axis=1)
         total += wr_i * r * r * float(np.sum(w * dens))
     assert dn == pytest.approx(math.sqrt(total), rel=1e-4)
+
+
+def test_diff_norm_rejects_differing_source_tables():
+    src = _mixed_source(n_hi=2)
+    sol = solve(vacuum_medium(), src, 1.0)
+    scaled = SurfaceCurrentSource(
+        radius=5.0, amplitudes={k: 2.0 * a for k, a in src.amplitudes.items()})
+    fewer = SurfaceCurrentSource(radius=5.0, amplitudes={mode(1, 0, "TE"): 1.0})
+    for other in (scaled, fewer):
+        with pytest.raises(ValueError, match="identical source tables"):
+            l2_norm_annulus_diff(sol, solve(vacuum_medium(), other, 1.0), 4.0, 6.0)
+
+
+def test_diff_norm_rejects_annulus_where_media_differ():
+    src = _mixed_source(n_hi=2)
+    med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 8)
+    sol_a = solve(med, src, 1.0)
+    sol_b = solve(vacuum_medium(), src, 1.0)
+    with pytest.raises(ValueError, match="media differ"):
+        l2_norm_annulus_diff(sol_a, sol_b, 1.0, 3.0)
+
+
+def test_adaptive_gauss_raises_when_not_converged():
+    assert adaptive_gauss(lambda x: x * x, 0.0, 1.0, max_doublings=2) == \
+        pytest.approx(1.0 / 3.0, rel=1e-14)
+    with pytest.raises(RuntimeError, match="not converged"):
+        adaptive_gauss(lambda x: np.cos(500.0 * x), 0.0, 1.0, max_doublings=2)
 
 
 def test_exterior_bound_across_wide_delta_range():
