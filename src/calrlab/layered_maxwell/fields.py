@@ -21,7 +21,12 @@ def mode_radial_components(reg: RegionSpec, pol: str, coeffs: RegionCoeffs,
     coefficients of Y xhat, Utilde, Vtilde in the expansion of E and H.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    u, du = coeffs.radial(r)
+    return radial_components(reg, pol, n, r, omega, *coeffs.radial(r))
+
+
+def radial_components(reg: RegionSpec, pol: str, n: int, r: np.ndarray,
+                      omega: float, u, du):
+    """`mode_radial_components` from u(r) and du/dr at an array of radii."""
     inv_r = 1.0 / r
     curlish = (du + u * inv_r).to_complex()
     uval = u.to_complex()
@@ -56,13 +61,18 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
         sel = region_of == idx
         rsub = r[sel]
         comp_cache = {}
+        bases = {}      # modes of equal order and wavenumber share a basis
         for key, amp in sol.amplitudes.items():
             ck = (key.n, key.pol)
             if ck not in comp_cache:
                 rsolve = sol.radial[ck]
-                comp_cache[ck] = mode_radial_components(
-                    rsolve.regions[idx], key.pol, rsolve.coeffs[idx], key.n,
-                    rsub, sol.omega)
+                coeffs = rsolve.coeffs[idx]
+                bk = (coeffs.nu, coeffs.k, coeffs.outgoing)
+                if bk not in bases:
+                    bases[bk] = coeffs.basis(rsub)
+                comp_cache[ck] = radial_components(
+                    rsolve.regions[idx], key.pol, key.n, rsub, sol.omega,
+                    *coeffs.combine(bases[bk]))
             e_y, e_u, e_v, h_y, h_u, h_v = comp_cache[ck]
             mult = amp * h_jump_factor(key.pol)
             rad, grad, rot = (v[sel] for v in table[(key.n, key.m)])

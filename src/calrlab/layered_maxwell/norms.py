@@ -14,7 +14,7 @@ import numpy as np
 from ..specfun.bessel import log_dfact_minus
 from .modes import TE
 from .solver import FieldSolution, RegionCoeffs
-from .fields import eval_field, mode_radial_components
+from .fields import eval_field, mode_radial_components, radial_components
 
 _LN10 = math.log(10.0)
 
@@ -75,9 +75,13 @@ def _modal_density(terms, comp, omega: float):
     def density(r):
         r = np.atleast_1d(r)
         out = np.zeros_like(r, dtype=float)
+        bases = {}      # modes of equal order and wavenumber share a basis
         for w, reg, pol, n, coeffs in terms:
-            e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
-                reg, pol, coeffs, n, r, omega)
+            bk = (coeffs.nu, coeffs.k, coeffs.outgoing)
+            if bk not in bases:
+                bases[bk] = coeffs.basis(r)
+            e_y, e_u, e_v, h_y, h_u, h_v = radial_components(
+                reg, pol, n, r, omega, *coeffs.combine(bases[bk]))
             e_sq = (ey_w * np.abs(e_y) ** 2
                     + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
             h_sq = (hy_w * np.abs(h_y) ** 2

@@ -11,6 +11,16 @@ Coefficients are propagated as scaled projective pairs and interfaces are
 resolved with the exact Wronskian determinant -(2nu+1)/z^2, so localized
 resonance (condition numbers like (r2/r1)^(2n)/delta) costs accuracy, never
 overflow.  This is the impedance-safe form of the transfer recursion.
+
+The work is batched.  For each (n, pol) one `hat_jy` call per distinct order
+covers both ends of every bounded region, grouped by region, so each region
+gets exactly the values of a call on its own ends.  All (n, pol) keys of a
+solve are then propagated together as the columns of `ScaledArray` tables,
+and the source scaling and the interface residual take one pass over all
+interfaces.  Every operation on a coefficient is the elementwise numpy
+operation a one-key, one-region-at-a-time solve would do, so the
+coefficients keep their exact bits; the residual, a diagnostic, may differ
+from such a solve in its last bit.
 """
 from __future__ import annotations
 
@@ -92,11 +102,21 @@ class RegionCoeffs:
 
     def radial(self, r) -> tuple[ScaledArray, ScaledArray]:
         """u(r) and du/dr as ScaledArrays over an array of radii."""
+        return self.combine(self.basis(r))
+
+    def basis(self, r) -> dict:
+        """Basis values at radii r: hat_jy at k r, or hat_h1 if outgoing.
+
+        Every mode of a region with the same order, wavenumber and basis
+        shares them.
+        """
         z = self.k * np.asarray(r, dtype=complex)
+        return hat_h1(self.nu, z) if self.outgoing else hat_jy(self.nu, z)
+
+    def combine(self, b: dict) -> tuple[ScaledArray, ScaledArray]:
+        """u and du/dr from the basis values b of `basis`."""
         if self.outgoing:
-            h = hat_h1(self.nu, z)
-            return self.c_y * h["h"], self.k * (self.c_y * h["dh"])
-        b = hat_jy(self.nu, z)
+            return self.c_y * b["h"], self.k * (self.c_y * b["dh"])
         u = self.c_j * b["j"] + self.c_y * b["y"]
         du = self.c_j * b["dj"] + self.c_y * b["dy"]
         return u, self.k * du
@@ -126,79 +146,6 @@ def _trace(reg: RegionSpec, pol: str, coeffs: RegionCoeffs, r: float,
     if pol == TE:
         return u, (1j / (omega * reg.mu_tan)) * curlish
     return (-1j / (omega * reg.eps_tan)) * curlish, u
-
-
-class _RegionBasis:
-    """Basis traces of one region at its two ends, from one Bessel sweep.
-
-    e[b][end], h[b][end] for basis b in (0 = jhat, 1 = yhat or hhat) and
-    end in (0 = r_lo, 1 = r_hi).
-    """
-
-    __slots__ = ("nu", "k", "e", "h", "_ends")
-
-    def __init__(self, reg: RegionSpec, pol: str, n: int, omega: float,
-                 outgoing: bool):
-        nu, k = reg.order_and_k(n, pol, omega)
-        self.nu, self.k = nu, k
-        ends = []
-        if reg.r_lo > 0:
-            ends.append(reg.r_lo)
-        if not math.isinf(reg.r_hi):
-            ends.append(reg.r_hi)
-        rr = np.asarray(ends, dtype=float)
-        z = k * rr
-        b = reg.mu_tan if pol == TE else reg.eps_tan
-        factor = 1j / (omega * b) if pol == TE else -1j / (omega * b)
-
-        def traces(u, du):
-            curlish = k * du + u * (1.0 / rr)
-            if pol == TE:
-                return u, factor * curlish
-            return factor * curlish, u
-
-        self.e = [None, None]
-        self.h = [None, None]
-        if outgoing:
-            hv = hat_h1(nu, z)
-            e1, h1 = traces(hv["h"], hv["dh"])
-            self.e[1] = e1
-            self.h[1] = h1
-        else:
-            jy = hat_jy(nu, z)
-            ej, hj = traces(jy["j"], jy["dj"])
-            ey, hy = traces(jy["y"], jy["dy"])
-            self.e[0], self.h[0] = ej, hj
-            self.e[1], self.h[1] = ey, hy
-        self._ends = {round(r, 14): i for i, r in enumerate(ends)}
-
-    def end_index(self, r: float) -> int:
-        return self._ends[round(r, 14)]
-
-    def state_trace(self, coeffs: RegionCoeffs, r: float):
-        i = self.end_index(r)
-        if coeffs.outgoing:
-            return (coeffs.c_y * self.e[1][i:i + 1],
-                    coeffs.c_y * self.h[1][i:i + 1])
-        e = coeffs.c_j * self.e[0][i:i + 1] + coeffs.c_y * self.e[1][i:i + 1]
-        h = coeffs.c_j * self.h[0][i:i + 1] + coeffs.c_y * self.h[1][i:i + 1]
-        return e, h
-
-    def match(self, reg: RegionSpec, pol: str, r: float, e_t: ScaledArray,
-              h_t: ScaledArray, omega: float) -> RegionCoeffs:
-        """Coefficients whose trace at r equals (e_t, h_t).
-
-        The 2x2 basis determinant is exactly -i (2nu+1)/(omega b k r^2) with
-        b = mu_tan (TE) or eps_tan (TM), so the solve is cancellation-free.
-        """
-        b = reg.mu_tan if pol == TE else reg.eps_tan
-        det = _s(-1j * (2.0 * self.nu + 1.0) / (omega * b * self.k * r * r))
-        i = self.end_index(r)
-        e1, h1 = self.e[0][i:i + 1], self.h[0][i:i + 1]
-        e2, h2 = self.e[1][i:i + 1], self.h[1][i:i + 1]
-        c_j = (e_t * h2 - h_t * e2) / det
-        c_y = (h_t * e1 - e_t * h1) / det
-        return RegionCoeffs(nu=self.nu, k=self.k, c_j=c_j, c_y=c_y)
 
 
 @dataclass(frozen=True)
@@ -275,75 +222,187 @@ def _build_regions(medium: RadialMedium, r_s: float) -> tuple[list, int]:
     return regions, src_idx
 
 
-def _solve_radial(regions, src_idx, n, pol, omega, options) -> RadialSolve:
+def _stack(parts) -> ScaledArray:
+    """ScaledArrays of one shape, stacked along a new first axis."""
+    return ScaledArray(np.stack([p.m for p in parts]), np.stack([p.e for p in parts]),
+                       normalize=False)
+
+
+def _pick(cond, a: ScaledArray, b: ScaledArray) -> ScaledArray:
+    """a where cond holds, b elsewhere."""
+    return ScaledArray(np.where(cond, a.m, b.m), np.where(cond, a.e, b.e),
+                       normalize=False)
+
+
+def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
+    """Trace pair of the state cj jhat + cy yhat (cy hhat if outgoing, where
+    cj is zero) from the basis traces (e0, h0, e1, h1)."""
+    e0, h0, e1, h1 = basis
+    if outgoing:
+        return cy * e1, cy * h1
+    return cj * e0 + cy * e1, cj * h0 + cy * h1
+
+
+def _end_values(regions, n: int, pol: str, omega: float):
+    """Order, wavenumber and basis values at every finite region end, one key.
+
+    Returns the (nu, k) of each region and (u, du/dz) of both basis
+    functions as (mantissa, exponent) tables of shape (2, nreg): row 0 at
+    r_lo, row 1 at r_hi.  Every region with the same order shares one
+    `hat_jy` call, grouped by region; the outermost region gets `hat_h1` at
+    its r_lo in the second basis slot.
+    """
     nreg = len(regions)
-    basis = [(_RegionBasis(reg, pol, n, omega, outgoing=(i == nreg - 1)))
-             for i, reg in enumerate(regions)]
+    last = nreg - 1
+    orders = [reg.order_and_k(n, pol, omega) for reg in regions]
+    # finite ends: r_lo of regions 1.., r_hi of regions ..last-1
+    owner = np.repeat(np.arange(nreg), 2)[1:-1]
+    side = np.tile([0, 1], nreg)[1:-1]
+    radii = np.array([r for reg in regions for r in (reg.r_lo, reg.r_hi)][1:-1])
+    z = np.array([orders[i][1] for i in owner]) * radii
+    tables = [(np.zeros((2, nreg), dtype=complex), np.zeros((2, nreg), dtype=np.int64))
+              for _ in range(4)]
+    by_order = {}
+    for i in range(last):
+        by_order.setdefault(orders[i][0], []).append(i)
+    for nu, members in by_order.items():
+        sel = np.isin(owner, members)
+        vals = hat_jy(nu, z[sel], groups=owner[sel])
+        for (m, e), name in zip(tables, ("j", "dj", "y", "dy")):
+            m[side[sel], owner[sel]] = vals[name].m
+            e[side[sel], owner[sel]] = vals[name].e
+    vals = hat_h1(orders[last][0], z[-1:])
+    for (m, e), name in zip(tables[2:], ("h", "dh")):
+        m[0, last], e[0, last] = vals[name].m[0], vals[name].e[0]
+    return orders, tables
 
-    inner = [None] * nreg
-    inner[0] = RegionCoeffs(nu=basis[0].nu, k=basis[0].k, c_j=_s(1.0), c_y=_s(0.0))
+
+def _basis_traces(regions, keys, omega: float):
+    """Basis traces (e0, h0, e1, h1) at every region end for every key.
+
+    Each is a ScaledArray of shape (2, nreg, nkeys): [0, i] at r_lo and
+    [1, i] at r_hi of region i, one column per (n, pol) key; basis 0 is
+    jhat, basis 1 yhat (hhat in the outermost region).  Also returns each
+    key's (nu, k) per region and the match determinants at every end.
+    """
+    nreg = len(regions)
+    radius = np.array([[reg.r_lo for reg in regions],
+                       [reg.r_hi for reg in regions]])
+    radius[0, 0] = radius[1, -1] = 1.0          # no end there; placeholders
+    orders, values = [], []
+    for n, pol in keys:
+        o, t = _end_values(regions, n, pol, omega)
+        orders.append(o)
+        values.append(t)
+    u0, du0, u1, du1 = (
+        ScaledArray(np.stack([t[j][0] for t in values], axis=-1),
+                    np.stack([t[j][1] for t in values], axis=-1), normalize=False)
+        for j in range(4))
+    k = np.array([[o[1] for o in ok] for ok in orders]).T
+    coef = [[(reg.mu_tan if pol == TE else reg.eps_tan) for _, pol in keys]
+            for reg in regions]
+    factor = np.array([[1j / (omega * b) if pol == TE else -1j / (omega * b)
+                        for b, (_, pol) in zip(row, keys)] for row in coef])
+    te = np.array([pol == TE for _, pol in keys])
+    inv_r = (1.0 / radius)[..., None]
+
+    def traces(u, du):
+        curlish = (du * k + u * inv_r) * factor
+        return _pick(te, u, curlish), _pick(te, curlish, u)
+
+    e0, h0 = traces(u0, du0)
+    e1, h1 = traces(u1, du1)
+    # exact Wronskian determinant of the basis at each end:
+    # -i (2nu+1)/(omega b k r^2), b = mu_tan (TE) or eps_tan (TM)
+    det = ScaledArray.from_complex(np.array([
+        [[-1j * (2.0 * ok[i][0] + 1.0) / (omega * b * ok[i][1] * r * r)
+          for ok, b in zip(orders, coef[i])]
+         for i, r in enumerate(row)] for row in radius.tolist()]))
+    return (e0, h0, e1, h1), orders, det
+
+
+def _solve_radial(regions, src_idx, keys, omega, options) -> Dict[tuple, RadialSolve]:
+    """Unit-jump radial solves for every (n, pol) in keys, propagated together.
+
+    Columns of every ScaledArray below are keys; the coefficients of each
+    key are exactly those of a solve of that key alone.
+    """
+    nreg = len(regions)
+    last = nreg - 1
+    basis, orders, det = _basis_traces(regions, keys, omega)
+
+    def at(side, i):
+        return tuple(b[side, i] for b in basis)
+
+    def match(side, i, e_t, h_t):
+        # coefficients in region i whose trace at that end is (e_t, h_t)
+        e1, h1, e2, h2 = at(side, i)
+        d = det[side, i]
+        return (e_t * h2 - h_t * e2) / d, (h_t * e1 - e_t * h1) / d
+
+    nkeys = len(keys)
+    one, zero = _s(np.ones(nkeys)), _s(np.zeros(nkeys))
+    inner = [(one, zero)]
     for i in range(src_idx):
-        r = regions[i].r_hi
-        e_t, h_t = basis[i].state_trace(inner[i], r)
-        inner[i + 1] = basis[i + 1].match(regions[i + 1], pol, r, e_t, h_t, omega)
+        inner.append(match(0, i + 1, *_state(*inner[-1], at(1, i))))
+    outer = [(zero, one)]
+    for i in range(last, src_idx + 1, -1):
+        outer.append(match(1, i - 1, *_state(*outer[-1], at(0, i), i == last)))
+    outer.reverse()
 
-    outer = [None] * nreg
-    outer[-1] = RegionCoeffs(nu=basis[-1].nu, k=basis[-1].k,
-                             c_j=_s(0.0), c_y=_s(1.0), outgoing=True)
-    for i in range(nreg - 1, src_idx + 1, -1):
-        r = regions[i].r_lo
-        e_t, h_t = basis[i].state_trace(outer[i], r)
-        outer[i - 1] = basis[i - 1].match(regions[i - 1], pol, r, e_t, h_t, omega)
-
-    r_s = regions[src_idx].r_hi
-    e_m, h_m = basis[src_idx].state_trace(inner[src_idx], r_s)
-    e_p, h_p = basis[src_idx + 1].state_trace(outer[src_idx + 1], r_s)
+    e_m, h_m = _state(*inner[-1], at(1, src_idx))
+    e_p, h_p = _state(*outer[0], at(0, src_idx + 1), src_idx + 1 == last)
 
     # E continuous, H_t jumps by 1:  E+ B - E- A = 0,  H+ B - H- A = 1
     t1 = h_p * e_m
     t2 = h_m * e_p
-    det = t1 - t2
-    mag = 10.0 ** np.maximum(t1.log10_abs(), t2.log10_abs())[0]
-    det_mag = 10.0 ** det.log10_abs()[0]
-    cond = math.inf if det_mag == 0 else float(mag / det_mag)
-    if cond > options.cond_guard:
-        msg = f"near-singular mode (n={n}, pol={pol}): condition {cond:.3e}"
-        if options.on_near_singular == "raise":
-            raise NearSingularMode(msg)
-        warnings.warn(msg, RuntimeWarning)
-    a_scale = e_p / det
-    b_scale = e_m / det
+    det_src = t1 - t2
+    conds = []
+    for lmag, ldet in zip(np.maximum(t1.log10_abs(), t2.log10_abs()),
+                          det_src.log10_abs()):
+        mag, det_mag = 10.0 ** lmag, 10.0 ** ldet
+        conds.append(math.inf if det_mag == 0 else float(mag / det_mag))
+    rows = np.arange(nreg)[:, None] <= src_idx
+    scale = _pick(rows, e_p / det_src, e_m / det_src)
+    c_j = _stack([c for c, _ in inner + outer]) * scale
+    c_y = _stack([c for _, c in inner + outer]) * scale
+    resid = _interface_residual(basis, c_j, c_y, src_idx)
 
-    coeffs = []
-    for i in range(nreg):
-        base = inner[i] if i <= src_idx else outer[i]
-        scale = a_scale if i <= src_idx else b_scale
-        coeffs.append(RegionCoeffs(nu=base.nu, k=base.k,
-                                   c_j=base.c_j * scale, c_y=base.c_y * scale,
-                                   outgoing=base.outgoing))
+    out = {}
+    for col, (n, pol) in enumerate(keys):
+        if conds[col] > options.cond_guard:
+            msg = f"near-singular mode (n={n}, pol={pol}): condition {conds[col]:.3e}"
+            if options.on_near_singular == "raise":
+                raise NearSingularMode(msg)
+            warnings.warn(msg, RuntimeWarning)
+        if resid[col] > options.interface_tol:
+            warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
+                          RuntimeWarning)
+        cj = ScaledArray(c_j.m[:, col].copy(), c_j.e[:, col].copy(), normalize=False)
+        cy = ScaledArray(c_y.m[:, col].copy(), c_y.e[:, col].copy(), normalize=False)
+        coeffs = [RegionCoeffs(nu=nu, k=k, c_j=cj[i:i + 1], c_y=cy[i:i + 1],
+                               outgoing=(i == last))
+                  for i, (nu, k) in enumerate(orders[col])]
+        out[(n, pol)] = RadialSolve(n=n, pol=pol, regions=list(regions), coeffs=coeffs,
+                                    source_index=src_idx, condition=conds[col],
+                                    interface_residual=float(resid[col]))
+    return out
 
-    resid = _interface_residual(regions, basis, coeffs, pol, src_idx)
-    if resid > options.interface_tol:
-        warnings.warn(f"interface residual {resid:.2e} for (n={n}, pol={pol})",
-                      RuntimeWarning)
-    return RadialSolve(n=n, pol=pol, regions=list(regions), coeffs=coeffs,
-                       source_index=src_idx, condition=cond,
-                       interface_residual=resid)
 
-
-def _interface_residual(regions, basis, coeffs, pol, src_idx) -> float:
-    """Relative trace mismatch across every interface (source jump included)."""
-    worst = 0.0
-    for i in range(len(regions) - 1):
-        r = regions[i].r_hi
-        e_a, h_a = basis[i].state_trace(coeffs[i], r)
-        e_b, h_b = basis[i + 1].state_trace(coeffs[i + 1], r)
-        jump = 1.0 if i == src_idx else 0.0
-        scale = max(10.0 ** e_a.log10_abs()[0], 10.0 ** h_a.log10_abs()[0], 1e-30)
-        de = abs((e_b - e_a).to_complex()[0])
-        dh = abs((h_b - h_a - jump).to_complex()[0]) if jump else abs((h_b - h_a).to_complex()[0])
-        worst = max(worst, de / scale, dh / scale)
-    return worst
+def _interface_residual(basis, c_j, c_y, src_idx) -> np.ndarray:
+    """Per key, the relative trace mismatch across every interface (source
+    jump included): interface i joins region i at r_hi to region i+1 at r_lo."""
+    e_a, h_a = _state(c_j[:-1], c_y[:-1], tuple(b[1, :-1] for b in basis))
+    e_b, h_b = _state(c_j[1:], c_y[1:], tuple(b[0, 1:] for b in basis))
+    outgoing = _state(None, c_y[-1], tuple(b[0, -1] for b in basis), outgoing=True)
+    for full, part in zip((e_b, h_b), outgoing):
+        full.m[-1], full.e[-1] = part.m, part.e
+    de = np.abs((e_b - e_a).to_complex())
+    dh_s = h_b - h_a
+    dh = dh_s.to_complex()
+    dh[src_idx] = (dh_s[src_idx] - 1.0).to_complex()
+    scale = np.maximum(np.maximum(10.0 ** e_a.log10_abs(), 10.0 ** h_a.log10_abs()), 1e-30)
+    return np.fmax.reduce(np.fmax(de, np.abs(dh)) / scale, axis=0, initial=0.0)
 
 
 def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
@@ -366,8 +425,8 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
         if key.n > n_cap:
             tail += abs(amp) ** 2
     tail = math.sqrt(tail) * source.radius
-    radial = {(n, pol): _solve_radial(regions, src_idx, n, pol, omega, options)
-              for n, pol in source.radial_keys() if n <= n_cap}
+    keys = [(n, pol) for n, pol in source.radial_keys() if n <= n_cap]
+    radial = _solve_radial(regions, src_idx, keys, omega, options) if keys else {}
     amps = {k: complex(v) for k, v in source.amplitudes.items() if k.n <= n_cap}
     return FieldSolution(medium=medium, source=source, omega=omega,
                          regions=tuple(regions), radial=radial, amplitudes=amps,

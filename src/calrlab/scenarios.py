@@ -86,6 +86,10 @@ def mixed_mode_source(radius: float, n_max: int, seed: int,
     return SurfaceCurrentSource(radius=radius, amplitudes=amps)
 
 
+# Scenarios whose result is a log-log slope over `deltas`.
+_SLOPE_FITS = ("dcm_convergence", "blowup_scan")
+
+
 def _fit_loglog(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
@@ -444,7 +448,8 @@ def scenario_params(name: str, params: dict) -> dict:
 
     Raises ValueError for a key the defaults lack, a value of another type
     than its default, an empty `deltas` or a loss value that is not
-    positive, and radii that do not increase.
+    positive, fewer than two distinct `deltas` where a slope is fitted over
+    them, and radii that do not increase.
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -457,6 +462,9 @@ def scenario_params(name: str, params: dict) -> dict:
     deltas = params.get("deltas")
     if deltas is not None and not (deltas and min(deltas) > 0):
         raise ValueError("'deltas' must be a non-empty list of positive numbers")
+    if deltas is not None and name in _SLOPE_FITS and len(set(deltas)) < 2:
+        raise ValueError(f"scenario {name!r} fits a slope in delta; "
+                         "'deltas' needs at least two distinct values")
     for key in ("radii", "annulus", "radius_grid"):
         vals = params.get(key)
         if vals is not None and vals != sorted(vals):

@@ -43,7 +43,47 @@ def _as_z_array(z):
     return np.atleast_1d(z), scalar
 
 
-def _series_j(nu: float, z: np.ndarray) -> ScaledArray:
+def _group_max(x: np.ndarray, groups):
+    """Each element's group maximum of x; the plain maximum without groups."""
+    if groups is None:
+        return np.max(x)
+    out = np.full(int(groups.max()) + 1, -np.inf)
+    np.maximum.at(out, groups, x)
+    return out[groups]
+
+
+def _ascending_sum(zsq4: np.ndarray, denom, groups) -> np.ndarray:
+    """1 + sum_k prod_{i<=k} zsq4 / denom(i), term by term.
+
+    Each group stops once every one of its terms is below 1e-18 of its
+    partial sum (or after 401 terms) and keeps that sum, so a group's result
+    does not depend on what else is in the batch.
+    """
+    term = np.ones_like(zsq4)
+    acc = np.ones_like(zsq4)
+    # per element: its group is still summing
+    live = None if groups is None else np.ones(zsq4.shape, dtype=bool)
+    k = 0
+    while True:
+        k += 1
+        term = term * zsq4 / denom(k)
+        acc = acc + term if live is None else np.where(live, acc + term, acc)
+        small = np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)
+        if live is None:
+            if small.all():
+                break
+        else:
+            unfinished = np.zeros(int(groups.max()) + 1, dtype=bool)
+            unfinished[groups[~small]] = True
+            live &= unfinished[groups]
+            if not live.any():
+                break
+        if k > 400:
+            break
+    return acc
+
+
+def _series_j(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
     """Ascending series for j_nu, valid for nu > -3/2, scaled output.
 
     j_nu(z) = (sqrt(pi)/2) (z/2)^nu sum_k (-z^2/4)^k / (k! Gamma(k+nu+3/2)).
@@ -54,15 +94,7 @@ def _series_j(nu: float, z: np.ndarray) -> ScaledArray:
     if float(np.max(np.abs(z))) > 60.0:
         raise ValueError("ascending series unreliable for |z| > 60")
     zsq4 = -(z * z) / 4.0
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    k = 0
-    while True:
-        k += 1
-        term = term * zsq4 / (k * (k + nu + 0.5))
-        acc = acc + term
-        if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)) or k > 400:
-            break
+    acc = _ascending_sum(zsq4, lambda k: k * (k + nu + 0.5), groups)
     # prefactor (sqrt(pi)/2) (z/2)^nu / Gamma(nu+3/2), in log10 pieces
     out = ScaledArray.from_complex(acc)
     logpref = (0.5 * math.log(math.pi) - math.log(2.0) - math.lgamma(nu + 1.5)) / _LN10
@@ -78,7 +110,7 @@ def _series_j(nu: float, z: np.ndarray) -> ScaledArray:
     return out
 
 
-def _series_jminus_aux(nu: float, z: np.ndarray) -> ScaledArray:
+def _series_jminus_aux(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
     """sqrt(pi/(2z)) * J_{-(nu+1/2)}(z), the second series of the reflection.
 
     Equals (sqrt(pi)/2) (z/2)^(-nu-1) sum_k (-z^2/4)^k / (k! Gamma(k-nu+1/2)).
@@ -87,15 +119,7 @@ def _series_jminus_aux(nu: float, z: np.ndarray) -> ScaledArray:
     if abs(g0 - round(g0)) < 1e-12 and round(g0) <= 0:
         raise ValueError(f"reflection series degenerate at order {nu}")
     zsq4 = -(z * z) / 4.0
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    k = 0
-    while True:
-        k += 1
-        term = term * zsq4 / (k * (k - nu - 0.5))
-        acc = acc + term
-        if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)) or k > 400:
-            break
+    acc = _ascending_sum(zsq4, lambda k: k * (k - nu - 0.5), groups)
     # 1/Gamma(g0) with sign (g0 may be negative non-integer)
     sign = 1.0
     if g0 < 0:
@@ -114,7 +138,7 @@ def _series_jminus_aux(nu: float, z: np.ndarray) -> ScaledArray:
     return ScaledArray(out.m * phase, out.e).scale10(logmag + logpref)
 
 
-def _series_y(nu: float, z: np.ndarray) -> ScaledArray:
+def _series_y(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
     """y_nu by the reflection formula (fractional nu) or trig (integer nu<=1)."""
     if abs(nu - round(nu)) < 1e-12:
         n = int(round(nu))
@@ -131,21 +155,25 @@ def _series_y(nu: float, z: np.ndarray) -> ScaledArray:
         raise ValueError(
             f"order {nu} too close to half-integer for the reflection formula; "
             "perturb the order slightly")
-    j = _series_j(nu, z)
-    aux = _series_jminus_aux(nu, z)
+    j = _series_j(nu, z, groups)
+    aux = _series_jminus_aux(nu, z, groups)
     return (j * math.cos(math.pi * a) - aux) * (1.0 / s)
 
 
-def _miller_j(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, ScaledArray]:
+def _miller_j(nu: float, z: np.ndarray, base: float,
+              groups=None) -> tuple[ScaledArray, ScaledArray]:
     """Scaled downward recurrence; returns j at orders (nu-1, nu).
 
     `base` is the fractional part of nu (the anchor order); anchoring is at
     base or base+1, whichever true value is larger elementwise, so zeros of
-    the anchor do not poison the normalization.
+    the anchor do not poison the normalization.  Each group starts at the
+    order its own largest |z| calls for.
     """
     steps = int(round(nu - base))
-    zmax = float(np.max(np.abs(z)))
-    top = steps + max(24, int(math.ceil(1.1 * zmax - nu)) + 24)
+    zmax = np.atleast_1d(_group_max(np.abs(z), groups)).tolist()
+    tops = np.array([steps + max(24, int(math.ceil(1.1 * zm - nu)) + 24)
+                     for zm in zmax])
+    top, first = int(tops.max()), int(tops.min())
     fp = np.zeros_like(z)            # f_{k+1}
     fc = np.ones_like(z)             # f_k, arbitrary seed
     eoff = np.zeros(z.shape, dtype=np.int64)
@@ -164,9 +192,14 @@ def _miller_j(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, Scale
             break
         order = base + k
         fm = (2.0 * order + 1.0) / z * fc - fp
-        fp, fc = fc, fm
+        if k > first:
+            # groups that start lower keep their seed (f_k, f_{k+1}) = (1, 0)
+            held = k > tops
+            fp, fc = np.where(held, fp, fc), np.where(held, fc, fm)
+        else:
+            fp, fc = fc, fm
         big = np.abs(fc) > 1e250
-        if np.any(big):
+        if big.any():
             fc[big] *= 1e-250
             fp[big] *= 1e-250
             eoff[big] += 250
@@ -178,8 +211,8 @@ def _miller_j(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, Scale
             np.where(z != 0, np.sin(z) / np.where(z != 0, z * z, 1.0)
                      - np.cos(z) / np.where(z != 0, z, 1.0), 0.0))
     else:
-        t0 = _series_j(base, z)
-        t1 = _series_j(base + 1.0, z)
+        t0 = _series_j(base, z, groups)
+        t1 = _series_j(base + 1.0, z, groups)
     # elementwise anchor choice by larger true magnitude
     use1 = t1.log10_abs() > t0.log10_abs()
     rat0 = t0 / f0
@@ -196,15 +229,16 @@ def _miller_j(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, Scale
     return j_below, j_at
 
 
-def _upward_y(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, ScaledArray]:
+def _upward_y(nu: float, z: np.ndarray, base: float,
+              groups=None) -> tuple[ScaledArray, ScaledArray]:
     """Scaled upward recurrence; returns y at orders (nu-1, nu)."""
     steps = int(round(nu - base))
     if abs(base) < 1e-12:
         ym1 = ScaledArray.from_complex(np.sin(z) / z)   # y_{-1}
         y0 = ScaledArray.from_complex(-np.cos(z) / z)
     else:
-        ym1 = _series_y(base - 1.0, z)
-        y0 = _series_y(base, z)
+        ym1 = _series_y(base - 1.0, z, groups)
+        y0 = _series_y(base, z, groups)
     if steps == 0:
         return ym1, y0
     prev_m, prev_e = ym1.m.copy(), ym1.e.copy()
@@ -218,18 +252,45 @@ def _upward_y(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, Scale
         nxt = (2.0 * order + 1.0) / z * cur_m - prev_m
         prev_m, cur_m = cur_m, nxt
         big = np.abs(cur_m) > 1e250
-        if np.any(big):
+        if big.any():
             cur_m[big] *= 1e-250
             prev_m[big] *= 1e-250
             eoff[big] += 250
     return ScaledArray(prev_m, eoff), ScaledArray(cur_m, eoff)
 
 
-def sph_jy(nu: float, z) -> dict:
+def _merge(mask: np.ndarray, a: ScaledArray, b: ScaledArray) -> ScaledArray:
+    """a's values where mask holds and b's elsewhere (a and b hold just those)."""
+    m = np.empty(mask.shape, dtype=complex)
+    e = np.empty(mask.shape, dtype=np.int64)
+    m[mask], e[mask] = a.m, a.e
+    m[~mask], e[~mask] = b.m, b.e
+    return ScaledArray(m, e, normalize=False)
+
+
+def _j_pair(nu: float, z: np.ndarray, base: float, groups) -> tuple[ScaledArray, ScaledArray]:
+    """j at orders (nu-1, nu): series for groups with |z| <= 8, else Miller."""
+    series = _group_max(np.abs(z), groups) <= _SERIES_CUTOFF
+    if np.all(series):
+        return _series_j(nu - 1.0, z, groups), _series_j(nu, z, groups)
+    if not np.any(series):
+        return _miller_j(nu, z, base, groups)
+    s, m = series, ~series
+    near = _j_pair(nu, z[s], base, groups[s])
+    far = _j_pair(nu, z[m], base, groups[m])
+    return _merge(s, near[0], far[0]), _merge(s, near[1], far[1])
+
+
+def sph_jy(nu: float, z, groups=None) -> dict:
     """j_nu, y_nu and their z-derivatives as ScaledArrays.
 
     Vectorized over z (complex); nu is a scalar real order >= 0.
     Derivatives use f' = f_{nu-1} - (nu+1)/z * f_nu.
+
+    `groups` (integer labels, one per element of a 1-d z) batches several
+    independent evaluations: the series stopping rule, the series/Miller
+    switch and the Miller start order are decided per group, so each group
+    gets exactly the values a call on its elements alone would give.
     """
     if nu < 0:
         raise ValueError("order must be >= 0")
@@ -238,13 +299,11 @@ def sph_jy(nu: float, z) -> dict:
     z, scalar = _as_z_array(z)
     if np.any(z == 0):
         raise ZeroDivisionError("sph_jy requires z != 0 (y is singular there)")
+    if groups is not None:
+        groups = np.asarray(groups, dtype=np.intp)
     base = nu - math.floor(nu)
-    if float(np.max(np.abs(z))) <= _SERIES_CUTOFF:
-        j_at = _series_j(nu, z)
-        j_below = _series_j(nu - 1.0, z)
-    else:
-        j_below, j_at = _miller_j(nu, z, base)
-    y_below, y_at = _upward_y(nu, z, base)
+    j_below, j_at = _j_pair(nu, z, base, groups)
+    y_below, y_at = _upward_y(nu, z, base, groups)
     inv_z = ScaledArray.from_complex(1.0 / z)
     dj = j_below - (nu + 1.0) * (j_at * inv_z)
     dy = y_below - (nu + 1.0) * (y_at * inv_z)
@@ -255,14 +314,14 @@ def sph_jy(nu: float, z) -> dict:
     return out
 
 
-def hat_jy(nu: float, z) -> dict:
+def hat_jy(nu: float, z, groups=None) -> dict:
     """Growth-normalized pair: jhat = (2nu+1)!! j, yhat = -y/(2nu-1)!!.
 
     Near zero argument jhat(t) ~ t^nu and yhat(t) ~ t^(-nu-1), which keeps
     high-order coefficients meaningful.  Returns ScaledArrays for the values
-    and their z-derivatives.
+    and their z-derivatives; `groups` is passed on to `sph_jy`.
     """
-    raw = sph_jy(nu, z)
+    raw = sph_jy(nu, z, groups)
     lp = log_dfact_plus(nu) / _LN10
     lm = log_dfact_minus(nu) / _LN10
     return {

@@ -17,14 +17,16 @@ _LOG10 = math.log(10.0)
 
 
 def _split(values):
-    """Normalize an ndarray of complex values into (mantissa, exp10)."""
+    """Normalize an ndarray of complex values into (mantissa, exp10, nonzero).
+
+    Zero and NaN values get mantissa 0 and exponent 0.
+    """
     values = np.asarray(values, dtype=complex)
     mag = np.abs(values)
-    e = np.zeros(values.shape, dtype=np.int64)
     nz = mag > 0.0
-    e[nz] = np.floor(np.log10(mag[nz])).astype(np.int64)
+    e = np.floor(np.log10(np.where(nz, mag, 1.0))).astype(np.int64)
     m = np.where(nz, values / (10.0 ** e.astype(float)), 0.0 + 0.0j)
-    return m, e
+    return m, e, nz
 
 
 class ScaledArray:
@@ -41,16 +43,12 @@ class ScaledArray:
             self._renormalize()
 
     def _renormalize(self):
-        mag = np.abs(self.m)
-        nz = mag > 0.0
-        shift = np.zeros(self.m.shape, dtype=np.int64)
-        shift[nz] = np.floor(np.log10(mag[nz])).astype(np.int64)
-        self.m = np.where(nz, self.m / (10.0 ** shift.astype(float)), 0.0 + 0.0j)
+        self.m, shift, nz = _split(self.m)
         self.e = np.where(nz, self.e + shift, 0)
 
     @classmethod
     def from_complex(cls, values):
-        m, e = _split(values)
+        m, e, _ = _split(values)
         return cls(m, e, normalize=False)
 
     @classmethod
@@ -71,7 +69,7 @@ class ScaledArray:
     def __mul__(self, other):
         if isinstance(other, ScaledArray):
             return ScaledArray(self.m * other.m, self.e + other.e)
-        om, oe = _split(other)
+        om, oe, _ = _split(other)
         return ScaledArray(self.m * om, self.e + oe)
 
     __rmul__ = __mul__
@@ -81,7 +79,7 @@ class ScaledArray:
             with np.errstate(divide="ignore", invalid="ignore"):
                 m = np.where(other.m != 0, self.m / other.m, np.inf + 0j)
             return ScaledArray(m, self.e - other.e)
-        om, oe = _split(other)
+        om, oe, _ = _split(other)
         with np.errstate(divide="ignore", invalid="ignore"):
             m = np.where(om != 0, self.m / om, np.inf + 0j)
         return ScaledArray(m, self.e - oe)
@@ -94,8 +92,8 @@ class ScaledArray:
             other = ScaledArray.from_complex(other)
         # align to the larger exponent; the smaller term may flush to zero
         e = np.maximum(self.e, other.e)
-        da = np.clip(self.e - e, -400, 0).astype(float)
-        db = np.clip(other.e - e, -400, 0).astype(float)
+        da = np.maximum(self.e - e, -400).astype(float)
+        db = np.maximum(other.e - e, -400).astype(float)
         m = self.m * 10.0 ** da + other.m * 10.0 ** db
         return ScaledArray(m, e)
 

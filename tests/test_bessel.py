@@ -240,3 +240,70 @@ def test_scaled_array_algebra():
     big = sa.scale10(500)
     assert np.allclose((big / big.copy()).to_complex(), np.ones(5))
     assert np.allclose(big.scale10(-500).to_complex(), a)
+
+
+def _region_arguments(medium, r_s, n, pol, omega):
+    """(region, nu, k r at the region's finite ends) for every bounded region."""
+    from calrlab.layered_maxwell.solver import _build_regions
+    regions, _ = _build_regions(medium, r_s)
+    for i, reg in enumerate(regions[:-1]):
+        nu, k = reg.order_and_k(n, pol, omega)
+        ends = [r for r in (reg.r_lo, reg.r_hi) if r > 0]
+        yield i, nu, k * np.asarray(ends)
+
+
+def _sweep_stacks():
+    from calrlab.layered_maxwell import staircase
+    from calrlab.media import make_dcm_example
+    return {
+        "p2_96_layers": (staircase(make_dcm_example(1.0, 2.0, 2.0, 1e-3), 96), 5.0, 1.0),
+        # fractional orders in the shell, |kr| up to 15.5: the Miller path
+        "p3_lossless_16_layers": (staircase(make_dcm_example(1.0, 2.0, 3.0, 0.0), 16),
+                                  9.0, 1.0),
+        "p2_omega3_16_layers": (staircase(make_dcm_example(1.0, 2.0, 2.0, 1e-2), 16),
+                                5.0, 3.0),
+    }
+
+
+@pytest.mark.parametrize("stack", ["p2_96_layers", "p3_lossless_16_layers",
+                                   "p2_omega3_16_layers"])
+def test_grouped_sweep_matches_per_region_calls(stack):
+    # one hat_jy call per order over every region's ends, grouped by region,
+    # gives each region exactly the bits of a call on its ends alone
+    medium, r_s, omega = _sweep_stacks()[stack]
+    orders_seen, zmax = set(), 0.0
+    for n in (1, 5, 12):
+        for pol in ("TE", "TM"):
+            by_order = {}
+            for i, nu, z in _region_arguments(medium, r_s, n, pol, omega):
+                by_order.setdefault(nu, []).append((i, z))
+            orders_seen.add(len(by_order))
+            for nu, members in by_order.items():
+                z_all = np.concatenate([z for _, z in members])
+                groups = np.concatenate([np.full(len(z), i) for i, z in members])
+                zmax = max(zmax, float(np.max(np.abs(z_all))))
+                batch = hat_jy(nu, z_all, groups=groups)
+                start = 0
+                for i, z in members:
+                    alone = hat_jy(nu, z)
+                    for name in ("j", "dj", "y", "dy"):
+                        got = batch[name][start:start + len(z)]
+                        assert np.array_equal(got.m, alone[name].m), (n, pol, i, name)
+                        assert np.array_equal(got.e, alone[name].e), (n, pol, i, name)
+                    start += len(z)
+    if stack == "p3_lossless_16_layers":
+        assert orders_seen == {2} and zmax > 8.0
+    elif stack == "p2_omega3_16_layers":
+        assert zmax > 8.0
+
+
+def test_grouped_series_stops_per_group():
+    # Re j_0 vanishes at z = 3.1135... + 0.3i, so the terms a batch with
+    # |z| = 7.9 still adds after this group's own stop would change its bits
+    z = np.array([3.113530995280409 + 0.3j, 7.9, 0.4 - 0.1j])
+    batch = hat_jy(0.0, z, groups=[0, 1, 2])
+    for i in range(len(z)):
+        alone = hat_jy(0.0, z[i:i + 1])
+        for name in ("j", "dj", "y", "dy"):
+            assert np.array_equal(batch[name].m[i:i + 1], alone[name].m), (i, name)
+            assert np.array_equal(batch[name].e[i:i + 1], alone[name].e), (i, name)

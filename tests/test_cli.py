@@ -97,3 +97,18 @@ def test_param_of_another_type_than_its_default_exit_config(tmp_path):
                             tmp_path / "outt")
         assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
         assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+
+def test_single_delta_for_slope_fit_exit_config(tmp_path):
+    # a log-log slope over one loss value is rank-deficient
+    for i, scenario in enumerate(("dcm_convergence", "blowup_scan")):
+        cfg = _write_config(tmp_path, f"one_delta{i}.json", scenario,
+                            {"deltas": [1e-2], "n_src": 1, "layers": 8},
+                            tmp_path / "out1")
+        assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+    cfg = _write_config(tmp_path, "same_delta.json", "dcm_convergence",
+                        {"deltas": [1e-2, 1e-2], "n_src": 1, "layers": 8},
+                        tmp_path / "out1")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "out1").exists()

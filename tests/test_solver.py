@@ -243,3 +243,67 @@ def test_near_singular_guard_raise_path():
     with pytest.warns(RuntimeWarning):
         sol = solve(med, src, 1.0, options=loose)
     assert sol.max_condition() > 1e-2
+
+
+def _guard_case():
+    med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3), 8)
+    amps = {mode(n, 0, pol): 1.0 for n in (1, 2, 3) for pol in ("TE", "TM")}
+    return med, SurfaceCurrentSource(radius=5.0, amplitudes=amps)
+
+
+def test_near_singular_guard_names_first_key_of_batch():
+    # all keys are solved together; the guard still reports the first key,
+    # in radial_keys() order, whose condition exceeds it
+    import warnings
+    from calrlab.layered_maxwell import SolverOptions, NearSingularMode
+    med, src = _guard_case()
+    conds = {k: rs.condition for k, rs in solve(med, src, 1.0).radial.items()}
+    keys = src.radial_keys()
+    guard = sorted(conds.values())[len(conds) // 2]
+    over = [k for k in keys if conds[k] > guard]
+    assert over and over[0] != keys[0]
+    with pytest.raises(NearSingularMode, match=rf"\(n={over[0][0]}, pol={over[0][1]}\)"):
+        solve(med, src, 1.0, options=SolverOptions(cond_guard=guard, on_near_singular="raise"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(med, src, 1.0, options=SolverOptions(cond_guard=guard))
+    assert [str(w.message) for w in caught] == [
+        f"near-singular mode (n={n}, pol={pol}): condition {conds[(n, pol)]:.3e}"
+        for n, pol in over]
+
+
+def test_interface_residual_flags_perturbed_coefficients():
+    from calrlab.layered_maxwell.solver import (
+        _basis_traces, _build_regions, _interface_residual, _stack)
+    med, src = _guard_case()
+    sol = solve(med, src, 1.0)
+    keys = src.radial_keys()
+    regions, src_idx = _build_regions(med, 5.0)
+    basis, _, _ = _basis_traces(regions, keys, 1.0)
+
+    def table(part):
+        cols = [[getattr(c, part) for c in sol.radial[k].coeffs] for k in keys]
+        return _stack([_stack([col[i] for col in cols]) for i in range(len(regions))])[:, :, 0]
+
+    c_j, c_y = table("c_j"), table("c_y")
+    clean = _interface_residual(basis, c_j, c_y, src_idx)
+    assert np.all(clean < 1e-12)
+    assert [sol.radial[k].interface_residual for k in keys] == clean.tolist()
+    c_j.m[3, 2] *= 1.0 + 1e-6
+    resid = _interface_residual(basis, c_j, c_y, src_idx)
+    assert resid[2] > sol.options.interface_tol
+    assert np.array_equal(np.delete(resid, 2), np.delete(clean, 2))
+
+
+def test_dcm_fine_pass_raises_no_solver_warning():
+    # the staircase + Richardson solves of the benchmark's region-bound
+    # workload trip neither the condition guard nor the residual check
+    import warnings
+    from calrlab.layered_maxwell.refine import solve_staircased
+    from calrlab.scenarios import mixed_mode_source
+    src = mixed_mode_source(5.0, 1, 7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for delta in (1e-2, 1e-3):
+            solve_staircased(make_dcm_example(1.0, 2.0, 2.0, delta), src, 1.0, layers=96)
+    assert not caught
