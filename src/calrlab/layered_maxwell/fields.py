@@ -21,11 +21,11 @@ def mode_radial_components(reg: RegionSpec, pol: str, coeffs: RegionCoeffs,
     coefficients of Y xhat, Utilde, Vtilde in the expansion of E and H.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    return radial_components(reg, pol, n, r, omega, *coeffs.radial(r))
+    return _radial_components(reg, pol, n, r, omega, *coeffs.radial(r))
 
 
-def radial_components(reg: RegionSpec, pol: str, n: int, r: np.ndarray,
-                      omega: float, u, du):
+def _radial_components(reg: RegionSpec, pol: str, n: int, r: np.ndarray,
+                       omega: float, u, du):
     """`mode_radial_components` from u(r) and du/dr at an array of radii."""
     inv_r = 1.0 / r
     curlish = (du + u * inv_r).to_complex()
@@ -70,7 +70,7 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
                 bk = (coeffs.nu, coeffs.k, coeffs.outgoing)
                 if bk not in bases:
                     bases[bk] = coeffs.basis(rsub)
-                comp_cache[ck] = radial_components(
+                comp_cache[ck] = _radial_components(
                     rsolve.regions[idx], key.pol, key.n, rsub, sol.omega,
                     *coeffs.combine(bases[bk]))
             e_y, e_u, e_v, h_y, h_u, h_v = comp_cache[ck]

@@ -6,6 +6,7 @@ and the far-field power to a closed-form sum over outgoing coefficients.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,29 +15,53 @@ import numpy as np
 from ..specfun.bessel import log_dfact_minus
 from .modes import TE
 from .solver import FieldSolution, RegionCoeffs
-from .fields import eval_field, mode_radial_components, radial_components
+from .fields import eval_field, mode_radial_components, _radial_components
 
 _LN10 = math.log(10.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _panel_nodes(a: float, b: float, panels: int, nodes: np.ndarray):
+    """Gauss nodes of `panels` equal panels of [a, b], one row per panel,
+    and the panels' half-widths."""
+    edges = np.linspace(a, b, panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * nodes, half
 
 
 def adaptive_gauss(fn, a: float, b: float, rel_tol: float = 1e-8,
                    order: int = 16, max_doublings: int = 10) -> float:
     """Panel-doubling Gauss-Legendre quadrature of a vectorized integrand.
 
-    Raises RuntimeError when two successive estimates still differ by more
-    than rel_tol after max_doublings doublings.
+    fn gets a 2-d array of nodes, one row per panel, and must treat the rows
+    as independent evaluations.  Each estimate makes one call, except that
+    the first two, which every quadrature needs, share one.  Raises
+    RuntimeError when two successive estimates still differ by more than
+    rel_tol after max_doublings doublings.
     """
     if b <= a:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
+    x0, half0 = _panel_nodes(a, b, 1, nodes)
+    x1, half1 = _panel_nodes(a, b, 2, nodes)
+    first = fn(np.concatenate([x0, x1]))
     prev = None
     panels = 1
     for _ in range(max_doublings + 1):
+        if panels == 1:
+            half, values = half0, first[:1]
+        elif panels == 2:
+            half, values = half1, first[1:]
+        else:
+            x, half = _panel_nodes(a, b, panels, nodes)
+            values = fn(x)
         total = 0.0
-        edges = np.linspace(a, b, panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            total += half * float(np.sum(weights * fn(mid + half * nodes)))
+        for h, row in zip(half, values):
+            total += h * float(np.sum(weights * row))
         if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
             return total
         prev = total
@@ -65,29 +90,33 @@ _UNIT_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
 
 
 def _modal_density(terms, comp, omega: float):
-    """r -> r^2 sum over terms of w times the weighted squared components.
+    """r -> r^2 sum over terms of w times the weighted squared components,
+    row by row over a 2-d array of radii.
 
     `terms` holds one (w, region, pol, n, coefficients) per mode; `comp`
     weighs |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2.
     """
     ey_w, et_w, hy_w, ht_w = comp
 
-    def density(r):
-        r = np.atleast_1d(r)
+    def density(rows):
+        # each row is one independent evaluation (a quadrature panel)
+        rows = np.atleast_2d(rows)
+        groups = np.repeat(np.arange(rows.shape[0]), rows.shape[1])
+        r = rows.reshape(-1)
         out = np.zeros_like(r, dtype=float)
         bases = {}      # modes of equal order and wavenumber share a basis
         for w, reg, pol, n, coeffs in terms:
             bk = (coeffs.nu, coeffs.k, coeffs.outgoing)
             if bk not in bases:
-                bases[bk] = coeffs.basis(r)
-            e_y, e_u, e_v, h_y, h_u, h_v = radial_components(
+                bases[bk] = coeffs.basis(r, groups)
+            e_y, e_u, e_v, h_y, h_u, h_v = _radial_components(
                 reg, pol, n, r, omega, *coeffs.combine(bases[bk]))
             e_sq = (ey_w * np.abs(e_y) ** 2
                     + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
             h_sq = (hy_w * np.abs(h_y) ** 2
                     + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
             out += w * (e_sq + h_sq)
-        return out * r * r
+        return (out * r * r).reshape(rows.shape)
 
     return density
 

@@ -104,14 +104,16 @@ class RegionCoeffs:
         """u(r) and du/dr as ScaledArrays over an array of radii."""
         return self.combine(self.basis(r))
 
-    def basis(self, r) -> dict:
+    def basis(self, r, groups=None) -> dict:
         """Basis values at radii r: hat_jy at k r, or hat_h1 if outgoing.
 
         Every mode of a region with the same order, wavenumber and basis
-        shares them.
+        shares them; `groups` is passed on to the Bessel functions.
         """
         z = self.k * np.asarray(r, dtype=complex)
-        return hat_h1(self.nu, z) if self.outgoing else hat_jy(self.nu, z)
+        if self.outgoing:
+            return hat_h1(self.nu, z, groups)
+        return hat_jy(self.nu, z, groups)
 
     def combine(self, b: dict) -> tuple[ScaledArray, ScaledArray]:
         """u and du/dr from the basis values b of `basis`."""
@@ -222,18 +224,6 @@ def _build_regions(medium: RadialMedium, r_s: float) -> tuple[list, int]:
     return regions, src_idx
 
 
-def _stack(parts) -> ScaledArray:
-    """ScaledArrays of one shape, stacked along a new first axis."""
-    return ScaledArray(np.stack([p.m for p in parts]), np.stack([p.e for p in parts]),
-                       normalize=False)
-
-
-def _pick(cond, a: ScaledArray, b: ScaledArray) -> ScaledArray:
-    """a where cond holds, b elsewhere."""
-    return ScaledArray(np.where(cond, a.m, b.m), np.where(cond, a.e, b.e),
-                       normalize=False)
-
-
 def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
     """Trace pair of the state cj jhat + cy yhat (cy hhat if outgoing, where
     cj is zero) from the basis traces (e0, h0, e1, h1)."""
@@ -295,8 +285,7 @@ def _basis_traces(regions, keys, omega: float):
         orders.append(o)
         values.append(t)
     u0, du0, u1, du1 = (
-        ScaledArray(np.stack([t[j][0] for t in values], axis=-1),
-                    np.stack([t[j][1] for t in values], axis=-1), normalize=False)
+        ScaledArray.stack([ScaledArray(*t[j], normalize=False) for t in values], axis=-1)
         for j in range(4))
     k = np.array([[o[1] for o in ok] for ok in orders]).T
     coef = [[(reg.mu_tan if pol == TE else reg.eps_tan) for _, pol in keys]
@@ -308,7 +297,7 @@ def _basis_traces(regions, keys, omega: float):
 
     def traces(u, du):
         curlish = (du * k + u * inv_r) * factor
-        return _pick(te, u, curlish), _pick(te, curlish, u)
+        return ScaledArray.where(te, u, curlish), ScaledArray.where(te, curlish, u)
 
     e0, h0 = traces(u0, du0)
     e1, h1 = traces(u1, du1)
@@ -363,9 +352,9 @@ def _solve_radial(regions, src_idx, keys, omega, options) -> Dict[tuple, RadialS
         mag, det_mag = 10.0 ** lmag, 10.0 ** ldet
         conds.append(math.inf if det_mag == 0 else float(mag / det_mag))
     rows = np.arange(nreg)[:, None] <= src_idx
-    scale = _pick(rows, e_p / det_src, e_m / det_src)
-    c_j = _stack([c for c, _ in inner + outer]) * scale
-    c_y = _stack([c for _, c in inner + outer]) * scale
+    scale = ScaledArray.where(rows, e_p / det_src, e_m / det_src)
+    c_j = ScaledArray.stack([c for c, _ in inner + outer]) * scale
+    c_y = ScaledArray.stack([c for _, c in inner + outer]) * scale
     resid = _interface_residual(basis, c_j, c_y, src_idx)
 
     out = {}

@@ -61,19 +61,20 @@ def _ascending_sum(zsq4: np.ndarray, denom, groups) -> np.ndarray:
     """
     term = np.ones_like(zsq4)
     acc = np.ones_like(zsq4)
-    # per element: its group is still summing
-    live = None if groups is None else np.ones(zsq4.shape, dtype=bool)
+    if groups is not None:
+        live = np.ones(zsq4.shape, dtype=bool)     # its group is still summing
+        unfinished = np.empty(int(groups.max()) + 1, dtype=bool)
     k = 0
     while True:
         k += 1
         term = term * zsq4 / denom(k)
-        acc = acc + term if live is None else np.where(live, acc + term, acc)
+        acc = acc + term if groups is None else np.where(live, acc + term, acc)
         small = np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)
-        if live is None:
+        if groups is None:
             if small.all():
                 break
         else:
-            unfinished = np.zeros(int(groups.max()) + 1, dtype=bool)
+            unfinished[:] = False
             unfinished[groups[~small]] = True
             live &= unfinished[groups]
             if not live.any():
@@ -217,8 +218,7 @@ def _miller_j(nu: float, z: np.ndarray, base: float,
     use1 = t1.log10_abs() > t0.log10_abs()
     rat0 = t0 / f0
     rat1 = t1 / f1
-    ratio = ScaledArray(np.where(use1, rat1.m, rat0.m), np.where(use1, rat1.e, rat0.e),
-                        normalize=False)
+    ratio = ScaledArray.where(use1, rat1, rat0)
     j_at = ScaledArray(*snap["at"]) * ratio
     if steps >= 1:
         j_below = ScaledArray(*snap["below"]) * ratio
@@ -260,7 +260,8 @@ def _upward_y(nu: float, z: np.ndarray, base: float,
 
 
 def _merge(mask: np.ndarray, a: ScaledArray, b: ScaledArray) -> ScaledArray:
-    """a's values where mask holds and b's elsewhere (a and b hold just those)."""
+    """Scatter: a's values where mask holds and b's elsewhere, where a and b
+    hold only the elements they fill (unlike ScaledArray.where)."""
     m = np.empty(mask.shape, dtype=complex)
     e = np.empty(mask.shape, dtype=np.int64)
     m[mask], e[mask] = a.m, a.e
@@ -332,12 +333,13 @@ def hat_jy(nu: float, z, groups=None) -> dict:
     }
 
 
-def hat_h1(nu: float, z) -> dict:
+def hat_h1(nu: float, z, groups=None) -> dict:
     """Outgoing radial function hhat = i h1 / (2nu-1)!! and its derivative.
 
     Shares the small-argument normalization of yhat: hhat(t) ~ t^(-nu-1).
+    `groups` is passed on to `sph_jy`.
     """
-    raw = sph_jy(nu, z)
+    raw = sph_jy(nu, z, groups)
     lm = log_dfact_minus(nu) / _LN10
     h = (1j * raw["j"] - raw["y"]).scale10(-lm)
     dh = (1j * raw["dj"] - raw["dy"]).scale10(-lm)

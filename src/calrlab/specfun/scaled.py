@@ -56,6 +56,17 @@ class ScaledArray:
         return cls(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=np.int64),
                    normalize=False)
 
+    @classmethod
+    def where(cls, cond, a: "ScaledArray", b: "ScaledArray") -> "ScaledArray":
+        """a where cond holds, b elsewhere (cond broadcasts against both)."""
+        return cls(np.where(cond, a.m, b.m), np.where(cond, a.e, b.e), normalize=False)
+
+    @classmethod
+    def stack(cls, parts, axis: int = 0) -> "ScaledArray":
+        """ScaledArrays of one shape, stacked along a new axis."""
+        return cls(np.stack([p.m for p in parts], axis), np.stack([p.e for p in parts], axis),
+                   normalize=False)
+
     @property
     def shape(self):
         return self.m.shape

@@ -204,6 +204,41 @@ def test_adaptive_gauss_raises_when_not_converged():
         adaptive_gauss(lambda x: np.cos(500.0 * x), 0.0, 1.0, max_doublings=2)
 
 
+def test_adaptive_gauss_evaluates_the_first_two_estimates_in_one_call():
+    shapes = []
+
+    def fn(x):
+        shapes.append(x.shape)
+        return x * x
+
+    adaptive_gauss(fn, 0.0, 1.0)
+    assert shapes == [(3, 16)]          # one panel, then two, in one call
+    shapes.clear()
+    with pytest.raises(RuntimeError, match="not converged"):
+        adaptive_gauss(lambda x: fn(np.cos(500.0 * x)), 0.0, 1.0, max_doublings=3)
+    assert shapes == [(3, 16), (4, 16), (8, 16)]
+
+
+def test_modal_density_rows_match_separate_calls():
+    # the quadrature evaluates every panel of an estimate in one call; each
+    # row must get exactly the values of a call on that row alone.  At
+    # omega = 3 the rows below straddle the series/Miller switch at |kr| = 8.
+    from calrlab.layered_maxwell.norms import (
+        _UNIT_WEIGHTS, _modal_density, _mode_weights, _region_terms)
+    sol = solve(vacuum_medium(), _mixed_source(), 3.0)
+    weights = _mode_weights(sol)
+    nodes = np.polynomial.legendre.leggauss(16)[0]
+    for lo, hi in ((2.0, 4.0), (5.5, 7.5)):
+        terms = _region_terms(sol, weights, sol.region_index(0.5 * (lo + hi)))
+        density = _modal_density(terms, _UNIT_WEIGHTS, sol.omega)
+        half = (hi - lo) / 6
+        rows = np.array([lo + half * (2 * i + 1) + half * nodes for i in range(3)])
+        together = density(rows)
+        assert together.shape == rows.shape
+        for row, value in zip(rows, together):
+            assert np.array_equal(density(row[None, :])[0], value)
+
+
 def test_exterior_bound_across_wide_delta_range():
     # fixed source outside the structure: sup over delta in [1e-6, 1e-1] of
     # the exterior norm is finite and flat (the a-priori exterior bound)

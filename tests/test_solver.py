@@ -16,6 +16,7 @@ from calrlab.layered_maxwell import (
     staircase,
 )
 from calrlab.media import make_dcm_example, vacuum_medium
+from calrlab.specfun.scaled import ScaledArray
 
 mp.mp.dps = 40
 
@@ -274,7 +275,7 @@ def test_near_singular_guard_names_first_key_of_batch():
 
 def test_interface_residual_flags_perturbed_coefficients():
     from calrlab.layered_maxwell.solver import (
-        _basis_traces, _build_regions, _interface_residual, _stack)
+        _basis_traces, _build_regions, _interface_residual)
     med, src = _guard_case()
     sol = solve(med, src, 1.0)
     keys = src.radial_keys()
@@ -283,7 +284,8 @@ def test_interface_residual_flags_perturbed_coefficients():
 
     def table(part):
         cols = [[getattr(c, part) for c in sol.radial[k].coeffs] for k in keys]
-        return _stack([_stack([col[i] for col in cols]) for i in range(len(regions))])[:, :, 0]
+        return ScaledArray.stack([ScaledArray.stack([col[i] for col in cols])
+                                  for i in range(len(regions))])[:, :, 0]
 
     c_j, c_y = table("c_j"), table("c_y")
     clean = _interface_residual(basis, c_j, c_y, src_idx)
