@@ -6,23 +6,18 @@ and the far-field power to a closed-form sum over outgoing coefficients.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..specfun.bessel import log_dfact_minus
+from ..specfun.vsh import gauss_legendre
 from .modes import TE
 from .solver import FieldSolution, RegionCoeffs
 from .fields import eval_field, mode_radial_components, _radial_components
 
 _LN10 = math.log(10.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_nodes(a: float, b: float, panels: int, nodes: np.ndarray):
@@ -45,7 +40,7 @@ def adaptive_gauss(fn, a: float, b: float, rel_tol: float = 1e-8,
     """
     if b <= a:
         return 0.0
-    nodes, weights = _gauss_legendre(order)
+    nodes, weights = gauss_legendre(order)
     x0, half0 = _panel_nodes(a, b, 1, nodes)
     x1, half1 = _panel_nodes(a, b, 2, nodes)
     first = fn(np.concatenate([x0, x1]))

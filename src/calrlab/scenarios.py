@@ -88,6 +88,9 @@ def mixed_mode_source(radius: float, n_max: int, seed: int,
 
 # Scenarios whose result is a log-log slope over `deltas`.
 _SLOPE_FITS = ("dcm_convergence", "blowup_scan")
+# Scenarios that build the lossy DCM shell: for p != 2 the loss i delta makes
+# the ratio of its radial and tangential parts, the effective order, complex.
+_LOSSY_DCM = ("dcm_convergence", "blowup_scan")
 
 
 def _fit_loglog(xs, ys) -> float:
@@ -449,7 +452,8 @@ def scenario_params(name: str, params: dict) -> dict:
     Raises ValueError for a key the defaults lack, a value of another type
     than its default, an empty `deltas` or a loss value that is not
     positive, fewer than two distinct `deltas` where a slope is fitted over
-    them, and radii that do not increase.
+    them, radii that do not increase, a lossy DCM shell with p != 2, and a
+    weighted-inequality sweep with some beta > -1 or p < 1.
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -469,7 +473,14 @@ def scenario_params(name: str, params: dict) -> dict:
         vals = params.get(key)
         if vals is not None and vals != sorted(vals):
             raise ValueError(f"'{key}' must be increasing")
-    return {**defaults, **params}
+    merged = {**defaults, **params}
+    if name in _LOSSY_DCM and merged["p"] != 2.0:
+        raise ValueError(f"scenario {name!r} needs 'p' = 2: with a positive "
+                         "loss, p != 2 gives a complex effective order")
+    if name == "carleman_suite" and (any(b > -1.0 for b in merged["betas"])
+                                     or any(q < 1.0 for q in merged["ps"])):
+        raise ValueError("'betas' must all be <= -1 and 'ps' all >= 1")
+    return merged
 
 
 def run_scenario(name: str, params: dict, outdir) -> dict:

@@ -11,7 +11,15 @@ from .bessel import (
     sph_jy,
     wronskian_residual,
 )
-from .vsh import VshTriple, sphere_rule, sph_harm_y, vsh, vsh_coeffs, vsh_table
+from .vsh import (
+    VshTriple,
+    gauss_legendre,
+    sphere_rule,
+    sph_harm_y,
+    vsh,
+    vsh_coeffs,
+    vsh_table,
+)
 
 __all__ = [
     "ScaledArray",
@@ -25,6 +33,7 @@ __all__ = [
     "sph_jy",
     "wronskian_residual",
     "VshTriple",
+    "gauss_legendre",
     "sphere_rule",
     "sph_harm_y",
     "vsh",

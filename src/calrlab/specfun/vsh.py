@@ -6,6 +6,7 @@ poles, so no formula ever divides by sin(theta).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,6 +168,18 @@ def vsh_table(nmax: int, theta, phi) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def sphere_rule(ntheta: int, nphi: int | None = None):
     """Product quadrature on the unit sphere: Gauss-Legendre x trapezoid.
 
@@ -176,7 +189,7 @@ def sphere_rule(ntheta: int, nphi: int | None = None):
     """
     if nphi is None:
         nphi = 2 * ntheta
-    xs, ws = np.polynomial.legendre.leggauss(ntheta)
+    xs, ws = gauss_legendre(ntheta)
     theta = np.arccos(xs)
     phi = 2.0 * math.pi * np.arange(nphi) / nphi
     tg, pg = np.meshgrid(theta, phi, indexing="ij")

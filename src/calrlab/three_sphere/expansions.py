@@ -7,7 +7,7 @@ import numpy as np
 
 from ..specfun.bessel import sph_jy
 from ..specfun.cylinder import cylinder_jy_with_derivatives
-from ..specfun.vsh import pbar_tau_pi
+from ..specfun.vsh import gauss_legendre, pbar_tau_pi
 
 HELMHOLTZ = "helmholtz"
 HARMONIC = "harmonic"
@@ -118,7 +118,7 @@ class SphericalExpansion:
     def annulus_norm_sq(self, a: float, b: float, include_gradient: bool,
                         quad_order: int = 64) -> float:
         """Exact modal squared L2 (or H1 seminorm-augmented) norm on a < r < b."""
-        nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+        nodes, weights = gauss_legendre(quad_order)
         rr = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         wr = 0.5 * (b - a) * weights
         total = 0.0

@@ -13,6 +13,7 @@ from calrlab.carleman import (
     minimal_fold_parameter,
     weight_derivative_identity,
 )
+from calrlab.specfun import sphere_rule
 
 
 def test_weight_derivative_identity_constant_m():
@@ -97,27 +98,93 @@ def test_inequality_bump_beta_sweep(p):
         assert 0.4 < b / a < 2.0
 
 
+class Linear:
+    """v = x1, harmonic, with no declared support."""
+
+    def value(self, x):
+        return np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
+
+    def gradient(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        g = np.zeros_like(x)
+        g[:, 0] = 1.0
+        return g
+
+    def hessian_quadratic(self, x, m):
+        return np.zeros(len(np.atleast_2d(x)))
+
+
 def test_inequality_harmonic_function_boundary_controlled():
     # v = x1 is harmonic: div(M grad v) = 0 for constant M, so the left side
     # must be carried entirely by the boundary term
-    class Linear:
-        def value(self, x):
-            return np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
-
-        def gradient(self, x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            g = np.zeros_like(x)
-            g[:, 0] = 1.0
-            return g
-
-        def hessian_quadratic(self, x, m):
-            return np.zeros(len(np.atleast_2d(x)))
-
     check = carleman_inequality_check(constant_field(np.eye(3)), Linear(),
                                       beta=-32.0, p=8.0, shell=(0.55, 0.95))
     assert check.rhs_interior == pytest.approx(0.0, abs=1e-20)
     assert check.rhs_boundary > 0
     assert np.isfinite(check.measured_c)
+
+
+def _node_by_node(m, v, beta, p, shell, quad_theta=8, panels_per_efold=2,
+                  gauss_order=8, exponent_floor=80.0):
+    """The refined (panel_mult 2) sums of the weighted inequality, one radial
+    node at a time: the reference for the blocked quadrature."""
+    a, b = shell
+    support = getattr(v, "support", None)
+    r_top = min(b, support[1]) if support else b
+    r_bot = max(a, support[0]) if support else a
+    ref = 2.0 * beta * r_top ** (-p)
+    pts, wq, _, _ = sphere_rule(quad_theta)
+    u_lo = r_top ** (-p)
+    u_cut = min(r_bot ** (-p), u_lo + exponent_floor / (2.0 * abs(beta)))
+    du = 1.0 / (2.0 * abs(beta) * panels_per_efold * 2)
+    count = max(8, int(math.ceil((u_cut - u_lo) / du)))
+    edges = np.linspace(u_lo, u_cut, count + 1) ** (-1.0 / p)
+    nodes, gw = np.polynomial.legendre.leggauss(gauss_order)
+    interior_lhs = 0.0
+    interior_rhs = 0.0
+    for lo, hi in zip(edges[1:], edges[:-1]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for r_i, w_i in zip(mid + half * nodes, half * gw):
+            wgt = math.exp(max(2.0 * beta * r_i ** (-p) - ref, -700.0))
+            if wgt == 0.0:
+                continue
+            xs = r_i * pts
+            vals = v.value(xs)
+            grads = v.gradient(xs)
+            divmv = v.hessian_quadratic(xs, m)
+            mgg = np.einsum("ij,jk,ik->i", grads, m, grads)
+            area = w_i * r_i * r_i
+            interior_lhs += area * wgt * float(np.sum(wq * (
+                p ** 3 * beta ** 2 * r_i ** (-2 * p - 2) * np.abs(vals) ** 2
+                + mgg)))
+            interior_rhs += area * wgt * float(np.sum(wq * (
+                r_i ** (p + 2) / (p * abs(beta)) * np.abs(divmv) ** 2)))
+    boundary = 0.0
+    for r_i in (a, b):
+        xs = r_i * pts
+        vals = v.value(xs)
+        grads = v.gradient(xs)
+        wgt = math.exp(max(2.0 * beta * r_i ** (-p) - ref, -700.0))
+        boundary += wgt * r_i * r_i * float(np.sum(wq * (
+            np.sum(np.abs(grads) ** 2, axis=1)
+            + p ** 2 * beta ** 2 * r_i ** (-2 * p - 2) * np.abs(vals) ** 2)))
+    return interior_lhs, interior_rhs, boundary
+
+
+@pytest.mark.parametrize("v, m, shell", [
+    (_bump(), np.diag([1.4, 0.8, 1.0]), (0.55, 0.95)),
+    (Linear(), np.eye(3), (0.55, 0.95)),
+    # 368 refined nodes, so the last block is partial, on a shell narrow
+    # enough (11 e-folds of weight) that its nodes count in every bit
+    (_bump(), np.diag([1.4, 0.8, 1.0]), (0.845, 0.85)),
+], ids=["bump_anisotropic", "linear", "partial_block"])
+def test_blocked_quadrature_matches_node_by_node(v, m, shell):
+    check = carleman_inequality_check(constant_field(m), v, beta=-32.0, p=8.0,
+                                      shell=shell)
+    lhs, rhs_interior, rhs_boundary = _node_by_node(m, v, -32.0, 8.0, shell)
+    assert check.lhs == lhs
+    assert check.rhs_interior == rhs_interior
+    assert check.rhs_boundary == rhs_boundary
 
 
 def test_inequality_anisotropic_medium():

@@ -112,3 +112,27 @@ def test_single_delta_for_slope_fit_exit_config(tmp_path):
                         tmp_path / "out1")
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert not (tmp_path / "out1").exists()
+
+
+def test_lossy_dcm_with_p_other_than_2_exit_config(tmp_path):
+    # a positive loss on a p != 2 shell gives a complex effective order
+    for i, scenario in enumerate(("dcm_convergence", "blowup_scan")):
+        cfg = _write_config(tmp_path, f"p3_{i}.json", scenario,
+                            {"p": 3.0, "n_src": 1, "layers": 8,
+                             "deltas": [1e-2, 1e-3]}, tmp_path / "outp3")
+        assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "outp3").exists()
+
+
+def test_carleman_suite_bad_sweep_exit_config(tmp_path):
+    # the weighted inequality needs beta <= -1 and p >= 1; reject before the
+    # frame and claims stages run
+    for i, params in enumerate([{"betas": [32.0, 64.0]},
+                                {"betas": [-32.0, -0.5]},
+                                {"ps": [8.0, 0.5]}]):
+        cfg = _write_config(tmp_path, f"sweep{i}.json", "carleman_suite",
+                            params, tmp_path / "outc")
+        assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "outc").exists()
