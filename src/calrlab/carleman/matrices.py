@@ -61,30 +61,22 @@ def anchor_block(frame: ConformalFrame, n: float, x) -> np.ndarray:
     return frame.gamma * out
 
 
-def bform(m_field, x, y, h: float = 1e-6, grad=None) -> float:
+def bform(m_field, x, y, h: float = 1e-6) -> float:
     """<B(x) y, y> assembled from the three derivative terms.
 
     B y.y = <[(My).grad](Mx), y> + (1/2) div(Mx) <My, y>
           + (1/2) <[(Mx).grad M] y, y>.
-    Derivatives of the field are central differences with step h unless an
-    analytic gradient (3,3,3 array d_k M_ij) is supplied.
+    Derivatives of the field are central differences with step h.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = np.asarray(m_field(x), dtype=float)
-
-    def grad_m(x0):
-        if grad is not None:
-            return np.asarray(grad(x0), dtype=float)
-        g = np.empty((3, 3, 3))
-        for k in range(3):
-            dx = np.zeros(3)
-            dx[k] = h
-            g[k] = (np.asarray(m_field(x0 + dx), dtype=float)
-                    - np.asarray(m_field(x0 - dx), dtype=float)) / (2 * h)
-        return g
-
-    gm = grad_m(x)
+    gm = np.empty((3, 3, 3))       # gm[k] = d_k M
+    for k in range(3):
+        dx = np.zeros(3)
+        dx[k] = h
+        gm[k] = (np.asarray(m_field(x + dx), dtype=float)
+                 - np.asarray(m_field(x - dx), dtype=float)) / (2 * h)
     my = m @ y
     mx = m @ x
     # term 1: directional derivative of w(x) = M(x) x along My
@@ -126,17 +118,18 @@ def sample_folded_sector(frame: ConformalFrame, n: float, count: int,
 
 
 def sample_transformed_domain(frame: ConformalFrame, n: float, count: int,
-                              rng, lam_window: float | None = None) -> np.ndarray:
+                              rng) -> np.ndarray:
     """Points of the shifted folded domain O_n = B_lam cap (T_n - hatZ0).
 
     Membership: the unshifted point must lie in the folded sector
-    (rhat in (1/(4n), 2/n), |theta| < pi/(2n)) and within B_lam of hatZ0.
+    (rhat in (1/(4n), 2/n), |theta| < pi/(2n)) and within B_lam of hatZ0,
+    lam = 31/(24 n).
     Nonemptiness needs the fold large relative to the ellipticity bound,
     n >= 10 Lambda.
     """
     if n < 10.0 * frame.lam_bound:
         raise ValueError("the shifted domain needs n >= 10 Lambda")
-    lam = lam_window if lam_window is not None else 31.0 / (24.0 * n)
+    lam = 31.0 / (24.0 * n)
     hz = frame.hat_z0(n)
     out = []
     tries = 0
@@ -155,18 +148,17 @@ def sample_transformed_domain(frame: ConformalFrame, n: float, count: int,
 
 
 def verify_structural_claims(frame: ConformalFrame, n: float, m_field,
-                             samples=None, count: int = 120, seed: int = 0,
-                             fd_scale: float = 1e-5) -> ClaimBounds:
-    """Measured constants of the three bounds on the shifted domain.
+                             count: int = 120, seed: int = 0) -> ClaimBounds:
+    """Measured constants of the three bounds on `count` sampled points of
+    the shifted domain, with central differences of step 1e-5 / n^2.
 
     The point of the construction is that these stay bounded as the fold
     parameter grows; the caller sweeps n and checks flatness.
     """
     rng = np.random.default_rng(seed)
-    if samples is None:
-        samples = sample_transformed_domain(frame, n, count, rng)
+    samples = sample_transformed_domain(frame, n, count, rng)
     hz = frame.hat_z0(n)
-    h = fd_scale / (n * n)
+    h = 1e-5 / (n * n)
 
     def m_hat(y):
         return pushed_matrix(frame, n, m_field, np.asarray(y) + hz)
@@ -207,7 +199,7 @@ def constant_field(matrix):
     return lambda x: m
 
 
-def lipschitz_test_field(lam: float, wave: float = 1.0):
+def lipschitz_test_field(lam: float):
     """A fixed anisotropic Lipschitz medium with eigenvalues in [1/lam, lam].
 
     M(x) = c0 I + c1 * [sin/cos modulation on two symmetric directions];
@@ -218,14 +210,14 @@ def lipschitz_test_field(lam: float, wave: float = 1.0):
         raise ValueError("lam must exceed 1 for a nonconstant test field")
     mid = 0.5 * (lam + 1.0 / lam)
     amp = 0.45 * (lam - 1.0 / lam) / 2.0
-    amp = min(amp, 0.9 * lam / (2.0 * wave))   # keep |grad M| <= lam
+    amp = min(amp, 0.9 * lam / 2.0)   # keep |grad M| <= lam
     b1 = np.outer([1.0, 0, 0], [1.0, 0, 0]) - np.outer([0, 1.0, 0], [0, 1.0, 0])
     b2 = (np.outer([1.0, 0, 0], [0, 1.0, 0]) + np.outer([0, 1.0, 0], [1.0, 0, 0])) / 2
 
     def field(x):
         x = np.asarray(x, dtype=float)
-        s1 = math.sin(wave * (x[0] + 0.5 * x[2]))
-        s2 = math.cos(wave * (x[1] - 0.3 * x[0]))
+        s1 = math.sin(x[0] + 0.5 * x[2])
+        s2 = math.cos(x[1] - 0.3 * x[0])
         return mid * np.eye(3) + amp * (s1 * b1 + s2 * b2)
 
     return field

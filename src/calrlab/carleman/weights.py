@@ -14,21 +14,31 @@ import numpy as np
 
 from ..specfun.vsh import gauss_legendre, sphere_rule
 
-# Radial nodes per evaluation of the test function.  On the default 128-point
-# sphere rule a block holds 8192 points; a whole refinement run at once would
-# hold 2560 x 128 and raise peak memory, one panel (8 nodes) pays more numpy
-# dispatch per node.
+# The weighted-inequality quadrature: a product rule of _QUAD_THETA
+# Gauss-Legendre nodes in cos(theta) (128 points on the sphere), and radial
+# panels of _GAUSS_ORDER nodes, _PANELS_PER_EFOLD of them per e-fold of the
+# weight, dropped beyond _EXPONENT_FLOOR e-folds below its peak.  A panel
+# doubling must agree to _REFINE_GUARD.
+_QUAD_THETA = 8
+_GAUSS_ORDER = 8
+_PANELS_PER_EFOLD = 2
+_EXPONENT_FLOOR = 80.0
+_REFINE_GUARD = 0.01
+# Radial nodes per evaluation of the test function.  A block holds 8192
+# points; a whole refinement run at once would hold 2560 x 128 and raise
+# peak memory, one panel (8 nodes) pays more numpy dispatch per node.
 _NODE_BLOCK = 64
 
 
 def weight_derivative_identity(beta: float, p: float, m_field, x,
-                               h: float = 1e-4, grad=None) -> float:
+                               h: float = 1e-4) -> float:
     """Relative residual of the closed-form divergence of M grad e^{-beta r^-p}.
 
     div(M grad e^{-beta r^-p}) =
         p beta e^{-beta r^-p} [p beta r^{-2p-4} - (p+2) r^{-p-4}] x.Mx
         + p beta r^{-p-2} e^{-beta r^-p} div(Mx),
-    checked against a central-difference divergence.
+    checked against a central-difference divergence; div(Mx) is itself a
+    central difference of the field.
     """
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
@@ -55,17 +65,13 @@ def weight_derivative_identity(beta: float, p: float, m_field, x,
         fd_div += (flux(x + dx)[k] - flux(x - dx)[k]) / (2 * h)
     m = np.asarray(m_field(x), dtype=float)
     xmx = float(x @ (m @ x))
-    if grad is not None:
-        gm = np.asarray(grad(x), dtype=float)
-        div_mx = np.trace(m) + sum(np.dot(gm[k][k, :], x) for k in range(3))
-    else:
-        div_mx = np.trace(m)
-        for k in range(3):
-            dx = np.zeros(3)
-            dx[k] = h
-            mp = np.asarray(m_field(x + dx), dtype=float)
-            mm = np.asarray(m_field(x - dx), dtype=float)
-            div_mx += np.dot((mp - mm)[k, :], x) / (2 * h)
+    div_mx = np.trace(m)
+    for k in range(3):
+        dx = np.zeros(3)
+        dx[k] = h
+        mp = np.asarray(m_field(x + dx), dtype=float)
+        mm = np.asarray(m_field(x - dx), dtype=float)
+        div_mx += np.dot((mp - mm)[k, :], x) / (2 * h)
     e = math.exp(-beta * r ** (-p))
     closed = (p * beta * e * (p * beta * r ** (-2 * p - 4) - (p + 2) * r ** (-p - 4)) * xmx
               + p * beta * r ** (-p - 2) * e * div_mx)
@@ -79,7 +85,6 @@ class BumpFunction:
 
     a: float
     b: float
-    amplitude: float = 1.0
 
     @property
     def support(self):
@@ -96,7 +101,7 @@ class BumpFunction:
         s, _ = self._sval(r)
         out = np.zeros_like(r)
         inside = np.abs(s) < 1.0
-        out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - s[inside] ** 2))
+        out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
         return out
 
     def _dds(self, s):
@@ -115,7 +120,7 @@ class BumpFunction:
         inside = np.abs(s) < 1.0
         if np.any(inside):
             _, d1, _ = self._dds(s[inside])
-            out[inside] = (self.amplitude * d1 / half)[:, None] * (x[inside] / r[inside, None])
+            out[inside] = (d1 / half)[:, None] * (x[inside] / r[inside, None])
         return out
 
     def hessian_quadratic(self, x, m):
@@ -130,8 +135,8 @@ class BumpFunction:
         _, d1, d2 = self._dds(s[inside])
         xi = x[inside]
         ri = r[inside]
-        vp = self.amplitude * d1 / half          # dv/dr
-        vpp = self.amplitude * d2 / half ** 2    # d2v/dr2
+        vp = d1 / half          # dv/dr
+        vpp = d2 / half ** 2    # d2v/dr2
         m = np.asarray(m, dtype=float)
         xmx = np.einsum("ij,jk,ik->i", xi, m, xi) / ri ** 2
         trm = np.trace(m)
@@ -149,10 +154,7 @@ class WeightedCheck:
 
 
 def carleman_inequality_check(m_field, v, beta: float, p: float,
-                              shell: tuple[float, float] = (0.55, 0.95),
-                              quad_theta: int = 8, panels_per_efold: int = 2,
-                              gauss_order: int = 8, exponent_floor: float = 80.0,
-                              refine_guard: float = 0.01) -> WeightedCheck:
+                              shell: tuple[float, float] = (0.55, 0.95)) -> WeightedCheck:
     """Measured constant of the central weighted inequality on a shell.
 
     lhs  = int e^{2 beta r^-p} (p^3 beta^2 r^{-2p-2} |v|^2 + <M grad v, grad v>)
@@ -162,9 +164,10 @@ def carleman_inequality_check(m_field, v, beta: float, p: float,
     All integrands share the factor e^{2 beta (r^-p - ref)} (ref = the largest
     exponent on the closed shell), so the measured ratio is scale-free.
     Radial panels are spaced in u = r^-p so the weight decays by a bounded
-    factor per panel, and panels whose weight sits more than exponent_floor
+    factor per panel, and panels whose weight sits more than _EXPONENT_FLOOR
     e-folds below the peak are dropped (both sides share the truncation).
-    A refinement doubling must agree to refine_guard or the check raises.
+    The run is repeated with twice the panels; the two must agree to
+    _REFINE_GUARD or the check raises.
 
     v is duck-typed: value, gradient and hessian_quadratic(x, M) take a (k, 3)
     array of points.  They are called once per block of _NODE_BLOCK radial
@@ -191,15 +194,15 @@ def carleman_inequality_check(m_field, v, beta: float, p: float,
     m_const = np.asarray(m_field(np.array([0.0, 0.0, 0.7 * b])), dtype=float) \
         if callable(m_field) else np.asarray(m_field, dtype=float)
 
-    pts, wq, _, _ = sphere_rule(quad_theta)
+    pts, wq, _, _ = sphere_rule(_QUAD_THETA)
 
     def run(panel_mult: int):
         u_lo = r_top ** (-p)
-        u_cut = min(r_bot ** (-p), u_lo + exponent_floor / (2.0 * abs(beta)))
-        du = 1.0 / (2.0 * abs(beta) * panels_per_efold * panel_mult)
+        u_cut = min(r_bot ** (-p), u_lo + _EXPONENT_FLOOR / (2.0 * abs(beta)))
+        du = 1.0 / (2.0 * abs(beta) * _PANELS_PER_EFOLD * panel_mult)
         count = max(8, int(math.ceil((u_cut - u_lo) / du)))
         edges = np.linspace(u_lo, u_cut, count + 1) ** (-1.0 / p)
-        nodes, gw = gauss_legendre(gauss_order)
+        nodes, gw = gauss_legendre(_GAUSS_ORDER)
         lo, hi = edges[1:], edges[:-1]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         # per-node scalars stay Python/numpy scalars: their ufunc forms can
@@ -247,7 +250,7 @@ def carleman_inequality_check(m_field, v, beta: float, p: float,
     l2, ri2, bd2 = run(2)
     for x1, x2 in ((l1, l2), (ri1, ri2)):
         scale = max(abs(x2), 1e-300)
-        if abs(x1 - x2) / scale > refine_guard and scale > 1e-290:
+        if abs(x1 - x2) / scale > _REFINE_GUARD and scale > 1e-290:
             raise RuntimeError(f"quadrature not converged: {x1} vs {x2}")
     rhs = ri2 + bd2
     c = l2 / rhs if rhs > 0 else math.inf
@@ -306,12 +309,12 @@ def exponent_bookkeeping(lam: float, n: float, p: float = 8.0) -> ExponentTable:
                          r1=r1, r2=r2, r3=r3, rho=rho)
 
 
-def minimal_fold_parameter(alpha: float, lam: float, p: float = 8.0,
-                           n_cap: int = 100000) -> int:
-    """Smallest integer n >= 10 lam with rho(n) >= (1 + alpha)/2."""
+def minimal_fold_parameter(alpha: float, lam: float, p: float = 8.0) -> int:
+    """Smallest integer n >= 10 lam with rho(n) >= (1 + alpha)/2, searched
+    up to n = 100000."""
     target = 0.5 * (1.0 + alpha)
     n = int(math.ceil(10 * lam))
-    while n <= n_cap:
+    while n <= 100000:
         if exponent_bookkeeping(lam, float(n), p).rho >= target:
             return n
         n += 1

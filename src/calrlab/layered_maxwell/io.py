@@ -40,7 +40,6 @@ def solution_to_json(sol: FieldSolution) -> str:
         "schema": "calrlab.field_solution/1",
         "omega": sol.omega,
         "n_max": sol.n_max,
-        "tail_bound": sol.tail_bound,
         "source": {
             "radius": sol.source.radius,
             "amplitudes": {f"{k.n}:{k.m}:{k.pol}": [v.real, v.imag]

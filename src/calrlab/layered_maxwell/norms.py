@@ -18,6 +18,10 @@ from .solver import FieldSolution, RegionCoeffs
 from .fields import eval_field, mode_radial_components, _radial_components
 
 _LN10 = math.log(10.0)
+# Gauss-Legendre nodes per panel, and the relative agreement of two
+# successive panel doublings at which a quadrature stops.
+_GAUSS_ORDER = 16
+_REL_TOL = 1e-8
 
 
 def _panel_nodes(a: float, b: float, panels: int, nodes: np.ndarray):
@@ -28,19 +32,18 @@ def _panel_nodes(a: float, b: float, panels: int, nodes: np.ndarray):
     return mid[:, None] + half[:, None] * nodes, half
 
 
-def adaptive_gauss(fn, a: float, b: float, rel_tol: float = 1e-8,
-                   order: int = 16, max_doublings: int = 10) -> float:
+def adaptive_gauss(fn, a: float, b: float, max_doublings: int = 10) -> float:
     """Panel-doubling Gauss-Legendre quadrature of a vectorized integrand.
 
     fn gets a 2-d array of nodes, one row per panel, and must treat the rows
     as independent evaluations.  Each estimate makes one call, except that
     the first two, which every quadrature needs, share one.  Raises
     RuntimeError when two successive estimates still differ by more than
-    rel_tol after max_doublings doublings.
+    _REL_TOL after max_doublings doublings.
     """
     if b <= a:
         return 0.0
-    nodes, weights = gauss_legendre(order)
+    nodes, weights = gauss_legendre(_GAUSS_ORDER)
     x0, half0 = _panel_nodes(a, b, 1, nodes)
     x1, half1 = _panel_nodes(a, b, 2, nodes)
     first = fn(np.concatenate([x0, x1]))
@@ -57,7 +60,7 @@ def adaptive_gauss(fn, a: float, b: float, rel_tol: float = 1e-8,
         total = 0.0
         for h, row in zip(half, values):
             total += h * float(np.sum(weights * row))
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
+        if prev is not None and abs(total - prev) <= _REL_TOL * max(abs(total), 1e-300):
             return total
         prev = total
         panels *= 2
@@ -122,8 +125,7 @@ def _region_terms(sol: FieldSolution, weights: dict, idx: int) -> list:
             for (n, pol), w in weights.items()]
 
 
-def l2_norm_annulus(sol: FieldSolution, a: float, b: float,
-                    rel_tol: float = 1e-8) -> float:
+def l2_norm_annulus(sol: FieldSolution, a: float, b: float) -> float:
     """Exact modal L2 norm of (E, H) over a < |x| < b."""
     if not (0 <= a < b):
         raise ValueError("need 0 <= a < b")
@@ -132,12 +134,12 @@ def l2_norm_annulus(sol: FieldSolution, a: float, b: float,
     for lo, hi in _segments([sol], a, b):
         terms = _region_terms(sol, weights, sol.region_index(0.5 * (lo + hi)))
         density = _modal_density(terms, _UNIT_WEIGHTS, sol.omega)
-        total += adaptive_gauss(density, lo, hi, rel_tol=rel_tol)
+        total += adaptive_gauss(density, lo, hi)
     return math.sqrt(max(total, 0.0))
 
 
 def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
-                         a: float, b: float, rel_tol: float = 1e-8) -> float:
+                         a: float, b: float) -> float:
     """L2 norm of the difference of two solves over an annulus.
 
     Valid where both media agree (used in vacuum observation regions);
@@ -165,7 +167,7 @@ def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
                                 c_y=ca.c_y - cb.c_y)
             terms.append((w, rega, pol, n, diff))
         density = _modal_density(terms, _UNIT_WEIGHTS, sol_a.omega)
-        total += adaptive_gauss(density, lo, hi, rel_tol=rel_tol)
+        total += adaptive_gauss(density, lo, hi)
     return math.sqrt(max(total, 0.0))
 
 
@@ -200,7 +202,6 @@ class DataReport:
     j_norm_sq: float
     delta: float
     lossy_norm_weighted: float  # omega^2 * int Im-weighted (|E|^2+|H|^2) / delta
-    shell_norm_sq: float
 
     @property
     def energy_ratio(self) -> float:
@@ -208,12 +209,6 @@ class DataReport:
         closure of the divergence identity makes this 1."""
         num = abs(self.pairing_im + self.flux_im) / self.delta
         return num / max(self.lossy_norm_weighted, 1e-300)
-
-    @property
-    def stability_ratio(self) -> float:
-        """Shell L2 norm squared over Data (the measured constant of the
-        a-priori bound)."""
-        return self.shell_norm_sq / max(self.value, 1e-300)
 
 
 def _source_pairing(sol: FieldSolution) -> complex:
@@ -234,8 +229,7 @@ def _source_pairing(sol: FieldSolution) -> complex:
     return complex(pairing)
 
 
-def _lossy_weighted_norm_sq(sol: FieldSolution, delta: float,
-                            rel_tol: float = 1e-8) -> float:
+def _lossy_weighted_norm_sq(sol: FieldSolution, delta: float) -> float:
     """omega^2/delta * int of Im(coef)-weighted squared components over lossy layers."""
     weights = _mode_weights(sol)
     total = 0.0
@@ -247,17 +241,17 @@ def _lossy_weighted_norm_sq(sol: FieldSolution, delta: float,
             raise ValueError("lossy exterior is not supported")
         comp = tuple(v / delta for v in ims)
         density = _modal_density(_region_terms(sol, weights, i), comp, sol.omega)
-        total += adaptive_gauss(density, reg.r_lo, reg.r_hi, rel_tol=rel_tol)
+        total += adaptive_gauss(density, reg.r_lo, reg.r_hi)
     return sol.omega ** 2 * total
 
 
-def data_quantity(sol: FieldSolution, delta: float,
-                  shell: tuple[float, float] | None = None) -> DataReport:
+def data_quantity(sol: FieldSolution, delta: float) -> DataReport:
     """The scalar Data(J, delta) plus its energy-identity diagnostics.
 
     Data = (1/delta) |Im int i omega J conj(E) + Im I(H)| + ||J||^2, with the
-    sheet pairing realized at the source radius.  The companion stability
-    check exposes the measured ratio ||(E,H)||^2_shell / Data.
+    sheet pairing realized at the source radius.  The measured constant of
+    the a-priori bound is ||(E,H)||^2_shell / Data, with the shell norm from
+    `l2_norm_annulus`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -266,15 +260,10 @@ def data_quantity(sol: FieldSolution, delta: float,
     flux = farfield_flux(sol)
     j_sq = sol.source.l2_norm_sq()
     value = abs(pairing_im + flux) / delta + j_sq
-    if shell is None:
-        prov = sol.medium.provenance
-        shell = (prov.get("r1", 0.0), prov.get("r2", 0.0))
-    shell_sq = (l2_norm_annulus(sol, shell[0], shell[1]) ** 2
-                if shell[1] > shell[0] else 0.0)
     weighted = _lossy_weighted_norm_sq(sol, delta)
     return DataReport(value=value, pairing_im=pairing_im, flux_im=flux,
                       j_norm_sq=j_sq, delta=delta,
-                      lossy_norm_weighted=weighted, shell_norm_sq=shell_sq)
+                      lossy_norm_weighted=weighted)
 
 
 _LEVI = []

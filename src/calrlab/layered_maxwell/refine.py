@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from ..media.radial import RadialMedium
 from .modes import SurfaceCurrentSource
-from .solver import FieldSolution, RegionCoeffs, SolverOptions, solve
+from .solver import FieldSolution, RegionCoeffs, solve
 from .staircase import staircase
 
 
@@ -46,23 +46,21 @@ def richardson_exterior(sol_lo: FieldSolution, sol_hi: FieldSolution) -> FieldSo
     return FieldSolution(medium=sol_hi.medium, source=sol_hi.source,
                          omega=sol_hi.omega, regions=sol_hi.regions,
                          radial=radial, amplitudes=sol_hi.amplitudes,
-                         n_max=sol_hi.n_max, tail_bound=sol_hi.tail_bound,
-                         options=sol_hi.options)
+                         n_max=sol_hi.n_max, options=sol_hi.options)
 
 
 def solve_staircased(medium: RadialMedium, source: SurfaceCurrentSource,
-                     omega: float, layers: int, richardson: bool = True,
-                     options: SolverOptions = SolverOptions()) -> FieldSolution:
+                     omega: float, layers: int, richardson: bool = True) -> FieldSolution:
     """Staircase a graded medium and solve; optionally Richardson-refine.
 
     With richardson=True two solves (layers and 2*layers) are combined; the
     returned solution is accurate for evaluation outside the graded shell.
     """
     if medium.is_piecewise_constant:
-        return solve(medium, source, omega, options=options)
+        return solve(medium, source, omega)
     sol_hi = solve(staircase(medium, 2 * layers if richardson else layers),
-                   source, omega, options=options)
+                   source, omega)
     if not richardson:
         return sol_hi
-    sol_lo = solve(staircase(medium, layers), source, omega, options=options)
+    sol_lo = solve(staircase(medium, layers), source, omega)
     return richardson_exterior(sol_lo, sol_hi)

@@ -38,6 +38,8 @@ from ..specfun.scaled import ScaledArray
 from .modes import TE, ModeId, SurfaceCurrentSource
 
 _LN10 = math.log(10.0)
+# Relative trace mismatch across an interface above which a solve warns.
+_INTERFACE_TOL = 1e-9
 
 
 def _s(value) -> ScaledArray:
@@ -154,7 +156,6 @@ def _trace(reg: RegionSpec, pol: str, coeffs: RegionCoeffs, r: float,
 class SolverOptions:
     cond_guard: float = 1e12
     on_near_singular: str = "warn"      # "warn" | "raise"
-    interface_tol: float = 1e-9
 
 
 class NearSingularMode(RuntimeError):
@@ -185,7 +186,6 @@ class FieldSolution:
     radial: Dict[tuple, RadialSolve]
     amplitudes: Dict[ModeId, complex]
     n_max: int
-    tail_bound: float
     options: SolverOptions = field(default_factory=SolverOptions)
 
     def region_index(self, r: float) -> int:
@@ -364,7 +364,7 @@ def _solve_radial(regions, src_idx, keys, omega, options) -> Dict[tuple, RadialS
             if options.on_near_singular == "raise":
                 raise NearSingularMode(msg)
             warnings.warn(msg, RuntimeWarning)
-        if resid[col] > options.interface_tol:
+        if resid[col] > _INTERFACE_TOL:
             warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
                           RuntimeWarning)
         cj = ScaledArray(c_j.m[:, col].copy(), c_j.e[:, col].copy(), normalize=False)
@@ -395,7 +395,6 @@ def _interface_residual(basis, c_j, c_y, src_idx) -> np.ndarray:
 
 
 def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
-          n_max: int | None = None,
           options: SolverOptions = SolverOptions()) -> FieldSolution:
     """Solve the radiating transmission problem for a sheet source.
 
@@ -408,15 +407,8 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
     regions, src_idx = _build_regions(medium, source.radius)
     if abs(regions[-1].eps_tan - 1) > 1e-14 or abs(regions[-1].mu_tan - 1) > 1e-14:
         raise ValueError("outermost layer must be vacuum")
-    n_cap = source.n_max if n_max is None else min(n_max, source.n_max)
-    tail = 0.0
-    for key, amp in source.amplitudes.items():
-        if key.n > n_cap:
-            tail += abs(amp) ** 2
-    tail = math.sqrt(tail) * source.radius
-    keys = [(n, pol) for n, pol in source.radial_keys() if n <= n_cap]
-    radial = _solve_radial(regions, src_idx, keys, omega, options) if keys else {}
-    amps = {k: complex(v) for k, v in source.amplitudes.items() if k.n <= n_cap}
+    radial = _solve_radial(regions, src_idx, source.radial_keys(), omega, options)
     return FieldSolution(medium=medium, source=source, omega=omega,
-                         regions=tuple(regions), radial=radial, amplitudes=amps,
-                         n_max=n_cap, tail_bound=tail, options=options)
+                         regions=tuple(regions), radial=radial,
+                         amplitudes=dict(source.amplitudes),
+                         n_max=source.n_max, options=options)

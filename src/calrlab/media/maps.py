@@ -108,11 +108,12 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
                      params={"outer": outer.label, "inner": inner.label})
 
 
-def check_inverse(mapping: SmoothMap, points, tol: float = 1e-10) -> float:
-    """Max |inverse(forward(x)) - x| over sample points (invariant check)."""
+def check_inverse(mapping: SmoothMap, points) -> float:
+    """Max |inverse(forward(x)) - x| over sample points (invariant check);
+    raises above 1e-10."""
     worst = 0.0
     for x in np.atleast_2d(points):
         worst = max(worst, float(np.linalg.norm(mapping.inverse(mapping.forward(x)) - x)))
-    if worst > tol:
+    if worst > 1e-10:
         raise ValueError(f"map {mapping.label} fails round-trip check: {worst}")
     return worst

@@ -46,9 +46,10 @@ def spherical_diag(rad, tan, x) -> np.ndarray:
     return rad * p + tan * (np.eye(3) - p)
 
 
-def check_symmetric(a, tol: float = 1e-12) -> None:
+def check_symmetric(a) -> None:
+    """Raise unless a is symmetric to 1e-12 relative."""
     a = np.asarray(a)
-    if np.max(np.abs(a - a.T)) > tol * max(1.0, np.max(np.abs(a))):
+    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
         raise ValueError("tensor is not symmetric")
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
 from pathlib import Path
 
 from . import __version__
@@ -61,7 +60,6 @@ def write_manifest(path, config: dict, results: dict, tolerances: dict) -> None:
         "config_hash": config_hash(_jsonable(config)),
         "tolerances": _jsonable(tolerances),
         "results": _jsonable(results),
-        "finished_unix": int(time.time()),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

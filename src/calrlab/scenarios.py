@@ -72,13 +72,12 @@ def scenario(name, defaults, tolerances=lambda p: {}):
     return deco
 
 
-def mixed_mode_source(radius: float, n_max: int, seed: int,
-                      per_n: int = 3) -> SurfaceCurrentSource:
-    """Random source with both polarizations and a spread of (n, m) content."""
+def mixed_mode_source(radius: float, n_max: int, seed: int) -> SurfaceCurrentSource:
+    """Random source with both polarizations and up to three m per n."""
     rng = np.random.default_rng(seed)
     amps = {}
     for n in range(1, n_max + 1):
-        ms = sorted(set(int(m) for m in rng.integers(-n, n + 1, per_n)))
+        ms = sorted(set(int(m) for m in rng.integers(-n, n + 1, 3)))
         for m in ms:
             for pol in ("TE", "TM"):
                 amps[mode(n, m, pol)] = complex(rng.standard_normal(),
@@ -86,6 +85,11 @@ def mixed_mode_source(radius: float, n_max: int, seed: int,
     return SurfaceCurrentSource(radius=radius, amplitudes=amps)
 
 
+# List params whose meaning fixes their length: an interval, a window, a
+# radius triple, a pair of complex numbers.
+_FIXED_LENGTH = ("annulus", "exterior", "radii", "object", "slope_window")
+# List params of radii, which must increase strictly.
+_RADII = ("annulus", "exterior", "radii", "radius_grid")
 # Scenarios whose result is a log-log slope over `deltas`.
 _SLOPE_FITS = ("dcm_convergence", "blowup_scan")
 # Scenarios that build the lossy DCM shell: for p != 2 the loss i delta makes
@@ -157,7 +161,7 @@ def run_blowup_scan(p: dict):
         shell.append(s_norm)
         exterior.append(e_norm)
         rows.append([delta, s_norm, e_norm, e_norm / j_norm,
-                     rep.value, rep.stability_ratio])
+                     rep.value, s_norm ** 2 / rep.value])
     growth = -_fit_loglog(p["deltas"], shell)
     tables = {"blowup_scan.csv":
               (["delta", "shell_l2", "exterior_l2", "exterior_over_j",
@@ -446,14 +450,29 @@ def _same_kind(value, default) -> bool:
     return isinstance(value, int if isinstance(default, int) else (int, float))
 
 
+def _check_list(key: str, value: list, default: list) -> None:
+    """The rules a list param obeys whatever its scenario."""
+    if key in _FIXED_LENGTH and len(value) != len(default):
+        raise ValueError(f"'{key}' needs {len(default)} entries, like its "
+                         f"default {default!r}")
+    if key == "radius_grid" and len(value) < 3:
+        raise ValueError("'radius_grid' needs at least 3 radii to form a triple")
+    if not value:
+        raise ValueError(f"'{key}' must not be empty")
+    if key in _RADII and not all(lo < hi for lo, hi in zip(value, value[1:])):
+        raise ValueError(f"'{key}' must increase strictly")
+
+
 def scenario_params(name: str, params: dict) -> dict:
     """The scenario's defaults updated by params.
 
     Raises ValueError for a key the defaults lack, a value of another type
-    than its default, an empty `deltas` or a loss value that is not
-    positive, fewer than two distinct `deltas` where a slope is fitted over
-    them, radii that do not increase, a lossy DCM shell with p != 2, and a
-    weighted-inequality sweep with some beta > -1 or p < 1.
+    than its default, an empty list, an interval, window, radius triple or
+    `object` of another length than its default, a `radius_grid` of fewer
+    than 3 radii, radii that do not increase strictly, a loss value that is
+    not positive, fewer than two distinct `deltas` where a slope is fitted
+    over them, a lossy DCM shell with p != 2, and a weighted-inequality
+    sweep with some beta > -1 or p < 1.
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -463,16 +482,14 @@ def scenario_params(name: str, params: dict) -> dict:
         if not _same_kind(value, defaults[key]):
             raise ValueError(f"param {key!r} must have the type of its default "
                              f"{defaults[key]!r}")
+        if isinstance(value, list):
+            _check_list(key, value, defaults[key])
     deltas = params.get("deltas")
-    if deltas is not None and not (deltas and min(deltas) > 0):
-        raise ValueError("'deltas' must be a non-empty list of positive numbers")
+    if deltas is not None and not min(deltas) > 0:
+        raise ValueError("'deltas' must be positive")
     if deltas is not None and name in _SLOPE_FITS and len(set(deltas)) < 2:
         raise ValueError(f"scenario {name!r} fits a slope in delta; "
                          "'deltas' needs at least two distinct values")
-    for key in ("radii", "annulus", "radius_grid"):
-        vals = params.get(key)
-        if vals is not None and vals != sorted(vals):
-            raise ValueError(f"'{key}' must be increasing")
     merged = {**defaults, **params}
     if name in _LOSSY_DCM and merged["p"] != 2.0:
         raise ValueError(f"scenario {name!r} needs 'p' = 2: with a positive "

@@ -142,13 +142,8 @@ class ScaledArray:
         out[nz] = np.log10(mag[nz]) + self.e[nz]
         return out
 
-    def to_complex(self, strict: bool = False):
-        """Collapse to plain complex; overflow becomes inf, underflow 0.
-
-        With strict=True an overflow raises instead.
-        """
-        if strict and np.any((self.e > 300) & (self.m != 0)):
-            raise OverflowError("scaled value exceeds double range")
+    def to_complex(self):
+        """Collapse to plain complex; overflow becomes inf, underflow 0."""
         ef = np.clip(self.e.astype(float), -330, 330)
         with np.errstate(over="ignore", under="ignore"):
             out = self.m * 10.0 ** ef

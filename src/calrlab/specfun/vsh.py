@@ -180,15 +180,15 @@ def gauss_legendre(order: int):
     return nodes, weights
 
 
-def sphere_rule(ntheta: int, nphi: int | None = None):
-    """Product quadrature on the unit sphere: Gauss-Legendre x trapezoid.
+def sphere_rule(ntheta: int):
+    """Product quadrature on the unit sphere: ntheta Gauss-Legendre nodes in
+    cos(theta) times the 2*ntheta-point trapezoid rule in phi.
 
-    Exact for spherical polynomials of degree < min(2*ntheta, nphi).
+    Exact for spherical polynomials of degree < 2*ntheta.
     Returns (points (N,3), weights (N,), theta (N,), phi (N,)); the weights
     sum to 4*pi.
     """
-    if nphi is None:
-        nphi = 2 * ntheta
+    nphi = 2 * ntheta
     xs, ws = gauss_legendre(ntheta)
     theta = np.arccos(xs)
     phi = 2.0 * math.pi * np.arange(nphi) / nphi

@@ -115,10 +115,10 @@ class SphericalExpansion:
         vals, grads = self.value_and_gradient_many(np.asarray(x, dtype=float)[None, :])
         return complex(vals[0]), grads[0]
 
-    def annulus_norm_sq(self, a: float, b: float, include_gradient: bool,
-                        quad_order: int = 64) -> float:
-        """Exact modal squared L2 (or H1 seminorm-augmented) norm on a < r < b."""
-        nodes, weights = gauss_legendre(quad_order)
+    def annulus_norm_sq(self, a: float, b: float, include_gradient: bool) -> float:
+        """Modal squared L2 (or H1 seminorm-augmented) norm on a < r < b, by
+        64-point Gauss-Legendre quadrature in r."""
+        nodes, weights = gauss_legendre(64)
         rr = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         wr = 0.5 * (b - a) * weights
         total = 0.0

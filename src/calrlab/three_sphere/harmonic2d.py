@@ -77,8 +77,7 @@ def _top_candidates(prof, theta, n, how_many=4):
     return np.asarray(cands)
 
 
-def sup_norm_circle(v: HarmonicExpansion2D, radius: float,
-                    coarse: int | None = None) -> float:
+def sup_norm_circle(v: HarmonicExpansion2D, radius: float) -> float:
     """L-infinity norm of v on |z| = radius to ~1e-10 relative.
 
     The trace on the circle is the trigonometric polynomial
@@ -93,10 +92,10 @@ def sup_norm_circle(v: HarmonicExpansion2D, radius: float,
     ks = np.fromiter(coeffs, dtype=float, count=len(coeffs))
     a = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
     kmax = int(np.abs(ks).max(initial=0))
-    n = coarse if coarse is not None else max(512, 64 * (kmax + 1))
+    n = max(512, 64 * (kmax + 1))
     theta = 2.0 * math.pi * np.arange(n) / n
     spectrum = np.zeros(n, dtype=complex)
-    # folding k mod n keeps the grid samples exact for any n
+    # negative k wrap around to n + k
     np.add.at(spectrum, ks.astype(int) % n, a)
     prof = np.abs(np.fft.ifft(spectrum, norm="forward"))
     best = float(prof.max())

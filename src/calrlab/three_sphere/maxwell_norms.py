@@ -53,15 +53,14 @@ def check_maxwell_3sphere(field: Dict[Tuple[int, int], tuple],
     return lhs, rhs, c
 
 
-def random_modal_field(n_max: int, rng: np.random.Generator,
-                       scale: float = 1.0) -> Dict[Tuple[int, int], tuple]:
+def random_modal_field(n_max: int, rng: np.random.Generator) -> Dict[Tuple[int, int], tuple]:
     """A random source-free modal expansion (n <= n_max), for property sweeps."""
     field = {}
     for n in range(1, n_max + 1):
         for m in range(-n, n + 1):
             if rng.uniform() < 0.5:
                 continue
-            quad = tuple(scale * (rng.standard_normal() + 1j * rng.standard_normal())
+            quad = tuple((rng.standard_normal() + 1j * rng.standard_normal())
                          / (n + 1.0) for _ in range(4))
             field[(n, m)] = quad
     if not field:

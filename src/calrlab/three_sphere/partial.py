@@ -15,40 +15,31 @@ from ..specfun.vsh import sphere_rule
 from .hnorm import NormReport
 
 
-def circle_curve(radius: float, z0: float = 0.0):
-    """A horizontal circle x3 = z0 on the sphere |x| = radius.
-
-    Returns (distance(point) function, label).  z0 = 0 is the equator.
-    """
-    if abs(z0) >= radius:
-        raise ValueError("|z0| must be < radius")
-    rho = math.sqrt(radius * radius - z0 * z0)
+def circle_curve(radius: float):
+    """Distance function to the equator x3 = 0 of the sphere |x| = radius."""
 
     def dist(x):
         x = np.asarray(x, dtype=float)
         s = math.hypot(x[0], x[1])
-        return math.hypot(s - rho, x[2] - z0)
+        return math.hypot(s - radius, x[2])
 
-    return dist, f"circle(z0={z0})"
+    return dist
 
 
 @dataclass
 class PartialBoundary:
-    """Sphere radius, excised curve, and the masked quadrature rule."""
+    """Sphere radius, excised equator band, and the masked quadrature rule."""
 
     radius: float
     excision: float                      # tubular half-width r0
-    curve: object = None                 # distance function; default equator
     quad_order: int = 48
-    label: str = "equator"
-    _rule: tuple = field(default=None, repr=False)
+    _rule: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.curve is None:
-            self.curve, self.label = circle_curve(self.radius, 0.0)
+        curve = circle_curve(self.radius)
         pts, w, _, _ = sphere_rule(self.quad_order)
         xs = self.radius * pts
-        keep = np.array([self.curve(x) >= self.excision for x in xs])
+        keep = np.array([curve(x) >= self.excision for x in xs])
         if not np.any(keep):
             raise ValueError("the excision covers the whole sphere")
         self._rule = (xs[keep], self.radius ** 2 * w[keep])
@@ -77,7 +68,7 @@ def partial_data_norm(v, boundary: PartialBoundary) -> NormReport:
                       params={"radius": boundary.radius,
                               "excision": boundary.excision,
                               "quad_order": boundary.quad_order,
-                              "curve": boundary.label})
+                              "curve": "equator"})
 
 
 @dataclass(frozen=True)

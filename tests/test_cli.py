@@ -2,7 +2,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from calrlab.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, main
+from calrlab.scenarios import SCENARIOS, scenario_params
 
 
 def _write_config(tmp_path, name, scenario, params, out):
@@ -46,11 +49,12 @@ def test_run_writes_reports_and_is_deterministic(tmp_path):
     csv1 = (out1 / "maxwell_3sphere_suite.csv").read_bytes()
     csv2 = (out2 / "maxwell_3sphere_suite.csv").read_bytes()
     assert csv1 == csv2                      # bit-identical for equal config+seed
-    manifest = json.loads((out1 / "maxwell_3sphere_suite.manifest.json").read_text())
+    raw1 = (out1 / "maxwell_3sphere_suite.manifest.json").read_bytes()
+    raw2 = (out2 / "maxwell_3sphere_suite.manifest.json").read_bytes()
+    assert raw1 == raw2                      # manifests too: no timestamp
+    manifest = json.loads(raw1)
     assert manifest["package"] == "calrlab"
     assert "config_hash" in manifest and len(manifest["config_hash"]) == 16
-    m2 = json.loads((out2 / "maxwell_3sphere_suite.manifest.json").read_text())
-    assert manifest["config_hash"] == m2["config_hash"]
 
 
 def test_run_assertion_failure_exit_code(tmp_path):
@@ -136,3 +140,35 @@ def test_carleman_suite_bad_sweep_exit_config(tmp_path):
         assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
         assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert not (tmp_path / "outc").exists()
+
+
+@pytest.mark.parametrize("scenario, params", [
+    ("dcm_convergence", {"annulus": [4.0]}),
+    ("dcm_convergence", {"annulus": [4.0, 4.0]}),
+    ("dcm_convergence", {"slope_window": [0.85, 1.0, 1.15]}),
+    ("blowup_scan", {"exterior": [4.0]}),
+    ("superlens", {"object": [2.0]}),
+    ("three_sphere_suite", {"radius_grid": [1.0]}),
+    ("three_sphere_suite", {"radius_grid": [1.0, 2.0]}),
+    ("three_sphere_suite", {"radius_grid": [1.0, 2.0, 1.5]}),
+    ("three_sphere_suite", {"alpha_excisions": []}),
+    ("maxwell_3sphere_suite", {"radii": [1.0, 2.0]}),
+    ("carleman_suite", {"ps": []}),
+    ("carleman_suite", {"betas": []}),
+], ids=["annulus-short", "annulus-repeated", "slope_window-long",
+        "exterior-short", "object-short", "radius_grid-one",
+        "radius_grid-two", "radius_grid-unsorted", "alpha_excisions-empty",
+        "radii-short", "ps-empty", "betas-empty"])
+def test_bad_list_param_exit_config(tmp_path, scenario, params):
+    # wrong length, too few radii, radii not strictly increasing, or an
+    # empty sweep: rejected before any work, so no output directory
+    cfg = _write_config(tmp_path, "list.json", scenario, params,
+                        tmp_path / "outl")
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "outl").exists()
+
+
+def test_every_scenario_default_passes_its_checks():
+    for name, sc in SCENARIOS.items():
+        assert scenario_params(name, dict(sc.defaults)) == sc.defaults
