@@ -1,4 +1,13 @@
-"""Pointwise field evaluation, reflected fields, and the singularity-removing glue."""
+"""Pointwise field evaluation, reflected fields, and the singularity-removing glue.
+
+`eval_field_many` takes integer `groups`, one label per point, to evaluate
+several point sets at once: every region runs one Bessel sweep per order
+and wavenumber over all of its points, grouped by label as in `sph_jy`, and
+each set gets exactly the bits of a call on its points alone.  A gluing
+residual report uses this to evaluate all of its point sets (both gluing
+spheres, the finite-difference stencil and its centres, raw and reflected)
+in a single call.
+"""
 from __future__ import annotations
 
 import math
@@ -8,7 +17,7 @@ import numpy as np
 
 from ..media.maps import SmoothMap
 from ..media.pushforward import push_forward_tensor
-from ..specfun.vsh import sphere_rule, vsh_table
+from ..specfun.vsh import VshStream, sphere_rule
 from .modes import TE, h_jump_factor
 from .solver import FieldSolution, RegionCoeffs, RegionSpec
 
@@ -45,37 +54,55 @@ def _radial_components(reg: RegionSpec, pol: str, n: int, r: np.ndarray,
     return e_y, e_u, e_v, h_y, h_u, h_v
 
 
-def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]:
-    """(E, H) at an (N, 3) array of points, vectorized per region and mode."""
+def eval_field_many(sol: FieldSolution, points,
+                    groups=None) -> tuple[np.ndarray, np.ndarray]:
+    """(E, H) at an (N, 3) array of points; on a breakpoint the inside
+    region is used.
+
+    Each region's modes of equal order and wavenumber share one Bessel sweep
+    over the region's points, and the angular triples are streamed one
+    (n, m) at a time.  `groups` (integer labels, one per point) evaluates
+    several point sets in one call: the sweeps are grouped by label (see
+    `sph_jy`) and every other step is elementwise, so each set gets exactly
+    the values of a call on its points alone.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.linalg.norm(pts, axis=1)
     if np.any(r <= 0):
         raise ValueError("evaluation requires |x| > 0")
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    table = vsh_table(sol.n_max, theta, phi)
-    e_out = np.zeros((len(pts), 3), dtype=complex)
-    h_out = np.zeros((len(pts), 3), dtype=complex)
-    region_of = np.array([sol.region_index(float(ri)) for ri in r])
+    if groups is not None:
+        groups = np.asarray(groups)
+    region_of = sol.region_indices(r)
+    regions = []
     for idx in np.unique(region_of):
         sel = region_of == idx
-        rsub = r[sel]
-        comp_cache = {}
-        bases = {}      # modes of equal order and wavenumber share a basis
-        for key, amp in sol.amplitudes.items():
-            ck = (key.n, key.pol)
-            if ck not in comp_cache:
-                rsolve = sol.radial[ck]
+        regions.append((idx, sel, r[sel], None if groups is None else groups[sel]))
+    angular = VshStream(sol.n_max, theta, phi)
+    e_out = np.zeros((len(pts), 3), dtype=complex)
+    h_out = np.zeros((len(pts), 3), dtype=complex)
+    comps = {}
+    bases = {}      # modes of equal order and wavenumber share a basis
+    nm = triple = None
+    for key, amp in sol.amplitudes.items():
+        if (key.n, key.m) != nm:
+            nm = (key.n, key.m)
+            triple = angular(key.n, key.m)
+        mult = amp * h_jump_factor(key.pol)
+        rsolve = sol.radial[(key.n, key.pol)]
+        for idx, sel, rsub, gsub in regions:
+            ck = (idx, key.n, key.pol)
+            if ck not in comps:
                 coeffs = rsolve.coeffs[idx]
-                bk = (coeffs.nu, coeffs.k, coeffs.outgoing)
+                bk = (idx, coeffs.nu, coeffs.k, coeffs.outgoing)
                 if bk not in bases:
-                    bases[bk] = coeffs.basis(rsub)
-                comp_cache[ck] = _radial_components(
+                    bases[bk] = coeffs.basis(rsub, gsub)
+                comps[ck] = _radial_components(
                     rsolve.regions[idx], key.pol, key.n, rsub, sol.omega,
                     *coeffs.combine(bases[bk]))
-            e_y, e_u, e_v, h_y, h_u, h_v = comp_cache[ck]
-            mult = amp * h_jump_factor(key.pol)
-            rad, grad, rot = (v[sel] for v in table[(key.n, key.m)])
+            e_y, e_u, e_v, h_y, h_u, h_v = comps[ck]
+            rad, grad, rot = (v[sel] for v in triple)
             e_out[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad
                                   + e_v[:, None] * rot)
             h_out[sel] += mult * (h_y[:, None] * rad + h_u[:, None] * grad
@@ -143,12 +170,33 @@ class GluedReport:
         return self.maxwell_resid_norm / max(self.forcing_norm, 1e-300)
 
 
+def _trace_jump(pts, w, a, b) -> float:
+    """Relative L2 jump between the tangential traces of two (E, H) pairs on
+    a sphere, given its unit normals pts and quadrature weights w."""
+    num = 0.0
+    den = 0.0
+    for va, vb in zip(a, b):
+        proj = np.sum(va * pts, axis=1)[:, None] * pts
+        ta = va - proj
+        tb = vb - np.sum(vb * pts, axis=1)[:, None] * pts
+        num += float(np.sum(w * np.sum(np.abs(ta - tb) ** 2, axis=1)))
+        den += float(np.sum(w * np.sum(np.abs(ta) ** 2, axis=1)))
+    return math.sqrt(num / max(den, 1e-300))
+
+
 class GluedField:
     """The piecewise field that removes the localized singularity.
 
     Outside the matched annulus it coincides with the raw solution; in the
     annulus D the difference of the two reflections is subtracted; inside it
     equals the doubly reflected field.
+
+    Every evaluation is a list of (branch, points) requests, where a branch
+    is the raw solution ("raw"), its reflection through F ("refl1") or
+    through G after F ("refl2").  `_fields` answers all of a list with one
+    `eval_field_many` call, one group per request, so each request gets the
+    values of an evaluation on its points alone.  The maps must take stacks
+    of points, as those of `calrlab.media.maps` do.
     """
 
     def __init__(self, sol: FieldSolution, f_map: SmoothMap, g_map: SmoothMap,
@@ -158,90 +206,88 @@ class GluedField:
         self.f_map = f_map
         self.g_map = g_map
         self.r1, self.r2, self.r3 = r1, r2, r3
-        self._base = field_evaluator(sol)
 
-    def _refl1_many(self, ys):
-        """First reflection (through F) at an (N, 3) array of points."""
-        ys = np.atleast_2d(ys)
-        xs = np.array([self.f_map.inverse(y) for y in ys])
-        e, h = eval_field_many(self.sol, xs)
-        for i, x in enumerate(xs):
-            jt = self.f_map.jacobian(x).T
-            e[i] = np.linalg.solve(jt, e[i])
-            h[i] = np.linalg.solve(jt, h[i])
-        return e, h
+    def _fields(self, requests) -> list:
+        """(E, H) of each (branch, points) request, from one field evaluation.
 
-    def _refl2_many(self, ys):
-        """Second reflection (through G after F), valid inside B_{r3}."""
-        ys = np.atleast_2d(ys)
-        xg = np.array([self.g_map.inverse(y) for y in ys])
-        e, h = self._refl1_many(xg)
-        for i, x in enumerate(xg):
-            jt = self.g_map.jacobian(x).T
-            e[i] = np.linalg.solve(jt, e[i])
-            h[i] = np.linalg.solve(jt, h[i])
-        return e, h
+        A reflected branch evaluates the solution at the pulled-back points
+        and pulls (E, H) forward through each map's transposed Jacobian, the
+        innermost map first.
+        """
+        inverses = {"raw": (), "refl1": (self.f_map,),
+                    "refl2": (self.g_map, self.f_map)}
+        pulled = []
+        for branch, ys in requests:
+            x = np.atleast_2d(np.asarray(ys, dtype=float))
+            chain = []
+            for mapping in inverses[branch]:
+                x = mapping.inverse(x)
+                chain.insert(0, (mapping, x))
+            pulled.append((x, chain))
+        sizes = [len(x) for x, _ in pulled]
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        e_all, h_all = eval_field_many(
+            self.sol, np.vstack([x for x, _ in pulled]), groups)
+        bounds = np.cumsum(sizes)[:-1]
+        out = []
+        for (_, chain), e, h in zip(pulled, np.split(e_all, bounds),
+                                    np.split(h_all, bounds)):
+            for mapping, x in chain:
+                jt = np.swapaxes(mapping.jacobian(x), -1, -2)
+                e = np.linalg.solve(jt, e[..., None])[..., 0]
+                h = np.linalg.solve(jt, h[..., None])[..., 0]
+            out.append((e, h))
+        return out
 
-    def eval_many(self, ys) -> tuple[np.ndarray, np.ndarray]:
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    def _glued(self, ys):
+        """The requests for the glued field at ys, and the function that
+        assembles its (E, H) from their results."""
         r = np.linalg.norm(ys, axis=1)
-        e = np.zeros((len(ys), 3), dtype=complex)
-        h = np.zeros((len(ys), 3), dtype=complex)
         outside = r > self.r3
         annulus = (r > self.r2) & ~outside
         core = ~outside & ~annulus
-        if np.any(outside):
-            e[outside], h[outside] = eval_field_many(self.sol, ys[outside])
-        if np.any(annulus):
-            e0, h0 = eval_field_many(self.sol, ys[annulus])
-            e1, h1 = self._refl1_many(ys[annulus])
-            e2, h2 = self._refl2_many(ys[annulus])
-            e[annulus] = e0 - e1 + e2
-            h[annulus] = h0 - h1 + h2
-        if np.any(core):
-            e[core], h[core] = self._refl2_many(ys[core])
-        return e, h
+        parts = [(sel, branches) for sel, branches in (
+            (outside, ("raw",)), (annulus, ("raw", "refl1", "refl2")),
+            (core, ("refl2",))) if np.any(sel)]
+        requests = [(b, ys[sel]) for sel, branches in parts for b in branches]
+
+        def assemble(results):
+            e = np.zeros((len(ys), 3), dtype=complex)
+            h = np.zeros((len(ys), 3), dtype=complex)
+            it = iter(results)
+            for sel, branches in parts:
+                if len(branches) == 1:
+                    e[sel], h[sel] = next(it)
+                else:
+                    (e0, h0), (e1, h1), (e2, h2) = next(it), next(it), next(it)
+                    e[sel] = e0 - e1 + e2
+                    h[sel] = h0 - h1 + h2
+            return e, h
+
+        return requests, assemble
+
+    def eval_many(self, ys) -> tuple[np.ndarray, np.ndarray]:
+        requests, assemble = self._glued(np.atleast_2d(np.asarray(ys, dtype=float)))
+        return assemble(self._fields(requests))
 
     def eval(self, y) -> tuple[np.ndarray, np.ndarray]:
         e, h = self.eval_many(np.asarray(y, dtype=float)[None, :])
         return e[0], h[0]
-
-    def _branch_difference(self, radius: float, which: str, quad_order: int):
-        """Tangential trace jump of the glued field across a gluing sphere.
-
-        At r2 the jump reduces to the traces of (field - first reflection);
-        at r3 to those of (first - second reflection); both vanish exactly in
-        the continuum because the reflections fix their spheres pointwise.
-        """
-        pts, w, _, _ = sphere_rule(quad_order)
-        ys = radius * pts
-        if which == "r2":
-            ea, ha = eval_field_many(self.sol, ys)
-            eb, hb = self._refl1_many(ys)
-        else:
-            ea, ha = self._refl1_many(ys)
-            eb, hb = self._refl2_many(ys)
-        num = 0.0
-        den = 0.0
-        for va, vb in ((ea, eb), (ha, hb)):
-            proj = np.sum(va * pts, axis=1)[:, None] * pts
-            ta = va - proj
-            tb = vb - np.sum(vb * pts, axis=1)[:, None] * pts
-            num += float(np.sum(w * np.sum(np.abs(ta - tb) ** 2, axis=1)))
-            den += float(np.sum(w * np.sum(np.abs(ta) ** 2, axis=1)))
-        return math.sqrt(num / max(den, 1e-300))
 
     def residual_report(self, sample_radii, quad_order: int = 24,
                         points_per_radius: int = 4, h: float = 1e-4,
                         seed: int = 0) -> GluedReport:
         """Jump residuals plus the interior Maxwell residual in D.
 
-        The glued field must satisfy curl E = i omega H + delta omega F_* I H1
-        in D (vacuum background there), so the finite-difference residual is
-        compared against that predicted forcing.
+        At r2 the tangential trace jump of the glued field reduces to that of
+        (field - first reflection); at r3 to that of (first - second
+        reflection); both vanish exactly in the continuum because the
+        reflections fix their spheres pointwise.  The glued field must
+        satisfy curl E = i omega H + delta omega F_* I H1 in D (vacuum
+        background there), so the finite-difference residual is compared
+        against that predicted forcing.  Every field value comes from one
+        grouped evaluation.
         """
-        jump2 = self._branch_difference(self.r2, "r2", quad_order)
-        jump3 = self._branch_difference(self.r3, "r3", quad_order)
         rng = np.random.default_rng(seed)
         samples = []
         for r in sample_radii:
@@ -255,14 +301,22 @@ class GluedField:
             raise ValueError("no usable sample radii in the gluing annulus")
         ys = np.array(samples)
         n = len(ys)
-        # one batch for all stencil points: center + four shifts per axis
+        # the stencil: center + four shifts per axis
         stencil = [ys]
         for k in range(3):
             for sgn in (2.0, 1.0, -1.0, -2.0):
                 shifted = ys.copy()
                 shifted[:, k] += sgn * h
                 stencil.append(shifted)
-        e_all, h_all = self.eval_many(np.vstack(stencil))
+        glued, assemble = self._glued(np.vstack(stencil))
+        pts, w, _, _ = sphere_rule(quad_order)
+        on_r2, on_r3 = self.r2 * pts, self.r3 * pts
+        raw2, refl1_2, refl1_3, refl2_3, (_, h1), *rest = self._fields(
+            [("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
+             ("refl1", ys)] + glued)
+        jump2 = _trace_jump(pts, w, raw2, refl1_2)
+        jump3 = _trace_jump(pts, w, refl1_3, refl2_3)
+        e_all, h_all = assemble(rest)
         e_c, h_c = e_all[:n], h_all[:n]
         curls = np.zeros((n, 3), dtype=complex)
 
@@ -277,7 +331,6 @@ class GluedField:
         curls[:, 1] = de[2][:, 0] - de[0][:, 2]
         curls[:, 2] = de[0][:, 1] - de[1][:, 0]
         resid = curls - 1j * self.omega * h_c
-        _, h1 = self._refl1_many(ys)
         delta = self.sol.medium.provenance.get("delta", 0.0)
         predicted = np.empty_like(resid)
         for i, y in enumerate(ys):

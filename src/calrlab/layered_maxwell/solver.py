@@ -25,6 +25,7 @@ from such a solve in its last bit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -188,12 +189,17 @@ class FieldSolution:
     n_max: int
     options: SolverOptions = field(default_factory=SolverOptions)
 
+    @functools.cached_property
+    def _r_hi(self) -> np.ndarray:
+        return np.array([reg.r_hi for reg in self.regions])
+
+    def region_indices(self, r) -> np.ndarray:
+        """Region containing each radius; on a boundary, the inside region wins."""
+        idx = np.searchsorted(self._r_hi, r, side="left")
+        return np.minimum(idx, len(self.regions) - 1)
+
     def region_index(self, r: float) -> int:
-        """Region containing r; on a boundary, the inside region wins."""
-        for i, reg in enumerate(self.regions):
-            if r <= reg.r_hi:
-                return i
-        return len(self.regions) - 1
+        return int(self.region_indices(r))
 
     def max_condition(self) -> float:
         return max(rs.condition for rs in self.radial.values())

@@ -1,4 +1,12 @@
-"""Diffeomorphisms with analytic Jacobians: Kelvin, power-law, linear, compositions."""
+"""Diffeomorphisms with analytic Jacobians: Kelvin, power-law, linear, compositions.
+
+The maps built here take one point (3,) or a stack of points (..., 3); a
+Jacobian has shape (..., 3, 3).  A point of a stack gets exactly the bits it
+gets on its own: |x| is sqrt(x . x) by a matmul per point (as
+`np.linalg.norm` of one point computes it) and powers use `np.float_power`
+(the scalar `**` of one point), where the array forms `norm(axis=1)` and
+`**` would round differently at some points.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -24,11 +32,16 @@ class SmoothMap:
         return float(np.linalg.det(self.jacobian(np.asarray(x, dtype=float))))
 
 
+def _stacked(value, x: np.ndarray) -> np.ndarray:
+    """A constant 3x3 matrix repeated over the points of x."""
+    return np.broadcast_to(value, x.shape[:-1] + (3, 3)).copy()
+
+
 def identity_map() -> SmoothMap:
     eye = np.eye(3)
     return SmoothMap(forward=lambda x: np.asarray(x, dtype=float),
                      inverse=lambda x: np.asarray(x, dtype=float),
-                     jacobian=lambda x: eye.copy(),
+                     jacobian=lambda x: _stacked(eye, np.asarray(x, dtype=float)),
                      label="identity")
 
 
@@ -37,10 +50,18 @@ def linear_map(matrix) -> SmoothMap:
     if abs(np.linalg.det(a)) < 1e-300:
         raise ValueError("linear map must be invertible")
     ainv = np.linalg.inv(a)
-    return SmoothMap(forward=lambda x: a @ np.asarray(x, dtype=float),
-                     inverse=lambda y: ainv @ np.asarray(y, dtype=float),
-                     jacobian=lambda x: a.copy(),
+    return SmoothMap(forward=lambda x: np.asarray(x, dtype=float) @ a.T,
+                     inverse=lambda y: np.asarray(y, dtype=float) @ ainv.T,
+                     jacobian=lambda x: _stacked(a, np.asarray(x, dtype=float)),
                      label="linear", params={"matrix": a.tolist()})
+
+
+def _radius(x: np.ndarray, what: str) -> np.ndarray:
+    """|x| of each point, shape x.shape[:-1] + (1,); raises at the origin."""
+    r = np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
+    if np.any(r == 0):
+        raise ZeroDivisionError(f"{what} undefined at the origin")
+    return r
 
 
 def power_map(r2: float, p: float) -> SmoothMap:
@@ -56,28 +77,22 @@ def power_map(r2: float, p: float) -> SmoothMap:
     c = r2 ** p
     q = p / (p - 1.0)
     ci = r2 ** q
+    eye = np.eye(3)
 
     def fwd(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        if r == 0:
-            raise ZeroDivisionError("power map undefined at the origin")
-        return c * x / r ** p
+        return c * x / np.float_power(_radius(x, "power map"), p)
 
     def inv(y):
         y = np.asarray(y, dtype=float)
-        r = np.linalg.norm(y)
-        if r == 0:
-            raise ZeroDivisionError("power map inverse undefined at the origin")
-        return ci * y / r ** q
+        return ci * y / np.float_power(_radius(y, "power map inverse"), q)
 
     def jac(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        if r == 0:
-            raise ZeroDivisionError("power map Jacobian undefined at the origin")
+        r = _radius(x, "power map Jacobian")
         xh = x / r
-        return (c / r ** p) * (np.eye(3) - p * np.outer(xh, xh))
+        outer = xh[..., :, None] * xh[..., None, :]
+        return (c / np.float_power(r, p))[..., None] * (eye - p * outer)
 
     return SmoothMap(forward=fwd, inverse=inv, jacobian=jac,
                      label="power", params={"r2": r2, "p": p})

@@ -459,6 +459,8 @@ def _check_list(key: str, value: list, default: list) -> None:
         raise ValueError("'radius_grid' needs at least 3 radii to form a triple")
     if not value:
         raise ValueError(f"'{key}' must not be empty")
+    if key in _RADII and not value[0] > 0:
+        raise ValueError(f"'{key}' needs positive radii, not {value[0]!r}")
     if key in _RADII and not all(lo < hi for lo, hi in zip(value, value[1:])):
         raise ValueError(f"'{key}' must increase strictly")
 
@@ -469,10 +471,10 @@ def scenario_params(name: str, params: dict) -> dict:
     Raises ValueError for a key the defaults lack, a value of another type
     than its default, an empty list, an interval, window, radius triple or
     `object` of another length than its default, a `radius_grid` of fewer
-    than 3 radii, radii that do not increase strictly, a loss value that is
-    not positive, fewer than two distinct `deltas` where a slope is fitted
-    over them, a lossy DCM shell with p != 2, and a weighted-inequality
-    sweep with some beta > -1 or p < 1.
+    than 3 radii, radii that are not positive or do not increase strictly, a
+    loss value that is not positive, fewer than two distinct `deltas` where a
+    slope is fitted over them, a lossy DCM shell with p != 2, and a
+    weighted-inequality sweep with some beta > -1 or p < 1.
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():

@@ -134,37 +134,66 @@ def vsh(n: int, m: int, direction) -> VshTriple:
     return VshTriple(radial=radial, gradient_tangent=grad, rotated_tangent=rot)
 
 
+def _mirror(m: int, triple):
+    """The triple of (n, -m) from that of (n, m): (-1)^m times its conjugate."""
+    s = (-1.0) ** m
+    return tuple(s * np.conj(v) for v in triple)
+
+
+class VshStream:
+    """Orthonormal triples on point arrays, one (n, m) at a time.
+
+    `stream(n, m)` is exactly `vsh_table(nmax, theta, phi)[(n, m)]`, which
+    is built from it, but only the Legendre table of each |m| is kept: about
+    2 KB a point at nmax = 12, against 24 KB for the whole table.
+    """
+
+    def __init__(self, nmax: int, theta, phi):
+        self.nmax = nmax
+        self.theta = np.asarray(theta, dtype=float)
+        self.phi = np.asarray(phi, dtype=float)
+        st, ct = np.sin(self.theta), np.cos(self.theta)
+        sp, cp = np.sin(self.phi), np.cos(self.phi)
+        self.xhat = np.stack([st * cp, st * sp, ct], axis=-1)
+        self.theta_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        self.phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+        self._per_m = {}
+
+    def _legendre(self, m: int):
+        """pbar_tau_pi(nmax, m, theta) and e^{i m phi}, computed once per m >= 0."""
+        if m not in self._per_m:
+            self._per_m[m] = (pbar_tau_pi(self.nmax, m, self.theta),
+                              np.exp(1j * m * self.phi)[..., None])
+        return self._per_m[m]
+
+    def __call__(self, n: int, m: int):
+        ma = abs(m)
+        (pbar, tau, pi), eimp = self._legendre(ma)
+        idx = n - ma
+        root = math.sqrt(n * (n + 1.0))
+        pb = pbar[idx][..., None]
+        ta = (tau[idx] / root)[..., None]
+        pp = (pi[idx] / root)[..., None]
+        radial = pb * eimp * self.xhat
+        grad = eimp * (ta * self.theta_hat + 1j * pp * self.phi_hat)
+        rot = eimp * (-1j * pp * self.theta_hat + ta * self.phi_hat)
+        triple = (radial, grad, rot)
+        return triple if m >= 0 else _mirror(ma, triple)
+
+
 def vsh_table(nmax: int, theta, phi) -> dict:
     """All orthonormal triples for 1 <= n <= nmax, |m| <= n on point arrays.
 
     Returns {(n, m): (radial, gradient_tangent, rotated_tangent)} with each
     field of shape theta.shape + (3,).  Much faster than repeated vsh() calls.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    xhat = np.stack([st * cp, st * sp, ct], axis=-1)
-    theta_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+    stream = VshStream(nmax, theta, phi)
     out = {}
     for m in range(0, nmax + 1):
-        n_lo = max(1, m)
-        pbar, tau, pi = pbar_tau_pi(nmax, m, theta)
-        eimp = np.exp(1j * m * phi)[..., None]
-        for n in range(n_lo, nmax + 1):
-            idx = n - m
-            root = math.sqrt(n * (n + 1.0))
-            pb = pbar[idx][..., None]
-            ta = (tau[idx] / root)[..., None]
-            pp = (pi[idx] / root)[..., None]
-            radial = pb * eimp * xhat
-            grad = eimp * (ta * theta_hat + 1j * pp * phi_hat)
-            rot = eimp * (-1j * pp * theta_hat + ta * phi_hat)
-            out[(n, m)] = (radial, grad, rot)
+        for n in range(max(1, m), nmax + 1):
+            out[(n, m)] = stream(n, m)
             if m > 0:
-                s = (-1.0) ** m
-                out[(n, -m)] = (s * np.conj(radial), s * np.conj(grad), s * np.conj(rot))
+                out[(n, -m)] = _mirror(m, out[(n, m)])
     return out
 
 

@@ -9,6 +9,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calrlab.specfun import (
     hat_h1,
@@ -307,3 +309,30 @@ def test_grouped_series_stops_per_group():
         for name in ("j", "dj", "y", "dy"):
             assert np.array_equal(batch[name].m[i:i + 1], alone[name].m), (i, name)
             assert np.array_equal(batch[name].e[i:i + 1], alone[name].e), (i, name)
+
+
+# Random group labels over random arguments: integer and fractional orders,
+# |z| on both sides of the series/Miller switch at 8, anywhere in the upper
+# half-plane (the branch Im k >= 0 at r > 0).  Derandomized, so every run
+# draws the same examples.
+_orders = st.one_of(st.integers(0, 16).map(float), st.floats(0.05, 16.0))
+_arguments = st.lists(
+    st.tuples(st.floats(0.05, 20.0), st.floats(0.0, math.pi)).map(
+        lambda t: complex(t[0] * math.cos(t[1]), t[0] * math.sin(t[1]))),
+    min_size=1, max_size=12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(nu=_orders, z=_arguments, data=st.data())
+def test_grouped_calls_match_per_group_calls(nu, z, data):
+    z = np.array(z)
+    groups = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(z),
+                                         max_size=len(z))))
+    for fn, names in ((hat_jy, ("j", "dj", "y", "dy")), (hat_h1, ("h", "dh"))):
+        batch = fn(nu, z, groups=groups)
+        for g in np.unique(groups):
+            alone = fn(nu, z[groups == g])
+            for name in names:
+                got = batch[name][groups == g]
+                assert np.array_equal(got.m, alone[name].m), (fn.__name__, g, name)
+                assert np.array_equal(got.e, alone[name].e), (fn.__name__, g, name)

@@ -145,28 +145,34 @@ def test_carleman_suite_bad_sweep_exit_config(tmp_path):
 @pytest.mark.parametrize("scenario, params", [
     ("dcm_convergence", {"annulus": [4.0]}),
     ("dcm_convergence", {"annulus": [4.0, 4.0]}),
+    ("dcm_convergence", {"annulus": [-1.0, 6.0]}),
     ("dcm_convergence", {"slope_window": [0.85, 1.0, 1.15]}),
     ("blowup_scan", {"exterior": [4.0]}),
     ("superlens", {"object": [2.0]}),
     ("three_sphere_suite", {"radius_grid": [1.0]}),
     ("three_sphere_suite", {"radius_grid": [1.0, 2.0]}),
     ("three_sphere_suite", {"radius_grid": [1.0, 2.0, 1.5]}),
+    ("three_sphere_suite", {"radius_grid": [0.0, 1.0, 2.0]}),
     ("three_sphere_suite", {"alpha_excisions": []}),
     ("maxwell_3sphere_suite", {"radii": [1.0, 2.0]}),
     ("carleman_suite", {"ps": []}),
     ("carleman_suite", {"betas": []}),
-], ids=["annulus-short", "annulus-repeated", "slope_window-long",
-        "exterior-short", "object-short", "radius_grid-one",
-        "radius_grid-two", "radius_grid-unsorted", "alpha_excisions-empty",
+], ids=["annulus-short", "annulus-repeated", "annulus-negative",
+        "slope_window-long", "exterior-short", "object-short",
+        "radius_grid-one", "radius_grid-two", "radius_grid-unsorted",
+        "radius_grid-zero", "alpha_excisions-empty",
         "radii-short", "ps-empty", "betas-empty"])
-def test_bad_list_param_exit_config(tmp_path, scenario, params):
-    # wrong length, too few radii, radii not strictly increasing, or an
-    # empty sweep: rejected before any work, so no output directory
+def test_bad_list_param_exit_config(tmp_path, capsys, scenario, params):
+    # wrong length, too few radii, radii not positive or not strictly
+    # increasing, or an empty sweep: rejected before any work, so no output
+    # directory, with a message that names the param
     cfg = _write_config(tmp_path, "list.json", scenario, params,
                         tmp_path / "outl")
     assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert not (tmp_path / "outl").exists()
+    (key,) = params
+    assert capsys.readouterr().err.count(f"'{key}'") == 2
 
 
 def test_every_scenario_default_passes_its_checks():

@@ -135,3 +135,60 @@ def test_glued_residual_scales_with_delta():
         rep = glued.residual_report(radii, quad_order=12, points_per_radius=2, h=1e-4)
         ratios.append(rep.maxwell_resid_norm / delta)
     assert max(ratios) / min(ratios) < 2.0
+
+
+def _directions(rng, count):
+    d = rng.standard_normal((count, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+def test_grouped_evaluation_matches_separate_calls():
+    # a stays below |k r| = 8 (ascending series), b goes above it (Miller);
+    # both reach the outermost region, so only the groups keep a's bits
+    sol, _ = _dcm_solution(1e-3)
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.5, 7.5, (40, 1)) * _directions(rng, 40)
+    b = rng.uniform(8.5, 12.0, (15, 1)) * _directions(rng, 15)
+    groups = np.repeat([0, 1], [len(a), len(b)])
+    e, h = eval_field_many(sol, np.vstack([a, b]), groups)
+    (ea, ha), (eb, hb) = eval_field_many(sol, a), eval_field_many(sol, b)
+    assert np.array_equal(e, np.vstack([ea, eb]))
+    assert np.array_equal(h, np.vstack([ha, hb]))
+    e_mixed, _ = eval_field_many(sol, np.vstack([a, b]))
+    assert not np.array_equal(e_mixed[:len(a)], ea)
+
+
+def test_breakpoint_lookup_takes_inside_region():
+    sol, _ = _dcm_solution(1e-3, layers=8)
+    rs = [r for reg in sol.regions[:-1]
+          for r in (np.nextafter(reg.r_hi, 0.0), reg.r_hi, np.nextafter(reg.r_hi, np.inf))]
+    want = [next(i for i, reg in enumerate(sol.regions) if r <= reg.r_hi) for r in rs]
+    assert sol.region_indices(np.array(rs)).tolist() == want
+    assert [sol.region_index(r) for r in rs] == want
+    # a point on the z axis has |x| equal to its coordinate, bit for bit
+    for r in rs:
+        e, h = eval_field_many(sol, [[0.0, 0.0, r]])
+        e1, h1 = eval_field_many(sol, [[0.0, 0.0, r], [0.0, 0.0, r]], [0, 1])
+        assert np.array_equal(e1[1], e[0]) and np.array_equal(h1[1], h[0])
+
+
+def test_glued_eval_many_matches_single_point_reflections():
+    sol, med = _dcm_solution(1e-3)
+    f, g = dcm_maps(med)
+    glued = remove_localized_singularity(sol, f, g)
+    refl1 = reflect_solution(sol, f)
+    refl2 = reflect_solution(refl1, g)
+    rng = np.random.default_rng(5)
+    radii = np.concatenate([rng.uniform(1.2, 1.9, 4), rng.uniform(2.1, 3.9, 6),
+                            rng.uniform(4.1, 6.0, 4)])
+    ys = radii[:, None] * _directions(rng, len(radii))
+    e, h = glued.eval_many(ys)
+    for y, r, ey, hy in zip(ys, radii, e, h):
+        if r > glued.r3:
+            want = eval_field(sol, y)
+        elif r > glued.r2:
+            want = [a - b + c for a, b, c in zip(eval_field(sol, y), refl1(y), refl2(y))]
+        else:
+            want = refl2(y)
+        for got, ref in zip((ey, hy), want):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
