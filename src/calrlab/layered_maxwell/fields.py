@@ -30,28 +30,32 @@ def mode_radial_components(reg: RegionSpec, pol: str, coeffs: RegionCoeffs,
     coefficients of Y xhat, Utilde, Vtilde in the expansion of E and H.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    return _radial_components(reg, pol, n, r, omega, *coeffs.radial(r))
+    return _radial_components(pol, _prefactors(reg, pol, n, omega), r,
+                              *coeffs.radial(r))
 
 
-def _radial_components(reg: RegionSpec, pol: str, n: int, r: np.ndarray,
-                       omega: float, u, du):
-    """`mode_radial_components` from u(r) and du/dr at an array of radii."""
+def _prefactors(reg: RegionSpec, pol: str, n: int, omega: float):
+    """The region's factors of u/r and of u' + u/r in `_radial_components`:
+    those of H_Y and H_U for TE, of E_Y and E_U for TM (Python scalars)."""
+    root = math.sqrt(n * (n + 1.0))
+    if pol == TE:
+        return 1j * root / (omega * reg.mu_rad), 1j / (omega * reg.mu_tan)
+    return -1j * root / (omega * reg.eps_rad), -1j / (omega * reg.eps_tan)
+
+
+def _radial_components(pol: str, prefactors, r: np.ndarray, u, du):
+    """`mode_radial_components` from the `_prefactors` (scalars, or arrays
+    with one value per radius), u(r) and du/dr at an array of radii."""
     inv_r = 1.0 / r
     curlish = (du + u * inv_r).to_complex()
     uval = u.to_complex()
-    root = math.sqrt(n * (n + 1.0))
     zero = np.zeros_like(uval)
+    rad, tan = prefactors
+    radial = rad * uval * inv_r
+    tangential = tan * curlish
     if pol == TE:
-        e_y, e_u, e_v = zero, zero, uval
-        h_y = 1j * root / (omega * reg.mu_rad) * uval * inv_r
-        h_u = 1j / (omega * reg.mu_tan) * curlish
-        h_v = zero
-    else:
-        h_y, h_u, h_v = zero, zero, uval
-        e_y = -1j * root / (omega * reg.eps_rad) * uval * inv_r
-        e_u = -1j / (omega * reg.eps_tan) * curlish
-        e_v = zero
-    return e_y, e_u, e_v, h_y, h_u, h_v
+        return zero, zero, uval, radial, tangential, zero
+    return radial, tangential, zero, zero, zero, uval
 
 
 def eval_field_many(sol: FieldSolution, points,
@@ -99,8 +103,9 @@ def eval_field_many(sol: FieldSolution, points,
                 if bk not in bases:
                     bases[bk] = coeffs.basis(rsub, gsub)
                 comps[ck] = _radial_components(
-                    rsolve.regions[idx], key.pol, key.n, rsub, sol.omega,
-                    *coeffs.combine(bases[bk]))
+                    key.pol, _prefactors(rsolve.regions[idx], key.pol, key.n,
+                                         sol.omega),
+                    rsub, *coeffs.combine(bases[bk]))
             e_y, e_u, e_v, h_y, h_u, h_v = comps[ck]
             rad, grad, rot = (v[sel] for v in triple)
             e_out[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad

@@ -3,6 +3,14 @@
 Vector-harmonic orthonormality collapses every angular integral, so L2 norms
 over annuli reduce to 1-D radial quadratures of the six component functions,
 and the far-field power to a closed-form sum over outgoing coefficients.
+
+Each norm is one `adaptive_gauss` call over all of its intervals (the
+staircase segments of an annulus, or the lossy layers): every interval
+doubles its panels and tests its convergence on its own, and each level
+evaluates the panels of every interval still running in one integrand call.
+The modal density evaluates those rows together, one Bessel sweep per order
+and basis, and gives every row the bits of a call on that row alone, so a
+norm is the same float as the sum of separate one-interval quadratures.
 """
 from __future__ import annotations
 
@@ -11,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..specfun.bessel import log_dfact_minus
+from ..specfun.bessel import hat_h1, hat_jy, log_dfact_minus
+from ..specfun.scaled import ScaledArray
 from ..specfun.vsh import gauss_legendre
 from .modes import TE
 from .solver import FieldSolution, RegionCoeffs
-from .fields import eval_field, mode_radial_components, _radial_components
+from .fields import eval_field, mode_radial_components, _prefactors, _radial_components
 
 _LN10 = math.log(10.0)
 # Gauss-Legendre nodes per panel, and the relative agreement of two
@@ -32,40 +41,74 @@ def _panel_nodes(a: float, b: float, panels: int, nodes: np.ndarray):
     return mid[:, None] + half[:, None] * nodes, half
 
 
-def adaptive_gauss(fn, a: float, b: float, max_doublings: int = 10) -> float:
-    """Panel-doubling Gauss-Legendre quadrature of a vectorized integrand.
+def adaptive_gauss(fn, a, b, max_doublings: int = 10) -> float:
+    """Panel-doubling Gauss-Legendre quadrature of a vectorized integrand
+    over [a, b], or over the intervals [a[i], b[i]] when a and b are
+    sequences.
 
-    fn gets a 2-d array of nodes, one row per panel, and must treat the rows
-    as independent evaluations.  Each estimate makes one call, except that
-    the first two, which every quadrature needs, share one.  Raises
-    RuntimeError when two successive estimates still differ by more than
+    Every interval doubles its own panels and stops on its own, once two
+    successive estimates agree to _REL_TOL.  fn gets a 2-d array of nodes,
+    one row per panel, and must treat the rows as independent evaluations.
+    Each level makes one call that stacks the rows of every interval still
+    running; the first two levels, which every interval needs, share one.
+    The result is the sum of the interval totals in interval order, the same
+    float as a sum of one-interval calls.  An interval with b <= a adds 0.
+    Raises ValueError for a non-finite end, and RuntimeError naming the
+    first interval whose last two estimates still differ by more than
     _REL_TOL after max_doublings doublings.
     """
-    if b <= a:
-        return 0.0
+    los = np.atleast_1d(np.asarray(a, dtype=float)).tolist()
+    his = np.atleast_1d(np.asarray(b, dtype=float)).tolist()
+    if len(los) != len(his):
+        raise ValueError("need as many interval starts as ends")
+    for lo, hi in zip(los, his):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"quadrature on [{lo}, {hi}] needs finite ends")
     nodes, weights = gauss_legendre(_GAUSS_ORDER)
-    x0, half0 = _panel_nodes(a, b, 1, nodes)
-    x1, half1 = _panel_nodes(a, b, 2, nodes)
-    first = fn(np.concatenate([x0, x1]))
-    prev = None
-    panels = 1
-    for _ in range(max_doublings + 1):
-        if panels == 1:
-            half, values = half0, first[:1]
-        elif panels == 2:
-            half, values = half1, first[1:]
+
+    def estimates(batch):
+        """One fn call over the panels of each (interval, panel count) in
+        batch; the estimate of each, in batch order."""
+        grids = [_panel_nodes(los[i], his[i], panels, nodes) for i, panels in batch]
+        values = iter(fn(np.concatenate([x for x, _ in grids])))
+        out = []
+        for _, half in grids:
+            total = 0.0
+            for h in half:
+                total += h * float(np.sum(weights * next(values)))
+            out.append(total)
+        return out
+
+    live = [i for i in range(len(los)) if his[i] > los[i]]
+    if not live:
+        return 0.0
+    first = estimates([(i, panels) for i in live for panels in (1, 2)])
+    early = (dict(zip(live, first[0::2])), dict(zip(live, first[1::2])))
+    totals = [0.0] * len(los)
+    prev = {}
+    for level in range(max_doublings + 1):
+        if not live:
+            break
+        if level < 2:
+            current = early[level]
         else:
-            x, half = _panel_nodes(a, b, panels, nodes)
-            values = fn(x)
-        total = 0.0
-        for h, row in zip(half, values):
-            total += h * float(np.sum(weights * row))
-        if prev is not None and abs(total - prev) <= _REL_TOL * max(abs(total), 1e-300):
-            return total
-        prev = total
-        panels *= 2
-    raise RuntimeError(f"quadrature on [{a}, {b}] not converged after "
-                       f"{max_doublings} doublings")
+            current = dict(zip(live, estimates([(i, 2 ** level) for i in live])))
+        running = []
+        for i in live:
+            total = current[i]
+            if i in prev and abs(total - prev[i]) <= _REL_TOL * max(abs(total), 1e-300):
+                totals[i] = total
+            else:
+                prev[i] = total
+                running.append(i)
+        live = running
+    if live:
+        raise RuntimeError(f"quadrature on [{los[live[0]]}, {his[live[0]]}] not "
+                           f"converged after {max_doublings} doublings")
+    result = 0.0
+    for total in totals:
+        result += total
+    return result
 
 
 def _mode_weights(sol: FieldSolution) -> dict:
@@ -87,54 +130,109 @@ def _segments(sols, a: float, b: float):
 _UNIT_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
 
 
-def _modal_density(terms, comp, omega: float):
-    """r -> r^2 sum over terms of w times the weighted squared components,
-    row by row over a 2-d array of radii.
+def _check_annulus(a: float, b: float) -> None:
+    if not (0 <= a < b and math.isfinite(b)):
+        raise ValueError(f"need 0 <= a < b < inf, not a = {a}, b = {b}")
 
-    `terms` holds one (w, region, pol, n, coefficients) per mode; `comp`
-    weighs |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2.
+
+def _piece(sol: FieldSolution, weights: dict, idx: int, comp=_UNIT_WEIGHTS):
+    """The density piece of region idx: (region, component weights, the
+    RegionCoeffs of each weighted (n, pol))."""
+    return (sol.regions[idx], comp,
+            {key: sol.radial[key].coeffs[idx] for key in weights})
+
+
+def _stacked(parts: list) -> ScaledArray:
+    """One-element ScaledArrays as one 1-d ScaledArray."""
+    return ScaledArray(np.array([p.m.item() for p in parts], dtype=complex),
+                       np.array([p.e.item() for p in parts], dtype=np.int64),
+                       normalize=False)
+
+
+def _modal_density(starts, pieces: list, weights: dict, omega: float):
+    """r -> r^2 sum over modes of w times the weighted squared components,
+    row by row over a 2-d array of radii whose rows lie in several intervals.
+
+    A row belongs to interval i, the last of the sorted `starts` at or below
+    its middle node.  pieces[i] = (region, comp, coeffs) holds that
+    interval's region, its weights of |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2
+    and |H_U|^2 + |H_V|^2, and the RegionCoeffs of each (n, pol) of
+    `weights`, which maps (n, pol) to w.
+
+    Per mode, the rows of all intervals whose coefficients share an order
+    and basis make one Bessel call, one group per row; TE and TM share it
+    where their orders and wavenumbers agree.  Wavenumbers, coefficients,
+    the region prefactors (Python scalars per region) and the component
+    weights are gathered to the nodes as arrays, and every product keeps its
+    operand order, so each row gets exactly the values of a call on that row
+    alone.
     """
-    ey_w, et_w, hy_w, ht_w = comp
+    starts = np.asarray(starts, dtype=float)
+    comp = np.array([p[1] for p in pieces], dtype=float).T.copy()
+    modes = []
+    split = {}      # each wavenumber split once, as a product by a scalar splits it
+    for (n, pol), w in weights.items():
+        coeffs = [p[2][(n, pol)] for p in pieces]
+        rad, tan = zip(*(_prefactors(p[0], pol, n, omega) for p in pieces))
+        for c in coeffs:
+            if c.k not in split:
+                split[c.k] = ScaledArray.from_complex(c.k)
+        stacked = [_stacked([split[c.k] for c in coeffs]),
+                   _stacked([c.c_j for c in coeffs]), _stacked([c.c_y for c in coeffs])]
+        sets = {}
+        for i, c in enumerate(coeffs):
+            sets.setdefault((c.nu, c.outgoing), []).append(i)
+        bases = []
+        for (nu, outgoing), members in sets.items():
+            in_set = np.zeros(len(pieces), dtype=bool)
+            in_set[members] = True
+            key = (nu, outgoing, tuple(members), tuple(coeffs[i].k for i in members))
+            bases.append((key, in_set))
+        modes.append((pol, w, np.array(rad), np.array(tan),
+                      np.array([c.k for c in coeffs]), stacked, bases))
 
     def density(rows):
-        # each row is one independent evaluation (a quadrature panel)
         rows = np.atleast_2d(rows)
-        groups = np.repeat(np.arange(rows.shape[0]), rows.shape[1])
+        order = rows.shape[1]
+        owner = np.repeat(np.searchsorted(starts, rows[:, order // 2], side="right") - 1,
+                          order)
+        groups = np.repeat(np.arange(rows.shape[0]), order)
         r = rows.reshape(-1)
+        ey_w, et_w, hy_w, ht_w = comp[:, owner]
         out = np.zeros_like(r, dtype=float)
-        bases = {}      # modes of equal order and wavenumber share a basis
-        for w, reg, pol, n, coeffs in terms:
-            bk = (coeffs.nu, coeffs.k, coeffs.outgoing)
-            if bk not in bases:
-                bases[bk] = coeffs.basis(r, groups)
-            e_y, e_u, e_v, h_y, h_u, h_v = _radial_components(
-                reg, pol, n, r, omega, *coeffs.combine(bases[bk]))
-            e_sq = (ey_w * np.abs(e_y) ** 2
-                    + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
-            h_sq = (hy_w * np.abs(h_y) ** 2
-                    + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
-            out += w * (e_sq + h_sq)
+        cache = {}      # modes of equal order and wavenumbers share a basis
+        for pol, w, rad, tan, k, (k_split, c_j, c_y), bases in modes:
+            for key, in_set in bases:
+                sel = in_set[owner]
+                if not sel.any():
+                    continue
+                at, rs = owner[sel], r[sel]
+                if key not in cache:
+                    nu, outgoing = key[:2]
+                    z = k[at] * rs.astype(complex)
+                    cache[key] = (hat_h1 if outgoing else hat_jy)(nu, z, groups[sel])
+                node = RegionCoeffs(nu=key[0], k=k_split[at], c_j=c_j[at],
+                                    c_y=c_y[at], outgoing=key[1])
+                e_y, e_u, e_v, h_y, h_u, h_v = _radial_components(
+                    pol, (rad[at], tan[at]), rs, *node.combine(cache[key]))
+                e_sq = (ey_w[sel] * np.abs(e_y) ** 2
+                        + et_w[sel] * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
+                h_sq = (hy_w[sel] * np.abs(h_y) ** 2
+                        + ht_w[sel] * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
+                out[sel] += w * (e_sq + h_sq)
         return (out * r * r).reshape(rows.shape)
 
     return density
 
 
-def _region_terms(sol: FieldSolution, weights: dict, idx: int) -> list:
-    """One density term per (n, pol) of sol, in region idx."""
-    return [(w, sol.regions[idx], pol, n, sol.radial[(n, pol)].coeffs[idx])
-            for (n, pol), w in weights.items()]
-
-
 def l2_norm_annulus(sol: FieldSolution, a: float, b: float) -> float:
     """Exact modal L2 norm of (E, H) over a < |x| < b."""
-    if not (0 <= a < b):
-        raise ValueError("need 0 <= a < b")
+    _check_annulus(a, b)
     weights = _mode_weights(sol)
-    total = 0.0
-    for lo, hi in _segments([sol], a, b):
-        terms = _region_terms(sol, weights, sol.region_index(0.5 * (lo + hi)))
-        density = _modal_density(terms, _UNIT_WEIGHTS, sol.omega)
-        total += adaptive_gauss(density, lo, hi)
+    los, his = zip(*_segments([sol], a, b))
+    pieces = [_piece(sol, weights, sol.region_index(0.5 * (lo + hi)))
+              for lo, hi in zip(los, his)]
+    total = adaptive_gauss(_modal_density(los, pieces, weights, sol.omega), los, his)
     return math.sqrt(max(total, 0.0))
 
 
@@ -145,29 +243,30 @@ def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
     Valid where both media agree (used in vacuum observation regions);
     the sources must carry identical amplitude tables.
     """
+    _check_annulus(a, b)
     if set(sol_a.amplitudes) != set(sol_b.amplitudes):
         raise ValueError("difference norm needs identical source tables")
     for key, amp in sol_a.amplitudes.items():
         if abs(amp - sol_b.amplitudes[key]) > 1e-14 * max(1.0, abs(amp)):
             raise ValueError("difference norm needs identical source tables")
     weights = _mode_weights(sol_a)
-    total = 0.0
-    for lo, hi in _segments([sol_a, sol_b], a, b):
+    los, his = zip(*_segments([sol_a, sol_b], a, b))
+    pieces = []
+    for lo, hi in zip(los, his):
         mid = 0.5 * (lo + hi)
         ia, ib = sol_a.region_index(mid), sol_b.region_index(mid)
         rega, regb = sol_a.regions[ia], sol_b.regions[ib]
         for attr in ("eps_rad", "eps_tan", "mu_rad", "mu_tan"):
             if abs(getattr(rega, attr) - getattr(regb, attr)) > 1e-12:
                 raise ValueError("media differ on the comparison annulus")
-        terms = []
-        for (n, pol), w in weights.items():
-            ca = sol_a.radial[(n, pol)].coeffs[ia].as_jy()
-            cb = sol_b.radial[(n, pol)].coeffs[ib].as_jy()
-            diff = RegionCoeffs(nu=ca.nu, k=ca.k, c_j=ca.c_j - cb.c_j,
-                                c_y=ca.c_y - cb.c_y)
-            terms.append((w, rega, pol, n, diff))
-        density = _modal_density(terms, _UNIT_WEIGHTS, sol_a.omega)
-        total += adaptive_gauss(density, lo, hi)
+        coeffs = {}
+        for key in weights:
+            ca = sol_a.radial[key].coeffs[ia].as_jy()
+            cb = sol_b.radial[key].coeffs[ib].as_jy()
+            coeffs[key] = RegionCoeffs(nu=ca.nu, k=ca.k, c_j=ca.c_j - cb.c_j,
+                                       c_y=ca.c_y - cb.c_y)
+        pieces.append((rega, _UNIT_WEIGHTS, coeffs))
+    total = adaptive_gauss(_modal_density(los, pieces, weights, sol_a.omega), los, his)
     return math.sqrt(max(total, 0.0))
 
 
@@ -232,17 +331,20 @@ def _source_pairing(sol: FieldSolution) -> complex:
 def _lossy_weighted_norm_sq(sol: FieldSolution, delta: float) -> float:
     """omega^2/delta * int of Im(coef)-weighted squared components over lossy layers."""
     weights = _mode_weights(sol)
-    total = 0.0
+    layers, pieces = [], []
     for i, reg in enumerate(sol.regions):
         ims = (reg.eps_rad.imag, reg.eps_tan.imag, reg.mu_rad.imag, reg.mu_tan.imag)
         if max(ims) <= 0:
             continue
         if math.isinf(reg.r_hi):
             raise ValueError("lossy exterior is not supported")
-        comp = tuple(v / delta for v in ims)
-        density = _modal_density(_region_terms(sol, weights, i), comp, sol.omega)
-        total += adaptive_gauss(density, reg.r_lo, reg.r_hi)
-    return sol.omega ** 2 * total
+        layers.append((reg.r_lo, reg.r_hi))
+        pieces.append(_piece(sol, weights, i, tuple(v / delta for v in ims)))
+    if not layers:
+        return 0.0
+    los, his = zip(*layers)
+    density = _modal_density(los, pieces, weights, sol.omega)
+    return sol.omega ** 2 * adaptive_gauss(density, los, his)
 
 
 def data_quantity(sol: FieldSolution, delta: float) -> DataReport:

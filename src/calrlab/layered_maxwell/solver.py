@@ -119,12 +119,17 @@ class RegionCoeffs:
         return hat_jy(self.nu, z, groups)
 
     def combine(self, b: dict) -> tuple[ScaledArray, ScaledArray]:
-        """u and du/dr from the basis values b of `basis`."""
+        """u and du/dr from the basis values b of `basis`.
+
+        k multiplies from the right, so it may also be a ScaledArray of one
+        split wavenumber per radius (see `norms`); either way the product
+        has the bits of a scalar k.
+        """
         if self.outgoing:
-            return self.c_y * b["h"], self.k * (self.c_y * b["dh"])
+            return self.c_y * b["h"], (self.c_y * b["dh"]) * self.k
         u = self.c_j * b["j"] + self.c_y * b["y"]
         du = self.c_j * b["dj"] + self.c_y * b["dy"]
-        return u, self.k * du
+        return u, du * self.k
 
     def as_jy(self) -> "RegionCoeffs":
         """Rewrite an outgoing coefficient on the (jhat, yhat) basis.

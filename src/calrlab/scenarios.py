@@ -469,7 +469,8 @@ def scenario_params(name: str, params: dict) -> dict:
     """The scenario's defaults updated by params.
 
     Raises ValueError for a key the defaults lack, a value of another type
-    than its default, an empty list, an interval, window, radius triple or
+    than its default, a number or list entry that is not finite (JSON NaN
+    or Infinity), an empty list, an interval, window, radius triple or
     `object` of another length than its default, a `radius_grid` of fewer
     than 3 radii, radii that are not positive or do not increase strictly, a
     loss value that is not positive, fewer than two distinct `deltas` where a
@@ -484,6 +485,9 @@ def scenario_params(name: str, params: dict) -> dict:
         if not _same_kind(value, defaults[key]):
             raise ValueError(f"param {key!r} must have the type of its default "
                              f"{defaults[key]!r}")
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"param {key!r} must be finite, not {value!r}")
         if isinstance(value, list):
             _check_list(key, value, defaults[key])
     deltas = params.get("deltas")

@@ -1,5 +1,6 @@
 """CLI round trip: config validation, exit codes, deterministic output."""
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,27 @@ def test_bad_list_param_exit_config(tmp_path, capsys, scenario, params):
     (key,) = params
     assert capsys.readouterr().err.count(f"'{key}'") == 2
 
+
+
+@pytest.mark.parametrize("scenario, params, key", [
+    ("blowup_scan", {"r_s": math.nan}, "r_s"),
+    ("blowup_scan", {"omega": math.inf}, "omega"),
+    ("blowup_scan", {"deltas": [1e-2, math.inf]}, "deltas"),
+    ("dcm_convergence", {"annulus": [4.0, math.inf], "n_src": 1, "layers": 8,
+                         "deltas": [1e-2, 1e-3]}, "annulus"),
+    ("superlens", {"object": [2.0, -math.inf, 2.0, 0.0]}, "object"),
+], ids=["scalar-nan", "scalar-inf", "list-inf", "annulus-inf", "list-minus-inf"])
+def test_non_finite_param_exit_config(tmp_path, capsys, scenario, params, key):
+    # JSON NaN and Infinity parse as floats of the right type; they are
+    # rejected before any work, with a message that names the param
+    cfg = _write_config(tmp_path, "nonfinite.json", scenario, params,
+                        tmp_path / "outn")
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "outn").exists()
+    err = capsys.readouterr().err
+    assert err.count(f"param '{key}' must be finite") == 2
 
 def test_every_scenario_default_passes_its_checks():
     for name, sc in SCENARIOS.items():

@@ -1,8 +1,11 @@
 """Modal norms, far-field flux, Data functional, and the energy identity."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calrlab.layered_maxwell import (
     SurfaceCurrentSource,
@@ -14,6 +17,7 @@ from calrlab.layered_maxwell import (
     l2_norm_annulus,
     l2_norm_annulus_diff,
     mode,
+    mode_radial_components,
     second_order_residual,
     solve,
     staircase,
@@ -221,24 +225,161 @@ def test_adaptive_gauss_evaluates_the_first_two_estimates_in_one_call():
     assert shapes == [(3, 16), (4, 16), (8, 16)]
 
 
+def _one_interval_reference(fn, a, b, max_doublings=10):
+    """The single-interval panel doubling the quadrature has always done:
+    one estimate per doubling, stop when two successive ones agree."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    prev, panels = None, 1
+    for _ in range(max_doublings + 1):
+        edges = np.linspace(a, b, panels + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        total = 0.0
+        for h, row in zip(half, fn(mid[:, None] + half[:, None] * nodes)):
+            total += h * float(np.sum(weights * row))
+        if prev is not None and abs(total - prev) <= 1e-8 * max(abs(total), 1e-300):
+            return total
+        prev, panels = total, 2 * panels
+    raise RuntimeError("not converged")
+
+
+def _mixed(x):
+    # smooth on [0, 1]; oscillatory past 1, so it needs more doublings there
+    return np.where(x < 1.0, np.exp(x) * x * x, np.cos(200.0 * x) + x)
+
+
+@pytest.mark.parametrize("fn, a, b", [
+    (lambda x: x * x, 0.0, 1.0),
+    (lambda x: np.exp(-x) * np.sin(7.0 * x), 0.3, 4.1),
+    (_mixed, 0.0, 1.0),
+    (_mixed, 1.0, 2.5),
+])
+def test_adaptive_gauss_one_interval_keeps_its_bits(fn, a, b):
+    want = _one_interval_reference(fn, a, b)
+    assert adaptive_gauss(fn, a, b) == want
+    assert adaptive_gauss(fn, [a], [b]) == want
+
+
+def test_adaptive_gauss_intervals_converge_on_their_own():
+    shapes = []
+
+    def fn(x):
+        shapes.append((x.shape, bool(np.all(x >= 1.0))))
+        return _mixed(x)
+
+    los, his = [0.0, 0.5, 1.0], [0.5, 1.0, 2.5]
+    together = adaptive_gauss(fn, los, his)
+    calls = len(shapes)
+    separate = 0.0
+    for lo, hi in zip(los, his):
+        separate += adaptive_gauss(_mixed, lo, hi)
+    assert together == separate
+    # the first call holds one and two panels of every interval; the smooth
+    # intervals stop there, so every later call holds only the third
+    # interval's rows, one doubling per call
+    assert shapes[0] == ((9, 16), False)
+    assert calls > 4
+    assert shapes[1:] == [((2 ** level, 16), True) for level in range(2, calls + 1)]
+
+
+def test_adaptive_gauss_skips_empty_and_rejects_non_finite_intervals():
+    f = lambda x: np.exp(x)       # noqa: E731
+    assert adaptive_gauss(f, [0.0, 2.0, 1.0], [1.0, 2.0, 2.0]) == \
+        adaptive_gauss(f, 0.0, 1.0) + adaptive_gauss(f, 1.0, 2.0)
+    assert adaptive_gauss(f, 1.0, 0.0) == 0.0
+    for a, b in ((0.0, math.inf), (math.nan, 1.0), ([0.0, 1.0], [1.0, math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_gauss(f, a, b)
+
+
+def test_adaptive_gauss_names_the_interval_that_did_not_converge():
+    with pytest.raises(RuntimeError, match=r"quadrature on \[1\.0, 2\.5\] not converged"):
+        adaptive_gauss(_mixed, [0.0, 1.0], [1.0, 2.5], max_doublings=2)
+
+
+def test_norms_reject_non_finite_annulus():
+    sol = solve(vacuum_medium(), _mixed_source(n_hi=1), 1.0)
+    for a, b in ((1.0, math.inf), (1.0, math.nan), (math.nan, 2.0)):
+        with pytest.raises(ValueError, match="need 0 <= a < b < inf"):
+            l2_norm_annulus(sol, a, b)
+        with pytest.raises(ValueError, match="need 0 <= a < b < inf"):
+            l2_norm_annulus_diff(sol, sol, a, b)
+
+
 def test_modal_density_rows_match_separate_calls():
-    # the quadrature evaluates every panel of an estimate in one call; each
-    # row must get exactly the values of a call on that row alone.  At
-    # omega = 3 the rows below straddle the series/Miller switch at |kr| = 8.
-    from calrlab.layered_maxwell.norms import (
-        _UNIT_WEIGHTS, _modal_density, _mode_weights, _region_terms)
-    sol = solve(vacuum_medium(), _mixed_source(), 3.0)
+    # a quadrature evaluates the panels of all its intervals in one call;
+    # each row must get exactly the values of a call on that row alone, and
+    # of a density over that row's interval alone.  The rows below lie in
+    # two lossy shell layers (their own k and component weights, hat_jy),
+    # the vacuum on both sides of the series/Miller switch at |kr| = 8
+    # (omega = 3), and the outgoing exterior (hat_h1).  The layers' loss
+    # weights are scaled by two different deltas, so no two pieces share
+    # their component weights.
+    from calrlab.layered_maxwell.norms import _modal_density, _mode_weights, _piece
+    med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 8)
+    sol = solve(med, _mixed_source(), 3.0)
     weights = _mode_weights(sol)
+    intervals = [(1.25, 1.375), (1.5, 1.625), (2.0, 2.6), (3.0, 4.5), (5.5, 7.0)]
+    pieces = []
+    for (lo, hi), scale in zip(intervals, (3e-2, 7e-2, None, None, None)):
+        idx = sol.region_index(0.5 * (lo + hi))
+        reg = sol.regions[idx]
+        ims = (reg.eps_rad.imag, reg.eps_tan.imag, reg.mu_rad.imag, reg.mu_tan.imag)
+        comp = (1.0, 1.0, 1.0, 1.0) if scale is None else tuple(v / scale for v in ims)
+        pieces.append(_piece(sol, weights, idx, comp))
+    assert [p[2][(1, "TE")].outgoing for p in pieces] == [False] * 4 + [True]
+    assert len({p[1] for p in pieces}) == 3
+    assert pieces[0][2][(1, "TE")].k != pieces[1][2][(1, "TE")].k
+    los = [lo for lo, _ in intervals]
+    density = _modal_density(los, pieces, weights, sol.omega)
     nodes = np.polynomial.legendre.leggauss(16)[0]
-    for lo, hi in ((2.0, 4.0), (5.5, 7.5)):
-        terms = _region_terms(sol, weights, sol.region_index(0.5 * (lo + hi)))
-        density = _modal_density(terms, _UNIT_WEIGHTS, sol.omega)
+    rows, owner = [], []
+    for i, (lo, hi) in enumerate(intervals):
         half = (hi - lo) / 6
-        rows = np.array([lo + half * (2 * i + 1) + half * nodes for i in range(3)])
-        together = density(rows)
-        assert together.shape == rows.shape
-        for row, value in zip(rows, together):
-            assert np.array_equal(density(row[None, :])[0], value)
+        rows += [lo + half * (2 * j + 1) + half * nodes for j in range(3)]
+        owner += [i] * 3
+    rows = np.array(rows)
+    together = density(rows)
+    assert together.shape == rows.shape
+    for row, i, value in zip(rows, owner, together):
+        alone = _modal_density([los[i]], [pieces[i]], weights, sol.omega)
+        assert np.array_equal(density(row[None, :])[0], value)
+        assert np.array_equal(alone(row[None, :])[0], value)
+        assert np.array_equal(_density_one_region(sol, weights, pieces[i], row), value)
+
+
+def _density_one_region(sol, weights, piece, r):
+    """The density on radii of one region from the public per-mode
+    components, with that region's scalar coefficients and prefactors."""
+    reg, (ey_w, et_w, hy_w, ht_w), coeffs = piece
+    out = np.zeros_like(r)
+    for (n, pol), w in weights.items():
+        e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
+            reg, pol, coeffs[(n, pol)], n, r, sol.omega)
+        e_sq = ey_w * np.abs(e_y) ** 2 + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2)
+        h_sq = hy_w * np.abs(h_y) ** 2 + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2)
+        out += w * (e_sq + h_sq)
+    return out * r * r
+
+
+# A norm must not depend on where its annulus is cut: the batched segments
+# of [a, c] against those of [a, b] and [b, c], for split points inside
+# and across the layers of a 16-layer lossy DCM shell (1 < r < 2) and the
+# vacuum beyond.  Derandomized, so every run draws the same examples.
+@functools.lru_cache(maxsize=None)
+def _lossy_dcm_solution():
+    med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 16)
+    return solve(med, _mixed_source(n_hi=2), 1.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(a=st.floats(0.5, 2.4), width=st.floats(0.02, 1.5), t=st.floats(0.01, 0.99))
+def test_norm_is_additive_over_any_split(a, width, t):
+    sol = _lossy_dcm_solution()
+    c = a + width
+    b = a + t * width
+    whole = l2_norm_annulus(sol, a, c) ** 2
+    parts = l2_norm_annulus(sol, a, b) ** 2 + l2_norm_annulus(sol, b, c) ** 2
+    assert parts == pytest.approx(whole, rel=1e-12, abs=0.0)
 
 
 def test_exterior_bound_across_wide_delta_range():
