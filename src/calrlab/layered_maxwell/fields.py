@@ -1,12 +1,14 @@
 """Pointwise field evaluation, reflected fields, and the singularity-removing glue.
 
-`eval_field_many` takes integer `groups`, one label per point, to evaluate
-several point sets at once: every region runs one Bessel sweep per order
-and wavenumber over all of its points, grouped by label as in `sph_jy`, and
-each set gets exactly the bits of a call on its points alone.  A gluing
-residual report uses this to evaluate all of its point sets (both gluing
-spheres, the finite-difference stencil and its centres, raw and reflected)
-in a single call.
+One kernel, `_components`, evaluates the six radial components of every
+(n, pol) mode at many radii spread over several regions; both
+`eval_field_many` and the annulus norms of `calrlab.layered_maxwell.norms`
+are built on it.  Its Bessel calls are grouped by integer labels as in
+`sph_jy`, so each group gets exactly the bits of a call on its radii alone.
+`eval_field_many` groups by (region, point label): a gluing residual report
+uses the labels to evaluate all of its point sets (both gluing spheres, the
+finite-difference stencil and its centres, raw and reflected) in one call.
+The norms group by quadrature panel.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ import numpy as np
 
 from ..media.maps import SmoothMap
 from ..media.pushforward import push_forward_tensor
+from ..specfun.bessel import hat_h1, hat_jy
+from ..specfun.scaled import ScaledArray
 from ..specfun.vsh import VshStream, sphere_rule
 from .modes import TE, h_jump_factor
 from .solver import FieldSolution, RegionCoeffs, RegionSpec
@@ -58,17 +62,76 @@ def _radial_components(pol: str, prefactors, r: np.ndarray, u, du):
     return radial, tangential, zero, zero, zero, uval
 
 
+def _stacked(parts: list) -> ScaledArray:
+    """One-element ScaledArrays as one 1-d ScaledArray."""
+    return ScaledArray(np.array([p.m.item() for p in parts], dtype=complex),
+                       np.array([p.e.item() for p in parts], dtype=np.int64),
+                       normalize=False)
+
+
+def _components(pieces: list, omega: float):
+    """The radial components of every (n, pol) at radii spread over pieces,
+    each piece a (region, {(n, pol): RegionCoeffs}) pair with the same keys.
+
+    Returns evaluate(owner, r, groups), which takes radii r, the piece of
+    each and integer Bessel group labels, none shared by two pieces, and
+    yields ((n, pol), sel, the six arrays of `mode_radial_components` at
+    r[sel]) in key order, once per set of pieces whose coefficients share an
+    order and basis.  Each set makes one `hat_jy`/`hat_h1` call grouped by
+    `groups`, shared by keys of equal orders and wavenumbers.  Wavenumbers,
+    coefficients and prefactors are gathered to the radii as arrays, and
+    every product keeps its operand order, so each group gets exactly the
+    values of `mode_radial_components` on its radii alone.
+    """
+    modes = []
+    split = {}      # each wavenumber split once, as a product by a scalar splits it
+    for n, pol in pieces[0][1] if pieces else ():
+        coeffs = [c[(n, pol)] for _, c in pieces]
+        for c in coeffs:
+            if c.k not in split:
+                split[c.k] = ScaledArray.from_complex(c.k)
+        stacked = [_stacked([split[c.k] for c in coeffs]),
+                   _stacked([c.c_j for c in coeffs]), _stacked([c.c_y for c in coeffs])]
+        bases = []
+        for basis in dict.fromkeys((c.nu, c.outgoing) for c in coeffs):
+            in_set = np.array([(c.nu, c.outgoing) == basis for c in coeffs])
+            bases.append((basis + tuple((i, c.k) for i, c in enumerate(coeffs)
+                                        if in_set[i]), in_set))
+        prefactors = np.array([_prefactors(reg, pol, n, omega) for reg, _ in pieces])
+        modes.append(((n, pol), prefactors.T, np.array([c.k for c in coeffs]),
+                      stacked, bases))
+
+    def evaluate(owner, r, groups):
+        cache = {}      # keys of equal order and wavenumbers share a basis
+        for (n, pol), (rad, tan), k, (k_split, c_j, c_y), bases in modes:
+            for key, in_set in bases:
+                sel = in_set[owner]
+                if not sel.any():
+                    continue
+                at, rs = owner[sel], r[sel]
+                nu, outgoing = key[:2]
+                if key not in cache:
+                    z = k[at] * rs.astype(complex)
+                    cache[key] = (hat_h1 if outgoing else hat_jy)(nu, z, groups[sel])
+                node = RegionCoeffs(nu=nu, k=k_split[at], c_j=c_j[at], c_y=c_y[at],
+                                    outgoing=outgoing)
+                yield (n, pol), sel, _radial_components(
+                    pol, (rad[at], tan[at]), rs, *node.combine(cache[key]))
+
+    return evaluate
+
+
 def eval_field_many(sol: FieldSolution, points,
                     groups=None) -> tuple[np.ndarray, np.ndarray]:
     """(E, H) at an (N, 3) array of points; on a breakpoint the inside
     region is used.
 
-    Each region's modes of equal order and wavenumber share one Bessel sweep
-    over the region's points, and the angular triples are streamed one
-    (n, m) at a time.  `groups` (integer labels, one per point) evaluates
-    several point sets in one call: the sweeps are grouped by label (see
-    `sph_jy`) and every other step is elementwise, so each set gets exactly
-    the values of a call on its points alone.
+    The radial components come from one `_components` kernel over the
+    regions the points reach, one Bessel group per (region, label) pair, and
+    the angular triples are streamed one (n, m) at a time.  `groups`
+    (integer labels, one per point) evaluates several point sets in one
+    call; every other step is elementwise, so each set gets exactly the
+    values of a call on its points alone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.linalg.norm(pts, axis=1)
@@ -76,37 +139,25 @@ def eval_field_many(sol: FieldSolution, points,
         raise ValueError("evaluation requires |x| > 0")
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    if groups is not None:
-        groups = np.asarray(groups)
-    region_of = sol.region_indices(r)
-    regions = []
-    for idx in np.unique(region_of):
-        sel = region_of == idx
-        regions.append((idx, sel, r[sel], None if groups is None else groups[sel]))
+    used, owner = np.unique(sol.region_indices(r), return_inverse=True)
+    labels = np.zeros(len(r), dtype=int) if groups is None else np.asarray(groups)
+    _, bessel_groups = np.unique(np.stack([owner, labels], axis=1), axis=0,
+                                 return_inverse=True)
+    pieces = [(sol.regions[i], {key: rs.coeffs[i] for key, rs in sol.radial.items()})
+              for i in used]
+    comps = {key: [] for key in sol.radial}
+    for key, sel, c in _components(pieces, sol.omega)(owner, r, bessel_groups.reshape(-1)):
+        comps[key].append((sel, c))
     angular = VshStream(sol.n_max, theta, phi)
     e_out = np.zeros((len(pts), 3), dtype=complex)
     h_out = np.zeros((len(pts), 3), dtype=complex)
-    comps = {}
-    bases = {}      # modes of equal order and wavenumber share a basis
     nm = triple = None
     for key, amp in sol.amplitudes.items():
         if (key.n, key.m) != nm:
             nm = (key.n, key.m)
             triple = angular(key.n, key.m)
         mult = amp * h_jump_factor(key.pol)
-        rsolve = sol.radial[(key.n, key.pol)]
-        for idx, sel, rsub, gsub in regions:
-            ck = (idx, key.n, key.pol)
-            if ck not in comps:
-                coeffs = rsolve.coeffs[idx]
-                bk = (idx, coeffs.nu, coeffs.k, coeffs.outgoing)
-                if bk not in bases:
-                    bases[bk] = coeffs.basis(rsub, gsub)
-                comps[ck] = _radial_components(
-                    key.pol, _prefactors(rsolve.regions[idx], key.pol, key.n,
-                                         sol.omega),
-                    rsub, *coeffs.combine(bases[bk]))
-            e_y, e_u, e_v, h_y, h_u, h_v = comps[ck]
+        for sel, (e_y, e_u, e_v, h_y, h_u, h_v) in comps[(key.n, key.pol)]:
             rad, grad, rot = (v[sel] for v in triple)
             e_out[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad
                                   + e_v[:, None] * rot)

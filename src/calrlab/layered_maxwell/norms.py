@@ -8,8 +8,9 @@ Each norm is one `adaptive_gauss` call over all of its intervals (the
 staircase segments of an annulus, or the lossy layers): every interval
 doubles its panels and tests its convergence on its own, and each level
 evaluates the panels of every interval still running in one integrand call.
-The modal density evaluates those rows together, one Bessel sweep per order
-and basis, and gives every row the bits of a call on that row alone, so a
+The modal density takes the components of those rows from the radial
+kernel that field evaluation uses (`fields._components`), with one Bessel
+group per row, so every row gets the bits of a call on that row alone and a
 norm is the same float as the sum of separate one-interval quadratures.
 """
 from __future__ import annotations
@@ -19,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..specfun.bessel import hat_h1, hat_jy, log_dfact_minus
-from ..specfun.scaled import ScaledArray
+from ..specfun.bessel import log_dfact_minus
 from ..specfun.vsh import gauss_legendre
 from .modes import TE
 from .solver import FieldSolution, RegionCoeffs
-from .fields import eval_field, mode_radial_components, _prefactors, _radial_components
+from .fields import _components, eval_field
 
 _LN10 = math.log(10.0)
 # Gauss-Legendre nodes per panel, and the relative agreement of two
@@ -142,13 +142,6 @@ def _piece(sol: FieldSolution, weights: dict, idx: int, comp=_UNIT_WEIGHTS):
             {key: sol.radial[key].coeffs[idx] for key in weights})
 
 
-def _stacked(parts: list) -> ScaledArray:
-    """One-element ScaledArrays as one 1-d ScaledArray."""
-    return ScaledArray(np.array([p.m.item() for p in parts], dtype=complex),
-                       np.array([p.e.item() for p in parts], dtype=np.int64),
-                       normalize=False)
-
-
 def _modal_density(starts, pieces: list, weights: dict, omega: float):
     """r -> r^2 sum over modes of w times the weighted squared components,
     row by row over a 2-d array of radii whose rows lie in several intervals.
@@ -157,39 +150,13 @@ def _modal_density(starts, pieces: list, weights: dict, omega: float):
     its middle node.  pieces[i] = (region, comp, coeffs) holds that
     interval's region, its weights of |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2
     and |H_U|^2 + |H_V|^2, and the RegionCoeffs of each (n, pol) of
-    `weights`, which maps (n, pol) to w.
-
-    Per mode, the rows of all intervals whose coefficients share an order
-    and basis make one Bessel call, one group per row; TE and TM share it
-    where their orders and wavenumbers agree.  Wavenumbers, coefficients,
-    the region prefactors (Python scalars per region) and the component
-    weights are gathered to the nodes as arrays, and every product keeps its
-    operand order, so each row gets exactly the values of a call on that row
-    alone.
+    `weights`, which maps (n, pol) to w.  The components come from one
+    `fields._components` kernel over all intervals, one Bessel group per
+    row, so each row gets exactly the values of a call on that row alone.
     """
     starts = np.asarray(starts, dtype=float)
     comp = np.array([p[1] for p in pieces], dtype=float).T.copy()
-    modes = []
-    split = {}      # each wavenumber split once, as a product by a scalar splits it
-    for (n, pol), w in weights.items():
-        coeffs = [p[2][(n, pol)] for p in pieces]
-        rad, tan = zip(*(_prefactors(p[0], pol, n, omega) for p in pieces))
-        for c in coeffs:
-            if c.k not in split:
-                split[c.k] = ScaledArray.from_complex(c.k)
-        stacked = [_stacked([split[c.k] for c in coeffs]),
-                   _stacked([c.c_j for c in coeffs]), _stacked([c.c_y for c in coeffs])]
-        sets = {}
-        for i, c in enumerate(coeffs):
-            sets.setdefault((c.nu, c.outgoing), []).append(i)
-        bases = []
-        for (nu, outgoing), members in sets.items():
-            in_set = np.zeros(len(pieces), dtype=bool)
-            in_set[members] = True
-            key = (nu, outgoing, tuple(members), tuple(coeffs[i].k for i in members))
-            bases.append((key, in_set))
-        modes.append((pol, w, np.array(rad), np.array(tan),
-                      np.array([c.k for c in coeffs]), stacked, bases))
+    evaluate = _components([(reg, coeffs) for reg, _, coeffs in pieces], omega)
 
     def density(rows):
         rows = np.atleast_2d(rows)
@@ -200,26 +167,12 @@ def _modal_density(starts, pieces: list, weights: dict, omega: float):
         r = rows.reshape(-1)
         ey_w, et_w, hy_w, ht_w = comp[:, owner]
         out = np.zeros_like(r, dtype=float)
-        cache = {}      # modes of equal order and wavenumbers share a basis
-        for pol, w, rad, tan, k, (k_split, c_j, c_y), bases in modes:
-            for key, in_set in bases:
-                sel = in_set[owner]
-                if not sel.any():
-                    continue
-                at, rs = owner[sel], r[sel]
-                if key not in cache:
-                    nu, outgoing = key[:2]
-                    z = k[at] * rs.astype(complex)
-                    cache[key] = (hat_h1 if outgoing else hat_jy)(nu, z, groups[sel])
-                node = RegionCoeffs(nu=key[0], k=k_split[at], c_j=c_j[at],
-                                    c_y=c_y[at], outgoing=key[1])
-                e_y, e_u, e_v, h_y, h_u, h_v = _radial_components(
-                    pol, (rad[at], tan[at]), rs, *node.combine(cache[key]))
-                e_sq = (ey_w[sel] * np.abs(e_y) ** 2
-                        + et_w[sel] * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
-                h_sq = (hy_w[sel] * np.abs(h_y) ** 2
-                        + ht_w[sel] * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
-                out[sel] += w * (e_sq + h_sq)
+        for key, sel, (e_y, e_u, e_v, h_y, h_u, h_v) in evaluate(owner, r, groups):
+            e_sq = (ey_w[sel] * np.abs(e_y) ** 2
+                    + et_w[sel] * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
+            h_sq = (hy_w[sel] * np.abs(h_y) ** 2
+                    + ht_w[sel] * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
+            out[sel] += weights[key] * (e_sq + h_sq)
         return (out * r * r).reshape(rows.shape)
 
     return density
@@ -314,12 +267,13 @@ def _source_pairing(sol: FieldSolution) -> complex:
     """int J . conj(E) over the sheet, by modal orthonormality."""
     r_s = sol.source.radius
     idx = sol.region_index(r_s)
+    piece = (sol.regions[idx], {key: rs.coeffs[idx] for key, rs in sol.radial.items()})
+    one = np.zeros(1, dtype=int)
+    comps = {key: c for key, _, c in
+             _components([piece], sol.omega)(one, np.array([r_s]), one)}
     pairing = 0.0 + 0.0j
     for key, amp in sol.amplitudes.items():
-        rs = sol.radial[(key.n, key.pol)]
-        comps = mode_radial_components(rs.regions[idx], key.pol, rs.coeffs[idx],
-                                       key.n, np.array([r_s]), sol.omega)
-        e_y, e_u, e_v, _, _, _ = comps
+        _, e_u, e_v, _, _, _ = comps[(key.n, key.pol)]
         if key.pol == TE:
             e_comp = amp * 1.0 * e_v[0]        # sheet along Vtilde
         else:

@@ -104,26 +104,17 @@ class RegionCoeffs:
     outgoing: bool = False
 
     def radial(self, r) -> tuple[ScaledArray, ScaledArray]:
-        """u(r) and du/dr as ScaledArrays over an array of radii."""
-        return self.combine(self.basis(r))
-
-    def basis(self, r, groups=None) -> dict:
-        """Basis values at radii r: hat_jy at k r, or hat_h1 if outgoing.
-
-        Every mode of a region with the same order, wavenumber and basis
-        shares them; `groups` is passed on to the Bessel functions.
-        """
+        """u(r) and du/dr as ScaledArrays over an array of radii, from
+        hat_jy at k r, or hat_h1 if outgoing."""
         z = self.k * np.asarray(r, dtype=complex)
-        if self.outgoing:
-            return hat_h1(self.nu, z, groups)
-        return hat_jy(self.nu, z, groups)
+        return self.combine(hat_h1(self.nu, z) if self.outgoing else hat_jy(self.nu, z))
 
     def combine(self, b: dict) -> tuple[ScaledArray, ScaledArray]:
-        """u and du/dr from the basis values b of `basis`.
+        """u and du/dr from the values b of hat_jy (hat_h1 if outgoing).
 
         k multiplies from the right, so it may also be a ScaledArray of one
-        split wavenumber per radius (see `norms`); either way the product
-        has the bits of a scalar k.
+        split wavenumber per radius (see `fields._components`); either way
+        the product has the bits of a scalar k.
         """
         if self.outgoing:
             return self.c_y * b["h"], (self.c_y * b["dh"]) * self.k
@@ -142,20 +133,6 @@ class RegionCoeffs:
         cj = (1j * self.c_y).scale10(-logd)
         return RegionCoeffs(nu=self.nu, k=self.k, c_j=cj, c_y=self.c_y.copy(),
                             outgoing=False)
-
-
-def _trace(reg: RegionSpec, pol: str, coeffs: RegionCoeffs, r: float,
-           omega: float) -> tuple[ScaledArray, ScaledArray]:
-    """Tangential trace pair (E_t, H_t) of the radial basis state at radius r.
-
-    TE: (E_t, H_t) = (u, (i/(omega mu_tan)) (u' + u/r));
-    TM: (E_t, H_t) = (-(i/(omega eps_tan)) (u' + u/r), u).
-    """
-    u, du = coeffs.radial(np.array([r]))
-    curlish = du + u * (1.0 / r)
-    if pol == TE:
-        return u, (1j / (omega * reg.mu_tan)) * curlish
-    return (-1j / (omega * reg.eps_tan)) * curlish, u
 
 
 @dataclass(frozen=True)

@@ -470,7 +470,8 @@ def scenario_params(name: str, params: dict) -> dict:
 
     Raises ValueError for a key the defaults lack, a value of another type
     than its default, a number or list entry that is not finite (JSON NaN
-    or Infinity), an empty list, an interval, window, radius triple or
+    or Infinity), a number that is not positive (a `seed` that is negative),
+    an empty list, an interval, window, radius triple or
     `object` of another length than its default, a `radius_grid` of fewer
     than 3 radii, radii that are not positive or do not increase strictly, a
     loss value that is not positive, fewer than two distinct `deltas` where a
@@ -490,6 +491,9 @@ def scenario_params(name: str, params: dict) -> dict:
             raise ValueError(f"param {key!r} must be finite, not {value!r}")
         if isinstance(value, list):
             _check_list(key, value, defaults[key])
+        elif not (value >= 0 if key == "seed" else value > 0):
+            raise ValueError(f"param {key!r} must be {'>= 0' if key == 'seed' else '> 0'}"
+                             f", not {value!r}")
     deltas = params.get("deltas")
     if deltas is not None and not min(deltas) > 0:
         raise ValueError("'deltas' must be positive")

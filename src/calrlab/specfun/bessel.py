@@ -43,10 +43,8 @@ def _as_z_array(z):
     return np.atleast_1d(z), scalar
 
 
-def _group_max(x: np.ndarray, groups):
-    """Each element's group maximum of x; the plain maximum without groups."""
-    if groups is None:
-        return np.max(x)
+def _group_max(x: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Each element's group maximum of x."""
     out = np.full(int(groups.max()) + 1, -np.inf)
     np.maximum.at(out, groups, x)
     return out[groups]
@@ -61,19 +59,15 @@ def _ascending_sum(zsq4: np.ndarray, denom, groups) -> np.ndarray:
     """
     term = np.ones_like(zsq4)
     acc = np.ones_like(zsq4)
-    if groups is not None:
-        live = np.ones(zsq4.shape, dtype=bool)     # its group is still summing
-        unfinished = np.empty(int(groups.max()) + 1, dtype=bool)
+    live = np.ones(zsq4.shape, dtype=bool)     # its group is still summing
+    unfinished = np.empty(int(groups.max()) + 1, dtype=bool)
     k = 0
     while True:
         k += 1
         term = term * zsq4 / denom(k)
-        acc = acc + term if groups is None else np.where(live, acc + term, acc)
+        np.add(acc, term, out=acc, where=live)
         small = np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)
-        if groups is None:
-            if small.all():
-                break
-        else:
+        if small.any():         # else no group can stop
             unfinished[:] = False
             unfinished[groups[~small]] = True
             live &= unfinished[groups]
@@ -84,7 +78,7 @@ def _ascending_sum(zsq4: np.ndarray, denom, groups) -> np.ndarray:
     return acc
 
 
-def _series_j(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
+def _series_j(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
     """Ascending series for j_nu, valid for nu > -3/2, scaled output.
 
     j_nu(z) = (sqrt(pi)/2) (z/2)^nu sum_k (-z^2/4)^k / (k! Gamma(k+nu+3/2)).
@@ -111,7 +105,7 @@ def _series_j(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
     return out
 
 
-def _series_jminus_aux(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
+def _series_jminus_aux(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
     """sqrt(pi/(2z)) * J_{-(nu+1/2)}(z), the second series of the reflection.
 
     Equals (sqrt(pi)/2) (z/2)^(-nu-1) sum_k (-z^2/4)^k / (k! Gamma(k-nu+1/2)).
@@ -139,7 +133,7 @@ def _series_jminus_aux(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
     return ScaledArray(out.m * phase, out.e).scale10(logmag + logpref)
 
 
-def _series_y(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
+def _series_y(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
     """y_nu by the reflection formula (fractional nu) or trig (integer nu<=1)."""
     if abs(nu - round(nu)) < 1e-12:
         n = int(round(nu))
@@ -162,7 +156,7 @@ def _series_y(nu: float, z: np.ndarray, groups=None) -> ScaledArray:
 
 
 def _miller_j(nu: float, z: np.ndarray, base: float,
-              groups=None) -> tuple[ScaledArray, ScaledArray]:
+              groups: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
     """Scaled downward recurrence; returns j at orders (nu-1, nu).
 
     `base` is the fractional part of nu (the anchor order); anchoring is at
@@ -171,9 +165,9 @@ def _miller_j(nu: float, z: np.ndarray, base: float,
     order its own largest |z| calls for.
     """
     steps = int(round(nu - base))
-    zmax = np.atleast_1d(_group_max(np.abs(z), groups)).tolist()
+    zmax, which = np.unique(_group_max(np.abs(z), groups), return_inverse=True)
     tops = np.array([steps + max(24, int(math.ceil(1.1 * zm - nu)) + 24)
-                     for zm in zmax])
+                     for zm in zmax.tolist()])[which]
     top, first = int(tops.max()), int(tops.min())
     fp = np.zeros_like(z)            # f_{k+1}
     fc = np.ones_like(z)             # f_k, arbitrary seed
@@ -230,7 +224,7 @@ def _miller_j(nu: float, z: np.ndarray, base: float,
 
 
 def _upward_y(nu: float, z: np.ndarray, base: float,
-              groups=None) -> tuple[ScaledArray, ScaledArray]:
+              groups: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
     """Scaled upward recurrence; returns y at orders (nu-1, nu)."""
     steps = int(round(nu - base))
     if abs(base) < 1e-12:
@@ -269,7 +263,8 @@ def _merge(mask: np.ndarray, a: ScaledArray, b: ScaledArray) -> ScaledArray:
     return ScaledArray(m, e, normalize=False)
 
 
-def _j_pair(nu: float, z: np.ndarray, base: float, groups) -> tuple[ScaledArray, ScaledArray]:
+def _j_pair(nu: float, z: np.ndarray, base: float,
+            groups: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
     """j at orders (nu-1, nu): series for groups with |z| <= 8, else Miller."""
     series = _group_max(np.abs(z), groups) <= _SERIES_CUTOFF
     if np.all(series):
@@ -288,10 +283,11 @@ def sph_jy(nu: float, z, groups=None) -> dict:
     Vectorized over z (complex); nu is a scalar real order >= 0.
     Derivatives use f' = f_{nu-1} - (nu+1)/z * f_nu.
 
-    `groups` (integer labels, one per element of a 1-d z) batches several
-    independent evaluations: the series stopping rule, the series/Miller
-    switch and the Miller start order are decided per group, so each group
-    gets exactly the values a call on its elements alone would give.
+    `groups` (non-negative integer labels, one per element of z, else
+    ValueError) batches several independent evaluations: the series
+    stopping rule, the series/Miller switch and the Miller start order are
+    decided per group, so each group gets exactly the values a call on its
+    elements alone would give.  Without `groups` all of z is one group.
     """
     if nu < 0:
         raise ValueError("order must be >= 0")
@@ -300,8 +296,11 @@ def sph_jy(nu: float, z, groups=None) -> dict:
     z, scalar = _as_z_array(z)
     if np.any(z == 0):
         raise ZeroDivisionError("sph_jy requires z != 0 (y is singular there)")
-    if groups is not None:
-        groups = np.asarray(groups, dtype=np.intp)
+    groups = np.zeros(z.shape, dtype=np.intp) if groups is None else np.asarray(groups)
+    if (groups.shape != z.shape or not np.issubdtype(groups.dtype, np.integer)
+            or np.any(groups < 0)):
+        raise ValueError(f"groups must be non-negative integer labels, one per "
+                         f"element of z (shape {z.shape})")
     base = nu - math.floor(nu)
     j_below, j_at = _j_pair(nu, z, base, groups)
     y_below, y_at = _upward_y(nu, z, base, groups)

@@ -336,3 +336,15 @@ def test_grouped_calls_match_per_group_calls(nu, z, data):
                 got = batch[name][groups == g]
                 assert np.array_equal(got.m, alone[name].m), (fn.__name__, g, name)
                 assert np.array_equal(got.e, alone[name].e), (fn.__name__, g, name)
+
+
+def test_groups_must_be_one_non_negative_integer_label_per_argument():
+    z = np.array([0.5, 30.0])
+    for groups in ([-1, 0], [0], [0, 1, 2], [[0, 1]], [0.0, 1.0], [True, False]):
+        for fn in (sph_jy, hat_jy, hat_h1):
+            with pytest.raises(ValueError, match="groups must be"):
+                fn(3.0, z, groups=groups)
+    # one label per element, in any integer dtype, is accepted
+    batch = hat_jy(3.0, z, groups=np.array([0, 7], dtype=np.int32))
+    alone = hat_jy(3.0, z[:1])
+    assert np.array_equal(batch["j"].m[:1], alone["j"].m)

@@ -60,7 +60,7 @@ def test_run_writes_reports_and_is_deterministic(tmp_path):
 
 def test_run_assertion_failure_exit_code(tmp_path):
     cfg = _write_config(tmp_path, "fail.json", "maxwell_3sphere_suite",
-                        {"count": 10, "n_max": 6, "stability": -1.0},
+                        {"count": 10, "n_max": 6, "stability": 1e-3},
                         tmp_path / "outf")
     assert main(["run", str(cfg)]) == EXIT_ASSERTION
 
@@ -175,6 +175,28 @@ def test_bad_list_param_exit_config(tmp_path, capsys, scenario, params):
     (key,) = params
     assert capsys.readouterr().err.count(f"'{key}'") == 2
 
+
+@pytest.mark.parametrize("scenario, params", [
+    ("blowup_scan", {"n_src": 0}), ("gluing_demo", {"layers": 0}),
+    ("dcm_convergence", {"omega": 0.0}), ("three_sphere_suite", {"count": 0}),
+    ("three_sphere_suite", {"max_degree": 0}), ("carleman_suite", {"frame_count": 0}),
+    ("maxwell_3sphere_suite", {"stability": -1.0}), ("superlens", {"seed": -1}),
+], ids=["n_src-0", "layers-0", "omega-0", "count-0", "max_degree-0",
+        "frame_count-0", "stability-negative", "seed-negative"])
+def test_non_positive_scalar_param_exit_config(tmp_path, capsys, scenario, params):
+    # a count of zero passes assertions over zero samples, and a zero
+    # frequency or degree fails deep in the run: rejected before any work,
+    # with a message that names the param
+    cfg = _write_config(tmp_path, "scalar.json", scenario, params, tmp_path / "outs")
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "outs").exists()
+    (key,) = params
+    assert capsys.readouterr().err.count(f"param '{key}' must be") == 2
+
+
+def test_seed_zero_is_a_valid_param():
+    assert scenario_params("superlens", {"seed": 0})["seed"] == 0
 
 
 @pytest.mark.parametrize("scenario, params, key", [

@@ -11,13 +11,15 @@ from calrlab.layered_maxwell import (
     field_evaluator,
     graded_midpoints,
     mode,
+    mode_radial_components,
     reflect_solution,
     remove_localized_singularity,
     solve,
     staircase,
 )
 from calrlab.media import dcm_maps, identity_map, kelvin_map, make_dcm_example, vacuum_medium
-from calrlab.specfun import sphere_rule
+from calrlab.layered_maxwell.modes import h_jump_factor
+from calrlab.specfun import sphere_rule, vsh_table
 
 
 def _dcm_solution(delta, layers=48, n_hi=2):
@@ -156,6 +158,53 @@ def test_grouped_evaluation_matches_separate_calls():
     assert np.array_equal(h, np.vstack([ha, hb]))
     e_mixed, _ = eval_field_many(sol, np.vstack([a, b]))
     assert not np.array_equal(e_mixed[:len(a)], ea)
+
+
+def test_field_kernel_matches_per_region_assembly():
+    # one kernel evaluates every region together; each (region, label) set
+    # must get exactly the field assembled region by region from the public
+    # per-mode components.  At omega = 3 the core (|k r| = 3.6) stays on the
+    # ascending series while the shell layer (|k r| ~ 9) takes the Miller
+    # path, with the same order and basis (hat_jy) and the same label, so a
+    # Bessel group spanning two regions changes the core's bits.  The source
+    # at 2.4 puts the outgoing exterior (hat_h1) on both sides of |k r| = 8.
+    # A negative label must not merge with another region's label either.
+    med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 8)
+    amps = {mode(n, m, pol): complex(n + m, 1.0 - m)
+            for n in (1, 2, 3) for m in (-1, 0, 1) for pol in ("TE", "TM")}
+    sol = solve(med, SurfaceCurrentSource(radius=2.4, amplitudes=amps), 3.0)
+    radii = np.array([0.3, 0.7, 1.3, 1.31, 2.2, 2.5, 2.6, 4.0, 6.0])
+    labels = np.array([-1, 1, -1, 1, 1, -1, 1, 1, -1])
+    rng = np.random.default_rng(11)
+    pts = radii[:, None] * _directions(rng, len(radii))
+    r = np.linalg.norm(pts, axis=1)
+    region_of = sol.region_indices(r)
+    assert sol.regions[region_of[0]].r_hi == 1.0
+    assert region_of[2] == region_of[3] and sol.regions[region_of[2]].r_lo >= 1.0
+    assert region_of[-1] == len(sol.regions) - 1 == region_of[5]
+    e, h = eval_field_many(sol, pts, labels)
+    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
+    table = vsh_table(sol.n_max, theta, np.arctan2(pts[:, 1], pts[:, 0]))
+    e_ref = np.zeros((len(pts), 3), dtype=complex)
+    h_ref = np.zeros((len(pts), 3), dtype=complex)
+    for key, amp in sol.amplitudes.items():
+        mult = amp * h_jump_factor(key.pol)
+        rsolve = sol.radial[(key.n, key.pol)]
+        for idx in np.unique(region_of):
+            for label in (-1, 1):
+                sel = (region_of == idx) & (labels == label)
+                if not sel.any():
+                    continue
+                e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
+                    sol.regions[idx], key.pol, rsolve.coeffs[idx], key.n,
+                    r[sel], sol.omega)
+                rad, grad, rot = (v[sel] for v in table[(key.n, key.m)])
+                e_ref[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad
+                                      + e_v[:, None] * rot)
+                h_ref[sel] += mult * (h_y[:, None] * rad + h_u[:, None] * grad
+                                      + h_v[:, None] * rot)
+    assert np.array_equal(e, e_ref) and np.array_equal(h, h_ref)
+    assert all(v.shape == (0, 3) for v in eval_field_many(sol, np.zeros((0, 3))))
 
 
 def test_breakpoint_lookup_takes_inside_region():

@@ -12,6 +12,7 @@ from calrlab.layered_maxwell import (
     field_evaluator,
     l2_norm_annulus,
     mode,
+    mode_radial_components,
     solve,
     staircase,
 )
@@ -150,20 +151,21 @@ def test_maxwell_residual_in_dcm_layers():
 def test_te_tm_impedance_duality_on_matched_medium():
     # for eps = mu media the per-mode impedances satisfy Z_TE * Z_TM = -1
     # for the same boundary-condition structure, at every radius
-    from calrlab.layered_maxwell.solver import _build_regions, _trace, _s
-    from calrlab.layered_maxwell.solver import RegionCoeffs
+    # (tangential traces: E_V and H_U for TE, E_U and H_V for TM)
     med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3), 8)
     src = SurfaceCurrentSource(radius=5.0, amplitudes={mode(2, 0, "TE"): 1.0,
                                                        mode(2, 0, "TM"): 1.0})
     sol = solve(med, src, 1.0)
     te = sol.radial[(2, "TE")]
     tm = sol.radial[(2, "TM")]
-    for idx, r in ((0, 0.8), (2, 5.5)):
+    for r in (0.8, 5.5):
         idx = sol.region_index(r)
-        e1, h1 = _trace(te.regions[idx], "TE", te.coeffs[idx], r, 1.0)
-        e2, h2 = _trace(tm.regions[idx], "TM", tm.coeffs[idx], r, 1.0)
-        z_te = (e1 / h1).to_complex()[0]
-        z_tm = (e2 / h2).to_complex()[0]
+        _, _, e1, _, h1, _ = mode_radial_components(te.regions[idx], "TE",
+                                                    te.coeffs[idx], 2, r, 1.0)
+        _, e2, _, _, _, h2 = mode_radial_components(tm.regions[idx], "TM",
+                                                    tm.coeffs[idx], 2, r, 1.0)
+        z_te = e1[0] / h1[0]
+        z_tm = e2[0] / h2[0]
         assert z_te * z_tm == pytest.approx(-1.0, rel=1e-9)
 
 
