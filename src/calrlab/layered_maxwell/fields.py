@@ -62,61 +62,49 @@ def _radial_components(pol: str, prefactors, r: np.ndarray, u, du):
     return radial, tangential, zero, zero, zero, uval
 
 
-def _stacked(parts: list) -> ScaledArray:
-    """One-element ScaledArrays as one 1-d ScaledArray."""
-    return ScaledArray(np.array([p.m.item() for p in parts], dtype=complex),
-                       np.array([p.e.item() for p in parts], dtype=np.int64),
-                       normalize=False)
+def _components(regions: list, keys: list, table, omega: float):
+    """The radial components of the (n, pol) keys at radii spread over
+    several regions, from the (nu, k, c_j, c_y, outgoing) table of
+    `FieldSolution.table`: row i for regions[i], one column per key.
 
-
-def _components(pieces: list, omega: float):
-    """The radial components of every (n, pol) at radii spread over pieces,
-    each piece a (region, {(n, pol): RegionCoeffs}) pair with the same keys.
-
-    Returns evaluate(owner, r, groups), which takes radii r, the piece of
-    each and integer Bessel group labels, none shared by two pieces, and
+    Returns evaluate(owner, r, groups), which takes radii r, the row of
+    each and integer Bessel group labels, none shared by two rows, and
     yields ((n, pol), sel, the six arrays of `mode_radial_components` at
-    r[sel]) in key order, once per set of pieces whose coefficients share an
+    r[sel]) in key order, once per set of rows whose coefficients share an
     order and basis.  Each set makes one `hat_jy`/`hat_h1` call grouped by
     `groups`, shared by keys of equal orders and wavenumbers.  Wavenumbers,
     coefficients and prefactors are gathered to the radii as arrays, and
     every product keeps its operand order, so each group gets exactly the
     values of `mode_radial_components` on its radii alone.
     """
+    nu, k, c_j, c_y, outgoing = table
+    k_split = ScaledArray.from_complex(k)
     modes = []
-    split = {}      # each wavenumber split once, as a product by a scalar splits it
-    for n, pol in pieces[0][1] if pieces else ():
-        coeffs = [c[(n, pol)] for _, c in pieces]
-        for c in coeffs:
-            if c.k not in split:
-                split[c.k] = ScaledArray.from_complex(c.k)
-        stacked = [_stacked([split[c.k] for c in coeffs]),
-                   _stacked([c.c_j for c in coeffs]), _stacked([c.c_y for c in coeffs])]
+    for col, (n, pol) in enumerate(keys):
         bases = []
-        for basis in dict.fromkeys((c.nu, c.outgoing) for c in coeffs):
-            in_set = np.array([(c.nu, c.outgoing) == basis for c in coeffs])
-            bases.append((basis + tuple((i, c.k) for i, c in enumerate(coeffs)
-                                        if in_set[i]), in_set))
-        prefactors = np.array([_prefactors(reg, pol, n, omega) for reg, _ in pieces])
-        modes.append(((n, pol), prefactors.T, np.array([c.k for c in coeffs]),
-                      stacked, bases))
+        for basis in dict.fromkeys(zip(nu[:, col].tolist(), outgoing[:, col].tolist())):
+            in_set = (nu[:, col] == basis[0]) & (outgoing[:, col] == basis[1])
+            rows = np.flatnonzero(in_set).tolist()
+            bases.append((basis + tuple(zip(rows, k[in_set, col].tolist())), in_set))
+        prefactors = np.array([_prefactors(reg, pol, n, omega) for reg in regions])
+        modes.append(((n, pol), col, prefactors.reshape(len(regions), 2).T, bases))
 
     def evaluate(owner, r, groups):
         cache = {}      # keys of equal order and wavenumbers share a basis
-        for (n, pol), (rad, tan), k, (k_split, c_j, c_y), bases in modes:
-            for key, in_set in bases:
+        for key, col, (rad, tan), bases in modes:
+            for basis, in_set in bases:
                 sel = in_set[owner]
                 if not sel.any():
                     continue
                 at, rs = owner[sel], r[sel]
-                nu, outgoing = key[:2]
-                if key not in cache:
-                    z = k[at] * rs.astype(complex)
-                    cache[key] = (hat_h1 if outgoing else hat_jy)(nu, z, groups[sel])
-                node = RegionCoeffs(nu=nu, k=k_split[at], c_j=c_j[at], c_y=c_y[at],
-                                    outgoing=outgoing)
-                yield (n, pol), sel, _radial_components(
-                    pol, (rad[at], tan[at]), rs, *node.combine(cache[key]))
+                order, out = basis[:2]
+                if basis not in cache:
+                    z = k[at, col] * rs.astype(complex)
+                    cache[basis] = (hat_h1 if out else hat_jy)(order, z, groups[sel])
+                node = RegionCoeffs(nu=order, k=k_split[at, col], c_j=c_j[at, col],
+                                    c_y=c_y[at, col], outgoing=out)
+                yield key, sel, _radial_components(
+                    key[1], (rad[at], tan[at]), rs, *node.combine(cache[basis]))
 
     return evaluate
 
@@ -137,16 +125,20 @@ def eval_field_many(sol: FieldSolution, points,
     r = np.linalg.norm(pts, axis=1)
     if np.any(r <= 0):
         raise ValueError("evaluation requires |x| > 0")
+    labels = np.zeros(len(r), dtype=int) if groups is None else np.asarray(groups)
+    if labels.shape != r.shape or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"groups must be integer labels, one per point: got dtype "
+                         f"{labels.dtype} and shape {labels.shape} for {len(r)} points")
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     used, owner = np.unique(sol.region_indices(r), return_inverse=True)
-    labels = np.zeros(len(r), dtype=int) if groups is None else np.asarray(groups)
     _, bessel_groups = np.unique(np.stack([owner, labels], axis=1), axis=0,
                                  return_inverse=True)
-    pieces = [(sol.regions[i], {key: rs.coeffs[i] for key, rs in sol.radial.items()})
-              for i in used]
-    comps = {key: [] for key in sol.radial}
-    for key, sel, c in _components(pieces, sol.omega)(owner, r, bessel_groups.reshape(-1)):
+    keys = list(sol.radial)
+    evaluate = _components([sol.regions[i] for i in used], keys, sol.table(used, keys),
+                           sol.omega)
+    comps = {key: [] for key in keys}
+    for key, sel, c in evaluate(owner, r, bessel_groups.reshape(-1)):
         comps[key].append((sel, c))
     angular = VshStream(sol.n_max, theta, phi)
     e_out = np.zeros((len(pts), 3), dtype=complex)
@@ -220,10 +212,6 @@ class GluedReport:
     maxwell_resid_norm: float
     forcing_norm: float
     forcing_rel_deviation: float
-
-    @property
-    def resid_over_forcing(self) -> float:
-        return self.maxwell_resid_norm / max(self.forcing_norm, 1e-300)
 
 
 def _trace_jump(pts, w, a, b) -> float:

@@ -21,7 +21,8 @@ def solution_to_json(sol: FieldSolution) -> str:
     radial = {}
     for (n, pol), rs in sol.radial.items():
         regions = []
-        for reg, co in zip(rs.regions, rs.coeffs):
+        for i, reg in enumerate(sol.regions):
+            co = sol.coeffs((n, pol), i)
             regions.append({
                 "r_lo": reg.r_lo,
                 "r_hi": None if math.isinf(reg.r_hi) else reg.r_hi,
@@ -78,13 +79,13 @@ def modal_quadruple_table(sol: FieldSolution, region_idx: int) -> dict:
     The region must be source-free for the table to describe an annulus field.
     """
     from .modes import TE, h_jump_factor
+    _, _, c_j, c_y, _ = sol.as_jy([region_idx], [(k.n, k.pol) for k in sol.amplitudes])
     out = {}
-    for key, amp in sol.amplitudes.items():
-        rs = sol.radial[(key.n, key.pol)]
-        co = rs.coeffs[region_idx].as_jy()
+    for (key, amp), cj, cy in zip(sol.amplitudes.items(), c_j.to_complex()[0],
+                                  c_y.to_complex()[0]):
         mult = amp * h_jump_factor(key.pol)
-        c1 = mult * co.c_j.to_complex()[0]
-        c2 = mult * co.c_y.to_complex()[0]
+        c1 = mult * cj
+        c2 = mult * cy
         quad = list(out.get((key.n, key.m), (0j, 0j, 0j, 0j)))
         if key.pol == TE:
             quad[2], quad[3] = c1, c2

@@ -23,7 +23,7 @@ import numpy as np
 from ..specfun.bessel import log_dfact_minus
 from ..specfun.vsh import gauss_legendre
 from .modes import TE
-from .solver import FieldSolution, RegionCoeffs
+from .solver import FieldSolution
 from .fields import _components, eval_field
 
 _LN10 = math.log(10.0)
@@ -135,28 +135,23 @@ def _check_annulus(a: float, b: float) -> None:
         raise ValueError(f"need 0 <= a < b < inf, not a = {a}, b = {b}")
 
 
-def _piece(sol: FieldSolution, weights: dict, idx: int, comp=_UNIT_WEIGHTS):
-    """The density piece of region idx: (region, component weights, the
-    RegionCoeffs of each weighted (n, pol))."""
-    return (sol.regions[idx], comp,
-            {key: sol.radial[key].coeffs[idx] for key in weights})
-
-
-def _modal_density(starts, pieces: list, weights: dict, omega: float):
+def _modal_density(starts, regions: list, comps: list, weights: dict, table,
+                   omega: float):
     """r -> r^2 sum over modes of w times the weighted squared components,
     row by row over a 2-d array of radii whose rows lie in several intervals.
 
     A row belongs to interval i, the last of the sorted `starts` at or below
-    its middle node.  pieces[i] = (region, comp, coeffs) holds that
-    interval's region, its weights of |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2
-    and |H_U|^2 + |H_V|^2, and the RegionCoeffs of each (n, pol) of
-    `weights`, which maps (n, pol) to w.  The components come from one
-    `fields._components` kernel over all intervals, one Bessel group per
-    row, so each row gets exactly the values of a call on that row alone.
+    its middle node.  Interval i lies in regions[i], comps[i] holds its
+    weights of |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2,
+    and row i of `table` (see `FieldSolution.table`) its coefficients, one
+    column per (n, pol) of `weights`, which maps (n, pol) to w.  The
+    components come from one `fields._components` kernel over all
+    intervals, one Bessel group per row, so each row gets exactly the
+    values of a call on that row alone.
     """
     starts = np.asarray(starts, dtype=float)
-    comp = np.array([p[1] for p in pieces], dtype=float).T.copy()
-    evaluate = _components([(reg, coeffs) for reg, _, coeffs in pieces], omega)
+    comp = np.array(comps, dtype=float).T.copy()
+    evaluate = _components(regions, list(weights), table, omega)
 
     def density(rows):
         rows = np.atleast_2d(rows)
@@ -183,10 +178,11 @@ def l2_norm_annulus(sol: FieldSolution, a: float, b: float) -> float:
     _check_annulus(a, b)
     weights = _mode_weights(sol)
     los, his = zip(*_segments([sol], a, b))
-    pieces = [_piece(sol, weights, sol.region_index(0.5 * (lo + hi)))
-              for lo, hi in zip(los, his)]
-    total = adaptive_gauss(_modal_density(los, pieces, weights, sol.omega), los, his)
-    return math.sqrt(max(total, 0.0))
+    rows = [sol.region_index(0.5 * (lo + hi)) for lo, hi in zip(los, his)]
+    density = _modal_density(los, [sol.regions[i] for i in rows],
+                             [_UNIT_WEIGHTS] * len(rows), weights,
+                             sol.table(rows, list(weights)), sol.omega)
+    return math.sqrt(max(adaptive_gauss(density, los, his), 0.0))
 
 
 def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
@@ -204,23 +200,21 @@ def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
             raise ValueError("difference norm needs identical source tables")
     weights = _mode_weights(sol_a)
     los, his = zip(*_segments([sol_a, sol_b], a, b))
-    pieces = []
+    rows_a, rows_b = [], []
     for lo, hi in zip(los, his):
         mid = 0.5 * (lo + hi)
-        ia, ib = sol_a.region_index(mid), sol_b.region_index(mid)
-        rega, regb = sol_a.regions[ia], sol_b.regions[ib]
+        rows_a.append(sol_a.region_index(mid))
+        rows_b.append(sol_b.region_index(mid))
+        rega, regb = sol_a.regions[rows_a[-1]], sol_b.regions[rows_b[-1]]
         for attr in ("eps_rad", "eps_tan", "mu_rad", "mu_tan"):
             if abs(getattr(rega, attr) - getattr(regb, attr)) > 1e-12:
                 raise ValueError("media differ on the comparison annulus")
-        coeffs = {}
-        for key in weights:
-            ca = sol_a.radial[key].coeffs[ia].as_jy()
-            cb = sol_b.radial[key].coeffs[ib].as_jy()
-            coeffs[key] = RegionCoeffs(nu=ca.nu, k=ca.k, c_j=ca.c_j - cb.c_j,
-                                       c_y=ca.c_y - cb.c_y)
-        pieces.append((rega, _UNIT_WEIGHTS, coeffs))
-    total = adaptive_gauss(_modal_density(los, pieces, weights, sol_a.omega), los, his)
-    return math.sqrt(max(total, 0.0))
+    nu, k, cj_a, cy_a, jy = sol_a.as_jy(rows_a, list(weights))
+    _, _, cj_b, cy_b, _ = sol_b.as_jy(rows_b, list(weights))
+    density = _modal_density(los, [sol_a.regions[i] for i in rows_a],
+                             [_UNIT_WEIGHTS] * len(rows_a), weights,
+                             (nu, k, cj_a - cj_b, cy_a - cy_b, jy), sol_a.omega)
+    return math.sqrt(max(adaptive_gauss(density, los, his), 0.0))
 
 
 def farfield_flux(sol: FieldSolution) -> float:
@@ -235,7 +229,7 @@ def farfield_flux(sol: FieldSolution) -> float:
     weights = _mode_weights(sol)
     total = 0.0
     for (n, pol), w in weights.items():
-        c = sol.radial[(n, pol)].coeffs[-1]
+        c = sol.coeffs((n, pol), -1)
         if not c.outgoing:
             raise ValueError("outermost region is not outgoing")
         log_amp = (c.c_y.log10_abs()[0] - log_dfact_minus(c.nu) / _LN10
@@ -267,10 +261,10 @@ def _source_pairing(sol: FieldSolution) -> complex:
     """int J . conj(E) over the sheet, by modal orthonormality."""
     r_s = sol.source.radius
     idx = sol.region_index(r_s)
-    piece = (sol.regions[idx], {key: rs.coeffs[idx] for key, rs in sol.radial.items()})
+    keys = list(sol.radial)
     one = np.zeros(1, dtype=int)
-    comps = {key: c for key, _, c in
-             _components([piece], sol.omega)(one, np.array([r_s]), one)}
+    evaluate = _components([sol.regions[idx]], keys, sol.table([idx], keys), sol.omega)
+    comps = {key: c for key, _, c in evaluate(one, np.array([r_s]), one)}
     pairing = 0.0 + 0.0j
     for key, amp in sol.amplitudes.items():
         _, e_u, e_v, _, _, _ = comps[(key.n, key.pol)]
@@ -285,19 +279,21 @@ def _source_pairing(sol: FieldSolution) -> complex:
 def _lossy_weighted_norm_sq(sol: FieldSolution, delta: float) -> float:
     """omega^2/delta * int of Im(coef)-weighted squared components over lossy layers."""
     weights = _mode_weights(sol)
-    layers, pieces = [], []
+    rows, comps = [], []
     for i, reg in enumerate(sol.regions):
         ims = (reg.eps_rad.imag, reg.eps_tan.imag, reg.mu_rad.imag, reg.mu_tan.imag)
         if max(ims) <= 0:
             continue
         if math.isinf(reg.r_hi):
             raise ValueError("lossy exterior is not supported")
-        layers.append((reg.r_lo, reg.r_hi))
-        pieces.append(_piece(sol, weights, i, tuple(v / delta for v in ims)))
-    if not layers:
+        rows.append(i)
+        comps.append(tuple(v / delta for v in ims))
+    if not rows:
         return 0.0
-    los, his = zip(*layers)
-    density = _modal_density(los, pieces, weights, sol.omega)
+    regions = [sol.regions[i] for i in rows]
+    los, his = [reg.r_lo for reg in regions], [reg.r_hi for reg in regions]
+    density = _modal_density(los, regions, comps, weights,
+                             sol.table(rows, list(weights)), sol.omega)
     return sol.omega ** 2 * adaptive_gauss(density, los, his)
 
 

@@ -10,43 +10,34 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from ..media.radial import RadialMedium
+from ..specfun.scaled import ScaledArray
 from .modes import SurfaceCurrentSource
-from .solver import FieldSolution, RegionCoeffs, solve
+from .solver import FieldSolution, solve
 from .staircase import staircase
 
 
-def _extrapolate_coeffs(c_lo: RegionCoeffs, c_hi: RegionCoeffs) -> RegionCoeffs:
-    if c_lo.outgoing != c_hi.outgoing:
-        raise ValueError("incompatible region bases")
-    four_thirds = 4.0 / 3.0
-    third = 1.0 / 3.0
-    return RegionCoeffs(
-        nu=c_hi.nu, k=c_hi.k,
-        c_j=four_thirds * c_hi.c_j - third * c_lo.c_j,
-        c_y=four_thirds * c_hi.c_y - third * c_lo.c_y,
-        outgoing=c_hi.outgoing)
-
-
 def richardson_exterior(sol_lo: FieldSolution, sol_hi: FieldSolution) -> FieldSolution:
-    """Second-order Richardson combination on regions shared by both solves."""
-    lo_by_interval = {}
-    for i, reg in enumerate(sol_lo.regions):
-        lo_by_interval[(round(reg.r_lo, 12), round(reg.r_hi, 12))] = i
-    radial = {}
-    for key, rs_hi in sol_hi.radial.items():
-        rs_lo = sol_lo.radial[key]
-        coeffs = list(rs_hi.coeffs)
-        for j, reg in enumerate(sol_hi.regions):
-            i = lo_by_interval.get((round(reg.r_lo, 12), round(reg.r_hi, 12)))
-            if i is None:
-                continue
-            coeffs[j] = _extrapolate_coeffs(rs_lo.coeffs[i], rs_hi.coeffs[j])
-        radial[key] = replace(rs_hi, coeffs=coeffs)
-    return FieldSolution(medium=sol_hi.medium, source=sol_hi.source,
-                         omega=sol_hi.omega, regions=sol_hi.regions,
-                         radial=radial, amplitudes=sol_hi.amplitudes,
-                         n_max=sol_hi.n_max, options=sol_hi.options)
+    """Second-order Richardson combination on regions shared by both solves.
+
+    The coefficient tables of sol_hi become 4/3 hi - 1/3 lo on every region
+    whose interval sol_lo also has, and stay hi elsewhere.
+    """
+    def interval(reg):
+        return round(reg.r_lo, 12), round(reg.r_hi, 12)
+
+    lo_by_interval = {interval(reg): i for i, reg in enumerate(sol_lo.regions)}
+    match = np.array([lo_by_interval.get(interval(reg), -1) for reg in sol_hi.regions])
+    shared = (match >= 0)[:, None]
+    _, _, lo_c_j, lo_c_y, _ = sol_lo.table(np.maximum(match, 0), list(sol_hi.radial))
+
+    def extrapolate(hi, lo):
+        return ScaledArray.where(shared, 4.0 / 3.0 * hi - 1.0 / 3.0 * lo, hi)
+
+    return replace(sol_hi, c_j=extrapolate(sol_hi.c_j, lo_c_j),
+                   c_y=extrapolate(sol_hi.c_y, lo_c_y))
 
 
 def solve_staircased(medium: RadialMedium, source: SurfaceCurrentSource,

@@ -12,15 +12,17 @@ resolved with the exact Wronskian determinant -(2nu+1)/z^2, so localized
 resonance (condition numbers like (r2/r1)^(2n)/delta) costs accuracy, never
 overflow.  This is the impedance-safe form of the transfer recursion.
 
-The work is batched.  For each (n, pol) one `hat_jy` call per distinct order
-covers both ends of every bounded region, grouped by region, so each region
-gets exactly the values of a call on its own ends.  All (n, pol) keys of a
-solve are then propagated together as the columns of `ScaledArray` tables,
-and the source scaling and the interface residual take one pass over all
-interfaces.  Every operation on a coefficient is the elementwise numpy
-operation a one-key, one-region-at-a-time solve would do, so the
-coefficients keep their exact bits; the residual, a diagnostic, may differ
-from such a solve in its last bit.
+The work is batched.  Keys with the same (nu, k) in every region (TE and
+TM wherever eps = mu) share their end values, and one `hat_jy` call per
+distinct order covers both ends of every bounded region, grouped by region,
+so each region gets exactly the values of a call on its own ends.  All
+(n, pol) keys are then propagated together as the columns of (region x key)
+`ScaledArray` tables, which `FieldSolution` keeps as the only stored form
+of the coefficients, and the source scaling and the interface residual take
+one pass over all interfaces.  Every operation on a coefficient is the
+elementwise numpy operation a one-key, one-region-at-a-time solve would do,
+so the coefficients keep their exact bits; the residual, a diagnostic, may
+differ from such a solve in its last bit.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -122,18 +124,6 @@ class RegionCoeffs:
         du = self.c_j * b["dj"] + self.c_y * b["dy"]
         return u, du * self.k
 
-    def as_jy(self) -> "RegionCoeffs":
-        """Rewrite an outgoing coefficient on the (jhat, yhat) basis.
-
-        hhat = yhat + i jhat / ((2nu+1)!!(2nu-1)!!).
-        """
-        if not self.outgoing:
-            return self
-        logd = (log_dfact_plus(self.nu) + log_dfact_minus(self.nu)) / _LN10
-        cj = (1j * self.c_y).scale10(-logd)
-        return RegionCoeffs(nu=self.nu, k=self.k, c_j=cj, c_y=self.c_y.copy(),
-                            outgoing=False)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -147,20 +137,23 @@ class NearSingularMode(RuntimeError):
 
 @dataclass
 class RadialSolve:
-    """Unit-jump radial solution for one (n, pol) across all regions."""
+    """Diagnostics of the unit-jump radial solve of one (n, pol)."""
 
     n: int
     pol: str
-    regions: list
-    coeffs: list
-    source_index: int       # region index just below the source radius
     condition: float
     interface_residual: float
 
 
 @dataclass
 class FieldSolution:
-    """A solved configuration: medium, source, frequency, coefficient tables."""
+    """A solved configuration: medium, source, frequency, coefficient tables.
+
+    nu and k (float and complex arrays) and c_j and c_y (ScaledArrays) have
+    shape (regions, keys): one column per key of `radial`, in its order.
+    Row i holds region i's radial function c_j jhat_nu(k r) + c_y yhat_nu(k r);
+    in the last row, the outgoing one, c_y multiplies hhat and c_j is zero.
+    """
 
     medium: RadialMedium
     source: SurfaceCurrentSource
@@ -169,11 +162,45 @@ class FieldSolution:
     radial: Dict[tuple, RadialSolve]
     amplitudes: Dict[ModeId, complex]
     n_max: int
-    options: SolverOptions = field(default_factory=SolverOptions)
+    nu: np.ndarray
+    k: np.ndarray
+    c_j: ScaledArray
+    c_y: ScaledArray
 
     @functools.cached_property
     def _r_hi(self) -> np.ndarray:
         return np.array([reg.r_hi for reg in self.regions])
+
+    @functools.cached_property
+    def _columns(self) -> dict:
+        return {key: col for col, key in enumerate(self.radial)}
+
+    def table(self, rows, keys) -> tuple:
+        """(nu, k, c_j, c_y, outgoing) of the given regions and (n, pol)
+        keys, each of shape (len(rows), len(keys))."""
+        rows = np.asarray(rows, dtype=int)
+        ix = np.ix_(rows, [self._columns[key] for key in keys])
+        nu = self.nu[ix]
+        outgoing = np.broadcast_to((rows == len(self.regions) - 1)[:, None], nu.shape)
+        return nu, self.k[ix], self.c_j[ix], self.c_y[ix], outgoing
+
+    def as_jy(self, rows, keys) -> tuple:
+        """`table` with the outgoing coefficients rewritten on the (jhat,
+        yhat) basis, hhat = yhat + i jhat / ((2nu+1)!!(2nu-1)!!)."""
+        nu, k, c_j, c_y, outgoing = self.table(rows, keys)
+        logd = np.zeros(nu.shape)
+        logd[outgoing] = [(log_dfact_plus(v) + log_dfact_minus(v)) / _LN10
+                          for v in nu[outgoing].tolist()]
+        c_j = ScaledArray.where(outgoing, (1j * c_y).scale10(-logd), c_j)
+        return nu, k, c_j, c_y, np.zeros_like(outgoing)
+
+    def coeffs(self, key, i: int) -> RegionCoeffs:
+        """The coefficients of one (n, pol) key in region i."""
+        i = range(len(self.regions))[i]
+        col = self._columns[key]
+        return RegionCoeffs(nu=float(self.nu[i, col]), k=complex(self.k[i, col]),
+                            c_j=self.c_j[i:i + 1, col], c_y=self.c_y[i:i + 1, col],
+                            outgoing=i == len(self.regions) - 1)
 
     def region_indices(self, r) -> np.ndarray:
         """Region containing each radius; on a boundary, the inside region wins."""
@@ -185,9 +212,6 @@ class FieldSolution:
 
     def max_condition(self) -> float:
         return max(rs.condition for rs in self.radial.values())
-
-    def max_interface_residual(self) -> float:
-        return max(rs.interface_residual for rs in self.radial.values())
 
 
 def _build_regions(medium: RadialMedium, r_s: float) -> tuple[list, int]:
@@ -221,18 +245,16 @@ def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
     return cj * e0 + cy * e1, cj * h0 + cy * h1
 
 
-def _end_values(regions, n: int, pol: str, omega: float):
-    """Order, wavenumber and basis values at every finite region end, one key.
+def _end_values(regions, orders):
+    """Basis values at every finite region end, given each region's (nu, k).
 
-    Returns the (nu, k) of each region and (u, du/dz) of both basis
-    functions as (mantissa, exponent) tables of shape (2, nreg): row 0 at
-    r_lo, row 1 at r_hi.  Every region with the same order shares one
-    `hat_jy` call, grouped by region; the outermost region gets `hat_h1` at
-    its r_lo in the second basis slot.
+    Returns (u, du/dz) of both basis functions as (mantissa, exponent)
+    tables of shape (2, nreg): row 0 at r_lo, row 1 at r_hi.  Every region
+    with the same order shares one `hat_jy` call, grouped by region; the
+    outermost region gets `hat_h1` at its r_lo in the second basis slot.
     """
     nreg = len(regions)
     last = nreg - 1
-    orders = [reg.order_and_k(n, pol, omega) for reg in regions]
     # finite ends: r_lo of regions 1.., r_hi of regions ..last-1
     owner = np.repeat(np.arange(nreg), 2)[1:-1]
     side = np.tile([0, 1], nreg)[1:-1]
@@ -252,7 +274,7 @@ def _end_values(regions, n: int, pol: str, omega: float):
     vals = hat_h1(orders[last][0], z[-1:])
     for (m, e), name in zip(tables[2:], ("h", "dh")):
         m[0, last], e[0, last] = vals[name].m[0], vals[name].e[0]
-    return orders, tables
+    return tables
 
 
 def _basis_traces(regions, keys, omega: float):
@@ -260,21 +282,21 @@ def _basis_traces(regions, keys, omega: float):
 
     Each is a ScaledArray of shape (2, nreg, nkeys): [0, i] at r_lo and
     [1, i] at r_hi of region i, one column per (n, pol) key; basis 0 is
-    jhat, basis 1 yhat (hhat in the outermost region).  Also returns each
-    key's (nu, k) per region and the match determinants at every end.
+    jhat, basis 1 yhat (hhat in the outermost region).  Also returns the
+    (nu, k) tables, of shape (nreg, nkeys), and the match determinants at
+    every end.  Keys with the same (nu, k) in every region share one
+    `_end_values`.
     """
-    nreg = len(regions)
     radius = np.array([[reg.r_lo for reg in regions],
                        [reg.r_hi for reg in regions]])
     radius[0, 0] = radius[1, -1] = 1.0          # no end there; placeholders
-    orders, values = [], []
-    for n, pol in keys:
-        o, t = _end_values(regions, n, pol, omega)
-        orders.append(o)
-        values.append(t)
+    orders = [[reg.order_and_k(n, pol, omega) for reg in regions] for n, pol in keys]
+    ends = {o: _end_values(regions, o) for o in dict.fromkeys(map(tuple, orders))}
+    values = [ends[tuple(o)] for o in orders]
     u0, du0, u1, du1 = (
         ScaledArray.stack([ScaledArray(*t[j], normalize=False) for t in values], axis=-1)
         for j in range(4))
+    nu = np.array([[o[0] for o in ok] for ok in orders]).T
     k = np.array([[o[1] for o in ok] for ok in orders]).T
     coef = [[(reg.mu_tan if pol == TE else reg.eps_tan) for _, pol in keys]
             for reg in regions]
@@ -295,18 +317,19 @@ def _basis_traces(regions, keys, omega: float):
         [[-1j * (2.0 * ok[i][0] + 1.0) / (omega * b * ok[i][1] * r * r)
           for ok, b in zip(orders, coef[i])]
          for i, r in enumerate(row)] for row in radius.tolist()]))
-    return (e0, h0, e1, h1), orders, det
+    return (e0, h0, e1, h1), (nu, k), det
 
 
-def _solve_radial(regions, src_idx, keys, omega, options) -> Dict[tuple, RadialSolve]:
+def _solve_radial(regions, src_idx, keys, omega, options):
     """Unit-jump radial solves for every (n, pol) in keys, propagated together.
 
     Columns of every ScaledArray below are keys; the coefficients of each
-    key are exactly those of a solve of that key alone.
+    key are exactly those of a solve of that key alone.  Returns the
+    `RadialSolve` of each key and the (region x key) tables nu, k, c_j, c_y.
     """
     nreg = len(regions)
     last = nreg - 1
-    basis, orders, det = _basis_traces(regions, keys, omega)
+    basis, (nu, k), det = _basis_traces(regions, keys, omega)
 
     def at(side, i):
         return tuple(b[side, i] for b in basis)
@@ -355,15 +378,9 @@ def _solve_radial(regions, src_idx, keys, omega, options) -> Dict[tuple, RadialS
         if resid[col] > _INTERFACE_TOL:
             warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
                           RuntimeWarning)
-        cj = ScaledArray(c_j.m[:, col].copy(), c_j.e[:, col].copy(), normalize=False)
-        cy = ScaledArray(c_y.m[:, col].copy(), c_y.e[:, col].copy(), normalize=False)
-        coeffs = [RegionCoeffs(nu=nu, k=k, c_j=cj[i:i + 1], c_y=cy[i:i + 1],
-                               outgoing=(i == last))
-                  for i, (nu, k) in enumerate(orders[col])]
-        out[(n, pol)] = RadialSolve(n=n, pol=pol, regions=list(regions), coeffs=coeffs,
-                                    source_index=src_idx, condition=conds[col],
+        out[(n, pol)] = RadialSolve(n=n, pol=pol, condition=conds[col],
                                     interface_residual=float(resid[col]))
-    return out
+    return out, nu, k, c_j, c_y
 
 
 def _interface_residual(basis, c_j, c_y, src_idx) -> np.ndarray:
@@ -395,8 +412,9 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
     regions, src_idx = _build_regions(medium, source.radius)
     if abs(regions[-1].eps_tan - 1) > 1e-14 or abs(regions[-1].mu_tan - 1) > 1e-14:
         raise ValueError("outermost layer must be vacuum")
-    radial = _solve_radial(regions, src_idx, source.radial_keys(), omega, options)
+    radial, nu, k, c_j, c_y = _solve_radial(regions, src_idx, source.radial_keys(),
+                                            omega, options)
     return FieldSolution(medium=medium, source=source, omega=omega,
                          regions=tuple(regions), radial=radial,
-                         amplitudes=dict(source.amplitudes),
-                         n_max=source.n_max, options=options)
+                         amplitudes=dict(source.amplitudes), n_max=source.n_max,
+                         nu=nu, k=k, c_j=c_j, c_y=c_y)

@@ -189,14 +189,13 @@ def test_field_kernel_matches_per_region_assembly():
     h_ref = np.zeros((len(pts), 3), dtype=complex)
     for key, amp in sol.amplitudes.items():
         mult = amp * h_jump_factor(key.pol)
-        rsolve = sol.radial[(key.n, key.pol)]
         for idx in np.unique(region_of):
             for label in (-1, 1):
                 sel = (region_of == idx) & (labels == label)
                 if not sel.any():
                     continue
                 e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
-                    sol.regions[idx], key.pol, rsolve.coeffs[idx], key.n,
+                    sol.regions[idx], key.pol, sol.coeffs((key.n, key.pol), idx), key.n,
                     r[sel], sol.omega)
                 rad, grad, rot = (v[sel] for v in table[(key.n, key.m)])
                 e_ref[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad
@@ -205,6 +204,17 @@ def test_field_kernel_matches_per_region_assembly():
                                       + h_v[:, None] * rot)
     assert np.array_equal(e, e_ref) and np.array_equal(h, h_ref)
     assert all(v.shape == (0, 3) for v in eval_field_many(sol, np.zeros((0, 3))))
+
+
+def test_field_groups_must_be_one_integer_label_per_point():
+    sol, _ = _dcm_solution(1e-3, layers=8)
+    pts = np.array([[0.0, 0.0, 0.5], [0.0, 3.0, 0.0], [6.0, 0.0, 0.0]])
+    for groups in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]], [0.5, 1, 2], [0.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="groups must be integer labels"):
+            eval_field_many(sol, pts, groups)
+    e, h = eval_field_many(sol, pts, [-1, 0, -1])
+    e0, h0 = eval_field_many(sol, pts)
+    assert np.array_equal(e, e0) and np.array_equal(h, h0)
 
 
 def test_breakpoint_lookup_takes_inside_region():

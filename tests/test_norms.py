@@ -314,47 +314,53 @@ def test_modal_density_rows_match_separate_calls():
     # (omega = 3), and the outgoing exterior (hat_h1).  The layers' loss
     # weights are scaled by two different deltas, so no two pieces share
     # their component weights.
-    from calrlab.layered_maxwell.norms import _modal_density, _mode_weights, _piece
+    from calrlab.layered_maxwell.norms import _modal_density, _mode_weights
     med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 8)
     sol = solve(med, _mixed_source(), 3.0)
     weights = _mode_weights(sol)
+    keys = list(weights)
     intervals = [(1.25, 1.375), (1.5, 1.625), (2.0, 2.6), (3.0, 4.5), (5.5, 7.0)]
-    pieces = []
+    rows, comps = [], []
     for (lo, hi), scale in zip(intervals, (3e-2, 7e-2, None, None, None)):
         idx = sol.region_index(0.5 * (lo + hi))
         reg = sol.regions[idx]
         ims = (reg.eps_rad.imag, reg.eps_tan.imag, reg.mu_rad.imag, reg.mu_tan.imag)
-        comp = (1.0, 1.0, 1.0, 1.0) if scale is None else tuple(v / scale for v in ims)
-        pieces.append(_piece(sol, weights, idx, comp))
-    assert [p[2][(1, "TE")].outgoing for p in pieces] == [False] * 4 + [True]
-    assert len({p[1] for p in pieces}) == 3
-    assert pieces[0][2][(1, "TE")].k != pieces[1][2][(1, "TE")].k
+        rows.append(idx)
+        comps.append((1.0, 1.0, 1.0, 1.0) if scale is None else tuple(v / scale for v in ims))
+    regions = [sol.regions[i] for i in rows]
+    _, k, _, _, outgoing = table = sol.table(rows, keys)
+    te1 = keys.index((1, "TE"))
+    assert outgoing[:, te1].tolist() == [False] * 4 + [True]
+    assert len(set(comps)) == 3
+    assert k[0, te1] != k[1, te1]
     los = [lo for lo, _ in intervals]
-    density = _modal_density(los, pieces, weights, sol.omega)
+    density = _modal_density(los, regions, comps, weights, table, sol.omega)
     nodes = np.polynomial.legendre.leggauss(16)[0]
-    rows, owner = [], []
+    radii, owner = [], []
     for i, (lo, hi) in enumerate(intervals):
         half = (hi - lo) / 6
-        rows += [lo + half * (2 * j + 1) + half * nodes for j in range(3)]
+        radii += [lo + half * (2 * j + 1) + half * nodes for j in range(3)]
         owner += [i] * 3
-    rows = np.array(rows)
-    together = density(rows)
-    assert together.shape == rows.shape
-    for row, i, value in zip(rows, owner, together):
-        alone = _modal_density([los[i]], [pieces[i]], weights, sol.omega)
+    radii = np.array(radii)
+    together = density(radii)
+    assert together.shape == radii.shape
+    for row, i, value in zip(radii, owner, together):
+        alone = _modal_density([los[i]], [regions[i]], [comps[i]], weights,
+                               sol.table([rows[i]], keys), sol.omega)
         assert np.array_equal(density(row[None, :])[0], value)
         assert np.array_equal(alone(row[None, :])[0], value)
-        assert np.array_equal(_density_one_region(sol, weights, pieces[i], row), value)
+        assert np.array_equal(
+            _density_one_region(sol, weights, rows[i], comps[i], row), value)
 
 
-def _density_one_region(sol, weights, piece, r):
-    """The density on radii of one region from the public per-mode
+def _density_one_region(sol, weights, idx, comp, r):
+    """The density on radii of region idx from the public per-mode
     components, with that region's scalar coefficients and prefactors."""
-    reg, (ey_w, et_w, hy_w, ht_w), coeffs = piece
+    ey_w, et_w, hy_w, ht_w = comp
     out = np.zeros_like(r)
     for (n, pol), w in weights.items():
         e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
-            reg, pol, coeffs[(n, pol)], n, r, sol.omega)
+            sol.regions[idx], pol, sol.coeffs((n, pol), idx), n, r, sol.omega)
         e_sq = ey_w * np.abs(e_y) ** 2 + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2)
         h_sq = hy_w * np.abs(h_y) ** 2 + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2)
         out += w * (e_sq + h_sq)

@@ -17,7 +17,6 @@ from calrlab.layered_maxwell import (
     staircase,
 )
 from calrlab.media import make_dcm_example, vacuum_medium
-from calrlab.specfun.scaled import ScaledArray
 
 mp.mp.dps = 40
 
@@ -53,8 +52,8 @@ def test_vacuum_single_mode_closed_form():
     t = omega * r_s
     a_expect = 1j * t * t * _hat_h(n, t) / (2 * n + 1)
     b_expect = 1j * t * t * _hat_j(n, t) / (2 * n + 1)
-    inner = rs.coeffs[0]
-    outer = rs.coeffs[-1]
+    inner = sol.coeffs((n, "TE"), 0)
+    outer = sol.coeffs((n, "TE"), -1)
     assert inner.c_j.to_complex()[0] == pytest.approx(a_expect, rel=1e-12)
     assert abs(inner.c_y.to_complex()[0]) < 1e-25
     assert outer.outgoing
@@ -156,14 +155,12 @@ def test_te_tm_impedance_duality_on_matched_medium():
     src = SurfaceCurrentSource(radius=5.0, amplitudes={mode(2, 0, "TE"): 1.0,
                                                        mode(2, 0, "TM"): 1.0})
     sol = solve(med, src, 1.0)
-    te = sol.radial[(2, "TE")]
-    tm = sol.radial[(2, "TM")]
     for r in (0.8, 5.5):
         idx = sol.region_index(r)
-        _, _, e1, _, h1, _ = mode_radial_components(te.regions[idx], "TE",
-                                                    te.coeffs[idx], 2, r, 1.0)
-        _, e2, _, _, _, h2 = mode_radial_components(tm.regions[idx], "TM",
-                                                    tm.coeffs[idx], 2, r, 1.0)
+        _, _, e1, _, h1, _ = mode_radial_components(sol.regions[idx], "TE",
+                                                    sol.coeffs((2, "TE"), idx), 2, r, 1.0)
+        _, e2, _, _, _, h2 = mode_radial_components(sol.regions[idx], "TM",
+                                                    sol.coeffs((2, "TM"), idx), 2, r, 1.0)
         z_te = e1[0] / h1[0]
         z_tm = e2[0] / h2[0]
         assert z_te * z_tm == pytest.approx(-1.0, rel=1e-9)
@@ -227,8 +224,8 @@ def test_exterior_mode_coefficients_linear_in_delta():
         med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=delta), 256)
         sol = solve(med, src, 1.0)
         for key in sol.radial:
-            a = sol.radial[key].coeffs[-1].c_y.to_complex()[0]
-            b = vac.radial[key].coeffs[-1].c_y.to_complex()[0]
+            a = sol.coeffs(key, -1).c_y.to_complex()[0]
+            b = vac.coeffs(key, -1).c_y.to_complex()[0]
             devs.setdefault(key, []).append(abs(a - b))
     for key, (d3, d4) in devs.items():
         assert 5.0 < d3 / d4 < 20.0, f"mode {key}: {d3} vs {d4}"
@@ -283,13 +280,8 @@ def test_interface_residual_flags_perturbed_coefficients():
     keys = src.radial_keys()
     regions, src_idx = _build_regions(med, 5.0)
     basis, _, _ = _basis_traces(regions, keys, 1.0)
-
-    def table(part):
-        cols = [[getattr(c, part) for c in sol.radial[k].coeffs] for k in keys]
-        return ScaledArray.stack([ScaledArray.stack([col[i] for col in cols])
-                                  for i in range(len(regions))])[:, :, 0]
-
-    c_j, c_y = table("c_j"), table("c_y")
+    assert list(sol.radial) == keys
+    c_j, c_y = sol.c_j.copy(), sol.c_y.copy()
     clean = _interface_residual(basis, c_j, c_y, src_idx)
     assert np.all(clean < 1e-12)
     assert [sol.radial[k].interface_residual for k in keys] == clean.tolist()
@@ -311,3 +303,38 @@ def test_dcm_fine_pass_raises_no_solver_warning():
         for delta in (1e-2, 1e-3):
             solve_staircased(make_dcm_example(1.0, 2.0, 2.0, delta), src, 1.0, layers=96)
     assert not caught
+
+
+def test_te_and_tm_of_a_matched_medium_share_their_end_values(monkeypatch):
+    # eps = mu gives TE and TM the same (nu, k) in every region, so adding
+    # TM to a TE solve adds no Bessel call, and leaves the TE column's bits
+    import calrlab.layered_maxwell.solver as solver
+    calls = {"hat_jy": 0, "hat_h1": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "hat_jy", counted("hat_jy", solver.hat_jy))
+    monkeypatch.setattr(solver, "hat_h1", counted("hat_h1", solver.hat_h1))
+    med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3), 8)
+
+    def solve_counting(pols):
+        amps = {mode(n, 0, pol): 1.0 for n in (1, 2, 3) for pol in pols}
+        before = dict(calls)
+        sol = solve(med, SurfaceCurrentSource(radius=5.0, amplitudes=amps), 1.0)
+        return sol, {name: calls[name] - before[name] for name in calls}
+
+    te, te_calls = solve_counting(("TE",))
+    both, both_calls = solve_counting(("TE", "TM"))
+    assert te_calls["hat_jy"] > 0 and both_calls == te_calls
+    te_keys = list(te.radial)
+    rows = range(len(te.regions))
+    for a, b in zip(te.table(rows, te_keys), both.table(rows, te_keys)):
+        if hasattr(a, "m"):
+            assert np.array_equal(a.m, b.m) and np.array_equal(a.e, b.e)
+        else:
+            assert np.array_equal(a, b)
+    assert all(both.radial[key] == te.radial[key] for key in te_keys)

@@ -10,7 +10,7 @@ from calrlab.media import make_dcm_example
 
 
 def _exterior_coef(sol, n, pol):
-    return sol.radial[(n, pol)].coeffs[-1].c_y.to_complex()[0]
+    return sol.coeffs((n, pol), -1).c_y.to_complex()[0]
 
 
 def test_staircase_convergence_p3_shell():
@@ -65,3 +65,33 @@ def test_piecewise_constant_passthrough():
     a = solve_staircased(st, src, 1.0, layers=99)   # already constant: plain solve
     b = solve(st, src, 1.0)
     assert _exterior_coef(a, 1, "TE") == _exterior_coef(b, 1, "TE")
+
+
+def test_richardson_tables_match_per_region_extrapolation():
+    # the refined tables are 4/3 hi - 1/3 lo, bit for bit, on every region
+    # whose interval both solves have (the core, and the vacuum split at the
+    # source into an inner part and the exterior) and hi's own coefficients
+    # inside the staircased shell
+    med = make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3)
+    amps = {mode(n, 0, pol): 1.0 for n in (1, 2) for pol in ("TE", "TM")}
+    src = SurfaceCurrentSource(radius=5.0, amplitudes=amps)
+    lo, hi = solve(staircase(med, 4), src, 1.0), solve(staircase(med, 8), src, 1.0)
+    rich = richardson_exterior(lo, hi)
+    lo_index = {(reg.r_lo, reg.r_hi): i for i, reg in enumerate(lo.regions)}
+    shared = 0
+    for key in hi.radial:
+        for j, reg in enumerate(hi.regions):
+            got = rich.coeffs(key, j)
+            i = lo_index.get((reg.r_lo, reg.r_hi))
+            want = hi.coeffs(key, j)
+            if i is not None:
+                shared += 1
+                c_lo = lo.coeffs(key, i)
+                want.c_j = 4.0 / 3.0 * want.c_j - 1.0 / 3.0 * c_lo.c_j
+                want.c_y = 4.0 / 3.0 * want.c_y - 1.0 / 3.0 * c_lo.c_y
+            for a, b in ((got.c_j, want.c_j), (got.c_y, want.c_y)):
+                assert np.array_equal(a.m, b.m) and np.array_equal(a.e, b.e)
+            assert (got.nu, got.k, got.outgoing) == (want.nu, want.k, want.outgoing)
+    assert shared == 3 * len(hi.radial)
+    assert len(hi.regions) == 3 + 8
+    assert rich.radial is hi.radial and rich.regions == hi.regions
