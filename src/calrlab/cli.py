@@ -37,6 +37,12 @@ def load_config(path: str) -> dict:
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
     scenario_params(config["scenario"], params)
+    out = config.get("out", "out")
+    if not isinstance(out, str):
+        raise ValueError(f"'out' must be a directory path, not {out!r}")
+    for path in (Path(out), *Path(out).parents):
+        if path.exists() and not path.is_dir():
+            raise ValueError(f"'out' {out!r}: {path} exists and is not a directory")
     return config
 
 

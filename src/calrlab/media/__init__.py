@@ -1,14 +1,7 @@
 """Sign-changing layered media, diffeomorphisms, and tensor push-forwards."""
 
 from .maps import SmoothMap, check_inverse, compose, identity_map, kelvin_map, linear_map, power_map
-from .pushforward import (
-    check_elliptic,
-    check_symmetric,
-    ellipticity_bounds,
-    push_forward_field,
-    push_forward_tensor,
-    spherical_diag,
-)
+from .pushforward import push_forward_tensor, spherical_diag
 from .radial import (
     Layer,
     LayerCoeff,
@@ -20,14 +13,11 @@ from .radial import (
     make_superlens,
     vacuum_medium,
 )
-from .serialize import medium_from_json, medium_to_json
 
 __all__ = [
     "SmoothMap", "check_inverse", "compose", "identity_map", "kelvin_map",
     "linear_map", "power_map",
-    "check_elliptic", "check_symmetric", "ellipticity_bounds",
-    "push_forward_field", "push_forward_tensor", "spherical_diag",
+    "push_forward_tensor", "spherical_diag",
     "Layer", "LayerCoeff", "RadialMedium", "dcm_maps", "dcm_verify",
     "make_cm_cloak", "make_dcm_example", "make_superlens", "vacuum_medium",
-    "medium_from_json", "medium_to_json",
 ]

@@ -1,13 +1,11 @@
 """Special functions: scaled spherical Bessel machinery and vector spherical harmonics."""
 
-from .scaled import ScaledArray, ScaledComplex
+from .scaled import ScaledArray
 from .bessel import (
     hat_h1,
     hat_jy,
     log_dfact_minus,
     log_dfact_plus,
-    normalized_bessel,
-    spherical_bessel,
     sph_jy,
     wronskian_residual,
 )
@@ -23,13 +21,10 @@ from .vsh import (
 
 __all__ = [
     "ScaledArray",
-    "ScaledComplex",
     "hat_h1",
     "hat_jy",
     "log_dfact_minus",
     "log_dfact_plus",
-    "normalized_bessel",
-    "spherical_bessel",
     "sph_jy",
     "wronskian_residual",
     "VshTriple",

@@ -345,54 +345,6 @@ def hat_h1(nu: float, z, groups=None) -> dict:
     return {"h": h, "dh": dh}
 
 
-def spherical_bessel(kind: str, n: int, z):
-    """j_n, y_n or h1_n at complex z.
-
-    Returns a plain complex when representable; on overflow/underflow of the
-    double range returns the (mantissa, decimal exponent) pair instead.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds MAX_ORDER={MAX_ORDER}")
-    z = complex(z)
-    if kind == "J" and z == 0:
-        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-    if z == 0:
-        raise ZeroDivisionError(f"{kind}_n singular at z=0")
-    vals = sph_jy(float(n), z)
-    if kind == "J":
-        v = vals["j"]
-    elif kind == "Y":
-        v = vals["y"]
-    elif kind == "H1":
-        v = vals["j"] + 1j * vals["y"]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    sc = v.item()
-    if -290 <= sc.exp10 <= 290:
-        return sc.to_complex()
-    return sc
-
-
-def normalized_bessel(kind: str, n: float, r: float) -> float:
-    """jhat_n(r) = (2n+1)!! j_n(r) or yhat_n(r) = -y_n(r)/(2n-1)!!, real r > 0."""
-    if r <= 0:
-        raise ValueError("argument must be > 0")
-    vals = hat_jy(float(n), complex(r))
-    if kind == "Jhat":
-        sc = vals["j"].item()
-    elif kind == "Yhat":
-        sc = vals["y"].item()
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if sc.exp10 > 300:
-        raise OverflowError(
-            f"{kind}_{n}({r}) exceeds double range; use hat_jy for scaled values")
-    out = sc.to_complex()
-    return float(out.real)
-
-
 def wronskian_residual(n: float, r: float) -> float:
     """|j_n y_n' - j_n' y_n - 1/r^2| via recurrence derivatives, scaled."""
     if r <= 0:

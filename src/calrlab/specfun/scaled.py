@@ -8,12 +8,7 @@ at the end.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-_LOG10 = math.log(10.0)
 
 
 def _split(values):
@@ -50,11 +45,6 @@ class ScaledArray:
     def from_complex(cls, values):
         m, e, _ = _split(values)
         return cls(m, e, normalize=False)
-
-    @classmethod
-    def zeros(cls, shape):
-        return cls(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=np.int64),
-                   normalize=False)
 
     @classmethod
     def where(cls, cond, a: "ScaledArray", b: "ScaledArray") -> "ScaledArray":
@@ -121,18 +111,12 @@ class ScaledArray:
     def __neg__(self):
         return ScaledArray(-self.m, self.e, normalize=False)
 
-    def conj(self):
-        return ScaledArray(np.conj(self.m), self.e, normalize=False)
-
     def scale10(self, log10_factor):
         """Multiply by 10**log10_factor (real, possibly fractional)."""
         log10_factor = np.asarray(log10_factor, dtype=float)
         ip = np.floor(log10_factor)
         frac = log10_factor - ip
         return ScaledArray(self.m * 10.0 ** frac, self.e + ip.astype(np.int64))
-
-    def abs(self):
-        return ScaledArray(np.abs(self.m).astype(complex), self.e, normalize=False)
 
     def log10_abs(self):
         """log10 of magnitude; -inf where zero."""
@@ -149,27 +133,5 @@ class ScaledArray:
             out = self.m * 10.0 ** ef
         return out if out.shape else complex(out)
 
-    def item(self):
-        m = self.m.reshape(-1)
-        e = self.e.reshape(-1)
-        if m.size != 1:
-            raise ValueError("item() needs a single-element array")
-        return ScaledComplex(complex(m[0]), int(e[0]))
-
     def __repr__(self):
         return f"ScaledArray(m={self.m!r}, e={self.e!r})"
-
-
-@dataclass(frozen=True)
-class ScaledComplex:
-    """Scalar mantissa * 10**exp10 pair (the overflow-guard return type)."""
-
-    mantissa: complex
-    exp10: int
-
-    def to_complex(self):
-        return ScaledArray.from_complex(self.mantissa).scale10(self.exp10).to_complex()
-
-    def __abs__(self):
-        return abs(self.mantissa) * 10.0 ** min(self.exp10, 308)
-

@@ -1,22 +1,27 @@
 """Boundary norms and three-sphere interpolation checks."""
 
-from .expansions import HARMONIC, HELMHOLTZ, PlanarHelmholtzExpansion, SphericalExpansion
+from .expansions import HARMONIC, HELMHOLTZ, SphericalExpansion
 from .harmonic2d import HarmonicExpansion2D, check_hadamard, sup_norm_circle
-from .hnorm import NormReport, check_helmholtz_3sphere, hnorm_sphere
 from .maxwell_norms import (
     check_maxwell_3sphere,
     field_trace_table,
     hminushalf_div_norm,
     random_modal_field,
 )
-from .partial import AlphaFit, PartialBoundary, circle_curve, empirical_alpha, partial_data_norm
+from .partial import (
+    AlphaFit,
+    NormReport,
+    PartialBoundary,
+    circle_curve,
+    empirical_alpha,
+    partial_data_norm,
+)
 
 __all__ = [
-    "HARMONIC", "HELMHOLTZ", "PlanarHelmholtzExpansion", "SphericalExpansion",
+    "HARMONIC", "HELMHOLTZ", "SphericalExpansion",
     "HarmonicExpansion2D", "check_hadamard", "sup_norm_circle",
-    "NormReport", "check_helmholtz_3sphere", "hnorm_sphere",
     "check_maxwell_3sphere", "field_trace_table", "hminushalf_div_norm",
     "random_modal_field",
-    "AlphaFit", "PartialBoundary", "circle_curve", "empirical_alpha",
-    "partial_data_norm",
+    "AlphaFit", "NormReport", "PartialBoundary", "circle_curve",
+    "empirical_alpha", "partial_data_norm",
 ]

@@ -1,4 +1,4 @@
-"""Scalar expansions on annuli: Helmholtz and harmonic, 3-D and planar."""
+"""Scalar expansions on spherical annuli: Helmholtz and harmonic."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..specfun.bessel import sph_jy
-from ..specfun.cylinder import cylinder_jy_with_derivatives
 from ..specfun.vsh import gauss_legendre, pbar_tau_pi
 
 HELMHOLTZ = "helmholtz"
@@ -57,18 +56,6 @@ class SphericalExpansion:
         g = vals["y"].to_complex().real
         dg = self.omega * vals["dy"].to_complex().real
         return (f, df), (g, dg)
-
-    def trace_coeffs(self, radius: float) -> dict:
-        """(n, m) -> (v_hat, dv_dr_hat): modal trace and radial derivative."""
-        out = {}
-        cache = {}
-        for (n, m), (c_reg, c_sing) in self.coeffs.items():
-            if n not in cache:
-                cache[n] = self.radial(n, radius)
-            (f, df), (g, dg) = cache[n]
-            out[(n, m)] = (c_reg * f[0] + c_sing * g[0],
-                           c_reg * df[0] + c_sing * dg[0])
-        return out
 
     def value(self, x) -> complex:
         return self._eval(x, want_grad=False)[0]
@@ -134,24 +121,3 @@ class SphericalExpansion:
                 dens = dens + np.abs(dfr) ** 2 + n * (n + 1) * np.abs(fr / rr) ** 2
             total += float(np.sum(wr * dens * rr * rr))
         return total
-
-
-@dataclass(frozen=True)
-class PlanarHelmholtzExpansion:
-    """v = sum_k (a_k J_k(omega r) + b_k Y_k(omega r)) e^{ik theta} on an annulus."""
-
-    coeffs: dict                      # k >= 0 -> (a_k, b_k); negative k allowed
-    omega: float = 1.0
-
-    @property
-    def k_max(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
-
-    def circle_trace(self, radius: float) -> dict:
-        j, dj, y, dy = cylinder_jy_with_derivatives(self.k_max, self.omega * radius)
-        out = {}
-        for k, (a, b) in self.coeffs.items():
-            ka = abs(k)
-            out[k] = (a * j[ka] + b * y[ka],
-                      self.omega * (a * dj[ka] + b * dy[ka]))
-        return out

@@ -47,14 +47,6 @@ class HarmonicExpansion2D:
             out[k] = out.get(k, 0.0) + c * radius ** (-abs(k))
         return out
 
-    def radial_derivative_coeffs(self, radius: float) -> dict:
-        out = {}
-        for k, c in self.regular.items():
-            out[k] = out.get(k, 0.0) + c * abs(k) * radius ** (abs(k) - 1)
-        for k, c in self.singular.items():
-            out[k] = out.get(k, 0.0) - c * abs(k) * radius ** (-abs(k) - 1)
-        return out
-
 
 # Newton converges quadratically from within half a grid cell of a maximum,
 # which is 1/128 of the shortest period or less at the default grid, so a

@@ -12,7 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..specfun.vsh import sphere_rule
-from .hnorm import NormReport
+
+
+@dataclass(frozen=True)
+class NormReport:
+    """A computed norm plus the metadata needed to reproduce it."""
+
+    value: float
+    parts: dict = field(default_factory=dict)
+    method: str = "modal-exact"
+    params: dict = field(default_factory=dict)
+
+    def __float__(self):
+        return self.value
 
 
 def circle_curve(radius: float):

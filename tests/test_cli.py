@@ -65,6 +65,22 @@ def test_run_assertion_failure_exit_code(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_ASSERTION
 
 
+@pytest.mark.parametrize("out", [5, "file", "file/sub"],
+                         ids=["not-a-string", "existing-file", "under-a-file"])
+def test_bad_out_exit_config(tmp_path, capsys, monkeypatch, out):
+    # an out that is not a path, or that names an existing file or a path
+    # under one, is rejected before any work, with a message that names it
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("keep")
+    monkeypatch.setattr("calrlab.cli.run_scenario", pytest.fail)
+    cfg = tmp_path / "out.json"
+    cfg.write_text(json.dumps({"scenario": "cm_cloak", "out": out}))
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert Path("file").read_text() == "keep"
+    assert capsys.readouterr().err.count("'out'") == 2
+
+
 def test_run_config_error_exit_code(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["run", str(missing)]) == EXIT_CONFIG

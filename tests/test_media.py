@@ -16,10 +16,7 @@ from calrlab.media import (
     make_cm_cloak,
     make_dcm_example,
     make_superlens,
-    medium_from_json,
-    medium_to_json,
     power_map,
-    push_forward_field,
     push_forward_tensor,
     vacuum_medium,
 )
@@ -111,22 +108,6 @@ def test_pushforward_functoriality():
         x = rng.standard_normal(3) + np.array([0.5, 1.5, 0])
         back = push_forward_tensor(f, lambda z: push_forward_tensor(f, tensor, z), x)
         assert np.allclose(back, tensor(x), atol=1e-10)
-
-
-def test_pushforward_field_identity_linearity_kelvin():
-    ident = identity_map()
-    v = np.array([1.0, 2.0, -1.0], dtype=complex)
-    y = np.array([0.2, 0.3, 0.4])
-    assert np.allclose(push_forward_field(ident, v, y), v)
-    k = kelvin_map(2.0)
-    # linearity in v
-    v2 = np.array([0.5, -1.0, 2.5], dtype=complex)
-    lhs = push_forward_field(k, lambda x: 2 * v + 3j * v2, y)
-    rhs = 2 * push_forward_field(k, v, y) + 3j * push_forward_field(k, v2, y)
-    assert np.allclose(lhs, rhs, atol=1e-12)
-    # constant field against the hand-derived Jacobian inverse-transpose
-    j = k.jacobian(k.inverse(y))
-    assert np.allclose(push_forward_field(k, v, y), np.linalg.solve(j.T, v), atol=1e-13)
 
 
 def test_sign_law():
@@ -249,20 +230,6 @@ def test_cm_cloak_geometry():
     assert np.allclose(eps_lo, 3.0 * np.eye(3), atol=1e-13)
 
 
-def test_medium_json_roundtrip():
-    for med in (vacuum_medium(),
-                make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3),
-                make_superlens(0.5, 4.0, (2.0, 2.0), delta=1e-4, r1=1.0)[0],
-                make_cm_cloak(1.0, 2.0, None, delta=1e-2)):
-        text = medium_to_json(med)
-        back = medium_from_json(text)
-        assert back.breakpoints == pytest.approx(med.breakpoints)
-        x = np.array([0.7, 0.2, 0.1])
-        e0, m0 = med.tensors_at(x)
-        e1, m1 = back.tensors_at(x)
-        assert np.allclose(e0, e1) and np.allclose(m0, m1)
-
-
 def test_medium_layer_lookup_breakpoint_from_inside():
     med = make_dcm_example(1.0, 2.0)
     assert med.layer_index(1.0) == 0   # limit from inside
@@ -284,18 +251,3 @@ def test_superlens_declared_ellipticity_check():
     make_superlens(0.5, 4.0, (2.0, 2.0), delta=0.0, r1=1.0, lam=3.0)
     with pytest.raises(ValueError):
         make_superlens(0.5, 4.0, (5.0, 2.0), delta=0.0, r1=1.0, lam=3.0)
-
-
-def test_tensor_validation_helpers():
-    from calrlab.media import check_elliptic, check_symmetric, ellipticity_bounds
-    a = np.diag([0.5, 1.0, 2.0]).astype(complex)
-    check_symmetric(a)
-    lo, hi = ellipticity_bounds(a)
-    assert (lo, hi) == (0.5, 2.0)
-    check_elliptic(a, 2.0)
-    with pytest.raises(ValueError):
-        check_elliptic(a, 1.5)
-    bad = a.copy()
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        check_symmetric(bad)

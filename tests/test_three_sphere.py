@@ -1,28 +1,22 @@
 """Three-sphere inequality machinery: sup norms, modal norms, partial data."""
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
 from calrlab.three_sphere import (
     HarmonicExpansion2D,
     PartialBoundary,
-    PlanarHelmholtzExpansion,
     SphericalExpansion,
     check_hadamard,
-    check_helmholtz_3sphere,
     check_maxwell_3sphere,
     empirical_alpha,
     hminushalf_div_norm,
-    hnorm_sphere,
     partial_data_norm,
     random_modal_field,
     sup_norm_circle,
 )
 from calrlab.layered_maxwell.modes import ModeId
-
-mp.mp.dps = 30
 
 
 def test_sup_norm_monomial_and_constant():
@@ -85,82 +79,6 @@ def test_hadamard_rejects_non_holomorphic():
     v = HarmonicExpansion2D(regular={1: 1.0}, singular={1: 0.5})
     with pytest.raises(ValueError):
         check_hadamard(v, 0.5, 1.0, 2.0)
-
-
-def test_hnorm_single_mode_closed_form():
-    # r^n Y_n^m at r=1: ((1+n)^(1/2) + n (1+n)^(-1/2)) |coef|
-    n, m, coef = 3, 1, 2.2
-    v = SphericalExpansion(kind="harmonic", coeffs={(n, m): (coef, 0.0)})
-    got = hnorm_sphere(v, None, 1.0)
-    want = (math.sqrt(1.0 + n) + n / math.sqrt(1.0 + n)) * coef
-    assert got.value == pytest.approx(want, rel=1e-12)
-    assert got.method == "modal-exact"
-
-
-def test_hnorm_zero_and_triangle():
-    zero = SphericalExpansion(kind="harmonic", coeffs={(1, 0): (0.0, 0.0)})
-    assert hnorm_sphere(zero, None, 1.0).value == 0.0
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        c1 = {(n, m): (rng.standard_normal() + 1j * rng.standard_normal(),
-                       rng.standard_normal())
-              for n in range(1, 4) for m in (-1, 0, 1)}
-        c2 = {k: (rng.standard_normal(), rng.standard_normal() * 1j) for k in c1}
-        v1 = SphericalExpansion(kind="harmonic", coeffs=c1)
-        v2 = SphericalExpansion(kind="harmonic", coeffs=c2)
-        vs = SphericalExpansion(kind="harmonic", coeffs={
-            k: (c1[k][0] + c2[k][0], c1[k][1] + c2[k][1]) for k in c1})
-        r = 1.2
-        assert (hnorm_sphere(vs, None, r).value
-                <= hnorm_sphere(v1, None, r).value
-                + hnorm_sphere(v2, None, r).value + 1e-12)
-
-
-def test_hnorm_quadrature_path_matches_modal_for_identity():
-    coeffs = {(2, 1): (0.8, 0.1), (4, -2): (0.3, 0.05)}
-    v = SphericalExpansion(kind="harmonic", coeffs=coeffs)
-    exact = hnorm_sphere(v, None, 1.1)
-    approx = hnorm_sphere(v, np.eye(3), 1.1, quad_order=40, n_project=8)
-    assert approx.method == "quadrature"
-    assert approx.value == pytest.approx(exact.value, rel=1e-8)
-
-
-def test_helmholtz_3sphere_closed_and_harmonic_limit():
-    # small omega: j_n(omega r) -> (omega r)^n/(2n+1)!! and
-    # y_n(omega r) -> -(2n-1)!!(omega r)^{-n-1}, so the Helmholtz check
-    # reduces to the harmonic one once the coefficients absorb those factors
-    n, m = 2, 0
-    omega = 1e-3
-    coeffs = {(n, m): (1.0, 0.3)}
-    v_helm = SphericalExpansion(kind="helmholtz", coeffs=coeffs, omega=omega)
-    dfp = 1.0 * 3.0 * 5.0          # (2n+1)!! for n = 2
-    dfm = 1.0 * 3.0                # (2n-1)!!
-    harm_coeffs = {(n, m): (1.0 * omega ** n / dfp,
-                            -0.3 * dfm * omega ** (-n - 1))}
-    v_harm = SphericalExpansion(kind="harmonic", coeffs=harm_coeffs)
-    _, _, c_h = check_helmholtz_3sphere(v_harm, 1.0, 1.5, 2.0)
-    _, _, c_w = check_helmholtz_3sphere(v_helm, 1.0, 1.5, 2.0)
-    assert 0 < c_h < 2.0
-    assert c_w == pytest.approx(c_h, rel=1e-4)
-    # single mode: C in closed modal form, reproduced by the checker
-    vj = SphericalExpansion(kind="helmholtz", coeffs={(3, 1): (1.0, 0.0)}, omega=1.0)
-    lhs, rhs, c = check_helmholtz_3sphere(vj, 1.0, 1.5, 2.0)
-
-    def hn(r):
-        # single (n=3) mode: r (sqrt(1+n)|v| + |dv/dr|/sqrt(1+n)), 1+n = 4
-        jn = float(mp.sqrt(mp.pi / (2 * r)) * mp.besselj(3.5, r))
-        djn = float(mp.diff(lambda t: mp.sqrt(mp.pi / (2 * t)) * mp.besselj(3.5, t), r))
-        return r * (math.sqrt(4.0) * abs(jn) + abs(djn) / math.sqrt(4.0))
-
-    alpha0 = math.log(2.0 / 1.5) / math.log(2.0)
-    assert c == pytest.approx(hn(1.5) / (hn(1.0) ** alpha0 * hn(2.0) ** (1 - alpha0)),
-                              rel=1e-9)
-
-
-def test_planar_helmholtz_trace_norm():
-    v = PlanarHelmholtzExpansion(coeffs={0: (1.0, 0.2), 2: (0.5, 0.0)}, omega=1.5)
-    rep = hnorm_sphere(v, None, 1.2)
-    assert rep.value > 0 and rep.method == "modal-exact"
 
 
 def test_hminushalf_norm_values_and_axioms():
@@ -278,17 +196,6 @@ def test_empirical_alpha_helmholtz_family():
     pb = PartialBoundary(radius=1.0, excision=0.1, quad_order=48)
     fit = empirical_alpha(family, pb, (1.44, 1.46), (1.0, 2.0))
     assert np.isfinite(fit.alpha_hat) and fit.count >= 10
-
-
-def test_hnorm_quadrature_scalar_tensor_closed_form():
-    # M = c I scales only the conormal piece; closed form from the modal path
-    c = 2.5
-    coeffs = {(3, 1): (0.7, 0.2)}
-    v = SphericalExpansion(kind="harmonic", coeffs=coeffs)
-    exact = hnorm_sphere(v, None, 1.1)
-    scaled = hnorm_sphere(v, c * np.eye(3), 1.1, quad_order=40, n_project=8)
-    want = exact.parts["trace"] + c * exact.parts["conormal"]
-    assert scaled.value == pytest.approx(want, rel=1e-8)
 
 
 def test_helmholtz_expansion_satisfies_equation():
