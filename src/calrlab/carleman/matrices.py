@@ -13,21 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fold import _polar
 from .frame import ConformalFrame
 
 
-def _polar_plane(x):
-    return math.hypot(x[0], x[1]), math.atan2(x[1], x[0])
-
-
-def kn_matrix(frame: ConformalFrame, n: float, x, check_det: bool = False) -> np.ndarray:
-    """K_n(x) = gamma^(1/2) Ktilde_n(x) H at a point of the folded domain.
-
-    With check_det=True the closed-form determinant relation
-    |det grad T_n| o T_n^{-1} = 1/(gamma n^2 rhat^(2n-2)) is verified to 1e-10.
-    """
+def kn_matrix(frame: ConformalFrame, n: float, x) -> np.ndarray:
+    """K_n(x) = gamma^(1/2) Ktilde_n(x) H at a point of the folded domain."""
     x = np.asarray(x, dtype=float)
-    rhat, theta = _polar_plane(x)
+    rhat, theta = _polar(x)
     if rhat == 0.0:
         raise ValueError("K_n singular on the planar axis")
     c = math.cos((n - 1.0) * theta)
@@ -36,15 +29,7 @@ def kn_matrix(frame: ConformalFrame, n: float, x, check_det: bool = False) -> np
     ktil[0, 0], ktil[0, 1] = c, s
     ktil[1, 0], ktil[1, 1] = -s, c
     ktil[2, 2] = n * rhat ** (n - 1.0)
-    gamma = frame.gamma
-    kn = math.sqrt(gamma) * ktil @ frame.h
-    if check_det:
-        jac = frame.t_jacobian(n, frame.t_inverse(n, x))
-        det = abs(np.linalg.det(jac))
-        want = 1.0 / (gamma * n * n * rhat ** (2.0 * n - 2.0))
-        if abs(det - want) > 1e-10 * want:
-            raise AssertionError(f"determinant relation violated: {det} vs {want}")
-    return kn
+    return math.sqrt(frame.gamma) * ktil @ frame.h
 
 
 def pushed_matrix(frame: ConformalFrame, n: float, m_field, x) -> np.ndarray:
@@ -56,7 +41,7 @@ def pushed_matrix(frame: ConformalFrame, n: float, m_field, x) -> np.ndarray:
 
 def anchor_block(frame: ConformalFrame, n: float, x) -> np.ndarray:
     """gamma * blockdiag(I_2, n^2 rhat^(2n-2)): the exact anchor value of M_n."""
-    rhat, _ = _polar_plane(np.asarray(x, dtype=float))
+    rhat, _ = _polar(np.asarray(x, dtype=float))
     out = np.diag([1.0, 1.0, (n * rhat ** (n - 1.0)) ** 2])
     return frame.gamma * out
 

@@ -12,22 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..specfun.vsh import gauss_legendre, sphere_rule
+from ..specfun.vsh import gauss_legendre
 
-# The weighted-inequality quadrature: a product rule of _QUAD_THETA
-# Gauss-Legendre nodes in cos(theta) (128 points on the sphere), and radial
-# panels of _GAUSS_ORDER nodes, _PANELS_PER_EFOLD of them per e-fold of the
-# weight, dropped beyond _EXPONENT_FLOOR e-folds below its peak.  A panel
-# doubling must agree to _REFINE_GUARD.
-_QUAD_THETA = 8
+# The weighted-inequality quadrature: radial panels of _GAUSS_ORDER
+# Gauss-Legendre nodes, _PANELS_PER_EFOLD of them per e-fold of the weight,
+# dropped beyond _EXPONENT_FLOOR e-folds below its peak.  A panel doubling
+# must agree to _REFINE_GUARD.
 _GAUSS_ORDER = 8
 _PANELS_PER_EFOLD = 2
 _EXPONENT_FLOOR = 80.0
 _REFINE_GUARD = 0.01
-# Radial nodes per evaluation of the test function.  A block holds 8192
-# points; a whole refinement run at once would hold 2560 x 128 and raise
-# peak memory, one panel (8 nodes) pays more numpy dispatch per node.
-_NODE_BLOCK = 64
 
 
 def weight_derivative_identity(beta: float, p: float, m_field, x,
@@ -81,7 +75,8 @@ def weight_derivative_identity(beta: float, p: float, m_field, x,
 
 @dataclass(frozen=True)
 class BumpFunction:
-    """Smooth radial bump supported on (a, b), with analytic derivatives."""
+    """Smooth radial bump exp(-1/(1-s^2)), s = (r - mid)/half, supported on
+    (a, b), with analytic radial derivatives."""
 
     a: float
     b: float
@@ -90,58 +85,18 @@ class BumpFunction:
     def support(self):
         return (self.a, self.b)
 
-    def _sval(self, r):
+    def radial(self, r):
+        """(v, v', v'') at an array of radii; all three vanish off (a, b)."""
+        r = np.asarray(r, dtype=float)
         mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
-        return (r - mid) / half, half
-
-    def value(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        s, _ = self._sval(r)
-        out = np.zeros_like(r)
+        s = (r - mid) / half
         inside = np.abs(s) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-        return out
-
-    def _dds(self, s):
-        """d/ds and d2/ds2 of exp(-1/(1-s^2)) for |s| < 1."""
-        q = 1.0 - s * s
-        e = np.exp(-1.0 / q)
+        q = np.where(inside, 1.0 - s * s, 1.0)
+        e = np.where(inside, np.exp(-1.0 / q), 0.0)
         d1 = e * (-2.0 * s / q ** 2)
         d2 = e * ((4.0 * s * s / q ** 4) - (2.0 / q ** 2) - (8.0 * s * s / q ** 3))
-        return e, d1, d2
-
-    def gradient(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        s, half = self._sval(r)
-        out = np.zeros_like(x)
-        inside = np.abs(s) < 1.0
-        if np.any(inside):
-            _, d1, _ = self._dds(s[inside])
-            out[inside] = (d1 / half)[:, None] * (x[inside] / r[inside, None])
-        return out
-
-    def hessian_quadratic(self, x, m):
-        """div(M grad v) for constant symmetric M, in closed form."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        s, half = self._sval(r)
-        out = np.zeros_like(r)
-        inside = np.abs(s) < 1.0
-        if not np.any(inside):
-            return out
-        _, d1, d2 = self._dds(s[inside])
-        xi = x[inside]
-        ri = r[inside]
-        vp = d1 / half          # dv/dr
-        vpp = d2 / half ** 2    # d2v/dr2
-        m = np.asarray(m, dtype=float)
-        xmx = np.einsum("ij,jk,ik->i", xi, m, xi) / ri ** 2
-        trm = np.trace(m)
-        out[inside] = vpp * xmx + vp * (trm - xmx) / ri
-        return out
+        return e, d1 / half, d2 / half ** 2
 
 
 @dataclass(frozen=True)
@@ -153,13 +108,46 @@ class WeightedCheck:
     params: dict
 
 
-def carleman_inequality_check(m_field, v, beta: float, p: float,
+def _sphere_moments(m) -> tuple[float, float]:
+    """t = tr S and the variance of q = x.Sx over the unit sphere,
+    S = (M + M^T)/2: the mean of q is t/3 and its variance
+    2 (3 tr S^2 - t^2)/45 = 2 |S - (t/3) I|^2 / 15, taken in the second form,
+    which cannot cancel below zero for a nearly isotropic S."""
+    if np.shape(m) != (3, 3):
+        raise ValueError(f"m must be a constant 3x3 matrix, not {m!r}")
+    m = np.asarray(m, dtype=float)
+    s = 0.5 * (m + m.T)
+    t = float(np.trace(s))
+    dev = s - (t / 3.0) * np.eye(3)
+    return t, 2.0 * float(np.sum(dev * dev)) / 15.0
+
+
+def _angular_densities(t: float, var: float, r, dv, d2v):
+    """Sphere means of <M grad v, grad v> and (div M grad v)^2 at radius r
+    for a radial v with derivatives dv, d2v (multiply by 4 pi for integrals).
+
+    div(M grad v) = A q + B with A = v'' - v'/r and B = v' t / r; its squared
+    mean is taken as (A t/3 + B)^2 + A^2 var, a sum of nonnegative terms, as
+    the expanded form can cancel below zero.
+    """
+    a = d2v - dv / r
+    b = dv * t / r
+    return dv * dv * (t / 3.0), (a * (t / 3.0) + b) ** 2 + a * a * var
+
+
+def carleman_inequality_check(m, v, beta: float, p: float,
                               shell: tuple[float, float] = (0.55, 0.95)) -> WeightedCheck:
     """Measured constant of the central weighted inequality on a shell.
 
     lhs  = int e^{2 beta r^-p} (p^3 beta^2 r^{-2p-2} |v|^2 + <M grad v, grad v>)
     rhs  = int (1/(p|beta|)) r^{p+2} e^{2 beta r^-p} |div(M grad v)|^2
          + boundary terms e^{2 beta r^-p} (|grad v|^2 + p^2 beta^2 r^{-2p-2}|v|^2).
+
+    M is the constant 3x3 matrix m, of which only the symmetric part enters,
+    and v is radial: v.radial(r) gives (v, v', v'') at an array of radii, and
+    an optional v.support = (lo, hi) bounds where v is nonzero.  Every
+    angular integral then has a closed form (_angular_densities), so the
+    quadrature is one-dimensional in r.
 
     All integrands share the factor e^{2 beta (r^-p - ref)} (ref = the largest
     exponent on the closed shell), so the measured ratio is scale-free.
@@ -168,12 +156,6 @@ def carleman_inequality_check(m_field, v, beta: float, p: float,
     e-folds below the peak are dropped (both sides share the truncation).
     The run is repeated with twice the panels; the two must agree to
     _REFINE_GUARD or the check raises.
-
-    v is duck-typed: value, gradient and hessian_quadratic(x, M) take a (k, 3)
-    array of points.  They are called once per block of _NODE_BLOCK radial
-    nodes on the sphere rule; the per-node weights and powers of r stay
-    scalars and the node sums accumulate in radial order, so the result is
-    bit-identical to a node-by-node evaluation.
     """
     a, b = shell
     if not (0 < a < b <= 1.0):
@@ -182,6 +164,7 @@ def carleman_inequality_check(m_field, v, beta: float, p: float,
         raise ValueError("need p >= 1 and |beta| >= 1")
     if beta >= 0:
         raise ValueError("the weight sweep uses beta < 0 (decay away from 0)")
+    t, var = _sphere_moments(m)
     # interior mass lives on supp(v) when the test function declares one;
     # referencing the weight there keeps the shared scale factor meaningful
     support = getattr(v, "support", None)
@@ -191,10 +174,8 @@ def carleman_inequality_check(m_field, v, beta: float, p: float,
         r_top, r_bot = b, a
     ref = 2.0 * beta * r_top ** (-p)
 
-    m_const = np.asarray(m_field(np.array([0.0, 0.0, 0.7 * b])), dtype=float) \
-        if callable(m_field) else np.asarray(m_field, dtype=float)
-
-    pts, wq, _, _ = sphere_rule(_QUAD_THETA)
+    def weight(r):
+        return np.exp(np.maximum(2.0 * beta * r ** (-p) - ref, -700.0))
 
     def run(panel_mult: int):
         u_lo = r_top ** (-p)
@@ -205,56 +186,28 @@ def carleman_inequality_check(m_field, v, beta: float, p: float,
         nodes, gw = gauss_legendre(_GAUSS_ORDER)
         lo, hi = edges[1:], edges[:-1]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        # per-node scalars stay Python/numpy scalars: their ufunc forms can
-        # differ in the last bit
-        radii, scale_w, lhs_c, rhs_c = [], [], [], []
-        for r_i, w_i in zip((mid[:, None] + half[:, None] * nodes).ravel(),
-                            (half[:, None] * gw).ravel()):
-            wgt = math.exp(max(2.0 * beta * r_i ** (-p) - ref, -700.0))
-            if wgt == 0.0:
-                continue
-            radii.append(r_i)
-            scale_w.append(w_i * r_i * r_i * wgt)
-            lhs_c.append(p ** 3 * beta ** 2 * r_i ** (-2 * p - 2))
-            rhs_c.append(r_i ** (p + 2) / (p * abs(beta)))
-        interior_lhs = 0.0
-        interior_rhs = 0.0
-        for start in range(0, len(radii), _NODE_BLOCK):
-            block = slice(start, start + _NODE_BLOCK)
-            rb = np.array(radii[block])
-            xs = (rb[:, None, None] * pts).reshape(-1, 3)
-            shape = (len(rb), len(pts))
-            vals = v.value(xs).reshape(shape)
-            grads = v.gradient(xs)
-            divmv = v.hessian_quadratic(xs, m_const).reshape(shape)
-            mgg = np.einsum("ij,jk,ik->i", grads, m_const, grads).reshape(shape)
-            lhs = np.sum(wq * (np.array(lhs_c[block])[:, None] * np.abs(vals) ** 2
-                               + mgg), axis=1)
-            rhs = np.sum(wq * (np.array(rhs_c[block])[:, None]
-                               * np.abs(divmv) ** 2), axis=1)
-            for sw, lhs_k, rhs_k in zip(scale_w[block], lhs, rhs):
-                interior_lhs += sw * lhs_k
-                interior_rhs += sw * rhs_k
-        boundary = 0.0
-        for r_i in (a, b):
-            xs = r_i * pts
-            vals = v.value(xs)
-            grads = v.gradient(xs)
-            wgt = math.exp(max(2.0 * beta * r_i ** (-p) - ref, -700.0))
-            boundary += wgt * r_i * r_i * float(np.sum(wq * (
-                np.sum(np.abs(grads) ** 2, axis=1)
-                + p ** 2 * beta ** 2 * r_i ** (-2 * p - 2) * np.abs(vals) ** 2)))
-        return interior_lhs, interior_rhs, boundary
+        r = (mid[:, None] + half[:, None] * nodes).ravel()
+        area = 4.0 * math.pi * (half[:, None] * gw).ravel() * r * r * weight(r)
+        val, dv, d2v = v.radial(r)
+        mgg, div_sq = _angular_densities(t, var, r, dv, d2v)
+        lhs = float(np.sum(area * (p ** 3 * beta ** 2 * r ** (-2 * p - 2) * val * val
+                                   + mgg)))
+        rhs = float(np.sum(area * (r ** (p + 2) / (p * abs(beta)) * div_sq)))
+        return lhs, rhs
 
-    l1, ri1, bd1 = run(1)
-    l2, ri2, bd2 = run(2)
+    l1, ri1 = run(1)
+    l2, ri2 = run(2)
     for x1, x2 in ((l1, l2), (ri1, ri2)):
         scale = max(abs(x2), 1e-300)
         if abs(x1 - x2) / scale > _REFINE_GUARD and scale > 1e-290:
             raise RuntimeError(f"quadrature not converged: {x1} vs {x2}")
-    rhs = ri2 + bd2
+    ends = np.array([a, b])
+    val, dv, _ = v.radial(ends)
+    bd = float(np.sum(4.0 * math.pi * ends * ends * weight(ends) * (
+        dv * dv + p ** 2 * beta ** 2 * ends ** (-2 * p - 2) * val * val)))
+    rhs = ri2 + bd
     c = l2 / rhs if rhs > 0 else math.inf
-    return WeightedCheck(lhs=l2, rhs_interior=ri2, rhs_boundary=bd2,
+    return WeightedCheck(lhs=l2, rhs_interior=ri2, rhs_boundary=bd,
                          measured_c=c,
                          params={"beta": beta, "p": p, "shell": shell,
                                  "ref_exponent": ref})

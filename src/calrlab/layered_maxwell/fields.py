@@ -314,10 +314,6 @@ class GluedField:
         requests, assemble = self._glued(np.atleast_2d(np.asarray(ys, dtype=float)))
         return assemble(self._fields(requests))
 
-    def eval(self, y) -> tuple[np.ndarray, np.ndarray]:
-        e, h = self.eval_many(np.asarray(y, dtype=float)[None, :])
-        return e[0], h[0]
-
     def residual_report(self, sample_radii, quad_order: int = 24,
                         points_per_radius: int = 4, h: float = 1e-4,
                         seed: int = 0) -> GluedReport:

@@ -210,9 +210,6 @@ class FieldSolution:
     def region_index(self, r: float) -> int:
         return int(self.region_indices(r))
 
-    def max_condition(self) -> float:
-        return max(rs.condition for rs in self.radial.values())
-
 
 def _build_regions(medium: RadialMedium, r_s: float) -> tuple[list, int]:
     """Constant-coefficient regions with the source radius inserted."""

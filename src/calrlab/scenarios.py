@@ -404,10 +404,9 @@ def run_carleman_suite(p: dict):
     for pw in p["ps"]:
         cs = []
         for beta in p["betas"]:
-            for m_name, m_field in (("identity", constant_field(np.eye(3))),
-                                    ("anisotropic",
-                                     constant_field(np.diag([1.4, 0.8, 1.0])))):
-                check = carleman_inequality_check(m_field, bump, beta=beta, p=pw)
+            for m_name, m in (("identity", np.eye(3)),
+                              ("anisotropic", np.diag([1.4, 0.8, 1.0]))):
+                check = carleman_inequality_check(m, bump, beta=beta, p=pw)
                 ineq_rows.append([pw, beta, m_name, check.measured_c])
                 if m_name == "identity":
                     cs.append(check.measured_c)

@@ -127,10 +127,16 @@ class ScaledArray:
         return out
 
     def to_complex(self):
-        """Collapse to plain complex; overflow becomes inf, underflow 0."""
-        ef = np.clip(self.e.astype(float), -330, 330)
+        """Collapse to plain complex; overflow becomes inf, underflow 0.
+
+        The real and imaginary mantissas are scaled apart, so a zero part
+        stays 0 where the other overflows.
+        """
+        out = self.m.copy()
         with np.errstate(over="ignore", under="ignore"):
-            out = self.m * 10.0 ** ef
+            scale = 10.0 ** np.clip(self.e.astype(float), -330, 330)
+            for part in (out.real, out.imag):
+                np.multiply(part, scale, out=part, where=part != 0)
         return out if out.shape else complex(out)
 
     def __repr__(self):

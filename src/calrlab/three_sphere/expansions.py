@@ -57,12 +57,6 @@ class SphericalExpansion:
         dg = self.omega * vals["dy"].to_complex().real
         return (f, df), (g, dg)
 
-    def value(self, x) -> complex:
-        return self._eval(x, want_grad=False)[0]
-
-    def gradient(self, x) -> np.ndarray:
-        return self._eval(x, want_grad=True)[1]
-
     def value_and_gradient_many(self, points):
         """Vectorized (values, gradients) over an (N, 3) point array."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -97,10 +91,6 @@ class SphericalExpansion:
                                   + 1j * pi_m[idx][:, None] * phi_hat)
             grads += (dfr * y)[:, None] * xhat + (fr / r)[:, None] * gs
         return vals, grads
-
-    def _eval(self, x, want_grad: bool):
-        vals, grads = self.value_and_gradient_many(np.asarray(x, dtype=float)[None, :])
-        return complex(vals[0]), grads[0]
 
     def annulus_norm_sq(self, a: float, b: float, include_gradient: bool) -> float:
         """Modal squared L2 (or H1 seminorm-augmented) norm on a < r < b, by

@@ -5,6 +5,7 @@ ascending power series, written out inline, is the derived oracle for the
 complex-argument case.
 """
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -219,6 +220,15 @@ def test_overflow_guard_returns_scaled_pair():
     # check against mpmath in log space
     ref = mp.sqrt(mp.pi / (2 * mp.mpf("0.05"))) * mp.bessely(mp.mpf("300.5"), mp.mpf("0.05"))
     assert out.log10_abs()[0] == pytest.approx(float(mp.log10(abs(ref))), rel=1e-12)
+
+
+def test_overflow_collapses_to_signed_inf_with_zero_imaginary_part():
+    out = sph_jy(300.0, 0.05)["y"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = out.to_complex()
+    assert value[0].real == -math.inf
+    assert value[0].imag == 0.0
 
 
 def test_order_out_of_range():

@@ -127,7 +127,10 @@ def test_kn_determinant_relation():
         rhat = rng.uniform(1.0 / (4 * n), 2.0 / n)
         th = rng.uniform(-math.pi / (2 * n), math.pi / (2 * n))
         x = np.array([rhat * math.cos(th), rhat * math.sin(th), 0.05])
-        kn_matrix(fr, n, x, check_det=True)   # raises on violation
+        # |det grad T_n| o T_n^{-1} = 1/(gamma n^2 rhat^(2n-2))
+        det = abs(np.linalg.det(fr.t_jacobian(n, fr.t_inverse(n, x))))
+        want = 1.0 / (fr.gamma * n * n * rhat ** (2.0 * n - 2.0))
+        assert abs(det - want) <= 1e-10 * want
 
 
 def test_kn_gradient_bound_scaling():

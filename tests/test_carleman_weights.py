@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calrlab.carleman import (
     BumpFunction,
@@ -13,6 +15,7 @@ from calrlab.carleman import (
     minimal_fold_parameter,
     weight_derivative_identity,
 )
+from calrlab.carleman.weights import _angular_densities, _sphere_moments
 from calrlab.specfun import sphere_rule
 
 
@@ -50,33 +53,34 @@ def _bump():
 
 def test_bump_derivatives_consistent():
     v = _bump()
-    rng = np.random.default_rng(0)
-    xs = rng.standard_normal((10, 3))
-    xs = xs / np.linalg.norm(xs, axis=1)[:, None] * rng.uniform(0.7, 0.9, 10)[:, None]
+    rs = np.random.default_rng(0).uniform(0.7, 0.9, 10)
+    _, dv, d2v = v.radial(rs)
     h = 1e-6
-    for x in xs:
-        g = v.gradient(x[None, :])[0]
-        for k in range(3):
-            dx = np.zeros(3)
-            dx[k] = h
-            fd = (v.value((x + dx)[None, :])[0] - v.value((x - dx)[None, :])[0]) / (2 * h)
-            assert g[k] == pytest.approx(fd, rel=2e-5, abs=1e-9)
-    # div(M grad v) against nested finite differences for anisotropic M
-    m = np.diag([1.0, 1.5, 0.5])
-    x = xs[0]
-    closed = v.hessian_quadratic(x[None, :], m)[0]
+    fd = (v.radial(rs + h)[0] - v.radial(rs - h)[0]) / (2 * h)
+    assert dv == pytest.approx(fd, rel=2e-5, abs=1e-9)
     h = 1e-5
-    fd = 0.0
-    for k in range(3):
-        dx = np.zeros(3)
-        dx[k] = h
-        fd += (m[k] @ v.gradient((x + dx)[None, :])[0]
-               - m[k] @ v.gradient((x - dx)[None, :])[0]) / (2 * h)
+    fd = (v.radial(rs + h)[1] - v.radial(rs - h)[1]) / (2 * h)
+    assert d2v == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    # div(M grad v) = v'' q + v' (tr M - q)/r, the form the sphere-rule
+    # reference uses, against nested finite differences of grad v = v' xhat
+    m = np.diag([1.0, 1.5, 0.5])
+    x = rs[0] * np.array([0.48, -0.6, 0.64])
+    q = float(x @ m @ x) / rs[0] ** 2
+    closed = d2v[0] * q + dv[0] * (np.trace(m) - q) / rs[0]
+
+    def grad(y):
+        r = np.linalg.norm(y)
+        return v.radial(r)[1] * y / r
+
+    fd = sum((m[k] @ grad(x + h * e) - m[k] @ grad(x - h * e)) / (2 * h)
+             for k, e in enumerate(np.eye(3)))
     assert closed == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    # v, v' and v'' vanish off the support
+    assert not np.any(np.concatenate(v.radial(np.array([0.5, 0.68, 0.92, 0.95]))))
 
 
 def test_inequality_zero_function():
-    check = carleman_inequality_check(constant_field(np.eye(3)),
+    check = carleman_inequality_check(np.eye(3),
                                       BumpFunction(a=0.1, b=0.2),  # vanishes on shell
                                       beta=-32.0, p=8.0, shell=(0.55, 0.95))
     assert check.lhs == 0.0
@@ -89,7 +93,7 @@ def test_inequality_bump_beta_sweep(p):
     v = _bump()
     cs = []
     for beta in (-32.0, -64.0, -128.0):
-        check = carleman_inequality_check(constant_field(np.eye(3)), v,
+        check = carleman_inequality_check(np.eye(3), v,
                                           beta=beta, p=p, shell=(0.55, 0.95))
         assert check.rhs_boundary < 1e-12 * max(check.rhs_interior, 1.0)
         cs.append(check.measured_c)
@@ -98,42 +102,43 @@ def test_inequality_bump_beta_sweep(p):
         assert 0.4 < b / a < 2.0
 
 
-class Linear:
-    """v = x1, harmonic, with no declared support."""
+class Constant:
+    """v = 1, harmonic, with no declared support."""
 
-    def value(self, x):
-        return np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
-
-    def gradient(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        g = np.zeros_like(x)
-        g[:, 0] = 1.0
-        return g
-
-    def hessian_quadratic(self, x, m):
-        return np.zeros(len(np.atleast_2d(x)))
+    def radial(self, r):
+        return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
 
 
 def test_inequality_harmonic_function_boundary_controlled():
-    # v = x1 is harmonic: div(M grad v) = 0 for constant M, so the left side
-    # must be carried entirely by the boundary term
-    check = carleman_inequality_check(constant_field(np.eye(3)), Linear(),
+    # v = 1 is harmonic: div(M grad v) = 0, so the left side must be carried
+    # entirely by the boundary term
+    check = carleman_inequality_check(np.eye(3), Constant(),
                                       beta=-32.0, p=8.0, shell=(0.55, 0.95))
     assert check.rhs_interior == pytest.approx(0.0, abs=1e-20)
     assert check.rhs_boundary > 0
     assert np.isfinite(check.measured_c)
 
 
-def _node_by_node(m, v, beta, p, shell, quad_theta=8, panels_per_efold=2,
-                  gauss_order=8, exponent_floor=80.0):
+def test_inequality_needs_a_constant_matrix():
+    with pytest.raises(ValueError):
+        carleman_inequality_check(constant_field(np.eye(3)), _bump(),
+                                  beta=-32.0, p=8.0)
+    with pytest.raises(ValueError):
+        carleman_inequality_check(np.eye(2), _bump(), beta=-32.0, p=8.0)
+
+
+def _sphere_rule_reference(m, v, beta, p, shell, panels_per_efold=2,
+                           gauss_order=8, exponent_floor=80.0):
     """The refined (panel_mult 2) sums of the weighted inequality, one radial
-    node at a time: the reference for the blocked quadrature."""
+    node at a time, with every angular integral taken by the 128-point
+    sphere_rule(8): grad v = v' xhat and div(M grad v) = v'' q
+    + v' (tr M - q)/r, q = xhat.M xhat."""
     a, b = shell
-    support = getattr(v, "support", None)
-    r_top = min(b, support[1]) if support else b
-    r_bot = max(a, support[0]) if support else a
+    r_top = min(b, v.support[1])
+    r_bot = max(a, v.support[0])
     ref = 2.0 * beta * r_top ** (-p)
-    pts, wq, _, _ = sphere_rule(quad_theta)
+    pts, wq, _, _ = sphere_rule(8)
+    q = np.einsum("ij,jk,ik->i", pts, m, pts)
     u_lo = r_top ** (-p)
     u_cut = min(r_bot ** (-p), u_lo + exponent_floor / (2.0 * abs(beta)))
     du = 1.0 / (2.0 * abs(beta) * panels_per_efold * 2)
@@ -146,45 +151,74 @@ def _node_by_node(m, v, beta, p, shell, quad_theta=8, panels_per_efold=2,
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         for r_i, w_i in zip(mid + half * nodes, half * gw):
             wgt = math.exp(max(2.0 * beta * r_i ** (-p) - ref, -700.0))
-            if wgt == 0.0:
-                continue
-            xs = r_i * pts
-            vals = v.value(xs)
-            grads = v.gradient(xs)
-            divmv = v.hessian_quadratic(xs, m)
+            val, dv, d2v = (float(x) for x in v.radial(r_i))
+            grads = dv * pts
             mgg = np.einsum("ij,jk,ik->i", grads, m, grads)
+            divmv = d2v * q + dv * (np.trace(m) - q) / r_i
             area = w_i * r_i * r_i
             interior_lhs += area * wgt * float(np.sum(wq * (
-                p ** 3 * beta ** 2 * r_i ** (-2 * p - 2) * np.abs(vals) ** 2
-                + mgg)))
+                p ** 3 * beta ** 2 * r_i ** (-2 * p - 2) * val ** 2 + mgg)))
             interior_rhs += area * wgt * float(np.sum(wq * (
-                r_i ** (p + 2) / (p * abs(beta)) * np.abs(divmv) ** 2)))
+                r_i ** (p + 2) / (p * abs(beta)) * divmv ** 2)))
     boundary = 0.0
     for r_i in (a, b):
-        xs = r_i * pts
-        vals = v.value(xs)
-        grads = v.gradient(xs)
+        val, dv, _ = (float(x) for x in v.radial(r_i))
         wgt = math.exp(max(2.0 * beta * r_i ** (-p) - ref, -700.0))
         boundary += wgt * r_i * r_i * float(np.sum(wq * (
-            np.sum(np.abs(grads) ** 2, axis=1)
-            + p ** 2 * beta ** 2 * r_i ** (-2 * p - 2) * np.abs(vals) ** 2)))
+            np.sum((dv * pts) ** 2, axis=1)
+            + p ** 2 * beta ** 2 * r_i ** (-2 * p - 2) * val ** 2)))
     return interior_lhs, interior_rhs, boundary
 
 
-@pytest.mark.parametrize("v, m, shell", [
-    (_bump(), np.diag([1.4, 0.8, 1.0]), (0.55, 0.95)),
-    (Linear(), np.eye(3), (0.55, 0.95)),
-    # 368 refined nodes, so the last block is partial, on a shell narrow
-    # enough (11 e-folds of weight) that its nodes count in every bit
-    (_bump(), np.diag([1.4, 0.8, 1.0]), (0.845, 0.85)),
-], ids=["bump_anisotropic", "linear", "partial_block"])
-def test_blocked_quadrature_matches_node_by_node(v, m, shell):
-    check = carleman_inequality_check(constant_field(m), v, beta=-32.0, p=8.0,
-                                      shell=shell)
-    lhs, rhs_interior, rhs_boundary = _node_by_node(m, v, -32.0, 8.0, shell)
-    assert check.lhs == lhs
-    assert check.rhs_interior == rhs_interior
-    assert check.rhs_boundary == rhs_boundary
+_NONSYMMETRIC = np.array([[1.3, 0.4, -0.2], [-0.1, 0.9, 0.3], [0.5, 0.2, 1.1]])
+
+
+# The radial quadrature against the 3-D rule it replaced, pinned to 1e-12
+# relative: the two differ in summation order and in radii recomputed from
+# points, 1.7e-13 at worst over p in {8, 16} and beta down to -128.
+@pytest.mark.parametrize("m, shell", [
+    (np.diag([1.4, 0.8, 1.0]), (0.55, 0.95)),
+    # a shell narrow enough (11 e-folds of weight) that every node counts
+    (np.diag([1.4, 0.8, 1.0]), (0.845, 0.85)),
+    # only the symmetric part of M enters; the outer radius cuts the bump
+    (_NONSYMMETRIC, (0.6, 0.9)),
+], ids=["bump_anisotropic", "partial_block", "nonsymmetric"])
+def test_radial_quadrature_matches_sphere_rule(m, shell):
+    v = _bump()
+    check = carleman_inequality_check(m, v, beta=-32.0, p=8.0, shell=shell)
+    lhs, rhs_interior, rhs_boundary = _sphere_rule_reference(m, v, -32.0, 8.0,
+                                                             shell)
+    assert check.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert check.rhs_interior == pytest.approx(rhs_interior, rel=1e-12, abs=0.0)
+    assert check.rhs_boundary == pytest.approx(rhs_boundary, rel=1e-12, abs=0.0)
+
+
+# The closed-form angular integrals against sphere_rule(8) sums of the 3-D
+# integrands, for M with a positive definite symmetric part (elliptic, as
+# the inequality assumes), symmetric or not.  Derandomized, so every run
+# draws the same examples.
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+       symmetric=st.booleans(), r=st.floats(0.69, 0.91))
+# isotropic M, where 3 tr S^2 - t^2 cancels to roundoff
+@example(entries=[0.0] * 9, symmetric=True, r=0.75)
+@example(entries=[0.0] * 8 + [5.960464477539063e-08], symmetric=False, r=0.75)
+def test_angular_reduction_matches_sphere_rule(entries, symmetric, r):
+    g = np.reshape(entries, (3, 3))
+    m = g @ g.T + 0.1 * np.eye(3)
+    if not symmetric:
+        m = m + (g - g.T)
+    t, var = _sphere_moments(m)
+    assert var >= 0.0
+    _, dv, d2v = _bump().radial(np.array([r]))
+    mgg, div_sq = _angular_densities(t, var, r, dv, d2v)
+    pts, wq, _, _ = sphere_rule(8)
+    q = np.einsum("ij,jk,ik->i", pts, m, pts)
+    divmv = d2v * q + dv * (np.trace(m) - q) / r
+    assert 4 * math.pi * mgg == pytest.approx(np.sum(wq * dv ** 2 * q),
+                                              rel=1e-13, abs=0.0)
+    assert 4 * math.pi * div_sq == pytest.approx(np.sum(wq * divmv ** 2),
+                                                 rel=1e-13, abs=0.0)
 
 
 def test_inequality_anisotropic_medium():
@@ -192,7 +226,7 @@ def test_inequality_anisotropic_medium():
     m = np.diag([1.4, 0.8, 1.0])
     cs = []
     for beta in (-32.0, -64.0):
-        check = carleman_inequality_check(constant_field(m), v, beta=beta, p=8.0)
+        check = carleman_inequality_check(m, v, beta=beta, p=8.0)
         cs.append(check.measured_c)
     assert 0.4 < cs[1] / cs[0] < 2.0
 

@@ -96,7 +96,7 @@ def test_glued_field_vacuum_degenerate():
         y = np.array([r, 0.1, 0.2])
         y *= r / np.linalg.norm(y)
         e0, h0 = eval_field(sol, y)
-        e1, h1 = glued.eval(y)
+        (e1,), (h1,) = glued.eval_many(y[None, :])
         assert np.allclose(e0, e1, rtol=1e-12)
         assert np.allclose(h0, h1, rtol=1e-12)
 
@@ -107,7 +107,7 @@ def test_glued_exterior_identical():
     glued = remove_localized_singularity(sol, f, g)
     y = np.array([4.3, 1.0, -2.0])
     e0, h0 = eval_field(sol, y)
-    e1, h1 = glued.eval(y)
+    (e1,), (h1,) = glued.eval_many(y[None, :])
     assert np.allclose(e0, e1) and np.allclose(h0, h1)
 
 
