@@ -3,6 +3,7 @@
 fold_map compresses the half-space angle by 1/n while taking the 1/n power
 of the planar radius; the flattening variant keeps the radius and only folds
 the angle (used to open a slit domain onto the half-space at n = 3/2).
+fold_map_inverse also takes a stack of points (..., 3).
 """
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ import numpy as np
 
 
 def _polar(x):
-    rhat = math.hypot(x[0], x[1])
-    theta = math.atan2(x[1], x[0])
-    return rhat, theta
+    """Planar radius and angle of a point, or of each point of a stack, by
+    math.hypot and math.atan2: numpy's hypot and arctan2 round differently,
+    and a point of a stack must keep the bits of the point on its own."""
+    x = np.asarray(x, dtype=float)
+    return (np.float64(np.frompyfunc(math.hypot, 2, 1)(x[..., 0], x[..., 1])),
+            np.float64(np.frompyfunc(math.atan2, 2, 1)(x[..., 1], x[..., 0])))
 
 
 def fold_map(n: float, x) -> tuple[np.ndarray, np.ndarray]:
@@ -46,10 +50,11 @@ def fold_map_inverse(n: float, y) -> np.ndarray:
     """Inverse of the fold on its image (|theta| < pi/(2n))."""
     y = np.asarray(y, dtype=float)
     rhat, theta = _polar(y)
-    if abs(theta) > math.pi / (2.0 * n) + 1e-12:
+    if np.any(np.abs(theta) > math.pi / (2.0 * n) + 1e-12):
         raise ValueError("point outside the folded image")
-    rn = rhat ** n
-    return np.array([rn * math.cos(n * theta), rn * math.sin(n * theta), y[2]])
+    rn = np.float_power(rhat, n)
+    return np.stack([rn * np.cos(n * theta), rn * np.sin(n * theta), y[..., 2]],
+                    axis=-1)
 
 
 def fold_smooth_map(n: float):

@@ -23,8 +23,7 @@ class ConformalFrame:
     q1: np.ndarray
     h: np.ndarray
     lams: np.ndarray
-    z0: np.ndarray            # anchor (0, 0, z3)
-    big_z0: np.ndarray        # its image (0, 0, Z3)
+    big_z0: np.ndarray        # image (0, 0, Z3) of the anchor (0, 0, z3)
     lam_bound: float          # ellipticity constant Lambda
 
     @property
@@ -40,7 +39,8 @@ class ConformalFrame:
         return self.big_z0 + off
 
     def t_inverse(self, n: float, y) -> np.ndarray:
-        return np.linalg.solve(self.h, fold_map_inverse(n, y))
+        """T_n^{-1} = H^{-1} o fold^{-1} at a point (3,) or a stack (..., 3)."""
+        return np.linalg.solve(self.h, fold_map_inverse(n, y)[..., None])[..., 0]
 
     def t_jacobian(self, n: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -86,10 +86,9 @@ def build_frame(m0, z3: float = 0.0, lam: float | None = None) -> ConformalFrame
     row3 = np.cross(w1, row2)
     q1 = np.vstack([w1, row2, row3])
     h = q1 @ s @ q.T
-    z0 = np.array([0.0, 0.0, z3])
-    hz = h @ z0
+    hz = h @ np.array([0.0, 0.0, z3])     # image of the anchor (0, 0, z3)
     if np.hypot(hz[0], hz[1]) > 1e-10 * max(1.0, abs(z3)):
         raise AssertionError("frame alignment failed: axis image left the axis")
     big = np.array([0.0, 0.0, hz[2]])
-    return ConformalFrame(q=q, s=s, q1=q1, h=h, lams=lams, z0=z0,
-                          big_z0=big, lam_bound=float(lam))
+    return ConformalFrame(q=q, s=s, q1=q1, h=h, lams=lams, big_z0=big,
+                          lam_bound=float(lam))

@@ -228,14 +228,6 @@ class ExponentTable:
     rho: float
 
     @property
-    def tau(self) -> float:
-        return math.exp(self.tau_log)
-
-    @property
-    def s(self) -> float:
-        return math.exp(self.s_log)
-
-    @property
     def s_over_tau(self) -> float:
         return math.exp(self.s_log - self.tau_log)
 
@@ -244,7 +236,7 @@ def exponent_bookkeeping(lam: float, n: float, p: float = 8.0) -> ExponentTable:
     """tau_n, s_n, the three radii, and rho(n) for the fold parameter n.
 
     tau_n = (1/n - lam/n^2)^n and s_n = (1/n + lam/n^2)^n are returned in log
-    form as well (they underflow for large n); s_n/tau_n -> e^{2 lam}.
+    form (they underflow for large n); s_n/tau_n -> e^{2 lam}.
     """
     if n < 10 * lam:
         raise ValueError("bookkeeping defined for n >= 10 lam")

@@ -377,10 +377,10 @@ def run_carleman_suite(p: dict):
         m0 = q @ np.diag(eigs) @ q.T
         fr = build_frame(m0, z3=float(rng.uniform(-0.3, 0.3)))
         for n in p["frame_folds"]:
-            for x in sample_folded_sector(fr, n, 3, rng):
-                dev = np.max(np.abs(pushed_matrix(fr, n, constant_field(m0), x)
-                                    - anchor_block(fr, n, x)))
-                worst_dev = max(worst_dev, float(dev))
+            x = sample_folded_sector(fr, n, 3, rng)
+            dev = np.max(np.abs(pushed_matrix(fr, n, constant_field(m0), x)
+                                - anchor_block(fr, n, x)))
+            worst_dev = max(worst_dev, float(dev))
     # 2) structural claims: flat in the fold parameter
     lam = p["claims_lam"]
     field = lipschitz_test_field(lam)
@@ -474,8 +474,8 @@ def scenario_params(name: str, params: dict) -> dict:
     `object` of another length than its default, a `radius_grid` of fewer
     than 3 radii, radii that are not positive or do not increase strictly, a
     loss value that is not positive, fewer than two distinct `deltas` where a
-    slope is fitted over them, a lossy DCM shell with p != 2, and a
-    weighted-inequality sweep with some beta > -1 or p < 1.
+    slope is fitted over them, a lossy DCM shell with p != 2, a
+    weighted-inequality sweep with some beta > -1 or p < 1, and `claims_lam` <= 1.
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -506,6 +506,8 @@ def scenario_params(name: str, params: dict) -> dict:
     if name == "carleman_suite" and (any(b > -1.0 for b in merged["betas"])
                                      or any(q < 1.0 for q in merged["ps"])):
         raise ValueError("'betas' must all be <= -1 and 'ps' all >= 1")
+    if name == "carleman_suite" and not merged["claims_lam"] > 1.0:
+        raise ValueError("'claims_lam' must exceed 1 for a nonconstant test field")
     return merged
 
 

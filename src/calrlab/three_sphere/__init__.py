@@ -12,7 +12,6 @@ from .partial import (
     AlphaFit,
     NormReport,
     PartialBoundary,
-    circle_curve,
     empirical_alpha,
     partial_data_norm,
 )
@@ -22,6 +21,6 @@ __all__ = [
     "HarmonicExpansion2D", "check_hadamard", "sup_norm_circle",
     "check_maxwell_3sphere", "field_trace_table", "hminushalf_div_norm",
     "random_modal_field",
-    "AlphaFit", "NormReport", "PartialBoundary", "circle_curve",
-    "empirical_alpha", "partial_data_norm",
+    "AlphaFit", "NormReport", "PartialBoundary", "empirical_alpha",
+    "partial_data_norm",
 ]

@@ -27,17 +27,6 @@ class NormReport:
         return self.value
 
 
-def circle_curve(radius: float):
-    """Distance function to the equator x3 = 0 of the sphere |x| = radius."""
-
-    def dist(x):
-        x = np.asarray(x, dtype=float)
-        s = math.hypot(x[0], x[1])
-        return math.hypot(s - radius, x[2])
-
-    return dist
-
-
 @dataclass
 class PartialBoundary:
     """Sphere radius, excised equator band, and the masked quadrature rule."""
@@ -48,10 +37,11 @@ class PartialBoundary:
     _rule: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        curve = circle_curve(self.radius)
         pts, w, _, _ = sphere_rule(self.quad_order)
         xs = self.radius * pts
-        keep = np.array([curve(x) >= self.excision for x in xs])
+        # distance of each node to the equator circle |x| = radius, x3 = 0
+        dist = np.hypot(np.hypot(xs[:, 0], xs[:, 1]) - self.radius, xs[:, 2])
+        keep = dist >= self.excision
         if not np.any(keep):
             raise ValueError("the excision covers the whole sphere")
         self._rule = (xs[keep], self.radius ** 2 * w[keep])

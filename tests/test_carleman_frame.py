@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import calrlab.carleman.matrices as matrices
+import calrlab.scenarios as scenarios
 from calrlab.carleman import (
     ClaimBounds,
     anchor_block,
@@ -20,6 +24,7 @@ from calrlab.carleman import (
     sample_transformed_domain,
     verify_structural_claims,
 )
+from calrlab.carleman.fold import _polar
 
 
 def _fd_jac(fn, x, h=1e-7):
@@ -159,10 +164,9 @@ def test_pushed_matrix_anchor_exactness():
         fr = build_frame(m0, z3=float(rng.uniform(-0.3, 0.3)))
         for n in (10.0, 20.0, 40.0):
             pts = sample_folded_sector(fr, n, 6, rng)
-            for x in pts:
-                got = pushed_matrix(fr, n, constant_field(m0), x)
-                want = anchor_block(fr, n, x)
-                worst = max(worst, float(np.max(np.abs(got - want))))
+            got = pushed_matrix(fr, n, constant_field(m0), pts)
+            want = anchor_block(fr, n, pts)
+            worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst < 1e-10
 
 
@@ -170,9 +174,48 @@ def test_pushed_matrix_symmetry_random_field():
     fr = build_frame(np.diag([2.0, 1.0, 0.7]))
     field = lipschitz_test_field(3.0)
     rng = np.random.default_rng(7)
-    for x in sample_folded_sector(fr, 30.0, 5, rng):
-        m = pushed_matrix(fr, 30.0, field, x)
-        assert np.max(np.abs(m - m.T)) < 1e-12
+    m = pushed_matrix(fr, 30.0, field, sample_folded_sector(fr, 30.0, 5, rng))
+    assert np.max(np.abs(m - np.swapaxes(m, -1, -2))) < 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.floats(1.5, 60.0))
+def test_stacked_maps_match_row_by_row(seed, n):
+    # a point of a stack gets exactly the bits of a call on its own, for a
+    # (k, 3) stack and a (2, k/2, 3) one
+    rng = np.random.default_rng(seed)
+    fr = build_frame(_random_spd(rng, 10.0), z3=float(rng.uniform(-0.3, 0.3)))
+    pts = sample_folded_sector(fr, n, 8, rng)
+    field = lipschitz_test_field(2.0)
+    maps = {"kn_matrix": lambda x: kn_matrix(fr, n, x),
+            "pushed_matrix": lambda x: pushed_matrix(fr, n, field, x),
+            "anchor_block": lambda x: anchor_block(fr, n, x),
+            "t_inverse": lambda x: fr.t_inverse(n, x)}
+    rhat, theta = _polar(pts)
+    assert np.array_equal(rhat, [math.hypot(x[0], x[1]) for x in pts])
+    assert np.array_equal(theta, [math.atan2(x[1], x[0]) for x in pts])
+    for name, fn in maps.items():
+        rows = np.array([fn(x) for x in pts])
+        assert np.array_equal(fn(pts), rows), name
+        assert np.array_equal(fn(pts.reshape(2, 4, 3)),
+                              rows.reshape((2, 4) + rows.shape[1:])), name
+
+
+def test_folded_sector_draw_matches_scalar_draws():
+    # one (count, 3) draw consumes the stream exactly as count draws of
+    # (rhat, theta, x3 offset), one number at a time
+    fr = build_frame(np.diag([2.0, 1.0, 0.7]), z3=0.2)
+    for n in (1.5, 10.0, 40.0):
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = sample_folded_sector(fr, n, 25, rng)
+        want = []
+        for _ in range(25):
+            rhat = ref.uniform(1.0 / (4.0 * n) * 1.01, 2.0 / n * 0.99)
+            th = ref.uniform(-math.pi / (2.0 * n), math.pi / (2.0 * n))
+            x3 = fr.big_z0[2] + ref.uniform(-1.0 / n, 1.0 / n)
+            want.append([rhat * math.cos(th), rhat * math.sin(th), x3])
+        assert np.array_equal(got, np.asarray(want))
+        assert rng.random() == ref.random()
 
 
 def test_bform_identity_value():
@@ -185,6 +228,100 @@ def test_bform_identity_value():
     # quadratic in y
     assert bform(constant_field(np.eye(3)), x, 3.0 * y) == pytest.approx(
         9.0 * got, rel=1e-9)
+
+
+def _bform_per_point(m_field, x, y, h):
+    """<B(x) y, y> with seven one-point calls of m_field."""
+    m = np.asarray(m_field(x), dtype=float)
+    gm = np.empty((3, 3, 3))
+    for k in range(3):
+        dx = np.zeros(3)
+        dx[k] = h
+        gm[k] = (np.asarray(m_field(x + dx), dtype=float)
+                 - np.asarray(m_field(x - dx), dtype=float)) / (2 * h)
+    my = m @ y
+    mx = m @ x
+    jw = m + np.einsum("jik,k->ij", gm, x)
+    t1 = y @ (jw @ my)
+    div_mx = np.trace(m) + sum(np.dot(gm[k][k, :], x) for k in range(3))
+    t2 = 0.5 * div_mx * float(y @ my)
+    dm_along = np.einsum("k,kij->ij", mx, gm)
+    t3 = 0.5 * float(y @ (dm_along @ y))
+    return float(t1) + t2 + t3
+
+
+def _claims_per_point(frame, n, m_field, count, seed):
+    """The structural-claim check one sample, one axis and one direction at
+    a time: 49 one-point pushed_matrix calls per sample."""
+    rng = np.random.default_rng(seed)
+    samples = sample_transformed_domain(frame, n, count, rng)
+    hz = frame.hat_z0(n)
+    h = 1e-5 / (n * n)
+
+    def m_hat(y):
+        return pushed_matrix(frame, n, m_field, np.asarray(y) + hz)
+
+    lower = drift = bquad = 0.0
+    dirs = rng.standard_normal((6, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for y in samples:
+        m = m_hat(y)
+        quad = float(y @ (m @ y))
+        lower = max(lower, float(np.dot(y, y)) / quad)
+        div_mx = 0.0
+        grad_q = np.zeros(3)
+        for k in range(3):
+            dy = np.zeros(3)
+            dy[k] = h
+            mp_, mm_ = m_hat(y + dy), m_hat(y - dy)
+            yp, ym = y + dy, y - dy
+            div_mx += ((mp_ @ yp)[k] - (mm_ @ ym)[k]) / (2 * h)
+            grad_q[k] = (float(yp @ (mp_ @ yp)) - float(ym @ (mm_ @ ym))) / (2 * h)
+        drift = max(drift, abs(div_mx)
+                    + abs(float(grad_q @ (m @ y))) / float(np.dot(y, y)))
+        for d in dirs:
+            b_val = _bform_per_point(m_hat, y, d, h)
+            bquad = max(bquad, abs(b_val) / float(d @ (m @ d)))
+    return ClaimBounds(lower=lower, drift=drift, bquad=bquad)
+
+
+@pytest.mark.parametrize("medium", ["identity", "anisotropic", "lipschitz"])
+def test_structural_claims_match_per_point_reference(medium):
+    # one stencil per sample gives the bits of the per-point check
+    if medium == "lipschitz":
+        field = lipschitz_test_field(1.5)
+        fr = build_frame(field(np.zeros(3)), lam=1.5)
+    else:
+        m0 = np.eye(3) if medium == "identity" else np.diag([1.4, 0.8, 1.0])
+        field = constant_field(m0)
+        fr = build_frame(m0)
+    for n in (15.0, 30.0, 60.0):
+        got = verify_structural_claims(fr, n, field, count=30, seed=2)
+        want = _claims_per_point(fr, n, field, count=30, seed=2)
+        assert (got.lower, got.drift, got.bquad) == (want.lower, want.drift,
+                                                      want.bquad)
+        assert [type(v) for v in (got.lower, got.drift, got.bquad)] == [
+            type(v) for v in (want.lower, want.drift, want.bquad)]
+
+
+def test_one_pushed_matrix_call_per_check(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(np.shape(args[-1]))
+        return pushed_matrix(*args)
+
+    monkeypatch.setattr(matrices, "pushed_matrix", counted)
+    fr = build_frame(np.eye(3))
+    verify_structural_claims(fr, 20.0, constant_field(np.eye(3)), count=10)
+    assert calls == [(10, 7, 3)]
+    calls.clear()
+    monkeypatch.setattr(scenarios, "pushed_matrix", counted)
+    scenarios.run_carleman_suite({**scenarios.SCENARIOS["carleman_suite"].defaults,
+                                  "frame_count": 2, "claims_samples": 4,
+                                  "ps": [8.0], "betas": [-32.0]})
+    # two frames at three folds, then three claim checks
+    assert calls == [(3, 3)] * 6 + [(4, 7, 3)] * 3
 
 
 def test_structural_claims_flat_in_n():

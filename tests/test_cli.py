@@ -147,11 +147,12 @@ def test_lossy_dcm_with_p_other_than_2_exit_config(tmp_path):
 
 
 def test_carleman_suite_bad_sweep_exit_config(tmp_path):
-    # the weighted inequality needs beta <= -1 and p >= 1; reject before the
-    # frame and claims stages run
+    # the weighted inequality needs beta <= -1 and p >= 1, and the claims'
+    # test field needs lam > 1; reject before the frame and claims stages run
     for i, params in enumerate([{"betas": [32.0, 64.0]},
                                 {"betas": [-32.0, -0.5]},
-                                {"ps": [8.0, 0.5]}]):
+                                {"ps": [8.0, 0.5]},
+                                {"claims_lam": 1.0}]):
         cfg = _write_config(tmp_path, f"sweep{i}.json", "carleman_suite",
                             params, tmp_path / "outc")
         assert main(["validate-config", str(cfg)]) == EXIT_CONFIG

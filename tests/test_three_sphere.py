@@ -17,6 +17,7 @@ from calrlab.three_sphere import (
     sup_norm_circle,
 )
 from calrlab.layered_maxwell.modes import ModeId
+from calrlab.specfun import sphere_rule
 
 
 def test_sup_norm_monomial_and_constant():
@@ -149,6 +150,20 @@ def test_partial_norm_vanishing_function():
     v = SphericalExpansion(kind="harmonic", coeffs={(2, 0): (0.0, 0.0)})
     pb = PartialBoundary(radius=1.0, excision=0.2)
     assert partial_data_norm(v, pb).value == 0.0
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
+def test_partial_boundary_mask_matches_per_node_distance(radius):
+    # reference: the distance of each node to the equator circle, one node
+    # at a time
+    pts, w, _, _ = sphere_rule(48)
+    xs = radius * pts
+    dist = [math.hypot(math.hypot(x[0], x[1]) - radius, x[2]) for x in xs]
+    for r0 in (0.4, 0.3, 0.2, 0.1, 0.05, 0.01):
+        keep = np.array([d >= r0 for d in dist])
+        got_x, got_w = PartialBoundary(radius=radius, excision=r0).quadrature()
+        assert np.array_equal(got_x, xs[keep])
+        assert np.array_equal(got_w, radius ** 2 * w[keep])
 
 
 def test_excision_covering_sphere_rejected():
