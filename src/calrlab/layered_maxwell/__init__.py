@@ -5,7 +5,6 @@ from .solver import (
     FieldSolution,
     NearSingularMode,
     RadialSolve,
-    RegionCoeffs,
     RegionSpec,
     SolverOptions,
     branch_sqrt,
@@ -36,8 +35,8 @@ from .staircase import graded_midpoints, staircase
 
 __all__ = [
     "TE", "TM", "ModeId", "SurfaceCurrentSource", "h_jump_factor", "mode",
-    "FieldSolution", "NearSingularMode", "RadialSolve", "RegionCoeffs",
-    "RegionSpec", "SolverOptions", "branch_sqrt", "effective_order", "solve",
+    "FieldSolution", "NearSingularMode", "RadialSolve", "RegionSpec",
+    "SolverOptions", "branch_sqrt", "effective_order", "solve",
     "GluedField", "GluedReport", "eval_field", "eval_field_many", "fd_curl", "field_evaluator",
     "mode_radial_components", "reflect_solution", "remove_localized_singularity",
     "DataReport", "adaptive_gauss", "data_quantity", "farfield_flux",

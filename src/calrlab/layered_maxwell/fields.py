@@ -8,7 +8,10 @@ are built on it.  Its Bessel calls are grouped by integer labels as in
 `eval_field_many` groups by (region, point label): a gluing residual report
 uses the labels to evaluate all of its point sets (both gluing spheres, the
 finite-difference stencil and its centres, raw and reflected) in one call.
-The norms group by quadrature panel.
+The norms group by quadrature panel.  The kernel reads every per-(region,
+mode) constant (order, wavenumber, component factors) from the rows of
+`FieldSolution.table`, so the TE/TM rule is `solver._mode_constants` alone;
+here a mode's polarization only places u among the six components.
 """
 from __future__ import annotations
 
@@ -23,38 +26,43 @@ from ..specfun.bessel import hat_h1, hat_jy
 from ..specfun.scaled import ScaledArray
 from ..specfun.vsh import VshStream, sphere_rule
 from .modes import TE, h_jump_factor
-from .solver import FieldSolution, RegionCoeffs, RegionSpec
+from .solver import FieldSolution, ModeTable, _state
 
 
-def mode_radial_components(reg: RegionSpec, pol: str, coeffs: RegionCoeffs,
-                           n: int, r, omega: float):
-    """Six radial component functions of the unit radial solve at radii r.
+def mode_radial_components(sol: FieldSolution, key, i: int, r):
+    """Six radial component functions of one (n, pol) key of a solve in
+    region i (negative i counts from the last) at radii r.
 
     Returns (E_Y, E_U, E_V, H_Y, H_U, H_V) as plain complex arrays: the
     coefficients of Y xhat, Utilde, Vtilde in the expansion of E and H.
+    This is the one-cell reference of `_components`, with scalar constants
+    and one Bessel call on r.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    return _radial_components(pol, _prefactors(reg, pol, n, omega), r,
-                              *coeffs.radial(r))
+    cell = sol.table([i], [key])
+    nu, k = float(cell.nu[0, 0]), complex(cell.k[0, 0])
+    outgoing = bool(cell.outgoing[0, 0])
+    vals = (hat_h1 if outgoing else hat_jy)(nu, k * r.astype(complex))
+    return _radial_components(key[1], complex(cell.rad[0, 0]), complex(cell.tan[0, 0]),
+                              k, cell.c_j[0], cell.c_y[0], vals, outgoing, r)
 
 
-def _prefactors(reg: RegionSpec, pol: str, n: int, omega: float):
-    """The region's factors of u/r and of u' + u/r in `_radial_components`:
-    those of H_Y and H_U for TE, of E_Y and E_U for TM (Python scalars)."""
-    root = math.sqrt(n * (n + 1.0))
-    if pol == TE:
-        return 1j * root / (omega * reg.mu_rad), 1j / (omega * reg.mu_tan)
-    return -1j * root / (omega * reg.eps_rad), -1j / (omega * reg.eps_tan)
+def _radial_components(pol: str, rad, tan, k, c_j, c_y, vals, outgoing: bool, r):
+    """`mode_radial_components` at an array of radii r from the cell's
+    factors rad and tan (see `solver._mode_constants`) and wavenumber k,
+    scalars or one value per radius, its coefficients, and the values
+    `vals` of hat_jy (hat_h1 if outgoing) at k r.
 
-
-def _radial_components(pol: str, prefactors, r: np.ndarray, u, du):
-    """`mode_radial_components` from the `_prefactors` (scalars, or arrays
-    with one value per radius), u(r) and du/dr at an array of radii."""
+    k multiplies du/dz from the right, so it may also be a ScaledArray of
+    split wavenumbers; either way the product has the bits of a scalar k.
+    """
+    basis = ((None, None, vals["h"], vals["dh"]) if outgoing
+             else (vals["j"], vals["dj"], vals["y"], vals["dy"]))
+    u, du = _state(c_j, c_y, basis, outgoing)
     inv_r = 1.0 / r
-    curlish = (du + u * inv_r).to_complex()
+    curlish = (du * k + u * inv_r).to_complex()
     uval = u.to_complex()
     zero = np.zeros_like(uval)
-    rad, tan = prefactors
     radial = rad * uval * inv_r
     tangential = tan * curlish
     if pol == TE:
@@ -62,10 +70,10 @@ def _radial_components(pol: str, prefactors, r: np.ndarray, u, du):
     return radial, tangential, zero, zero, zero, uval
 
 
-def _components(regions: list, keys: list, table, omega: float):
+def _components(keys: list, table: ModeTable):
     """The radial components of the (n, pol) keys at radii spread over
-    several regions, from the (nu, k, c_j, c_y, outgoing) table of
-    `FieldSolution.table`: row i for regions[i], one column per key.
+    several regions, from a `ModeTable` of `FieldSolution.table` with one
+    column per key.
 
     Returns evaluate(owner, r, groups), which takes radii r, the row of
     each and integer Bessel group labels, none shared by two rows, and
@@ -73,25 +81,24 @@ def _components(regions: list, keys: list, table, omega: float):
     r[sel]) in key order, once per set of rows whose coefficients share an
     order and basis.  Each set makes one `hat_jy`/`hat_h1` call grouped by
     `groups`, shared by keys of equal orders and wavenumbers.  Wavenumbers,
-    coefficients and prefactors are gathered to the radii as arrays, and
+    coefficients and factors are gathered to the radii as arrays, and
     every product keeps its operand order, so each group gets exactly the
     values of `mode_radial_components` on its radii alone.
     """
-    nu, k, c_j, c_y, outgoing = table
+    nu, k, outgoing = table.nu, table.k, table.outgoing
     k_split = ScaledArray.from_complex(k)
     modes = []
-    for col, (n, pol) in enumerate(keys):
+    for col, key in enumerate(keys):
         bases = []
         for basis in dict.fromkeys(zip(nu[:, col].tolist(), outgoing[:, col].tolist())):
             in_set = (nu[:, col] == basis[0]) & (outgoing[:, col] == basis[1])
             rows = np.flatnonzero(in_set).tolist()
             bases.append((basis + tuple(zip(rows, k[in_set, col].tolist())), in_set))
-        prefactors = np.array([_prefactors(reg, pol, n, omega) for reg in regions])
-        modes.append(((n, pol), col, prefactors.reshape(len(regions), 2).T, bases))
+        modes.append((key, col, bases))
 
     def evaluate(owner, r, groups):
         cache = {}      # keys of equal order and wavenumbers share a basis
-        for key, col, (rad, tan), bases in modes:
+        for key, col, bases in modes:
             for basis, in_set in bases:
                 sel = in_set[owner]
                 if not sel.any():
@@ -101,10 +108,9 @@ def _components(regions: list, keys: list, table, omega: float):
                 if basis not in cache:
                     z = k[at, col] * rs.astype(complex)
                     cache[basis] = (hat_h1 if out else hat_jy)(order, z, groups[sel])
-                node = RegionCoeffs(nu=order, k=k_split[at, col], c_j=c_j[at, col],
-                                    c_y=c_y[at, col], outgoing=out)
                 yield key, sel, _radial_components(
-                    key[1], (rad[at], tan[at]), rs, *node.combine(cache[basis]))
+                    key[1], table.rad[at, col], table.tan[at, col], k_split[at, col],
+                    table.c_j[at, col], table.c_y[at, col], cache[basis], out, rs)
 
     return evaluate
 
@@ -135,8 +141,7 @@ def eval_field_many(sol: FieldSolution, points,
     _, bessel_groups = np.unique(np.stack([owner, labels], axis=1), axis=0,
                                  return_inverse=True)
     keys = list(sol.radial)
-    evaluate = _components([sol.regions[i] for i in used], keys, sol.table(used, keys),
-                           sol.omega)
+    evaluate = _components(keys, sol.table(used, keys))
     comps = {key: [] for key in keys}
     for key, sel, c in evaluate(owner, r, bessel_groups.reshape(-1)):
         comps[key].append((sel, c))

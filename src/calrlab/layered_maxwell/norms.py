@@ -12,6 +12,10 @@ The modal density takes the components of those rows from the radial
 kernel that field evaluation uses (`fields._components`), with one Bessel
 group per row, so every row gets the bits of a call on that row alone and a
 norm is the same float as the sum of separate one-interval quadratures.
+Every per-(region, mode) constant, and with it the choice between eps and
+mu that tells TE from TM, comes from the rows of `FieldSolution.table`
+(see `solver._mode_constants`); the sheet pairing takes its sign from
+`modes.h_jump_factor`.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from ..specfun.bessel import log_dfact_minus
 from ..specfun.vsh import gauss_legendre
-from .modes import TE
+from .modes import TE, h_jump_factor
 from .solver import FieldSolution
 from .fields import _components, eval_field
 
@@ -135,15 +139,14 @@ def _check_annulus(a: float, b: float) -> None:
         raise ValueError(f"need 0 <= a < b < inf, not a = {a}, b = {b}")
 
 
-def _modal_density(starts, regions: list, comps: list, weights: dict, table,
-                   omega: float):
+def _modal_density(starts, comps: list, weights: dict, table):
     """r -> r^2 sum over modes of w times the weighted squared components,
     row by row over a 2-d array of radii whose rows lie in several intervals.
 
     A row belongs to interval i, the last of the sorted `starts` at or below
-    its middle node.  Interval i lies in regions[i], comps[i] holds its
-    weights of |E_Y|^2, |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2,
-    and row i of `table` (see `FieldSolution.table`) its coefficients, one
+    its middle node.  comps[i] holds interval i's weights of |E_Y|^2,
+    |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2, and row i of `table`
+    (a `ModeTable` of `FieldSolution.table`) the region it lies in, one
     column per (n, pol) of `weights`, which maps (n, pol) to w.  The
     components come from one `fields._components` kernel over all
     intervals, one Bessel group per row, so each row gets exactly the
@@ -151,7 +154,7 @@ def _modal_density(starts, regions: list, comps: list, weights: dict, table,
     """
     starts = np.asarray(starts, dtype=float)
     comp = np.array(comps, dtype=float).T.copy()
-    evaluate = _components(regions, list(weights), table, omega)
+    evaluate = _components(list(weights), table)
 
     def density(rows):
         rows = np.atleast_2d(rows)
@@ -178,10 +181,9 @@ def l2_norm_annulus(sol: FieldSolution, a: float, b: float) -> float:
     _check_annulus(a, b)
     weights = _mode_weights(sol)
     los, his = zip(*_segments([sol], a, b))
-    rows = [sol.region_index(0.5 * (lo + hi)) for lo, hi in zip(los, his)]
-    density = _modal_density(los, [sol.regions[i] for i in rows],
-                             [_UNIT_WEIGHTS] * len(rows), weights,
-                             sol.table(rows, list(weights)), sol.omega)
+    rows = sol.region_indices(0.5 * (np.array(los) + np.array(his)))
+    density = _modal_density(los, [_UNIT_WEIGHTS] * len(rows), weights,
+                             sol.table(rows, list(weights)))
     return math.sqrt(max(adaptive_gauss(density, los, his), 0.0))
 
 
@@ -200,20 +202,17 @@ def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
             raise ValueError("difference norm needs identical source tables")
     weights = _mode_weights(sol_a)
     los, his = zip(*_segments([sol_a, sol_b], a, b))
-    rows_a, rows_b = [], []
-    for lo, hi in zip(los, his):
-        mid = 0.5 * (lo + hi)
-        rows_a.append(sol_a.region_index(mid))
-        rows_b.append(sol_b.region_index(mid))
-        rega, regb = sol_a.regions[rows_a[-1]], sol_b.regions[rows_b[-1]]
+    mids = 0.5 * (np.array(los) + np.array(his))
+    rows_a, rows_b = sol_a.region_indices(mids), sol_b.region_indices(mids)
+    for i, j in zip(rows_a.tolist(), rows_b.tolist()):
+        rega, regb = sol_a.regions[i], sol_b.regions[j]
         for attr in ("eps_rad", "eps_tan", "mu_rad", "mu_tan"):
             if abs(getattr(rega, attr) - getattr(regb, attr)) > 1e-12:
                 raise ValueError("media differ on the comparison annulus")
-    nu, k, cj_a, cy_a, jy = sol_a.as_jy(rows_a, list(weights))
-    _, _, cj_b, cy_b, _ = sol_b.as_jy(rows_b, list(weights))
-    density = _modal_density(los, [sol_a.regions[i] for i in rows_a],
-                             [_UNIT_WEIGHTS] * len(rows_a), weights,
-                             (nu, k, cj_a - cj_b, cy_a - cy_b, jy), sol_a.omega)
+    t_a = sol_a.as_jy(rows_a, list(weights))
+    t_b = sol_b.as_jy(rows_b, list(weights))
+    density = _modal_density(los, [_UNIT_WEIGHTS] * len(rows_a), weights,
+                             t_a._replace(c_j=t_a.c_j - t_b.c_j, c_y=t_a.c_y - t_b.c_y))
     return math.sqrt(max(adaptive_gauss(density, los, his), 0.0))
 
 
@@ -227,13 +226,11 @@ def farfield_flux(sol: FieldSolution) -> float:
     if abs(reg.eps_tan - 1) > 1e-12 or abs(reg.mu_tan - 1) > 1e-12:
         raise ValueError("far-field flux requires a vacuum exterior")
     weights = _mode_weights(sol)
+    exterior = sol.table([-1], list(weights))
+    log_c = exterior.c_y.log10_abs()[0]
     total = 0.0
-    for (n, pol), w in weights.items():
-        c = sol.coeffs((n, pol), -1)
-        if not c.outgoing:
-            raise ValueError("outermost region is not outgoing")
-        log_amp = (c.c_y.log10_abs()[0] - log_dfact_minus(c.nu) / _LN10
-                   - math.log10(sol.omega))
+    for nu, lc, w in zip(exterior.nu[0].tolist(), log_c, weights.values()):
+        log_amp = lc - log_dfact_minus(nu) / _LN10 - math.log10(sol.omega)
         total += w * 10.0 ** (2.0 * log_amp)
     return sol.omega * total
 
@@ -260,18 +257,15 @@ class DataReport:
 def _source_pairing(sol: FieldSolution) -> complex:
     """int J . conj(E) over the sheet, by modal orthonormality."""
     r_s = sol.source.radius
-    idx = sol.region_index(r_s)
     keys = list(sol.radial)
     one = np.zeros(1, dtype=int)
-    evaluate = _components([sol.regions[idx]], keys, sol.table([idx], keys), sol.omega)
+    evaluate = _components(keys, sol.table(sol.region_indices([r_s]), keys))
     comps = {key: c for key, _, c in evaluate(one, np.array([r_s]), one)}
     pairing = 0.0 + 0.0j
     for key, amp in sol.amplitudes.items():
         _, e_u, e_v, _, _, _ = comps[(key.n, key.pol)]
-        if key.pol == TE:
-            e_comp = amp * 1.0 * e_v[0]        # sheet along Vtilde
-        else:
-            e_comp = amp * (-1.0) * e_u[0]     # sheet along Utilde
+        e_sheet = e_v if key.pol == TE else e_u     # the sheet runs along Vtilde or Utilde
+        e_comp = amp * h_jump_factor(key.pol) * e_sheet[0]
         pairing += r_s * r_s * amp * np.conj(e_comp)
     return complex(pairing)
 
@@ -292,8 +286,7 @@ def _lossy_weighted_norm_sq(sol: FieldSolution, delta: float) -> float:
         return 0.0
     regions = [sol.regions[i] for i in rows]
     los, his = [reg.r_lo for reg in regions], [reg.r_hi for reg in regions]
-    density = _modal_density(los, regions, comps, weights,
-                             sol.table(rows, list(weights)), sol.omega)
+    density = _modal_density(los, comps, weights, sol.table(rows, list(weights)))
     return sol.omega ** 2 * adaptive_gauss(density, los, his)
 
 
@@ -361,10 +354,10 @@ def second_order_residual(sol: FieldSolution, a: int, samples,
         deps = (eps_at(x + dx) - eps_at(x - dx)) / (2 * h)
         return eps @ grad_ea + deps @ e + 1j * sol.omega * (eps @ lc @ mu_at(x) @ hfld)
 
+    points = np.atleast_2d(np.asarray(samples, dtype=float))
+    radii = [float(np.linalg.norm(x)) for x in points]
     worst = 0.0
-    for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        r = float(np.linalg.norm(x))
-        idx = sol.region_index(r)
+    for x, r, idx in zip(points, radii, sol.region_indices(radii).tolist()):
         reg = sol.regions[idx]
         if r - 2 * h < reg.r_lo or (not math.isinf(reg.r_hi) and r + 2 * h > reg.r_hi):
             raise ValueError(f"sample at radius {r} too close to an interface")

@@ -31,13 +31,13 @@ def richardson_exterior(sol_lo: FieldSolution, sol_hi: FieldSolution) -> FieldSo
     lo_by_interval = {interval(reg): i for i, reg in enumerate(sol_lo.regions)}
     match = np.array([lo_by_interval.get(interval(reg), -1) for reg in sol_hi.regions])
     shared = (match >= 0)[:, None]
-    _, _, lo_c_j, lo_c_y, _ = sol_lo.table(np.maximum(match, 0), list(sol_hi.radial))
+    lo_rows = sol_lo.table(np.maximum(match, 0), list(sol_hi.radial))
 
     def extrapolate(hi, lo):
         return ScaledArray.where(shared, 4.0 / 3.0 * hi - 1.0 / 3.0 * lo, hi)
 
-    return replace(sol_hi, c_j=extrapolate(sol_hi.c_j, lo_c_j),
-                   c_y=extrapolate(sol_hi.c_y, lo_c_y))
+    return replace(sol_hi, c_j=extrapolate(sol_hi.c_j, lo_rows.c_j),
+                   c_y=extrapolate(sol_hi.c_y, lo_rows.c_y))
 
 
 def solve_staircased(medium: RadialMedium, source: SurfaceCurrentSource,

@@ -5,7 +5,11 @@ The radial functions in a layer with spherical-diagonal constants
 (eps_rad, eps_tan, mu_rad, mu_tan) are growth-normalized spherical Bessel
 functions of effective order nu(nu+1) = (tan/rad) n(n+1) (taken from mu for
 TE and from eps for TM) at wavenumber k = omega sqrt(eps_tan mu_tan),
-branch Im k >= 0.
+branch Im k >= 0.  That TE/TM rule is decided in one function,
+`_mode_constants`: it fills one (region x key) table per solve with every
+per-(region, key) constant (nu, k, the tangential coefficient and the
+component factors), which `FieldSolution` keeps next to the coefficients
+and `FieldSolution.table` hands to the field and norm kernels.
 
 Coefficients are propagated as scaled projective pairs and interfaces are
 resolved with the exact Wronskian determinant -(2nu+1)/z^2, so localized
@@ -31,7 +35,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -81,48 +85,48 @@ class RegionSpec:
     mu_rad: complex
     mu_tan: complex
 
-    def order_and_k(self, n: int, pol: str, omega: float) -> tuple[float, complex]:
-        if pol == TE:
-            nu = effective_order(n, self.mu_rad, self.mu_tan)
-        else:
-            nu = effective_order(n, self.eps_rad, self.eps_tan)
-        k = omega * branch_sqrt(self.eps_tan * self.mu_tan)
-        return nu, k
+
+def _mode_constants(regions, keys, omega: float) -> tuple:
+    """The TE/TM rule: every per-(region, key) constant of the radial problem.
+
+    TE takes its order and its tangential coefficient b from mu, with the
+    sign +i; TM takes them from eps, with -i.  Returns (nu, k, coef, rad,
+    tan), each of shape (regions, keys): the effective order, the
+    wavenumber omega sqrt(eps_tan mu_tan) (one per region), b (which the
+    Wronskian determinant uses), and the factors +-i sqrt(n(n+1)) /
+    (omega b_rad) of u/r and +-i / (omega b) of u' + u/r that give the
+    radial and tangential components (H_Y and H_U for TE, E_Y and E_U for
+    TM).  Every entry is a Python scalar expression.
+    """
+    roots = [math.sqrt(n * (n + 1.0)) for n, _ in keys]
+    cells = []
+    for reg in regions:
+        k = omega * branch_sqrt(reg.eps_tan * reg.mu_tan)
+        for (n, pol), root in zip(keys, roots):
+            b_rad, b, sign = ((reg.mu_rad, reg.mu_tan, 1j) if pol == TE
+                              else (reg.eps_rad, reg.eps_tan, -1j))
+            cells.append((effective_order(n, b_rad, b), k, b,
+                          sign * root / (omega * b_rad), sign / (omega * b)))
+    return tuple(np.array(column).reshape(len(regions), len(keys))
+                 for column in zip(*cells))
 
 
-@dataclass
-class RegionCoeffs:
-    """Radial-function coefficients in one region for one (n, pol).
+class ModeTable(NamedTuple):
+    """Rows of a solve's (region x key) table, from `FieldSolution.table`.
 
-    The radial function is u(r) = c_j jhat_nu(k r) + c_y yhat_nu(k r); in the
-    unbounded region the outgoing constraint leaves a single hhat coefficient,
-    stored in c_y with outgoing=True (hhat shares yhat's normalization).
+    nu, k, coef, rad and tan are those of `_mode_constants`; the radial
+    function is c_j jhat_nu(k r) + c_y yhat_nu(k r), or c_y hhat_nu(k r)
+    where `outgoing` holds (the outermost region, where c_j is zero).
     """
 
-    nu: float
-    k: complex
+    nu: np.ndarray
+    k: np.ndarray
+    coef: np.ndarray
+    rad: np.ndarray
+    tan: np.ndarray
     c_j: ScaledArray
     c_y: ScaledArray
-    outgoing: bool = False
-
-    def radial(self, r) -> tuple[ScaledArray, ScaledArray]:
-        """u(r) and du/dr as ScaledArrays over an array of radii, from
-        hat_jy at k r, or hat_h1 if outgoing."""
-        z = self.k * np.asarray(r, dtype=complex)
-        return self.combine(hat_h1(self.nu, z) if self.outgoing else hat_jy(self.nu, z))
-
-    def combine(self, b: dict) -> tuple[ScaledArray, ScaledArray]:
-        """u and du/dr from the values b of hat_jy (hat_h1 if outgoing).
-
-        k multiplies from the right, so it may also be a ScaledArray of one
-        split wavenumber per radius (see `fields._components`); either way
-        the product has the bits of a scalar k.
-        """
-        if self.outgoing:
-            return self.c_y * b["h"], (self.c_y * b["dh"]) * self.k
-        u = self.c_j * b["j"] + self.c_y * b["y"]
-        du = self.c_j * b["dj"] + self.c_y * b["dy"]
-        return u, du * self.k
+    outgoing: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,11 @@ class RadialSolve:
 class FieldSolution:
     """A solved configuration: medium, source, frequency, coefficient tables.
 
-    nu and k (float and complex arrays) and c_j and c_y (ScaledArrays) have
-    shape (regions, keys): one column per key of `radial`, in its order.
-    Row i holds region i's radial function c_j jhat_nu(k r) + c_y yhat_nu(k r);
-    in the last row, the outgoing one, c_y multiplies hhat and c_j is zero.
+    nu, k, coef, rad and tan (see `_mode_constants`) and c_j and c_y
+    (ScaledArrays) have shape (regions, keys): one column per key of
+    `radial`, in its order.  Row i holds region i's radial function
+    c_j jhat_nu(k r) + c_y yhat_nu(k r); in the last row, the outgoing one,
+    c_y multiplies hhat and c_j is zero.
     """
 
     medium: RadialMedium
@@ -164,6 +169,9 @@ class FieldSolution:
     n_max: int
     nu: np.ndarray
     k: np.ndarray
+    coef: np.ndarray
+    rad: np.ndarray
+    tan: np.ndarray
     c_j: ScaledArray
     c_y: ScaledArray
 
@@ -175,40 +183,31 @@ class FieldSolution:
     def _columns(self) -> dict:
         return {key: col for col, key in enumerate(self.radial)}
 
-    def table(self, rows, keys) -> tuple:
-        """(nu, k, c_j, c_y, outgoing) of the given regions and (n, pol)
-        keys, each of shape (len(rows), len(keys))."""
-        rows = np.asarray(rows, dtype=int)
+    def table(self, rows, keys) -> ModeTable:
+        """The `ModeTable` of the given regions (negative indices count from
+        the last) and (n, pol) keys, each entry of shape
+        (len(rows), len(keys))."""
+        rows = np.arange(len(self.regions))[np.asarray(rows, dtype=int)]
         ix = np.ix_(rows, [self._columns[key] for key in keys])
-        nu = self.nu[ix]
-        outgoing = np.broadcast_to((rows == len(self.regions) - 1)[:, None], nu.shape)
-        return nu, self.k[ix], self.c_j[ix], self.c_y[ix], outgoing
+        outgoing = np.broadcast_to((rows == len(self.regions) - 1)[:, None],
+                                   (len(rows), len(keys)))
+        return ModeTable(self.nu[ix], self.k[ix], self.coef[ix], self.rad[ix],
+                         self.tan[ix], self.c_j[ix], self.c_y[ix], outgoing)
 
-    def as_jy(self, rows, keys) -> tuple:
+    def as_jy(self, rows, keys) -> ModeTable:
         """`table` with the outgoing coefficients rewritten on the (jhat,
         yhat) basis, hhat = yhat + i jhat / ((2nu+1)!!(2nu-1)!!)."""
-        nu, k, c_j, c_y, outgoing = self.table(rows, keys)
-        logd = np.zeros(nu.shape)
-        logd[outgoing] = [(log_dfact_plus(v) + log_dfact_minus(v)) / _LN10
-                          for v in nu[outgoing].tolist()]
-        c_j = ScaledArray.where(outgoing, (1j * c_y).scale10(-logd), c_j)
-        return nu, k, c_j, c_y, np.zeros_like(outgoing)
-
-    def coeffs(self, key, i: int) -> RegionCoeffs:
-        """The coefficients of one (n, pol) key in region i."""
-        i = range(len(self.regions))[i]
-        col = self._columns[key]
-        return RegionCoeffs(nu=float(self.nu[i, col]), k=complex(self.k[i, col]),
-                            c_j=self.c_j[i:i + 1, col], c_y=self.c_y[i:i + 1, col],
-                            outgoing=i == len(self.regions) - 1)
+        t = self.table(rows, keys)
+        logd = np.zeros(t.nu.shape)
+        logd[t.outgoing] = [(log_dfact_plus(v) + log_dfact_minus(v)) / _LN10
+                            for v in t.nu[t.outgoing].tolist()]
+        c_j = ScaledArray.where(t.outgoing, (1j * t.c_y).scale10(-logd), t.c_j)
+        return t._replace(c_j=c_j, outgoing=np.zeros_like(t.outgoing))
 
     def region_indices(self, r) -> np.ndarray:
         """Region containing each radius; on a boundary, the inside region wins."""
         idx = np.searchsorted(self._r_hi, r, side="left")
         return np.minimum(idx, len(self.regions) - 1)
-
-    def region_index(self, r: float) -> int:
-        return int(self.region_indices(r))
 
 
 def _build_regions(medium: RadialMedium, r_s: float) -> tuple[list, int]:
@@ -274,59 +273,54 @@ def _end_values(regions, orders):
     return tables
 
 
-def _basis_traces(regions, keys, omega: float):
+def _basis_traces(regions, keys, modes, omega: float):
     """Basis traces (e0, h0, e1, h1) at every region end for every key.
 
     Each is a ScaledArray of shape (2, nreg, nkeys): [0, i] at r_lo and
     [1, i] at r_hi of region i, one column per (n, pol) key; basis 0 is
-    jhat, basis 1 yhat (hhat in the outermost region).  Also returns the
-    (nu, k) tables, of shape (nreg, nkeys), and the match determinants at
-    every end.  Keys with the same (nu, k) in every region share one
-    `_end_values`.
+    jhat, basis 1 yhat (hhat in the outermost region).  `modes` is the
+    (nu, k, coef, rad, tan) of `_mode_constants`.  Also returns the match
+    determinants at every end.  Keys with the same (nu, k) in every region
+    share one `_end_values`.
     """
+    nu, k, coef, _, tan = modes
     radius = np.array([[reg.r_lo for reg in regions],
                        [reg.r_hi for reg in regions]])
     radius[0, 0] = radius[1, -1] = 1.0          # no end there; placeholders
-    orders = [[reg.order_and_k(n, pol, omega) for reg in regions] for n, pol in keys]
-    ends = {o: _end_values(regions, o) for o in dict.fromkeys(map(tuple, orders))}
-    values = [ends[tuple(o)] for o in orders]
+    orders = [tuple(zip(*col)) for col in zip(nu.T.tolist(), k.T.tolist())]
+    ends = {o: _end_values(regions, o) for o in dict.fromkeys(orders)}
+    values = [ends[o] for o in orders]
     u0, du0, u1, du1 = (
         ScaledArray.stack([ScaledArray(*t[j], normalize=False) for t in values], axis=-1)
         for j in range(4))
-    nu = np.array([[o[0] for o in ok] for ok in orders]).T
-    k = np.array([[o[1] for o in ok] for ok in orders]).T
-    coef = [[(reg.mu_tan if pol == TE else reg.eps_tan) for _, pol in keys]
-            for reg in regions]
-    factor = np.array([[1j / (omega * b) if pol == TE else -1j / (omega * b)
-                        for b, (_, pol) in zip(row, keys)] for row in coef])
     te = np.array([pol == TE for _, pol in keys])
     inv_r = (1.0 / radius)[..., None]
 
     def traces(u, du):
-        curlish = (du * k + u * inv_r) * factor
+        curlish = (du * k + u * inv_r) * tan
         return ScaledArray.where(te, u, curlish), ScaledArray.where(te, curlish, u)
 
     e0, h0 = traces(u0, du0)
     e1, h1 = traces(u1, du1)
     # exact Wronskian determinant of the basis at each end:
-    # -i (2nu+1)/(omega b k r^2), b = mu_tan (TE) or eps_tan (TM)
+    # -i (2nu+1)/(omega b k r^2), with b the tangential coefficient coef
+    cells = [list(zip(*row)) for row in zip(nu.tolist(), k.tolist(), coef.tolist())]
     det = ScaledArray.from_complex(np.array([
-        [[-1j * (2.0 * ok[i][0] + 1.0) / (omega * b * ok[i][1] * r * r)
-          for ok, b in zip(orders, coef[i])]
+        [[-1j * (2.0 * v + 1.0) / (omega * b * kv * r * r) for v, kv, b in cells[i]]
          for i, r in enumerate(row)] for row in radius.tolist()]))
-    return (e0, h0, e1, h1), (nu, k), det
+    return (e0, h0, e1, h1), det
 
 
-def _solve_radial(regions, src_idx, keys, omega, options):
+def _solve_radial(regions, src_idx, keys, modes, omega, options):
     """Unit-jump radial solves for every (n, pol) in keys, propagated together.
 
     Columns of every ScaledArray below are keys; the coefficients of each
     key are exactly those of a solve of that key alone.  Returns the
-    `RadialSolve` of each key and the (region x key) tables nu, k, c_j, c_y.
+    `RadialSolve` of each key and the (region x key) tables c_j and c_y.
     """
     nreg = len(regions)
     last = nreg - 1
-    basis, (nu, k), det = _basis_traces(regions, keys, omega)
+    basis, det = _basis_traces(regions, keys, modes, omega)
 
     def at(side, i):
         return tuple(b[side, i] for b in basis)
@@ -377,7 +371,7 @@ def _solve_radial(regions, src_idx, keys, omega, options):
                           RuntimeWarning)
         out[(n, pol)] = RadialSolve(n=n, pol=pol, condition=conds[col],
                                     interface_residual=float(resid[col]))
-    return out, nu, k, c_j, c_y
+    return out, c_j, c_y
 
 
 def _interface_residual(basis, c_j, c_y, src_idx) -> np.ndarray:
@@ -409,9 +403,11 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
     regions, src_idx = _build_regions(medium, source.radius)
     if abs(regions[-1].eps_tan - 1) > 1e-14 or abs(regions[-1].mu_tan - 1) > 1e-14:
         raise ValueError("outermost layer must be vacuum")
-    radial, nu, k, c_j, c_y = _solve_radial(regions, src_idx, source.radial_keys(),
-                                            omega, options)
+    keys = source.radial_keys()
+    modes = _mode_constants(regions, keys, omega)
+    radial, c_j, c_y = _solve_radial(regions, src_idx, keys, modes, omega, options)
+    nu, k, coef, rad, tan = modes
     return FieldSolution(medium=medium, source=source, omega=omega,
                          regions=tuple(regions), radial=radial,
                          amplitudes=dict(source.amplitudes), n_max=source.n_max,
-                         nu=nu, k=k, c_j=c_j, c_y=c_y)
+                         nu=nu, k=k, coef=coef, rad=rad, tan=tan, c_j=c_j, c_y=c_y)

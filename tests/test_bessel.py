@@ -252,12 +252,12 @@ def test_scaled_array_algebra():
 
 def _region_arguments(medium, r_s, n, pol, omega):
     """(region, nu, k r at the region's finite ends) for every bounded region."""
-    from calrlab.layered_maxwell.solver import _build_regions
+    from calrlab.layered_maxwell.solver import _build_regions, _mode_constants
     regions, _ = _build_regions(medium, r_s)
+    nu, k, *_ = _mode_constants(regions, [(n, pol)], omega)
     for i, reg in enumerate(regions[:-1]):
-        nu, k = reg.order_and_k(n, pol, omega)
         ends = [r for r in (reg.r_lo, reg.r_hi) if r > 0]
-        yield i, nu, k * np.asarray(ends)
+        yield i, float(nu[i, 0]), complex(k[i, 0]) * np.asarray(ends)
 
 
 def _sweep_stacks():

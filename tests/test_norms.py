@@ -24,6 +24,7 @@ from calrlab.layered_maxwell import (
 )
 from calrlab.media import make_dcm_example, vacuum_medium
 from calrlab.specfun import sphere_rule
+from layered_cases import eps_ne_mu_solution
 
 
 def _mixed_source(r_s=5.0, n_hi=3):
@@ -313,28 +314,41 @@ def test_modal_density_rows_match_separate_calls():
     # the vacuum on both sides of the series/Miller switch at |kr| = 8
     # (omega = 3), and the outgoing exterior (hat_h1).  The layers' loss
     # weights are scaled by two different deltas, so no two pieces share
-    # their component weights.
-    from calrlab.layered_maxwell.norms import _modal_density, _mode_weights
+    # their component weights.  In the eps != mu medium, TE and TM have
+    # different orders in the core, so there they share no Bessel basis.
     med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 8)
     sol = solve(med, _mixed_source(), 3.0)
+    intervals = [(1.25, 1.375), (1.5, 1.625), (2.0, 2.6), (3.0, 4.5), (5.5, 7.0)]
+    table, keys = _assert_density_rows_match(sol, intervals, (3e-2, 7e-2, None, None, None))
+    te1 = keys.index((1, "TE"))
+    assert table.outgoing[:, te1].tolist() == [False] * 4 + [True]
+    assert table.k[0, te1] != table.k[1, te1]
+    sol = eps_ne_mu_solution()
+    table, keys = _assert_density_rows_match(
+        sol, [(0.1, 0.9), (1.2, 1.8), (2.2, 2.9), (3.5, 5.0)], (None, 0.1, None, None))
+    assert table.nu[0, keys.index((1, "TE"))] != table.nu[0, keys.index((1, "TM"))]
+
+
+def _assert_density_rows_match(sol, intervals, loss_scales):
+    """Each row of a density over the intervals (each within one region)
+    against a density over its interval alone and the per-mode reference;
+    an interval with a loss scale weights its components by the region's
+    loss over that scale, the others by 1.  Returns the density's table
+    and its keys."""
+    from calrlab.layered_maxwell.norms import _modal_density, _mode_weights
     weights = _mode_weights(sol)
     keys = list(weights)
-    intervals = [(1.25, 1.375), (1.5, 1.625), (2.0, 2.6), (3.0, 4.5), (5.5, 7.0)]
     rows, comps = [], []
-    for (lo, hi), scale in zip(intervals, (3e-2, 7e-2, None, None, None)):
-        idx = sol.region_index(0.5 * (lo + hi))
+    for (lo, hi), scale in zip(intervals, loss_scales):
+        idx = int(sol.region_indices(0.5 * (lo + hi)))
         reg = sol.regions[idx]
         ims = (reg.eps_rad.imag, reg.eps_tan.imag, reg.mu_rad.imag, reg.mu_tan.imag)
         rows.append(idx)
         comps.append((1.0, 1.0, 1.0, 1.0) if scale is None else tuple(v / scale for v in ims))
-    regions = [sol.regions[i] for i in rows]
-    _, k, _, _, outgoing = table = sol.table(rows, keys)
-    te1 = keys.index((1, "TE"))
-    assert outgoing[:, te1].tolist() == [False] * 4 + [True]
-    assert len(set(comps)) == 3
-    assert k[0, te1] != k[1, te1]
+    table = sol.table(rows, keys)
+    assert len(set(comps)) == 1 + sum(scale is not None for scale in loss_scales)
     los = [lo for lo, _ in intervals]
-    density = _modal_density(los, regions, comps, weights, table, sol.omega)
+    density = _modal_density(los, comps, weights, table)
     nodes = np.polynomial.legendre.leggauss(16)[0]
     radii, owner = [], []
     for i, (lo, hi) in enumerate(intervals):
@@ -345,22 +359,21 @@ def test_modal_density_rows_match_separate_calls():
     together = density(radii)
     assert together.shape == radii.shape
     for row, i, value in zip(radii, owner, together):
-        alone = _modal_density([los[i]], [regions[i]], [comps[i]], weights,
-                               sol.table([rows[i]], keys), sol.omega)
+        alone = _modal_density([los[i]], [comps[i]], weights, sol.table([rows[i]], keys))
         assert np.array_equal(density(row[None, :])[0], value)
         assert np.array_equal(alone(row[None, :])[0], value)
         assert np.array_equal(
             _density_one_region(sol, weights, rows[i], comps[i], row), value)
+    return table, keys
 
 
 def _density_one_region(sol, weights, idx, comp, r):
     """The density on radii of region idx from the public per-mode
-    components, with that region's scalar coefficients and prefactors."""
+    components, with that region's scalar coefficients and factors."""
     ey_w, et_w, hy_w, ht_w = comp
     out = np.zeros_like(r)
     for (n, pol), w in weights.items():
-        e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
-            sol.regions[idx], pol, sol.coeffs((n, pol), idx), n, r, sol.omega)
+        e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(sol, (n, pol), idx, r)
         e_sq = ey_w * np.abs(e_y) ** 2 + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2)
         h_sq = hy_w * np.abs(h_y) ** 2 + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2)
         out += w * (e_sq + h_sq)

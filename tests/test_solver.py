@@ -7,6 +7,7 @@ import pytest
 
 from calrlab.layered_maxwell import (
     SurfaceCurrentSource,
+    data_quantity,
     eval_field,
     fd_curl,
     field_evaluator,
@@ -17,6 +18,7 @@ from calrlab.layered_maxwell import (
     staircase,
 )
 from calrlab.media import make_dcm_example, vacuum_medium
+from layered_cases import eps_ne_mu_solution
 
 mp.mp.dps = 40
 
@@ -52,12 +54,12 @@ def test_vacuum_single_mode_closed_form():
     t = omega * r_s
     a_expect = 1j * t * t * _hat_h(n, t) / (2 * n + 1)
     b_expect = 1j * t * t * _hat_j(n, t) / (2 * n + 1)
-    inner = sol.coeffs((n, "TE"), 0)
-    outer = sol.coeffs((n, "TE"), -1)
-    assert inner.c_j.to_complex()[0] == pytest.approx(a_expect, rel=1e-12)
-    assert abs(inner.c_y.to_complex()[0]) < 1e-25
-    assert outer.outgoing
-    assert outer.c_y.to_complex()[0] == pytest.approx(b_expect, rel=1e-12)
+    inner = sol.table([0], [(n, "TE")])
+    outer = sol.table([-1], [(n, "TE")])
+    assert inner.c_j.to_complex()[0, 0] == pytest.approx(a_expect, rel=1e-12)
+    assert abs(inner.c_y.to_complex()[0, 0]) < 1e-25
+    assert outer.outgoing[0, 0]
+    assert outer.c_y.to_complex()[0, 0] == pytest.approx(b_expect, rel=1e-12)
     assert rs.interface_residual < 1e-12
 
 
@@ -147,6 +149,26 @@ def test_maxwell_residual_in_dcm_layers():
         assert np.max(np.abs(curl_h + 1j * omega * (eps @ e))) < 2e-5 * scale
 
 
+def test_maxwell_residual_and_energy_identity_with_eps_ne_mu():
+    # eps differs from mu in the anisotropic core, whose TE and TM orders
+    # are fractional and different, and in the lossy layer; a solve that
+    # took a TE constant from eps or a TM constant from mu anywhere fails
+    # the curl equations or the energy identity
+    sol = eps_ne_mu_solution()
+    ev = field_evaluator(sol)
+    for r in (0.6, 1.5, 2.5, 4.0):
+        x = np.array([0.31, -0.42, 0.85])
+        x = x / np.linalg.norm(x) * r
+        eps, mu = sol.medium.tensors_at(x)
+        e, h = ev(x)
+        scale = max(np.max(np.abs(e)), np.max(np.abs(h)))
+        curl_e = fd_curl(ev, x, 0, h=2e-4)
+        curl_h = fd_curl(ev, x, 1, h=2e-4)
+        assert np.max(np.abs(curl_e - 1j * sol.omega * (mu @ h))) < 1e-9 * scale
+        assert np.max(np.abs(curl_h + 1j * sol.omega * (eps @ e))) < 1e-9 * scale
+    assert data_quantity(sol, 0.1).energy_ratio == pytest.approx(1.0, rel=0.0, abs=1e-10)
+
+
 def test_te_tm_impedance_duality_on_matched_medium():
     # for eps = mu media the per-mode impedances satisfy Z_TE * Z_TM = -1
     # for the same boundary-condition structure, at every radius
@@ -156,11 +178,9 @@ def test_te_tm_impedance_duality_on_matched_medium():
                                                        mode(2, 0, "TM"): 1.0})
     sol = solve(med, src, 1.0)
     for r in (0.8, 5.5):
-        idx = sol.region_index(r)
-        _, _, e1, _, h1, _ = mode_radial_components(sol.regions[idx], "TE",
-                                                    sol.coeffs((2, "TE"), idx), 2, r, 1.0)
-        _, e2, _, _, _, h2 = mode_radial_components(sol.regions[idx], "TM",
-                                                    sol.coeffs((2, "TM"), idx), 2, r, 1.0)
+        idx = int(sol.region_indices(r))
+        _, _, e1, _, h1, _ = mode_radial_components(sol, (2, "TE"), idx, r)
+        _, e2, _, _, _, h2 = mode_radial_components(sol, (2, "TM"), idx, r)
         z_te = e1[0] / h1[0]
         z_tm = e2[0] / h2[0]
         assert z_te * z_tm == pytest.approx(-1.0, rel=1e-9)
@@ -224,8 +244,8 @@ def test_exterior_mode_coefficients_linear_in_delta():
         med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=delta), 256)
         sol = solve(med, src, 1.0)
         for key in sol.radial:
-            a = sol.coeffs(key, -1).c_y.to_complex()[0]
-            b = vac.coeffs(key, -1).c_y.to_complex()[0]
+            a = sol.table([-1], [key]).c_y.to_complex()[0, 0]
+            b = vac.table([-1], [key]).c_y.to_complex()[0, 0]
             devs.setdefault(key, []).append(abs(a - b))
     for key, (d3, d4) in devs.items():
         assert 5.0 < d3 / d4 < 20.0, f"mode {key}: {d3} vs {d4}"
@@ -274,12 +294,12 @@ def test_near_singular_guard_names_first_key_of_batch():
 
 def test_interface_residual_flags_perturbed_coefficients():
     from calrlab.layered_maxwell.solver import (
-        _INTERFACE_TOL, _basis_traces, _build_regions, _interface_residual)
+        _INTERFACE_TOL, _basis_traces, _build_regions, _interface_residual, _mode_constants)
     med, src = _guard_case()
     sol = solve(med, src, 1.0)
     keys = src.radial_keys()
     regions, src_idx = _build_regions(med, 5.0)
-    basis, _, _ = _basis_traces(regions, keys, 1.0)
+    basis, _ = _basis_traces(regions, keys, _mode_constants(regions, keys, 1.0), 1.0)
     assert list(sol.radial) == keys
     c_j, c_y = sol.c_j.copy(), sol.c_y.copy()
     clean = _interface_residual(basis, c_j, c_y, src_idx)
