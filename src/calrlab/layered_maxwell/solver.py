@@ -401,7 +401,9 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
     if omega <= 0:
         raise ValueError("omega must be positive")
     regions, src_idx = _build_regions(medium, source.radius)
-    if abs(regions[-1].eps_tan - 1) > 1e-14 or abs(regions[-1].mu_tan - 1) > 1e-14:
+    out = regions[-1]
+    if any(abs(c - 1) > 1e-14
+           for c in (out.eps_rad, out.eps_tan, out.mu_rad, out.mu_tan)):
         raise ValueError("outermost layer must be vacuum")
     keys = source.radial_keys()
     modes = _mode_constants(regions, keys, omega)

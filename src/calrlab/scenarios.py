@@ -275,6 +275,11 @@ def run_gluing_demo(p: dict):
     return tables, results, assertions
 
 
+def _alpha_boundary(r0: float) -> PartialBoundary:
+    """The unit-sphere partial boundary of `three_sphere_suite` at excision r0."""
+    return PartialBoundary(radius=1.0, excision=r0, quad_order=48)
+
+
 @scenario("three_sphere_suite",
           defaults={"count": 1000, "max_degree": 30,
                     "radius_grid": [0.5, 1.0, 1.5, 2.0, 2.5],
@@ -309,8 +314,7 @@ def run_three_sphere_suite(p: dict):
               for n in range(12, 40)]
     alpha_rows = []
     for r0 in p["alpha_excisions"]:
-        pb = PartialBoundary(radius=1.0, excision=r0, quad_order=48)
-        fit = empirical_alpha(family, pb, (1.44, 1.46), (1.0, 2.0))
+        fit = empirical_alpha(family, _alpha_boundary(r0), (1.44, 1.46), (1.0, 2.0))
         alpha_rows.append(["empirical_alpha", 1.0, 1.45, 2.0, r0,
                            fit.alpha_hat, fit.intercept, fit.count])
     tables = {"three_sphere_suite.csv":
@@ -475,7 +479,8 @@ def scenario_params(name: str, params: dict) -> dict:
     than 3 radii, radii that are not positive or do not increase strictly, a
     loss value that is not positive, fewer than two distinct `deltas` where a
     slope is fitted over them, a lossy DCM shell with p != 2, a
-    weighted-inequality sweep with some beta > -1 or p < 1, and `claims_lam` <= 1.
+    weighted-inequality sweep with some beta > -1 or p < 1, `claims_lam` <= 1,
+    and an `alpha_excisions` entry whose partial boundary keeps no node.
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -508,6 +513,12 @@ def scenario_params(name: str, params: dict) -> dict:
         raise ValueError("'betas' must all be <= -1 and 'ps' all >= 1")
     if name == "carleman_suite" and not merged["claims_lam"] > 1.0:
         raise ValueError("'claims_lam' must exceed 1 for a nonconstant test field")
+    if name == "three_sphere_suite":
+        for r0 in merged["alpha_excisions"]:
+            try:
+                _alpha_boundary(r0)
+            except ValueError as exc:
+                raise ValueError(f"'alpha_excisions' entry {r0!r}: {exc}") from None
     return merged
 
 

@@ -57,8 +57,18 @@ class SphericalExpansion:
         dg = self.omega * vals["dy"].to_complex().real
         return (f, df), (g, dg)
 
+    def _terms(self, r):
+        """(n, m, radial factor, its r-derivative) of each coefficient on r."""
+        cache = {}
+        for (n, m), (c_reg, c_sing) in self.coeffs.items():
+            if n not in cache:
+                cache[n] = self.radial(n, r)
+            (f, df), (g, dg) = cache[n]
+            yield n, m, c_reg * f + c_sing * g, c_reg * df + c_sing * dg
+
     def value_and_gradient_many(self, points):
-        """Vectorized (values, gradients) over an (N, 3) point array."""
+        """Vectorized (values, gradients) over an (N, 3) point array: the
+        pointwise reference that `ring_density` is tested against."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         theta = np.arccos(np.clip(pts[:, 2] / r, -1, 1))
@@ -70,17 +80,10 @@ class SphericalExpansion:
         phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
         vals = np.zeros(len(pts), dtype=complex)
         grads = np.zeros((len(pts), 3), dtype=complex)
-        nmax = self.n_max
-        rad_cache = {}
         leg_cache = {}
-        for (n, m), (c_reg, c_sing) in self.coeffs.items():
-            if n not in rad_cache:
-                rad_cache[n] = self.radial(n, r)
-            (f, df), (g, dg) = rad_cache[n]
-            fr = c_reg * f + c_sing * g
-            dfr = c_reg * df + c_sing * dg
+        for n, m, fr, dfr in self._terms(r):
             if m not in leg_cache:
-                leg_cache[m] = pbar_tau_pi(nmax, m, theta)
+                leg_cache[m] = pbar_tau_pi(self.n_max, m, theta)
             pbar, tau, pi_m = leg_cache[m]
             idx = n - abs(m)
             eimp = np.exp(1j * m * phi)
@@ -92,6 +95,25 @@ class SphericalExpansion:
             grads += (dfr * y)[:, None] * xhat + (fr / r)[:, None] * gs
         return vals, grads
 
+    def ring_density(self, radius: float, theta) -> np.ndarray:
+        """Mean over phi of |v|^2 + |grad v|^2 on the circles |x| = radius
+        at the polar angles theta.  There v, dv/dr, (1/r) dv/dtheta and
+        (1/(r sin theta)) dv/dphi are sums A_m e^{i m phi}, so the mean is
+        sum_m |A_m|^2."""
+        theta = np.asarray(theta, dtype=float)
+        amps = {}                     # m -> (pbar, tau, pi), the four A_m
+        for n, m, fr, dfr in self._terms(radius):
+            if m not in amps:
+                amps[m] = (pbar_tau_pi(self.n_max, m, theta),
+                           np.zeros((4, theta.size), dtype=complex))
+            (pbar, tau, pi_m), a = amps[m]
+            idx = n - abs(m)
+            a[0] += fr * pbar[idx]
+            a[1] += dfr * pbar[idx]
+            a[2] += fr / radius * tau[idx]
+            a[3] += fr / radius * pi_m[idx]
+        return sum(np.sum(np.abs(a) ** 2, axis=0) for _, a in amps.values())
+
     def annulus_norm_sq(self, a: float, b: float, include_gradient: bool) -> float:
         """Modal squared L2 (or H1 seminorm-augmented) norm on a < r < b, by
         64-point Gauss-Legendre quadrature in r."""
@@ -99,13 +121,7 @@ class SphericalExpansion:
         rr = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         wr = 0.5 * (b - a) * weights
         total = 0.0
-        cache = {}
-        for (n, m), (c_reg, c_sing) in self.coeffs.items():
-            if n not in cache:
-                cache[n] = self.radial(n, rr)
-            (f, df), (g, dg) = cache[n]
-            fr = c_reg * f + c_sing * g
-            dfr = c_reg * df + c_sing * dg
+        for n, _, fr, dfr in self._terms(rr):
             dens = np.abs(fr) ** 2
             if include_gradient:
                 dens = dens + np.abs(dfr) ** 2 + n * (n + 1) * np.abs(fr / rr) ** 2

@@ -29,41 +29,52 @@ class NormReport:
 
 @dataclass
 class PartialBoundary:
-    """Sphere radius, excised equator band, and the masked quadrature rule."""
+    """Sphere radius, excised equator band, and the kept rings of the rule:
+    the theta rows of `sphere_rule(quad_order)` at distance >= r0 from the
+    equator circle, each weighted by radius^2 times its row's weight sum."""
 
     radius: float
     excision: float                      # tubular half-width r0
     quad_order: int = 48
-    _rule: tuple = field(init=False, repr=False)
+    rings: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts, w, _, _ = sphere_rule(self.quad_order)
+        pts, w, theta, _ = sphere_rule(self.quad_order)
         xs = self.radius * pts
         # distance of each node to the equator circle |x| = radius, x3 = 0
         dist = np.hypot(np.hypot(xs[:, 0], xs[:, 1]) - self.radius, xs[:, 2])
-        keep = dist >= self.excision
-        if not np.any(keep):
+        keep = (dist >= self.excision).reshape(self.quad_order, -1)
+        rows = keep.all(axis=1)
+        if not np.array_equal(rows, keep.any(axis=1)):
+            raise ValueError(f"excision {self.excision!r} splits a theta row of "
+                             "the rule: it equals a node's distance to the "
+                             "equator to within roundoff")
+        if not np.any(rows):
             raise ValueError("the excision covers the whole sphere")
-        self._rule = (xs[keep], self.radius ** 2 * w[keep])
+        w_rows = self.radius ** 2 * w.reshape(self.quad_order, -1).sum(axis=1)
+        self.rings = (theta.reshape(self.quad_order, -1)[rows, 0], w_rows[rows])
 
     @property
     def kept_fraction(self) -> float:
-        _, w = self._rule
+        _, w = self.rings
         return float(np.sum(w) / (4.0 * math.pi * self.radius ** 2))
-
-    def quadrature(self):
-        return self._rule
 
 
 def partial_data_norm(v, boundary: PartialBoundary) -> NormReport:
     """Surrogate boundary datum sqrt(int_Sigma |v|^2 + |grad v|^2 dS).
 
-    `v` must expose value_and_gradient_many; the surrogate is documented and
-    held fixed so that only ratios across an experiment matter.
+    `v` must expose `n_max` and `ring_density(radius, theta)`, the mean over
+    phi of |v|^2 + |grad v|^2 on the circles at those polar angles.  The
+    2q-point trapezoid rule in phi (q = `quad_order`) integrates that
+    density exactly only while n_max < q, so a larger n_max raises
+    ValueError.  The surrogate is documented and held fixed so that only
+    ratios across an experiment matter.
     """
-    xs, w = boundary.quadrature()
-    vals, grads = v.value_and_gradient_many(xs)
-    dens = np.abs(vals) ** 2 + np.sum(np.abs(grads) ** 2, axis=1)
+    if v.n_max >= boundary.quad_order:
+        raise ValueError(f"n_max {v.n_max} needs quad_order > n_max, not "
+                         f"{boundary.quad_order}")
+    theta, w = boundary.rings
+    dens = v.ring_density(boundary.radius, theta)
     return NormReport(value=math.sqrt(float(np.sum(w * dens))),
                       parts={"kept_fraction": boundary.kept_fraction},
                       method="quadrature-surrogate",

@@ -172,6 +172,8 @@ def test_carleman_suite_bad_sweep_exit_config(tmp_path):
     ("three_sphere_suite", {"radius_grid": [1.0, 2.0, 1.5]}),
     ("three_sphere_suite", {"radius_grid": [0.0, 1.0, 2.0]}),
     ("three_sphere_suite", {"alpha_excisions": []}),
+    ("three_sphere_suite", {"alpha_excisions": [1.5]}),
+    ("three_sphere_suite", {"alpha_excisions": [0.2, 3.0]}),
     ("maxwell_3sphere_suite", {"radii": [1.0, 2.0]}),
     ("carleman_suite", {"ps": []}),
     ("carleman_suite", {"betas": []}),
@@ -179,11 +181,13 @@ def test_carleman_suite_bad_sweep_exit_config(tmp_path):
         "slope_window-long", "exterior-short", "object-short",
         "radius_grid-one", "radius_grid-two", "radius_grid-unsorted",
         "radius_grid-zero", "alpha_excisions-empty",
+        "alpha_excisions-covering", "alpha_excisions-covering-second",
         "radii-short", "ps-empty", "betas-empty"])
 def test_bad_list_param_exit_config(tmp_path, capsys, scenario, params):
     # wrong length, too few radii, radii not positive or not strictly
-    # increasing, or an empty sweep: rejected before any work, so no output
-    # directory, with a message that names the param
+    # increasing, an empty sweep, or an excision that keeps no node of the
+    # partial-data rule: rejected before any work, so no output directory,
+    # with a message that names the param
     cfg = _write_config(tmp_path, "list.json", scenario, params,
                         tmp_path / "outl")
     assert main(["validate-config", str(cfg)]) == EXIT_CONFIG

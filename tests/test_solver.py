@@ -17,7 +17,7 @@ from calrlab.layered_maxwell import (
     solve,
     staircase,
 )
-from calrlab.media import make_dcm_example, vacuum_medium
+from calrlab.media import Layer, LayerCoeff, RadialMedium, make_dcm_example, vacuum_medium
 from layered_cases import eps_ne_mu_solution
 
 mp.mp.dps = 40
@@ -221,6 +221,21 @@ def test_source_on_breakpoint_rejected():
     src = SurfaceCurrentSource(radius=2.0, amplitudes={mode(1, 0, "TE"): 1.0})
     with pytest.raises(ValueError):
         solve(staircase(med, 4), src, 1.0)
+
+
+@pytest.mark.parametrize("which", ["eps", "mu"])
+def test_outermost_layer_with_radial_coefficient_not_vacuum_rejected(which):
+    # only the radial entry of the exterior differs from 1: its TM (or TE)
+    # order is not n, so farfield_flux's vacuum closed form would not hold
+    vacuum = LayerCoeff.iso(1.0 + 0.0j)
+    exterior = {"eps": vacuum, "mu": vacuum, which: LayerCoeff(2.0 + 0.0j, 1.0 + 0.0j)}
+    med = RadialMedium(layers=(
+        Layer(0.0, 1.0, LayerCoeff.iso(2.0 + 0.0j), vacuum),
+        Layer(1.0, math.inf, exterior["eps"], exterior["mu"])))
+    src = SurfaceCurrentSource(radius=3.0, amplitudes={mode(1, 0, "TM"): 1.0,
+                                                       mode(1, 0, "TE"): 1.0})
+    with pytest.raises(ValueError, match="^outermost layer must be vacuum$"):
+        solve(med, src, 1.0)
 
 
 def test_staircase_constant_layers_untouched():

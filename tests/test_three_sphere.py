@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calrlab.three_sphere import (
     HarmonicExpansion2D,
@@ -155,15 +157,73 @@ def test_partial_norm_vanishing_function():
 @pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
 def test_partial_boundary_mask_matches_per_node_distance(radius):
     # reference: the distance of each node to the equator circle, one node
-    # at a time
-    pts, w, _, _ = sphere_rule(48)
+    # at a time; the kept nodes are whole theta rows, which become the rings
+    pts, w, theta, _ = sphere_rule(48)
     xs = radius * pts
     dist = [math.hypot(math.hypot(x[0], x[1]) - radius, x[2]) for x in xs]
     for r0 in (0.4, 0.3, 0.2, 0.1, 0.05, 0.01):
-        keep = np.array([d >= r0 for d in dist])
-        got_x, got_w = PartialBoundary(radius=radius, excision=r0).quadrature()
-        assert np.array_equal(got_x, xs[keep])
-        assert np.array_equal(got_w, radius ** 2 * w[keep])
+        keep = np.array([d >= r0 for d in dist]).reshape(48, 96)
+        rows = keep[:, 0]
+        assert np.array_equal(keep, np.repeat(rows[:, None], 96, axis=1))
+        got_theta, got_w = PartialBoundary(radius=radius, excision=r0).rings
+        assert np.array_equal(got_theta, theta.reshape(48, 96)[rows, 0])
+        assert np.array_equal(got_w, radius ** 2 * w.reshape(48, 96).sum(axis=1)[rows])
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
+def test_excision_splitting_a_theta_row_rejected(radius):
+    # r0 equal to the largest node distance of a row whose distances differ
+    # in the last bit keeps only part of that row
+    pts, _, _, _ = sphere_rule(48)
+    xs = radius * pts
+    dist = np.hypot(np.hypot(xs[:, 0], xs[:, 1]) - radius, xs[:, 2]).reshape(48, 96)
+    row = int(np.argmax(np.ptp(dist, axis=1)))
+    r0 = float(dist[row].max())
+    assert np.ptp(dist[row]) > 0
+    with pytest.raises(ValueError, match=f"excision {r0!r} splits a theta row"):
+        PartialBoundary(radius=radius, excision=r0)
+
+
+def _masked_node_norm(v, radius, r0, quad_order):
+    """The product-rule sum over the kept nodes of sphere_rule, point by point."""
+    pts, w, _, _ = sphere_rule(quad_order)
+    xs = radius * pts
+    keep = np.hypot(np.hypot(xs[:, 0], xs[:, 1]) - radius, xs[:, 2]) >= r0
+    vals, grads = v.value_and_gradient_many(xs[keep])
+    dens = np.abs(vals) ** 2 + np.sum(np.abs(grads) ** 2, axis=1)
+    return math.sqrt(float(np.sum(radius ** 2 * w[keep] * dens)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(["harmonic", "helmholtz"]),
+       quad_order=st.sampled_from([4, 12, 48]), n_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1), radius=st.floats(0.5, 2.0),
+       r0_frac=st.floats(0.0, 0.95), omega=st.floats(0.5, 2.0))
+def test_ring_norm_matches_masked_node_sum(kind, quad_order, n_frac, seed,
+                                           radius, r0_frac, omega):
+    # the phi trapezoid rule is exact for the ring density while
+    # n_max < quad_order, so the ring form equals the node-by-node sum
+    rng = np.random.default_rng(seed)
+    n_max = min(int(n_frac * quad_order), quad_order - 1)
+    coeffs = {}
+    for n in [n_max, *rng.integers(0, n_max + 1, size=int(rng.integers(0, 8)))]:
+        m = int(rng.integers(-n, n + 1))
+        coeffs[(int(n), m)] = tuple(complex(*rng.standard_normal(2)) for _ in range(2))
+    v = SphericalExpansion(kind=kind, coeffs=coeffs, omega=omega)
+    r0 = r0_frac * radius
+    got = partial_data_norm(v, PartialBoundary(radius, r0, quad_order)).value
+    assert got == pytest.approx(_masked_node_norm(v, radius, r0, quad_order),
+                                rel=1e-13, abs=0.0)
+
+
+def test_partial_norm_needs_n_max_below_quad_order():
+    pb = PartialBoundary(radius=1.0, excision=0.1, quad_order=8)
+    below = SphericalExpansion(kind="harmonic", coeffs={(7, -3): (1.0, 0.5)})
+    assert partial_data_norm(below, pb).value > 0
+    for n in (8, 9):
+        v = SphericalExpansion(kind="harmonic", coeffs={(n, 2): (1.0, 0.0)})
+        with pytest.raises(ValueError, match="quad_order"):
+            partial_data_norm(v, pb)
 
 
 def test_excision_covering_sphere_rejected():
