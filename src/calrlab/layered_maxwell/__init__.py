@@ -6,7 +6,6 @@ from .solver import (
     NearSingularMode,
     RadialSolve,
     RegionSpec,
-    SolverOptions,
     branch_sqrt,
     effective_order,
     solve,
@@ -36,7 +35,7 @@ from .staircase import graded_midpoints, staircase
 __all__ = [
     "TE", "TM", "ModeId", "SurfaceCurrentSource", "h_jump_factor", "mode",
     "FieldSolution", "NearSingularMode", "RadialSolve", "RegionSpec",
-    "SolverOptions", "branch_sqrt", "effective_order", "solve",
+    "branch_sqrt", "effective_order", "solve",
     "GluedField", "GluedReport", "eval_field", "eval_field_many", "fd_curl", "field_evaluator",
     "mode_radial_components", "reflect_solution", "remove_localized_singularity",
     "DataReport", "adaptive_gauss", "data_quantity", "farfield_flux",

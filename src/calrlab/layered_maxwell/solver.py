@@ -47,6 +47,9 @@ from .modes import TE, ModeId, SurfaceCurrentSource
 _LN10 = math.log(10.0)
 # Relative trace mismatch across an interface above which a solve warns.
 _INTERFACE_TOL = 1e-9
+# Condition of a mode's source-jump system above which a solve raises
+# NearSingularMode.
+_COND_GUARD = 1e12
 
 
 def _s(value) -> ScaledArray:
@@ -127,12 +130,6 @@ class ModeTable(NamedTuple):
     c_j: ScaledArray
     c_y: ScaledArray
     outgoing: np.ndarray
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    cond_guard: float = 1e12
-    on_near_singular: str = "warn"      # "warn" | "raise"
 
 
 class NearSingularMode(RuntimeError):
@@ -311,7 +308,7 @@ def _basis_traces(regions, keys, modes, omega: float):
     return (e0, h0, e1, h1), det
 
 
-def _solve_radial(regions, src_idx, keys, modes, omega, options):
+def _solve_radial(regions, src_idx, keys, modes, omega):
     """Unit-jump radial solves for every (n, pol) in keys, propagated together.
 
     Columns of every ScaledArray below are keys; the coefficients of each
@@ -361,11 +358,9 @@ def _solve_radial(regions, src_idx, keys, modes, omega, options):
 
     out = {}
     for col, (n, pol) in enumerate(keys):
-        if conds[col] > options.cond_guard:
-            msg = f"near-singular mode (n={n}, pol={pol}): condition {conds[col]:.3e}"
-            if options.on_near_singular == "raise":
-                raise NearSingularMode(msg)
-            warnings.warn(msg, RuntimeWarning)
+        if conds[col] > _COND_GUARD:
+            raise NearSingularMode(
+                f"near-singular mode (n={n}, pol={pol}): condition {conds[col]:.3e}")
         if resid[col] > _INTERFACE_TOL:
             warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
                           RuntimeWarning)
@@ -390,13 +385,13 @@ def _interface_residual(basis, c_j, c_y, src_idx) -> np.ndarray:
     return np.fmax.reduce(np.fmax(de, np.abs(dh)) / scale, axis=0, initial=0.0)
 
 
-def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
-          options: SolverOptions = SolverOptions()) -> FieldSolution:
+def solve(medium: RadialMedium, source: SurfaceCurrentSource,
+          omega: float) -> FieldSolution:
     """Solve the radiating transmission problem for a sheet source.
 
     Sign-changing layers normally carry positive loss; running them lossless
     is allowed only as long as every per-mode system stays away from the
-    condition guard, which otherwise warns or raises per `options`.
+    condition guard `_COND_GUARD`, above which it raises NearSingularMode.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -407,7 +402,7 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource, omega: float,
         raise ValueError("outermost layer must be vacuum")
     keys = source.radial_keys()
     modes = _mode_constants(regions, keys, omega)
-    radial, c_j, c_y = _solve_radial(regions, src_idx, keys, modes, omega, options)
+    radial, c_j, c_y = _solve_radial(regions, src_idx, keys, modes, omega)
     nu, k, coef, rad, tan = modes
     return FieldSolution(medium=medium, source=source, omega=omega,
                          regions=tuple(regions), radial=radial,

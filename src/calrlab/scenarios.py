@@ -7,9 +7,14 @@ list of (name, passed, detail) triples.  `run_scenario` writes the CSV
 tables plus a JSON manifest and returns the results with the assertions
 added.  All randomness flows from the configured seed, and reductions are
 ordered, so reruns with the same config are bit-identical.
+
+The five loss sweeps (`dcm_convergence`, `blowup_scan`, `superlens`,
+`cm_cloak`, `gluing_demo`) loop over `_delta_sweep`, which builds the source
+and any reference solve once and yields the staircased solve of each delta.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +45,7 @@ from .layered_maxwell import (
     solve,
 )
 from .layered_maxwell.refine import solve_staircased
-from .layered_maxwell.staircase import graded_midpoints, staircase
+from .layered_maxwell.staircase import graded_midpoints
 from .media import dcm_maps, make_cm_cloak, make_dcm_example, make_superlens, vacuum_medium
 from .report import write_csv, write_manifest
 from .three_sphere import (
@@ -90,15 +95,22 @@ def mixed_mode_source(radius: float, n_max: int, seed: int) -> SurfaceCurrentSou
 _FIXED_LENGTH = ("annulus", "exterior", "radii", "object", "slope_window")
 # List params of radii, which must increase strictly.
 _RADII = ("annulus", "exterior", "radii", "radius_grid")
-# Scenarios whose result is a log-log slope over `deltas`.
-_SLOPE_FITS = ("dcm_convergence", "blowup_scan")
-# Scenarios that build the lossy DCM shell: for p != 2 the loss i delta makes
-# the ratio of its radial and tangential parts, the effective order, complex.
-_LOSSY_DCM = ("dcm_convergence", "blowup_scan")
 
 
 def _fit_loglog(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def _delta_sweep(p: dict, build_medium, reference=None, richardson=True):
+    """Yield (delta, sol, ref) per loss: the source and ref, the plain solve
+    of `reference` (None without one), are made once; sol is the staircased
+    solve of build_medium(delta), Richardson-refined if richardson."""
+    src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
+    ref = None if reference is None else solve(reference, src, p["omega"])
+    for delta in p["deltas"]:
+        sol = solve_staircased(build_medium(delta), src, p["omega"],
+                               layers=p["layers"], richardson=richardson)
+        yield delta, sol, ref
 
 
 @scenario("dcm_convergence",
@@ -110,20 +122,16 @@ def _fit_loglog(xs, ys) -> float:
                                 "bound_variation": p["bound_variation"]})
 def run_dcm_convergence(p: dict):
     """err(delta) against the homogenized limit, with the uniform exterior bound."""
-    src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
-    vac = solve(vacuum_medium(), src, p["omega"])
-    j_norm = math.sqrt(src.l2_norm_sq())
     rows = []
-    errs = []
-    bounds = []
-    for delta in p["deltas"]:
-        med = make_dcm_example(p["r1"], p["r2"], p["p"], delta)
-        sol = solve_staircased(med, src, p["omega"], layers=p["layers"])
+    for delta, sol, vac in _delta_sweep(
+            p, lambda d: make_dcm_example(p["r1"], p["r2"], p["p"], d),
+            reference=vacuum_medium()):
+        j_norm = math.sqrt(sol.source.l2_norm_sq())
         err = l2_norm_annulus_diff(sol, vac, *p["annulus"])
         ext = l2_norm_annulus(sol, *p["annulus"])
-        errs.append(err)
-        bounds.append(ext / j_norm)
         rows.append([delta, err, ext, ext / j_norm])
+    errs = [row[1] for row in rows]
+    bounds = [row[3] for row in rows]
     slope = _fit_loglog(p["deltas"], errs)
     variation = (max(bounds) - min(bounds)) / max(bounds)
     tables = {"dcm_convergence.csv":
@@ -146,22 +154,18 @@ def run_dcm_convergence(p: dict):
                     "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "exterior": [4.0, 6.0]})
 def run_blowup_scan(p: dict):
     """Shell-norm growth for a source between r2 and r3 (localized resonance)."""
-    src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
-    j_norm = math.sqrt(src.l2_norm_sq())
     rows = []
-    shell = []
-    exterior = []
-    for delta in p["deltas"]:
-        med = make_dcm_example(p["r1"], p["r2"], p["p"], delta)
-        sol = solve_staircased(med, src, p["omega"], layers=p["layers"],
-                               richardson=False)
+    for delta, sol, _ in _delta_sweep(
+            p, lambda d: make_dcm_example(p["r1"], p["r2"], p["p"], d),
+            richardson=False):
+        j_norm = math.sqrt(sol.source.l2_norm_sq())
         s_norm = l2_norm_annulus(sol, p["r1"], p["r2"])
         e_norm = l2_norm_annulus(sol, *p["exterior"])
         rep = data_quantity(sol, delta)
-        shell.append(s_norm)
-        exterior.append(e_norm)
         rows.append([delta, s_norm, e_norm, e_norm / j_norm,
                      rep.value, s_norm ** 2 / rep.value])
+    shell = [row[1] for row in rows]
+    exterior = [row[2] for row in rows]
     growth = -_fit_loglog(p["deltas"], shell)
     tables = {"blowup_scan.csv":
               (["delta", "shell_l2", "exterior_l2", "exterior_over_j",
@@ -186,17 +190,13 @@ def run_superlens(p: dict):
     """Convergence to the magnified reference as the shell loss vanishes."""
     obj = (complex(p["object"][0], p["object"][1]),
            complex(p["object"][2], p["object"][3]))
-    src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
     _, reference = make_superlens(p["r0"], p["m"], obj, 0.0, r1=p["r1"])
-    ref_sol = solve(reference, src, p["omega"])
     rows = []
-    errs = []
-    for delta in p["deltas"]:
-        med, _ = make_superlens(p["r0"], p["m"], obj, delta, r1=p["r1"])
-        sol = solve_staircased(med, src, p["omega"], layers=p["layers"])
-        err = l2_norm_annulus_diff(sol, ref_sol, *p["annulus"])
-        errs.append(err)
-        rows.append([delta, err])
+    for delta, sol, ref_sol in _delta_sweep(
+            p, lambda d: make_superlens(p["r0"], p["m"], obj, d, r1=p["r1"])[0],
+            reference=reference):
+        rows.append([delta, l2_norm_annulus_diff(sol, ref_sol, *p["annulus"])])
+    errs = [err for _, err in rows]
     tables = {"superlens.csv": (["delta", "err_vs_reference"], rows)}
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     ratio = errs[-1] / errs[0]
@@ -216,16 +216,12 @@ def run_superlens(p: dict):
                     "annulus": [3.0, 5.0]})
 def run_cm_cloak(p: dict):
     """Annulus cloak against free space: exterior error vs loss."""
-    src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
-    vac = solve(vacuum_medium(), src, p["omega"])
     rows = []
-    errs = []
-    for delta in p["deltas"]:
-        med = make_cm_cloak(p["r2"], p["r3"], None, delta)
-        sol = solve_staircased(med, src, p["omega"], layers=p["layers"])
-        err = l2_norm_annulus_diff(sol, vac, *p["annulus"])
-        errs.append(err)
-        rows.append([delta, err])
+    for delta, sol, vac in _delta_sweep(
+            p, lambda d: make_cm_cloak(p["r2"], p["r3"], None, d),
+            reference=vacuum_medium()):
+        rows.append([delta, l2_norm_annulus_diff(sol, vac, *p["annulus"])])
+    errs = [err for _, err in rows]
     tables = {"cm_cloak.csv": (["delta", "err_vs_free_space"], rows)}
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
     assertions = [("err_monotone_in_delta", monotone, f"errors={errs}")]
@@ -240,27 +236,24 @@ def run_cm_cloak(p: dict):
           tolerances=lambda p: {"jump_tol": p["jump_tol"]})
 def run_gluing_demo(p: dict):
     """Removing the localized singularity: jump residuals and the delta-forcing."""
-    src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
     rows = []
-    ratios = []
-    jumps = []
-    for delta in p["deltas"]:
-        med = staircase(make_dcm_example(p["r1"], p["r2"], 2.0, delta),
-                        p["layers"])
-        sol = solve(med, src, p["omega"])
-        f_map, g_map = dcm_maps(med)
+    # without Richardson, sol.medium is the staircased DCM that was solved
+    for delta, sol, _ in _delta_sweep(
+            p, lambda d: make_dcm_example(p["r1"], p["r2"], 2.0, d),
+            richardson=False):
+        f_map, g_map = dcm_maps(sol.medium)
         glued = remove_localized_singularity(sol, f_map, g_map)
-        mids = graded_midpoints(med, p["r1"], p["r2"])
+        mids = graded_midpoints(sol.medium, p["r1"], p["r2"])
         r2sq = p["r2"] * p["r2"]
         radii = sorted(r2sq / m for m in mids
                        if 1.1 * p["r2"] < r2sq / m < 0.95 * glued.r3)[::12]
         rep = glued.residual_report(radii, quad_order=16, points_per_radius=2,
                                     h=1e-4, seed=p["seed"])
-        ratios.append(rep.maxwell_resid_norm / delta)
-        jumps.append(max(rep.jump_rel_r2, rep.jump_rel_r3))
         rows.append([delta, rep.jump_rel_r2, rep.jump_rel_r3,
                      rep.maxwell_resid_norm, rep.maxwell_resid_norm / delta,
                      rep.forcing_rel_deviation])
+    ratios = [row[4] for row in rows]
+    jumps = [max(row[1], row[2]) for row in rows]
     tables = {"gluing_demo.csv":
               (["delta", "jump_rel_r2", "jump_rel_r3", "maxwell_resid",
                 "resid_over_delta", "forcing_rel_dev"], rows)}
@@ -275,6 +268,12 @@ def run_gluing_demo(p: dict):
     return tables, results, assertions
 
 
+# Fixed thresholds, read by the assertion and by the manifest's tolerances.
+_RATIO_BOUND = 1e-10
+_MONOMIAL_TOL = 1e-12
+_ANCHOR_TOL = 1e-10
+
+
 def _alpha_boundary(r0: float) -> PartialBoundary:
     """The unit-sphere partial boundary of `three_sphere_suite` at excision r0."""
     return PartialBoundary(radius=1.0, excision=r0, quad_order=48)
@@ -285,15 +284,12 @@ def _alpha_boundary(r0: float) -> PartialBoundary:
                     "radius_grid": [0.5, 1.0, 1.5, 2.0, 2.5],
                     "monomial_max": 50, "seed": 23,
                     "alpha_excisions": [0.2, 0.1, 0.05]},
-          tolerances=lambda p: {"ratio_bound": 1e-10, "monomial_tol": 1e-12})
+          tolerances=lambda p: {"ratio_bound": _RATIO_BOUND,
+                                "monomial_tol": _MONOMIAL_TOL})
 def run_three_sphere_suite(p: dict):
     """Planar sup-norm interpolation plus the partial-data evidence table."""
     rng = np.random.default_rng(p["seed"])
-    radii = p["radius_grid"]
-    triples = [(radii[i], radii[j], radii[k])
-               for i in range(len(radii))
-               for j in range(i + 1, len(radii))
-               for k in range(j + 1, len(radii))]
+    triples = list(itertools.combinations(p["radius_grid"], 3))
     worst = 0.0
     rows = []
     for idx in range(p["count"]):
@@ -321,8 +317,10 @@ def run_three_sphere_suite(p: dict):
               (["experiment", "r1", "r2", "r3", "r0", "lhs_or_alpha",
                 "rhs_or_intercept", "ratio_or_count"], rows + alpha_rows)}
     assertions = [
-        ("hadamard_ratio_bound", worst <= 1.0 + 1e-10, f"max ratio={worst:.12f}"),
-        ("monomial_equality", mono_dev < 1e-12, f"max |ratio-1|={mono_dev:.2e}"),
+        ("hadamard_ratio_bound", worst <= 1.0 + _RATIO_BOUND,
+         f"max ratio={worst:.12f}"),
+        ("monomial_equality", mono_dev < _MONOMIAL_TOL,
+         f"max |ratio-1|={mono_dev:.2e}"),
     ]
     results = {"max_ratio": worst, "monomial_deviation": mono_dev,
                "alpha_fits": [r[5] for r in alpha_rows]}
@@ -369,7 +367,7 @@ def run_maxwell_3sphere_suite(p: dict):
                     "claims_samples": 80, "ps": [8.0, 16.0],
                     "betas": [-32.0, -64.0, -128.0],
                     "bookkeeping_lams": [1.0, 2.0], "alphas": [0.5, 0.9]},
-          tolerances=lambda p: {"anchor_tol": 1e-10})
+          tolerances=lambda p: {"anchor_tol": _ANCHOR_TOL})
 def run_carleman_suite(p: dict):
     """Frame exactness, claim flatness, the weighted inequality, bookkeeping."""
     rng = np.random.default_rng(p["seed"])
@@ -414,9 +412,7 @@ def run_carleman_suite(p: dict):
                 ineq_rows.append([pw, beta, m_name, check.measured_c])
                 if m_name == "identity":
                     cs.append(check.measured_c)
-        for a, b in zip(cs[:-1], cs[1:]):
-            if not (0.5 < b / a < 2.0):
-                sweep_ok = False
+        sweep_ok = sweep_ok and all(0.5 < b / a < 2.0 for a, b in zip(cs, cs[1:]))
     tables["carleman_inequality.csv"] = (["p", "beta", "medium", "measured_c"],
                                          ineq_rows)
     # 4) bookkeeping
@@ -433,7 +429,8 @@ def run_carleman_suite(p: dict):
         ["lam", "s_over_tau", "e_2lam", "rel_dev",
          *[f"n0_alpha_{a}" for a in p["alphas"]]], book_rows)
     assertions = [
-        ("anchor_exactness", worst_dev < 1e-10, f"max deviation={worst_dev:.2e}"),
+        ("anchor_exactness", worst_dev < _ANCHOR_TOL,
+         f"max deviation={worst_dev:.2e}"),
         ("claims_flat_in_fold", flat, f"overall={overall}"),
         ("inequality_beta_stable", sweep_ok, "see carleman_inequality.csv"),
         ("bookkeeping_limits", book_ok, "see carleman_bookkeeping.csv"),
@@ -468,19 +465,38 @@ def _check_list(key: str, value: list, default: list) -> None:
         raise ValueError(f"'{key}' must increase strictly")
 
 
+def _check_keyed(key: str, value) -> None:
+    """The rules of single params, keyed by the param whatever its scenario."""
+    if key == "deltas" and not min(value) > 0:
+        raise ValueError("'deltas' must be positive")
+    if key == "deltas" and len(set(value)) < 2:
+        raise ValueError("'deltas' needs at least two distinct values: a loss "
+                         "sweep fits or compares its results across them")
+    if key == "p" and value != 2.0:
+        raise ValueError("'p' must be 2: with a positive loss, p != 2 gives a "
+                         "complex effective order")
+    if key == "betas" and any(b > -1.0 for b in value):
+        raise ValueError("'betas' must all be <= -1")
+    if key == "ps" and any(q < 1.0 for q in value):
+        raise ValueError("'ps' must all be >= 1")
+    if key == "claims_lam" and not value > 1.0:
+        raise ValueError("'claims_lam' must exceed 1 for a nonconstant test field")
+    if key == "alpha_excisions":
+        for r0 in value:
+            try:
+                _alpha_boundary(r0)
+            except ValueError as exc:
+                raise ValueError(f"'alpha_excisions' entry {r0!r}: {exc}") from None
+
+
 def scenario_params(name: str, params: dict) -> dict:
     """The scenario's defaults updated by params.
 
     Raises ValueError for a key the defaults lack, a value of another type
     than its default, a number or list entry that is not finite (JSON NaN
     or Infinity), a number that is not positive (a `seed` that is negative),
-    an empty list, an interval, window, radius triple or
-    `object` of another length than its default, a `radius_grid` of fewer
-    than 3 radii, radii that are not positive or do not increase strictly, a
-    loss value that is not positive, fewer than two distinct `deltas` where a
-    slope is fitted over them, a lossy DCM shell with p != 2, a
-    weighted-inequality sweep with some beta > -1 or p < 1, `claims_lam` <= 1,
-    and an `alpha_excisions` entry whose partial boundary keeps no node.
+    and a value that breaks a rule of `_check_list` or `_check_keyed`; each
+    rule is keyed by the param it checks (docs/schemas.md lists them).
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -498,28 +514,8 @@ def scenario_params(name: str, params: dict) -> dict:
         elif not (value >= 0 if key == "seed" else value > 0):
             raise ValueError(f"param {key!r} must be {'>= 0' if key == 'seed' else '> 0'}"
                              f", not {value!r}")
-    deltas = params.get("deltas")
-    if deltas is not None and not min(deltas) > 0:
-        raise ValueError("'deltas' must be positive")
-    if deltas is not None and name in _SLOPE_FITS and len(set(deltas)) < 2:
-        raise ValueError(f"scenario {name!r} fits a slope in delta; "
-                         "'deltas' needs at least two distinct values")
-    merged = {**defaults, **params}
-    if name in _LOSSY_DCM and merged["p"] != 2.0:
-        raise ValueError(f"scenario {name!r} needs 'p' = 2: with a positive "
-                         "loss, p != 2 gives a complex effective order")
-    if name == "carleman_suite" and (any(b > -1.0 for b in merged["betas"])
-                                     or any(q < 1.0 for q in merged["ps"])):
-        raise ValueError("'betas' must all be <= -1 and 'ps' all >= 1")
-    if name == "carleman_suite" and not merged["claims_lam"] > 1.0:
-        raise ValueError("'claims_lam' must exceed 1 for a nonconstant test field")
-    if name == "three_sphere_suite":
-        for r0 in merged["alpha_excisions"]:
-            try:
-                _alpha_boundary(r0)
-            except ValueError as exc:
-                raise ValueError(f"'alpha_excisions' entry {r0!r}: {exc}") from None
-    return merged
+        _check_keyed(key, value)
+    return {**defaults, **params}
 
 
 def run_scenario(name: str, params: dict, outdir) -> dict:

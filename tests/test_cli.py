@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from calrlab.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, main
+from calrlab.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from calrlab.scenarios import SCENARIOS, scenario_params
 
 
@@ -120,19 +120,30 @@ def test_param_of_another_type_than_its_default_exit_config(tmp_path):
         assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
-def test_single_delta_for_slope_fit_exit_config(tmp_path):
-    # a log-log slope over one loss value is rank-deficient
-    for i, scenario in enumerate(("dcm_convergence", "blowup_scan")):
+@pytest.mark.parametrize("scenario", ["dcm_convergence", "blowup_scan", "superlens",
+                                      "cm_cloak", "gluing_demo"])
+def test_single_delta_sweep_exit_config(tmp_path, capsys, scenario):
+    # every loss sweep fits a slope or compares results across deltas, which
+    # one loss value, or one repeated, makes rank-deficient or vacuous
+    for i, deltas in enumerate(([1e-2], [1e-2, 1e-2])):
         cfg = _write_config(tmp_path, f"one_delta{i}.json", scenario,
-                            {"deltas": [1e-2], "n_src": 1, "layers": 8},
+                            {"deltas": deltas, "n_src": 1, "layers": 8},
                             tmp_path / "out1")
         assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
         assert main(["run", str(cfg)]) == EXIT_CONFIG
-    cfg = _write_config(tmp_path, "same_delta.json", "dcm_convergence",
-                        {"deltas": [1e-2, 1e-2], "n_src": 1, "layers": 8},
-                        tmp_path / "out1")
-    assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert not (tmp_path / "out1").exists()
+    assert capsys.readouterr().err.count("'deltas' needs at least two") == 4
+
+
+def test_tripped_guard_exit_numerical(tmp_path, capsys, monkeypatch):
+    # a near-singular mode raises; the run exits 4 and writes nothing
+    monkeypatch.setattr("calrlab.layered_maxwell.solver._COND_GUARD", 1e-2)
+    cfg = _write_config(tmp_path, "guard.json", "cm_cloak",
+                        {"n_src": 1, "layers": 8, "deltas": [1e-2, 1e-3]},
+                        tmp_path / "outg")
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert not (tmp_path / "outg").exists()
+    assert "numerical guard: near-singular mode" in capsys.readouterr().err
 
 
 def test_lossy_dcm_with_p_other_than_2_exit_config(tmp_path):

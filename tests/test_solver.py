@@ -266,18 +266,14 @@ def test_exterior_mode_coefficients_linear_in_delta():
         assert 5.0 < d3 / d4 < 20.0, f"mode {key}: {d3} vs {d4}"
 
 
-def test_near_singular_guard_raise_path():
-    from calrlab.layered_maxwell import SolverOptions, NearSingularMode
+def test_near_singular_guard_raise_path(monkeypatch):
+    from calrlab.layered_maxwell import NearSingularMode
     med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3), 4)
     src = SurfaceCurrentSource(radius=5.0, amplitudes={mode(1, 0, "TE"): 1.0})
-    tight = SolverOptions(cond_guard=1e-2, on_near_singular="raise")
+    assert max(rs.condition for rs in solve(med, src, 1.0).radial.values()) > 1e-2
+    monkeypatch.setattr("calrlab.layered_maxwell.solver._COND_GUARD", 1e-2)
     with pytest.raises(NearSingularMode):
-        solve(med, src, 1.0, options=tight)
-    # warn mode proceeds
-    loose = SolverOptions(cond_guard=1e-2, on_near_singular="warn")
-    with pytest.warns(RuntimeWarning):
-        sol = solve(med, src, 1.0, options=loose)
-    assert max(rs.condition for rs in sol.radial.values()) > 1e-2
+        solve(med, src, 1.0)
 
 
 def _guard_case():
@@ -286,25 +282,22 @@ def _guard_case():
     return med, SurfaceCurrentSource(radius=5.0, amplitudes=amps)
 
 
-def test_near_singular_guard_names_first_key_of_batch():
+def test_near_singular_guard_names_first_key_of_batch(monkeypatch):
     # all keys are solved together; the guard still reports the first key,
     # in radial_keys() order, whose condition exceeds it
-    import warnings
-    from calrlab.layered_maxwell import SolverOptions, NearSingularMode
+    from calrlab.layered_maxwell import NearSingularMode
     med, src = _guard_case()
     conds = {k: rs.condition for k, rs in solve(med, src, 1.0).radial.items()}
     keys = src.radial_keys()
     guard = sorted(conds.values())[len(conds) // 2]
     over = [k for k in keys if conds[k] > guard]
     assert over and over[0] != keys[0]
-    with pytest.raises(NearSingularMode, match=rf"\(n={over[0][0]}, pol={over[0][1]}\)"):
-        solve(med, src, 1.0, options=SolverOptions(cond_guard=guard, on_near_singular="raise"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solve(med, src, 1.0, options=SolverOptions(cond_guard=guard))
-    assert [str(w.message) for w in caught] == [
-        f"near-singular mode (n={n}, pol={pol}): condition {conds[(n, pol)]:.3e}"
-        for n, pol in over]
+    monkeypatch.setattr("calrlab.layered_maxwell.solver._COND_GUARD", guard)
+    n, pol = over[0]
+    message = f"near-singular mode (n={n}, pol={pol}): condition {conds[(n, pol)]:.3e}"
+    with pytest.raises(NearSingularMode) as caught:
+        solve(med, src, 1.0)
+    assert str(caught.value) == message
 
 
 def test_interface_residual_flags_perturbed_coefficients():
