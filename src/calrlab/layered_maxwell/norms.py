@@ -311,15 +311,12 @@ def data_quantity(sol: FieldSolution, delta: float) -> DataReport:
                       lossy_norm_weighted=weighted)
 
 
-_LEVI = []
-for a in range(3):
-    m = np.zeros((3, 3))
-    for b in range(3):
-        for c in range(3):
-            perm = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-                    (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
-            m[b, c] = perm.get((a, b, c), 0)
-    _LEVI.append(m)
+# Levi-Civita symbol.  Index arrays run per axis: the even permutations
+# (a, b, c) = (0, 1, 2), (1, 2, 0), (2, 0, 1) get +1, and the odd ones,
+# (a, c, b) of those, get -1.
+_LEVI = np.zeros((3, 3, 3))
+_LEVI[(0, 1, 2), (1, 2, 0), (2, 0, 1)] = 1.0
+_LEVI[(0, 1, 2), (2, 0, 1), (1, 2, 0)] = -1.0
 
 
 def second_order_residual(sol: FieldSolution, a: int, samples,

@@ -15,7 +15,6 @@ from .vsh import (
     sphere_rule,
     sph_harm_y,
     vsh,
-    vsh_coeffs,
     vsh_table,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "sphere_rule",
     "sph_harm_y",
     "vsh",
-    "vsh_coeffs",
     "vsh_table",
 ]

@@ -103,13 +103,6 @@ def _angles(direction):
     return theta, phi
 
 
-def vsh_coeffs(n: int, m: int, theta):
-    """(Pbar, tau/sqrt(n(n+1)), pi/sqrt(n(n+1))) scalars used in field assembly."""
-    pbar, tau, pi = pbar_tau_pi(n, m, theta)
-    root = math.sqrt(n * (n + 1.0))
-    return pbar[-1], tau[-1] / root, pi[-1] / root
-
-
 def vsh(n: int, m: int, direction) -> VshTriple:
     """Evaluate the orthonormal triple (Y xhat, U, V) at a unit direction.
 
@@ -121,7 +114,9 @@ def vsh(n: int, m: int, direction) -> VshTriple:
     if abs(m) > n:
         raise ValueError("|m| > n")
     theta, phi = _angles(direction)
-    pbar, tau_s, pi_s = vsh_coeffs(n, m, theta)
+    pbars, taus, pis = pbar_tau_pi(n, m, theta)
+    root = math.sqrt(n * (n + 1.0))
+    pbar, tau_s, pi_s = pbars[-1], taus[-1] / root, pis[-1] / root
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
     xhat = np.array([st * cp, st * sp, ct])

@@ -4,13 +4,11 @@ from .expansions import HARMONIC, HELMHOLTZ, SphericalExpansion
 from .harmonic2d import HarmonicExpansion2D, check_hadamard, sup_norm_circle
 from .maxwell_norms import (
     check_maxwell_3sphere,
-    field_trace_table,
     hminushalf_div_norm,
     random_modal_field,
 )
 from .partial import (
     AlphaFit,
-    NormReport,
     PartialBoundary,
     empirical_alpha,
     partial_data_norm,
@@ -19,8 +17,6 @@ from .partial import (
 __all__ = [
     "HARMONIC", "HELMHOLTZ", "SphericalExpansion",
     "HarmonicExpansion2D", "check_hadamard", "sup_norm_circle",
-    "check_maxwell_3sphere", "field_trace_table", "hminushalf_div_norm",
-    "random_modal_field",
-    "AlphaFit", "NormReport", "PartialBoundary", "empirical_alpha",
-    "partial_data_norm",
+    "check_maxwell_3sphere", "hminushalf_div_norm", "random_modal_field",
+    "AlphaFit", "PartialBoundary", "empirical_alpha", "partial_data_norm",
 ]

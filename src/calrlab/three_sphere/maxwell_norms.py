@@ -1,8 +1,10 @@
 """Tangential-trace modal norm for Maxwell fields and its three-sphere check.
 
-The norm is the representative of the H^{-1/2}(div) equivalence class given
-by the modal sum  sum n^3 (|c1|^2 + |c2|^2) r^{2n}  over modes and both
-radial-family coefficients; equivalence constants are fixed to 1.
+A field maps (n, m) to the four radial-family coefficients (a1, a2, b1, b2)
+of its TM and TE parts.  The norm is the representative of the
+H^{-1/2}(div) equivalence class given by the modal sum
+sum n^3 (|a1|^2 + |a2|^2 + |b1|^2 + |b2|^2) r^{2n}; equivalence constants
+are fixed to 1.
 """
 from __future__ import annotations
 
@@ -11,26 +13,13 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..layered_maxwell.modes import TE, TM, ModeId
 
-
-def hminushalf_div_norm(trace: Dict[ModeId, Tuple[complex, complex]],
-                        radius: float) -> float:
-    """sqrt of sum over modes of n^3 (|c1|^2 + |c2|^2) radius^(2n)."""
-    total = 0.0
-    for key, (c1, c2) in trace.items():
-        total += key.n ** 3 * (abs(c1) ** 2 + abs(c2) ** 2) * radius ** (2 * key.n)
-    return math.sqrt(total)
-
-
-def field_trace_table(field: Dict[Tuple[int, int], tuple]) -> Dict[ModeId, tuple]:
-    """Split (n, m) -> (a1, a2, b1, b2) quadruples into per-polarization pairs."""
-    out = {}
-    for (n, m), quad in field.items():
-        a1, a2, b1, b2 = quad
-        out[ModeId(n, m, TM)] = (complex(a1), complex(a2))
-        out[ModeId(n, m, TE)] = (complex(b1), complex(b2))
-    return out
+def hminushalf_div_norm(field: Dict[Tuple[int, int], tuple], radius: float) -> float:
+    """sqrt of sum over modes of n^3 (|a1|^2 + |a2|^2 + |b1|^2 + |b2|^2) radius^(2n)."""
+    n = np.array([n for n, _ in field], dtype=float)
+    quads = np.array(list(field.values()), dtype=complex).reshape(-1, 4)
+    return math.sqrt(float(np.sum(n ** 3 * np.sum(np.abs(quads) ** 2, axis=1)
+                                  * radius ** (2 * n))))
 
 
 def check_maxwell_3sphere(field: Dict[Tuple[int, int], tuple],
@@ -43,26 +32,29 @@ def check_maxwell_3sphere(field: Dict[Tuple[int, int], tuple],
     """
     if not (0 < r1 < r2 < r3):
         raise ValueError("need 0 < r1 < r2 < r3")
-    table = field_trace_table(field)
     alpha = math.log(r3 / r2) / math.log(r3 / r1)
-    lhs = hminushalf_div_norm(table, r2)
-    n1 = hminushalf_div_norm(table, r1)
-    n3 = hminushalf_div_norm(table, r3)
+    lhs = hminushalf_div_norm(field, r2)
+    n1 = hminushalf_div_norm(field, r1)
+    n3 = hminushalf_div_norm(field, r3)
     rhs = n1 ** alpha * n3 ** (1.0 - alpha)
     c = lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)
     return lhs, rhs, c
 
 
 def random_modal_field(n_max: int, rng: np.random.Generator) -> Dict[Tuple[int, int], tuple]:
-    """A random source-free modal expansion (n <= n_max), for property sweeps."""
+    """A random source-free modal expansion (n <= n_max), for property sweeps.
+
+    Each mode is kept with probability 1/2; a kept mode draws eight normals,
+    the (real, imaginary) pairs of its four coefficients, each over n + 1.
+    """
     field = {}
     for n in range(1, n_max + 1):
         for m in range(-n, n + 1):
             if rng.uniform() < 0.5:
                 continue
-            quad = tuple((rng.standard_normal() + 1j * rng.standard_normal())
-                         / (n + 1.0) for _ in range(4))
-            field[(n, m)] = quad
+            z = rng.standard_normal(8).tolist()
+            field[(n, m)] = tuple(complex(x, y) / (n + 1.0)
+                                  for x, y in zip(z[::2], z[1::2]))
     if not field:
         field[(1, 0)] = (1.0 + 0j, 0j, 0j, 0j)
     return field

@@ -14,19 +14,6 @@ import numpy as np
 from ..specfun.vsh import sphere_rule
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """A computed norm plus the metadata needed to reproduce it."""
-
-    value: float
-    parts: dict = field(default_factory=dict)
-    method: str = "modal-exact"
-    params: dict = field(default_factory=dict)
-
-    def __float__(self):
-        return self.value
-
-
 @dataclass
 class PartialBoundary:
     """Sphere radius, excised equator band, and the kept rings of the rule:
@@ -60,7 +47,7 @@ class PartialBoundary:
         return float(np.sum(w) / (4.0 * math.pi * self.radius ** 2))
 
 
-def partial_data_norm(v, boundary: PartialBoundary) -> NormReport:
+def partial_data_norm(v, boundary: PartialBoundary) -> float:
     """Surrogate boundary datum sqrt(int_Sigma |v|^2 + |grad v|^2 dS).
 
     `v` must expose `n_max` and `ring_density(radius, theta)`, the mean over
@@ -75,13 +62,7 @@ def partial_data_norm(v, boundary: PartialBoundary) -> NormReport:
                          f"{boundary.quad_order}")
     theta, w = boundary.rings
     dens = v.ring_density(boundary.radius, theta)
-    return NormReport(value=math.sqrt(float(np.sum(w * dens))),
-                      parts={"kept_fraction": boundary.kept_fraction},
-                      method="quadrature-surrogate",
-                      params={"radius": boundary.radius,
-                              "excision": boundary.excision,
-                              "quad_order": boundary.quad_order,
-                              "curve": "equator"})
+    return math.sqrt(float(np.sum(w * dens)))
 
 
 @dataclass(frozen=True)
@@ -90,9 +71,7 @@ class AlphaFit:
 
     alpha_hat: float
     intercept: float
-    excision: float
     count: int
-    points: tuple
 
 
 def empirical_alpha(family, boundary: PartialBoundary,
@@ -106,19 +85,14 @@ def empirical_alpha(family, boundary: PartialBoundary,
     if len(family) < 10:
         raise ValueError("need at least 10 family members for the regression")
     xs, ys = [], []
-    pts = []
     for v in family:
-        partial = partial_data_norm(v, boundary).value
+        partial = partial_data_norm(v, boundary)
         full = math.sqrt(v.annulus_norm_sq(*full_annulus, include_gradient=True))
         mid = math.sqrt(v.annulus_norm_sq(*mid_annulus, include_gradient=False))
         if partial <= 0 or full <= 0 or mid <= 0:
             continue
-        x = math.log(partial / full)
-        y = math.log(mid / full)
-        xs.append(x)
-        ys.append(y)
-        pts.append((x, y))
+        xs.append(math.log(partial / full))
+        ys.append(math.log(mid / full))
     slope, intercept = np.polyfit(xs, ys, 1)
     return AlphaFit(alpha_hat=float(slope), intercept=float(intercept),
-                    excision=boundary.excision, count=len(xs),
-                    points=tuple(pts))
+                    count=len(xs))

@@ -1,11 +1,16 @@
 """Three-sphere inequality machinery: sup norms, modal norms, partial data."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import calrlab
 from calrlab.three_sphere import (
     HarmonicExpansion2D,
     PartialBoundary,
@@ -18,7 +23,6 @@ from calrlab.three_sphere import (
     random_modal_field,
     sup_norm_circle,
 )
-from calrlab.layered_maxwell.modes import ModeId
 from calrlab.specfun import sphere_rule
 
 
@@ -86,24 +90,59 @@ def test_hadamard_rejects_non_holomorphic():
 
 def test_hminushalf_norm_values_and_axioms():
     # single (n=1) mode, coefficient 1, r=1: value 1
-    table = {ModeId(1, 0, "TM"): (1.0 + 0j, 0.0)}
-    assert hminushalf_div_norm(table, 1.0) == pytest.approx(1.0, rel=1e-14)
+    field = {(1, 0): (1.0 + 0j, 0.0, 0.0, 0.0)}
+    assert hminushalf_div_norm(field, 1.0) == pytest.approx(1.0, rel=1e-14)
     assert hminushalf_div_norm({}, 1.0) == 0.0
     # scaling r -> r' multiplies the mode-n term by (r'/r)^(2n)
-    table = {ModeId(3, 1, "TE"): (0.7, 0.2j)}
-    a = hminushalf_div_norm(table, 1.0)
-    b = hminushalf_div_norm(table, 1.3)
+    field = {(3, 1): (0.0, 0.0, 0.7, 0.2j)}
+    a = hminushalf_div_norm(field, 1.0)
+    b = hminushalf_div_norm(field, 1.3)
     assert b / a == pytest.approx(1.3 ** 3, rel=1e-12)
-    # homogeneity and triangle inequality on random tables
+    # homogeneity on random fields
     rng = np.random.default_rng(3)
     for _ in range(20):
-        t1 = {ModeId(int(n), 0, "TE"): (rng.standard_normal() + 1j * rng.standard_normal(),
-                                        rng.standard_normal())
+        f1 = {(int(n), 0): (rng.standard_normal() + 1j * rng.standard_normal(),
+                            rng.standard_normal(),
+                            rng.standard_normal() + 1j * rng.standard_normal(),
+                            rng.standard_normal())
               for n in rng.integers(1, 8, 4)}
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        t2 = {k: (lam * v[0], lam * v[1]) for k, v in t1.items()}
-        assert hminushalf_div_norm(t2, 0.9) == pytest.approx(
-            abs(lam) * hminushalf_div_norm(t1, 0.9), rel=1e-12)
+        f2 = {k: tuple(lam * c for c in quad) for k, quad in f1.items()}
+        assert hminushalf_div_norm(f2, 0.9) == pytest.approx(
+            abs(lam) * hminushalf_div_norm(f1, 0.9), rel=1e-12)
+
+
+def _scalar_random_modal_field(n_max, rng):
+    """The sampler as first written: one scalar draw per normal."""
+    field = {}
+    for n in range(1, n_max + 1):
+        for m in range(-n, n + 1):
+            if rng.uniform() < 0.5:
+                continue
+            field[(n, m)] = tuple((rng.standard_normal() + 1j * rng.standard_normal())
+                                  / (n + 1.0) for _ in range(4))
+    if not field:
+        field[(1, 0)] = (1.0 + 0j, 0j, 0j, 0j)
+    return field
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29, 2024])
+def test_random_modal_field_matches_scalar_sampler_bitwise(seed):
+    got = random_modal_field(20, np.random.default_rng(seed))
+    want = _scalar_random_modal_field(20, np.random.default_rng(seed))
+    assert list(got) == list(want)
+    assert all(got[key] == want[key] for key in want)
+
+
+def test_three_sphere_import_loads_no_solver():
+    code = ("import sys, calrlab.three_sphere; "
+            "print(sorted(m for m in sys.modules if m.startswith('calrlab.layered_maxwell')))")
+    src = str(Path(calrlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_maxwell_3sphere_single_mode_equality_and_family():
@@ -132,17 +171,16 @@ def test_partial_norm_monotone_and_limit():
     values = []
     for r0 in (1e-6, 0.1, 0.3, 0.6):
         pb = PartialBoundary(radius=1.0, excision=r0, quad_order=48)
-        values.append(partial_data_norm(v, pb).value)
+        values.append(partial_data_norm(v, pb))
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     # r0 -> 0 recovers the full-sphere surrogate
     pb0 = PartialBoundary(radius=1.0, excision=1e-9, quad_order=48)
-    full = partial_data_norm(v, pb0)
-    assert full.parts["kept_fraction"] == pytest.approx(1.0)
+    assert pb0.kept_fraction == pytest.approx(1.0)
     # quadrature refinement converges
     pb_lo = PartialBoundary(radius=1.0, excision=1e-9, quad_order=32)
     pb_hi = PartialBoundary(radius=1.0, excision=1e-9, quad_order=64)
-    a = partial_data_norm(v, pb_lo).value
-    b = partial_data_norm(v, pb_hi).value
+    a = partial_data_norm(v, pb_lo)
+    b = partial_data_norm(v, pb_hi)
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -151,7 +189,7 @@ def test_partial_norm_vanishing_function():
     # nowhere is not available, so check the zero expansion instead
     v = SphericalExpansion(kind="harmonic", coeffs={(2, 0): (0.0, 0.0)})
     pb = PartialBoundary(radius=1.0, excision=0.2)
-    assert partial_data_norm(v, pb).value == 0.0
+    assert partial_data_norm(v, pb) == 0.0
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
@@ -211,7 +249,7 @@ def test_ring_norm_matches_masked_node_sum(kind, quad_order, n_frac, seed,
         coeffs[(int(n), m)] = tuple(complex(*rng.standard_normal(2)) for _ in range(2))
     v = SphericalExpansion(kind=kind, coeffs=coeffs, omega=omega)
     r0 = r0_frac * radius
-    got = partial_data_norm(v, PartialBoundary(radius, r0, quad_order)).value
+    got = partial_data_norm(v, PartialBoundary(radius, r0, quad_order))
     assert got == pytest.approx(_masked_node_norm(v, radius, r0, quad_order),
                                 rel=1e-13, abs=0.0)
 
@@ -219,7 +257,7 @@ def test_ring_norm_matches_masked_node_sum(kind, quad_order, n_frac, seed,
 def test_partial_norm_needs_n_max_below_quad_order():
     pb = PartialBoundary(radius=1.0, excision=0.1, quad_order=8)
     below = SphericalExpansion(kind="harmonic", coeffs={(7, -3): (1.0, 0.5)})
-    assert partial_data_norm(below, pb).value > 0
+    assert partial_data_norm(below, pb) > 0
     for n in (8, 9):
         v = SphericalExpansion(kind="harmonic", coeffs={(n, 2): (1.0, 0.0)})
         with pytest.raises(ValueError, match="quad_order"):
