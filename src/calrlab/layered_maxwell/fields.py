@@ -3,10 +3,12 @@
 One kernel, `_components`, evaluates the six radial components of every
 (n, pol) mode at many radii spread over several regions; both
 `eval_field_many` and the annulus norms of `calrlab.layered_maxwell.norms`
-are built on it.  Its Bessel calls are grouped by integer labels as in
-`sph_jy`, so each group gets exactly the bits of a call on its radii alone.
-`eval_field_many` groups by (region, point label): a gluing residual report
-uses the labels to evaluate all of its point sets (both gluing spheres, the
+are built on it.  It maps `_radial_components` over the Bessel values of
+`solver._basis_values`, the dispatch the solver uses for its region ends,
+whose calls are grouped by integer labels as in `sph_jy`, so each group
+gets exactly the bits of a call on its radii alone.  `eval_field_many`
+groups by (region, point label): a gluing residual report uses the labels
+to evaluate all of its point sets (both gluing spheres, the
 finite-difference stencil and its centres, raw and reflected) in one call.
 The norms group by quadrature panel.  The kernel reads every per-(region,
 mode) constant (order, wavenumber, component factors) from the rows of
@@ -26,7 +28,7 @@ from ..specfun.bessel import hat_h1, hat_jy
 from ..specfun.scaled import ScaledArray
 from ..specfun.vsh import VshStream, sphere_rule
 from .modes import TE, h_jump_factor
-from .solver import FieldSolution, ModeTable, _state
+from .solver import FieldSolution, ModeTable, _basis, _basis_values, _state
 
 
 def mode_radial_components(sol: FieldSolution, key, i: int, r):
@@ -56,9 +58,7 @@ def _radial_components(pol: str, rad, tan, k, c_j, c_y, vals, outgoing: bool, r)
     k multiplies du/dz from the right, so it may also be a ScaledArray of
     split wavenumbers; either way the product has the bits of a scalar k.
     """
-    basis = ((None, None, vals["h"], vals["dh"]) if outgoing
-             else (vals["j"], vals["dj"], vals["y"], vals["dy"]))
-    u, du = _state(c_j, c_y, basis, outgoing)
+    u, du = _state(c_j, c_y, _basis(vals, outgoing), outgoing)
     inv_r = 1.0 / r
     curlish = (du * k + u * inv_r).to_complex()
     uval = u.to_complex()
@@ -79,38 +79,20 @@ def _components(keys: list, table: ModeTable):
     each and integer Bessel group labels, none shared by two rows, and
     yields ((n, pol), sel, the six arrays of `mode_radial_components` at
     r[sel]) in key order, once per set of rows whose coefficients share an
-    order and basis.  Each set makes one `hat_jy`/`hat_h1` call grouped by
-    `groups`, shared by keys of equal orders and wavenumbers.  Wavenumbers,
-    coefficients and factors are gathered to the radii as arrays, and
-    every product keeps its operand order, so each group gets exactly the
-    values of `mode_radial_components` on its radii alone.
+    order and basis, with the Bessel values of `solver._basis_values`.
+    Wavenumbers, coefficients and factors are gathered to the radii as
+    arrays, and every product keeps its operand order, so each group gets
+    exactly the values of `mode_radial_components` on its radii alone.
     """
-    nu, k, outgoing = table.nu, table.k, table.outgoing
-    k_split = ScaledArray.from_complex(k)
-    modes = []
-    for col, key in enumerate(keys):
-        bases = []
-        for basis in dict.fromkeys(zip(nu[:, col].tolist(), outgoing[:, col].tolist())):
-            in_set = (nu[:, col] == basis[0]) & (outgoing[:, col] == basis[1])
-            rows = np.flatnonzero(in_set).tolist()
-            bases.append((basis + tuple(zip(rows, k[in_set, col].tolist())), in_set))
-        modes.append((key, col, bases))
+    basis_values = _basis_values(table.nu, table.k, table.outgoing)
+    k_split = ScaledArray.from_complex(table.k)
 
     def evaluate(owner, r, groups):
-        cache = {}      # keys of equal order and wavenumbers share a basis
-        for key, col, bases in modes:
-            for basis, in_set in bases:
-                sel = in_set[owner]
-                if not sel.any():
-                    continue
-                at, rs = owner[sel], r[sel]
-                order, out = basis[:2]
-                if basis not in cache:
-                    z = k[at, col] * rs.astype(complex)
-                    cache[basis] = (hat_h1 if out else hat_jy)(order, z, groups[sel])
-                yield key, sel, _radial_components(
-                    key[1], table.rad[at, col], table.tan[at, col], k_split[at, col],
-                    table.c_j[at, col], table.c_y[at, col], cache[basis], out, rs)
+        for col, sel, out, vals in basis_values(owner, r, groups):
+            at = owner[sel]
+            yield keys[col], sel, _radial_components(
+                keys[col][1], table.rad[at, col], table.tan[at, col], k_split[at, col],
+                table.c_j[at, col], table.c_y[at, col], vals, out, r[sel])
 
     return evaluate
 
@@ -145,11 +127,11 @@ def eval_field_many(sol: FieldSolution, points,
     comps = {key: [] for key in keys}
     for key, sel, c in evaluate(owner, r, bessel_groups.reshape(-1)):
         comps[key].append((sel, c))
-    angular = VshStream(sol.n_max, theta, phi)
+    angular = VshStream(sol.source.n_max, theta, phi)
     e_out = np.zeros((len(pts), 3), dtype=complex)
     h_out = np.zeros((len(pts), 3), dtype=complex)
     nm = triple = None
-    for key, amp in sol.amplitudes.items():
+    for key, amp in sol.source.amplitudes.items():
         if (key.n, key.m) != nm:
             nm = (key.n, key.m)
             triple = angular(key.n, key.m)

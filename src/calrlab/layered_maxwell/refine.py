@@ -36,8 +36,9 @@ def richardson_exterior(sol_lo: FieldSolution, sol_hi: FieldSolution) -> FieldSo
     def extrapolate(hi, lo):
         return ScaledArray.where(shared, 4.0 / 3.0 * hi - 1.0 / 3.0 * lo, hi)
 
-    return replace(sol_hi, c_j=extrapolate(sol_hi.c_j, lo_rows.c_j),
-                   c_y=extrapolate(sol_hi.c_y, lo_rows.c_y))
+    hi = sol_hi.modes
+    return replace(sol_hi, modes=hi._replace(c_j=extrapolate(hi.c_j, lo_rows.c_j),
+                                             c_y=extrapolate(hi.c_y, lo_rows.c_y)))
 
 
 def solve_staircased(medium: RadialMedium, source: SurfaceCurrentSource,

@@ -6,23 +6,24 @@ The radial functions in a layer with spherical-diagonal constants
 functions of effective order nu(nu+1) = (tan/rad) n(n+1) (taken from mu for
 TE and from eps for TM) at wavenumber k = omega sqrt(eps_tan mu_tan),
 branch Im k >= 0.  That TE/TM rule is decided in one function,
-`_mode_constants`: it fills one (region x key) table per solve with every
-per-(region, key) constant (nu, k, the tangential coefficient and the
-component factors), which `FieldSolution` keeps next to the coefficients
-and `FieldSolution.table` hands to the field and norm kernels.
+`_mode_constants`: it fills the solve's one (region x key) `ModeTable`
+with every per-(region, key) constant (nu, k, the tangential coefficient,
+the component factors and the outgoing flag), which `FieldSolution.modes`
+keeps with the coefficients and `FieldSolution.table` hands to the field
+and norm kernels.
 
 Coefficients are propagated as scaled projective pairs and interfaces are
 resolved with the exact Wronskian determinant -(2nu+1)/z^2, so localized
 resonance (condition numbers like (r2/r1)^(2n)/delta) costs accuracy, never
 overflow.  This is the impedance-safe form of the transfer recursion.
 
-The work is batched.  Keys with the same (nu, k) in every region (TE and
-TM wherever eps = mu) share their end values, and one `hat_jy` call per
-distinct order covers both ends of every bounded region, grouped by region,
-so each region gets exactly the values of a call on its own ends.  All
-(n, pol) keys are then propagated together as the columns of (region x key)
-`ScaledArray` tables, which `FieldSolution` keeps as the only stored form
-of the coefficients, and the source scaling and the interface residual take
+The radial basis is evaluated in one place, `_basis_values`, which the
+solver calls on every finite region end with one Bessel group per region,
+so each region gets exactly the values of a call on its own ends; keys
+with the same orders and wavenumbers there (TE and TM wherever eps = mu)
+share their calls.  All (n, pol) keys are propagated together as the
+columns of (region x key) `ScaledArray` tables, the only stored form of
+the coefficients, and the source scaling and the interface residual take
 one pass over all interfaces.  Every operation on a coefficient is the
 elementwise numpy operation a one-key, one-region-at-a-time solve would do,
 so the coefficients keep their exact bits; the residual, a diagnostic, may
@@ -42,7 +43,7 @@ import numpy as np
 from ..media.radial import RadialMedium
 from ..specfun.bessel import hat_h1, hat_jy, log_dfact_minus, log_dfact_plus
 from ..specfun.scaled import ScaledArray
-from .modes import TE, ModeId, SurfaceCurrentSource
+from .modes import TE, SurfaceCurrentSource
 
 _LN10 = math.log(10.0)
 # Relative trace mismatch across an interface above which a solve warns.
@@ -89,33 +90,8 @@ class RegionSpec:
     mu_tan: complex
 
 
-def _mode_constants(regions, keys, omega: float) -> tuple:
-    """The TE/TM rule: every per-(region, key) constant of the radial problem.
-
-    TE takes its order and its tangential coefficient b from mu, with the
-    sign +i; TM takes them from eps, with -i.  Returns (nu, k, coef, rad,
-    tan), each of shape (regions, keys): the effective order, the
-    wavenumber omega sqrt(eps_tan mu_tan) (one per region), b (which the
-    Wronskian determinant uses), and the factors +-i sqrt(n(n+1)) /
-    (omega b_rad) of u/r and +-i / (omega b) of u' + u/r that give the
-    radial and tangential components (H_Y and H_U for TE, E_Y and E_U for
-    TM).  Every entry is a Python scalar expression.
-    """
-    roots = [math.sqrt(n * (n + 1.0)) for n, _ in keys]
-    cells = []
-    for reg in regions:
-        k = omega * branch_sqrt(reg.eps_tan * reg.mu_tan)
-        for (n, pol), root in zip(keys, roots):
-            b_rad, b, sign = ((reg.mu_rad, reg.mu_tan, 1j) if pol == TE
-                              else (reg.eps_rad, reg.eps_tan, -1j))
-            cells.append((effective_order(n, b_rad, b), k, b,
-                          sign * root / (omega * b_rad), sign / (omega * b)))
-    return tuple(np.array(column).reshape(len(regions), len(keys))
-                 for column in zip(*cells))
-
-
 class ModeTable(NamedTuple):
-    """Rows of a solve's (region x key) table, from `FieldSolution.table`.
+    """A solve's (region x key) table, or rows of it from `FieldSolution.table`.
 
     nu, k, coef, rad and tan are those of `_mode_constants`; the radial
     function is c_j jhat_nu(k r) + c_y yhat_nu(k r), or c_y hhat_nu(k r)
@@ -132,6 +108,35 @@ class ModeTable(NamedTuple):
     outgoing: np.ndarray
 
 
+def _mode_constants(regions, keys, omega: float) -> ModeTable:
+    """The TE/TM rule: every per-(region, key) constant of the radial problem.
+
+    TE takes its order and its tangential coefficient b from mu, with the
+    sign +i; TM takes them from eps, with -i.  Returns the `ModeTable` of
+    the solve with c_j and c_y None: nu, k, coef, rad, tan and outgoing,
+    each of shape (regions, keys), are the effective order, the wavenumber
+    omega sqrt(eps_tan mu_tan) (one per region), b (which the Wronskian
+    determinant uses), the factors +-i sqrt(n(n+1)) / (omega b_rad) of u/r
+    and +-i / (omega b) of u' + u/r that give the radial and tangential
+    components (H_Y and H_U for TE, E_Y and E_U for TM), and the flag of
+    the outermost row.  Every entry is a Python scalar expression.
+    """
+    roots = [math.sqrt(n * (n + 1.0)) for n, _ in keys]
+    cells = []
+    for reg in regions:
+        k = omega * branch_sqrt(reg.eps_tan * reg.mu_tan)
+        for (n, pol), root in zip(keys, roots):
+            b_rad, b, sign = ((reg.mu_rad, reg.mu_tan, 1j) if pol == TE
+                              else (reg.eps_rad, reg.eps_tan, -1j))
+            cells.append((effective_order(n, b_rad, b), k, b,
+                          sign * root / (omega * b_rad), sign / (omega * b)))
+    shape = (len(regions), len(keys))
+    outgoing = np.zeros(shape, dtype=bool)
+    outgoing[-1] = True
+    return ModeTable(*(np.array(column).reshape(shape) for column in zip(*cells)),
+                     c_j=None, c_y=None, outgoing=outgoing)
+
+
 class NearSingularMode(RuntimeError):
     pass
 
@@ -140,21 +145,18 @@ class NearSingularMode(RuntimeError):
 class RadialSolve:
     """Diagnostics of the unit-jump radial solve of one (n, pol)."""
 
-    n: int
-    pol: str
     condition: float
     interface_residual: float
 
 
 @dataclass
 class FieldSolution:
-    """A solved configuration: medium, source, frequency, coefficient tables.
+    """A solved configuration: medium, source, frequency, coefficient table.
 
-    nu, k, coef, rad and tan (see `_mode_constants`) and c_j and c_y
-    (ScaledArrays) have shape (regions, keys): one column per key of
-    `radial`, in its order.  Row i holds region i's radial function
-    c_j jhat_nu(k r) + c_y yhat_nu(k r); in the last row, the outgoing one,
-    c_y multiplies hhat and c_j is zero.
+    `modes` is the solve's full `ModeTable`, of shape (regions, keys): one
+    column per key of `radial`, in its order.  Row i holds region i's
+    radial function c_j jhat_nu(k r) + c_y yhat_nu(k r); in the last row,
+    the outgoing one, c_y multiplies hhat and c_j is zero.
     """
 
     medium: RadialMedium
@@ -162,15 +164,7 @@ class FieldSolution:
     omega: float
     regions: tuple
     radial: Dict[tuple, RadialSolve]
-    amplitudes: Dict[ModeId, complex]
-    n_max: int
-    nu: np.ndarray
-    k: np.ndarray
-    coef: np.ndarray
-    rad: np.ndarray
-    tan: np.ndarray
-    c_j: ScaledArray
-    c_y: ScaledArray
+    modes: ModeTable
 
     @functools.cached_property
     def _r_hi(self) -> np.ndarray:
@@ -186,10 +180,7 @@ class FieldSolution:
         (len(rows), len(keys))."""
         rows = np.arange(len(self.regions))[np.asarray(rows, dtype=int)]
         ix = np.ix_(rows, [self._columns[key] for key in keys])
-        outgoing = np.broadcast_to((rows == len(self.regions) - 1)[:, None],
-                                   (len(rows), len(keys)))
-        return ModeTable(self.nu[ix], self.k[ix], self.coef[ix], self.rad[ix],
-                         self.tan[ix], self.c_j[ix], self.c_y[ix], outgoing)
+        return ModeTable._make(column[ix] for column in self.modes)
 
     def as_jy(self, rows, keys) -> ModeTable:
         """`table` with the outgoing coefficients rewritten on the (jhat,
@@ -238,58 +229,77 @@ def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
     return cj * e0 + cy * e1, cj * h0 + cy * h1
 
 
-def _end_values(regions, orders):
-    """Basis values at every finite region end, given each region's (nu, k).
+def _basis(vals, outgoing: bool) -> tuple:
+    """Basis values (u0, du0, u1, du1) from those of hat_jy, or of hat_h1
+    if outgoing (u0 and du0 None there, where c_j is zero)."""
+    if outgoing:
+        return None, None, vals["h"], vals["dh"]
+    return vals["j"], vals["dj"], vals["y"], vals["dy"]
 
-    Returns (u, du/dz) of both basis functions as (mantissa, exponent)
-    tables of shape (2, nreg): row 0 at r_lo, row 1 at r_hi.  Every region
-    with the same order shares one `hat_jy` call, grouped by region; the
-    outermost region gets `hat_h1` at its r_lo in the second basis slot.
+
+def _basis_values(nu, k, outgoing):
+    """The one Bessel dispatch of the radial basis, over a (row x column)
+    table of orders nu, wavenumbers k and `outgoing` flags.
+
+    Returns evaluate(owner, r, groups), which takes radii r, the row of
+    each and integer Bessel group labels, none shared by two rows, and
+    yields (col, sel, outgoing, values) in column order, once per set of a
+    column's rows that share an order and basis: the values of hat_jy
+    (hat_h1 if outgoing) at k r[sel], from one call grouped by groups[sel].
+    Columns whose set has the same rows, order and wavenumbers share that
+    call, so each group gets exactly the values of a call on its radii
+    alone.
     """
-    nreg = len(regions)
-    last = nreg - 1
-    # finite ends: r_lo of regions 1.., r_hi of regions ..last-1
-    owner = np.repeat(np.arange(nreg), 2)[1:-1]
-    side = np.tile([0, 1], nreg)[1:-1]
-    radii = np.array([r for reg in regions for r in (reg.r_lo, reg.r_hi)][1:-1])
-    z = np.array([orders[i][1] for i in owner]) * radii
-    tables = [(np.zeros((2, nreg), dtype=complex), np.zeros((2, nreg), dtype=np.int64))
-              for _ in range(4)]
-    by_order = {}
-    for i in range(last):
-        by_order.setdefault(orders[i][0], []).append(i)
-    for nu, members in by_order.items():
-        sel = np.isin(owner, members)
-        vals = hat_jy(nu, z[sel], groups=owner[sel])
-        for (m, e), name in zip(tables, ("j", "dj", "y", "dy")):
-            m[side[sel], owner[sel]] = vals[name].m
-            e[side[sel], owner[sel]] = vals[name].e
-    vals = hat_h1(orders[last][0], z[-1:])
-    for (m, e), name in zip(tables[2:], ("h", "dh")):
-        m[0, last], e[0, last] = vals[name].m[0], vals[name].e[0]
-    return tables
+    sets = []
+    for col in range(nu.shape[1]):
+        for order, out in dict.fromkeys(zip(nu[:, col].tolist(), outgoing[:, col].tolist())):
+            in_set = (nu[:, col] == order) & (outgoing[:, col] == out)
+            rows = np.flatnonzero(in_set).tolist()
+            sets.append((col, in_set, (order, out) + tuple(zip(rows, k[in_set, col].tolist()))))
+
+    def evaluate(owner, r, groups):
+        cache = {}
+        for col, in_set, basis in sets:
+            sel = in_set[owner]
+            if not sel.any():
+                continue
+            order, out = basis[:2]
+            if basis not in cache:
+                z = k[owner[sel], col] * r[sel].astype(complex)
+                cache[basis] = (hat_h1 if out else hat_jy)(order, z, groups[sel])
+            yield col, sel, out, cache[basis]
+
+    return evaluate
 
 
-def _basis_traces(regions, keys, modes, omega: float):
+def _basis_traces(regions, keys, modes: ModeTable, omega: float):
     """Basis traces (e0, h0, e1, h1) at every region end for every key.
 
     Each is a ScaledArray of shape (2, nreg, nkeys): [0, i] at r_lo and
     [1, i] at r_hi of region i, one column per (n, pol) key; basis 0 is
     jhat, basis 1 yhat (hhat in the outermost region).  `modes` is the
-    (nu, k, coef, rad, tan) of `_mode_constants`.  Also returns the match
-    determinants at every end.  Keys with the same (nu, k) in every region
-    share one `_end_values`.
+    table of `_mode_constants`.  Also returns the match determinants at
+    every end.  The basis values at the finite ends come from
+    `_basis_values` with one Bessel group per region, so each region gets
+    exactly the values of a call on its own ends.
     """
-    nu, k, coef, _, tan = modes
+    nu, k, coef, tan = modes.nu, modes.k, modes.coef, modes.tan
+    nreg = len(regions)
     radius = np.array([[reg.r_lo for reg in regions],
                        [reg.r_hi for reg in regions]])
     radius[0, 0] = radius[1, -1] = 1.0          # no end there; placeholders
-    orders = [tuple(zip(*col)) for col in zip(nu.T.tolist(), k.T.tolist())]
-    ends = {o: _end_values(regions, o) for o in dict.fromkeys(orders)}
-    values = [ends[o] for o in orders]
-    u0, du0, u1, du1 = (
-        ScaledArray.stack([ScaledArray(*t[j], normalize=False) for t in values], axis=-1)
-        for j in range(4))
+    # finite ends: r_lo of regions 1.., r_hi of regions ..last-1
+    owner = np.repeat(np.arange(nreg), 2)[1:-1]
+    side = np.tile([0, 1], nreg)[1:-1]
+    u0, du0, u1, du1 = tables = [
+        ScaledArray(np.zeros((2,) + nu.shape, dtype=complex), 0, normalize=False)
+        for _ in range(4)]
+    evaluate = _basis_values(nu, k, modes.outgoing)
+    for col, sel, out, vals in evaluate(owner, radius[side, owner], owner):
+        at = side[sel], owner[sel], col
+        for table, v in zip(tables, _basis(vals, out)):
+            if v is not None:
+                table.m[at], table.e[at] = v.m, v.e
     te = np.array([pol == TE for _, pol in keys])
     inv_r = (1.0 / radius)[..., None]
 
@@ -364,7 +374,7 @@ def _solve_radial(regions, src_idx, keys, modes, omega):
         if resid[col] > _INTERFACE_TOL:
             warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
                           RuntimeWarning)
-        out[(n, pol)] = RadialSolve(n=n, pol=pol, condition=conds[col],
+        out[(n, pol)] = RadialSolve(condition=conds[col],
                                     interface_residual=float(resid[col]))
     return out, c_j, c_y
 
@@ -403,8 +413,6 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource,
     keys = source.radial_keys()
     modes = _mode_constants(regions, keys, omega)
     radial, c_j, c_y = _solve_radial(regions, src_idx, keys, modes, omega)
-    nu, k, coef, rad, tan = modes
     return FieldSolution(medium=medium, source=source, omega=omega,
                          regions=tuple(regions), radial=radial,
-                         amplitudes=dict(source.amplitudes), n_max=source.n_max,
-                         nu=nu, k=k, coef=coef, rad=rad, tan=tan, c_j=c_j, c_y=c_y)
+                         modes=modes._replace(c_j=c_j, c_y=c_y))

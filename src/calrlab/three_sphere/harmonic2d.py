@@ -109,20 +109,29 @@ def sup_norm_circle(v: HarmonicExpansion2D, radius: float) -> float:
     return best
 
 
+def _interpolation(norm, r1: float, r2: float, r3: float):
+    """(lhs, rhs, alpha, ratio) of the three-radius interpolation of `norm`,
+    a function of the radius: lhs = norm(r2), rhs = norm(r1)^alpha
+    norm(r3)^(1 - alpha) with alpha = ln(r3/r2)/ln(r3/r1), and ratio =
+    lhs/rhs, the constant the field needs.  A zero field (lhs = rhs = 0)
+    needs none and reads 0.0; lhs > 0 with rhs = 0 reads inf.
+    """
+    if not (0 < r1 < r2 < r3):
+        raise ValueError("need 0 < r1 < r2 < r3")
+    alpha = math.log(r3 / r2) / math.log(r3 / r1)
+    lhs = norm(r2)
+    rhs = norm(r1) ** alpha * norm(r3) ** (1.0 - alpha)
+    ratio = lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)
+    return lhs, rhs, alpha, ratio
+
+
 def check_hadamard(v: HarmonicExpansion2D, r1: float, r2: float, r3: float):
     """Three-circle interpolation of sup norms for a holomorphic v.
 
     Returns (lhs, rhs, alpha, ratio) with alpha = ln(R3/R2)/ln(R3/R1);
-    ratio <= 1 for holomorphic input, with equality for monomials.
+    ratio <= 1 for holomorphic input, with equality for monomials.  The
+    zero function reads ratio 0.0 (see `_interpolation`).
     """
-    if not (0 < r1 < r2 < r3):
-        raise ValueError("need 0 < r1 < r2 < r3")
     if not v.is_holomorphic:
         raise ValueError("the sup-norm interpolation needs a holomorphic input")
-    alpha = math.log(r3 / r2) / math.log(r3 / r1)
-    lhs = sup_norm_circle(v, r2)
-    n1 = sup_norm_circle(v, r1)
-    n3 = sup_norm_circle(v, r3)
-    rhs = n1 ** alpha * n3 ** (1.0 - alpha)
-    ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 1.0
-    return lhs, rhs, alpha, ratio
+    return _interpolation(lambda r: sup_norm_circle(v, r), r1, r2, r3)

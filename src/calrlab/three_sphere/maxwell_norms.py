@@ -13,6 +13,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .harmonic2d import _interpolation
+
 
 def hminushalf_div_norm(field: Dict[Tuple[int, int], tuple], radius: float) -> float:
     """sqrt of sum over modes of n^3 (|a1|^2 + |a2|^2 + |b1|^2 + |b2|^2) radius^(2n)."""
@@ -29,15 +31,10 @@ def check_maxwell_3sphere(field: Dict[Tuple[int, int], tuple],
     Per mode the weight n^3 c r^{2n} is exactly log-linear in ln r, so the
     squared norms interpolate with constant 1 (Hoelder across modes); the
     measured constant is lhs/rhs <= 1 with equality for single modes.
+    Returns (lhs, rhs, c); the zero field reads c = 0.0 (see
+    `harmonic2d._interpolation`).
     """
-    if not (0 < r1 < r2 < r3):
-        raise ValueError("need 0 < r1 < r2 < r3")
-    alpha = math.log(r3 / r2) / math.log(r3 / r1)
-    lhs = hminushalf_div_norm(field, r2)
-    n1 = hminushalf_div_norm(field, r1)
-    n3 = hminushalf_div_norm(field, r3)
-    rhs = n1 ** alpha * n3 ** (1.0 - alpha)
-    c = lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)
+    lhs, rhs, _, c = _interpolation(lambda r: hminushalf_div_norm(field, r), r1, r2, r3)
     return lhs, rhs, c
 
 

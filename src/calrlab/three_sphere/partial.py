@@ -17,8 +17,9 @@ from ..specfun.vsh import sphere_rule
 @dataclass
 class PartialBoundary:
     """Sphere radius, excised equator band, and the kept rings of the rule:
-    the theta rows of `sphere_rule(quad_order)` at distance >= r0 from the
-    equator circle, each weighted by radius^2 times its row's weight sum."""
+    the theta rows of `sphere_rule(quad_order)` whose circles lie at
+    distance >= r0 from the equator circle, each weighted by radius^2 times
+    its row's weight sum."""
 
     radius: float
     excision: float                      # tubular half-width r0
@@ -26,20 +27,15 @@ class PartialBoundary:
     rings: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts, w, theta, _ = sphere_rule(self.quad_order)
-        xs = self.radius * pts
-        # distance of each node to the equator circle |x| = radius, x3 = 0
-        dist = np.hypot(np.hypot(xs[:, 0], xs[:, 1]) - self.radius, xs[:, 2])
-        keep = (dist >= self.excision).reshape(self.quad_order, -1)
-        rows = keep.all(axis=1)
-        if not np.array_equal(rows, keep.any(axis=1)):
-            raise ValueError(f"excision {self.excision!r} splits a theta row of "
-                             "the rule: it equals a node's distance to the "
-                             "equator to within roundoff")
+        _, w, theta, _ = sphere_rule(self.quad_order)
+        theta = theta.reshape(self.quad_order, -1)[:, 0]
+        r = self.radius
+        # distance of each row's circle to the equator circle |x| = r, x3 = 0
+        rows = np.hypot(r * np.sin(theta) - r, r * np.cos(theta)) >= self.excision
         if not np.any(rows):
             raise ValueError("the excision covers the whole sphere")
-        w_rows = self.radius ** 2 * w.reshape(self.quad_order, -1).sum(axis=1)
-        self.rings = (theta.reshape(self.quad_order, -1)[rows, 0], w_rows[rows])
+        w_rows = r ** 2 * w.reshape(self.quad_order, -1).sum(axis=1)
+        self.rings = (theta[rows], w_rows[rows])
 
     @property
     def kept_fraction(self) -> float:

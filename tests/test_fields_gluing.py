@@ -189,7 +189,7 @@ def test_field_kernel_matches_per_region_assembly():
     assert all(v.shape == (0, 3) for v in eval_field_many(sol, np.zeros((0, 3))))
     sol = eps_ne_mu_solution()
     keys = list(sol.radial)
-    assert sol.nu[0, keys.index((1, "TE"))] != sol.nu[0, keys.index((1, "TM"))]
+    assert sol.modes.nu[0, keys.index((1, "TE"))] != sol.modes.nu[0, keys.index((1, "TM"))]
     radii = np.array([0.2, 0.6, 0.95, 1.0, 1.5, 1.9, 2.5, 3.0, 3.5, 6.0])
     labels = np.array([1, -1, 1, 1, -1, 1, 1, -1, 1, 1])
     pts = radii[:, None] * _directions(rng, len(radii))
@@ -203,10 +203,10 @@ def _assert_kernel_matches_per_region_assembly(sol, pts, labels):
     region_of = sol.region_indices(r)
     e, h = eval_field_many(sol, pts, labels)
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
-    table = vsh_table(sol.n_max, theta, np.arctan2(pts[:, 1], pts[:, 0]))
+    table = vsh_table(sol.source.n_max, theta, np.arctan2(pts[:, 1], pts[:, 0]))
     e_ref = np.zeros((len(pts), 3), dtype=complex)
     h_ref = np.zeros((len(pts), 3), dtype=complex)
-    for key, amp in sol.amplitudes.items():
+    for key, amp in sol.source.amplitudes.items():
         mult = amp * h_jump_factor(key.pol)
         for idx in np.unique(region_of):
             for label in (-1, 1):

@@ -18,7 +18,7 @@ from calrlab.layered_maxwell import (
     staircase,
 )
 from calrlab.media import Layer, LayerCoeff, RadialMedium, make_dcm_example, vacuum_medium
-from layered_cases import eps_ne_mu_solution
+from layered_cases import eps_ne_mu_medium, eps_ne_mu_solution
 
 mp.mp.dps = 40
 
@@ -309,7 +309,7 @@ def test_interface_residual_flags_perturbed_coefficients():
     regions, src_idx = _build_regions(med, 5.0)
     basis, _ = _basis_traces(regions, keys, _mode_constants(regions, keys, 1.0), 1.0)
     assert list(sol.radial) == keys
-    c_j, c_y = sol.c_j.copy(), sol.c_y.copy()
+    c_j, c_y = sol.modes.c_j.copy(), sol.modes.c_y.copy()
     clean = _interface_residual(basis, c_j, c_y, src_idx)
     assert np.all(clean < 1e-12)
     assert [sol.radial[k].interface_residual for k in keys] == clean.tolist()
@@ -336,17 +336,7 @@ def test_dcm_fine_pass_raises_no_solver_warning():
 def test_te_and_tm_of_a_matched_medium_share_their_end_values(monkeypatch):
     # eps = mu gives TE and TM the same (nu, k) in every region, so adding
     # TM to a TE solve adds no Bessel call, and leaves the TE column's bits
-    import calrlab.layered_maxwell.solver as solver
-    calls = {"hat_jy": 0, "hat_h1": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(solver, "hat_jy", counted("hat_jy", solver.hat_jy))
-    monkeypatch.setattr(solver, "hat_h1", counted("hat_h1", solver.hat_h1))
+    calls = _counting(monkeypatch)
     med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3), 8)
 
     def solve_counting(pols):
@@ -366,3 +356,67 @@ def test_te_and_tm_of_a_matched_medium_share_their_end_values(monkeypatch):
         else:
             assert np.array_equal(a, b)
     assert all(both.radial[key] == te.radial[key] for key in te_keys)
+
+
+def _counting(monkeypatch):
+    """Count the solver module's hat_jy and hat_h1 calls."""
+    import calrlab.layered_maxwell.solver as solver
+    calls = {"hat_jy": 0, "hat_h1": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["eps_ne_mu", "p3_lossless_16_layers"])
+def test_basis_traces_match_one_call_per_region(case):
+    # every finite region end gets exactly the traces built from one hat_jy
+    # call (hat_h1 in the outermost region) on that region's ends alone
+    from calrlab.layered_maxwell.solver import _basis_traces, _build_regions, _mode_constants
+    from calrlab.specfun import hat_h1, hat_jy
+    if case == "eps_ne_mu":
+        medium, r_s, ns = eps_ne_mu_medium(), 3.0, (1, 2)
+    else:
+        medium, r_s, ns = staircase(make_dcm_example(1.0, 2.0, 3.0, 0.0), 16), 9.0, range(1, 13)
+    keys = [(n, pol) for n in ns for pol in ("TE", "TM")]
+    regions, _ = _build_regions(medium, r_s)
+    modes = _mode_constants(regions, keys, 1.0)
+    traces, _ = _basis_traces(regions, keys, modes, 1.0)
+    last = len(regions) - 1
+    for i, reg in enumerate(regions):
+        sides = [s for s, r in enumerate((reg.r_lo, reg.r_hi)) if 0 < r < math.inf]
+        radii = np.array([(reg.r_lo, reg.r_hi)[s] for s in sides])
+        for col, (_, pol) in enumerate(keys):
+            nu, k, tan = float(modes.nu[i, col]), complex(modes.k[i, col]), modes.tan[i, col]
+            if i == last:
+                vals = hat_h1(nu, k * radii)
+                bases = [(1, vals["h"], vals["dh"])]
+                assert not np.any(traces[0][sides, i, col].to_complex())
+            else:
+                vals = hat_jy(nu, k * radii)
+                bases = [(0, vals["j"], vals["dj"]), (1, vals["y"], vals["dy"])]
+            for b, u, du in bases:
+                curlish = (du * k + u * (1.0 / radii)) * tan
+                want = (u, curlish) if pol == "TE" else (curlish, u)
+                for got, w in zip(traces[2 * b:2 * b + 2], want):
+                    assert np.array_equal(got[sides, i, col].m, w.m), (i, col, b)
+                    assert np.array_equal(got[sides, i, col].e, w.e), (i, col, b)
+
+
+def test_eps_ne_mu_solve_shares_bessel_calls_by_region_set(monkeypatch):
+    # TE and TM differ in the core only: per n, one hat_jy call per core
+    # order, one call on the shell and the inner vacuum (order n) that both
+    # keys share, and one shared hat_h1 outside
+    calls = _counting(monkeypatch)
+    sol = eps_ne_mu_solution.__wrapped__()
+    assert calls == {"hat_jy": 6, "hat_h1": 2}
+    cached = eps_ne_mu_solution()
+    for a, b in ((sol.modes.c_j, cached.modes.c_j), (sol.modes.c_y, cached.modes.c_y)):
+        assert np.array_equal(a.m, b.m) and np.array_equal(a.e, b.e)
+
