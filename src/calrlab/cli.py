@@ -5,7 +5,7 @@ The config is a JSON file {"scenario": NAME, "out": DIR, "params": {...}}.
 Every key in "params" must be one of the scenario's defaults, with a value
 of the default's type.
 Exit codes: 0 success, 2 config error, 3 assertion failure, 4 numerical
-guard tripped.
+guard tripped (a solver warning raised as an error included).
 """
 from __future__ import annotations
 
@@ -56,7 +56,8 @@ def cmd_run(args) -> int:
     try:
         results = run_scenario(config["scenario"], config.get("params", {}),
                                outdir)
-    except RuntimeError as exc:
+    except (RuntimeError, RuntimeWarning) as exc:
+        # RuntimeWarning: a solver warning escalated by the warnings filter
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError) as exc:

@@ -12,10 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..media.radial import RadialMedium
 from ..specfun.scaled import ScaledArray
 from .modes import SurfaceCurrentSource
-from .solver import FieldSolution, solve
+from .solver import FieldSolution, _solve_media
 from .staircase import staircase
 
 
@@ -41,18 +40,23 @@ def richardson_exterior(sol_lo: FieldSolution, sol_hi: FieldSolution) -> FieldSo
                                              c_y=extrapolate(hi.c_y, lo_rows.c_y)))
 
 
-def solve_staircased(medium: RadialMedium, source: SurfaceCurrentSource,
-                     omega: float, layers: int, richardson: bool = True) -> FieldSolution:
-    """Staircase a graded medium and solve; optionally Richardson-refine.
+def solve_staircased(media, source: SurfaceCurrentSource, omega: float,
+                     layers: int, richardson: bool = True) -> list[FieldSolution]:
+    """Staircase graded media and solve; optionally Richardson-refine.
 
-    With richardson=True two solves (layers and 2*layers) are combined; the
-    returned solution is accurate for evaluation outside the graded shell.
+    Returns one solution per medium.  The media must share their layer
+    breakpoints (a loss sweep of one structure), so each refinement level
+    is one region pass over all of them.  With richardson=True the solves
+    at layers and 2*layers are combined; each returned solution is accurate
+    for evaluation outside the graded shell.  Piecewise-constant media are
+    solved as they are.
     """
-    if medium.is_piecewise_constant:
-        return solve(medium, source, omega)
-    sol_hi = solve(staircase(medium, 2 * layers if richardson else layers),
-                   source, omega)
+    media = list(media)
+    if all(medium.is_piecewise_constant for medium in media):
+        return _solve_media(media, source, omega)
+    sols_hi = _solve_media([staircase(medium, 2 * layers if richardson else layers)
+                            for medium in media], source, omega)
     if not richardson:
-        return sol_hi
-    sol_lo = solve(staircase(medium, layers), source, omega)
-    return richardson_exterior(sol_lo, sol_hi)
+        return sols_hi
+    sols_lo = _solve_media([staircase(medium, layers) for medium in media], source, omega)
+    return [richardson_exterior(lo, hi) for lo, hi in zip(sols_lo, sols_hi)]

@@ -27,7 +27,10 @@ the coefficients, and the source scaling and the interface residual take
 one pass over all interfaces.  Every operation on a coefficient is the
 elementwise numpy operation a one-key, one-region-at-a-time solve would do,
 so the coefficients keep their exact bits; the residual, a diagnostic, may
-differ from such a solve in its last bit.
+differ from such a solve in its last bit.  `_solve_media` makes the media
+of a loss sweep, which share their breakpoints, further columns of the same
+pass: one region pass per sweep and refinement level, and each medium's
+solution has exactly the bits of its own `solve`, residual included.
 """
 from __future__ import annotations
 
@@ -321,9 +324,11 @@ def _basis_traces(regions, keys, modes: ModeTable, omega: float):
 def _solve_radial(regions, src_idx, keys, modes, omega):
     """Unit-jump radial solves for every (n, pol) in keys, propagated together.
 
-    Columns of every ScaledArray below are keys; the coefficients of each
-    key are exactly those of a solve of that key alone.  Returns the
-    `RadialSolve` of each key and the (region x key) tables c_j and c_y.
+    Columns of every ScaledArray below are keys, which may repeat (one
+    column per key and medium of a batch); the coefficients of each column
+    are exactly those of a solve of that column alone.  Returns the
+    `RadialSolve` of each column, in column order, and the (region x key)
+    tables c_j and c_y.
     """
     nreg = len(regions)
     last = nreg - 1
@@ -366,7 +371,7 @@ def _solve_radial(regions, src_idx, keys, modes, omega):
     c_y = ScaledArray.stack([c for _, c in inner + outer]) * scale
     resid = _interface_residual(basis, c_j, c_y, src_idx)
 
-    out = {}
+    out = []
     for col, (n, pol) in enumerate(keys):
         if conds[col] > _COND_GUARD:
             raise NearSingularMode(
@@ -374,8 +379,7 @@ def _solve_radial(regions, src_idx, keys, modes, omega):
         if resid[col] > _INTERFACE_TOL:
             warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
                           RuntimeWarning)
-        out[(n, pol)] = RadialSolve(condition=conds[col],
-                                    interface_residual=float(resid[col]))
+        out.append(RadialSolve(condition=conds[col], interface_residual=float(resid[col])))
     return out, c_j, c_y
 
 
@@ -403,16 +407,44 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource,
     is allowed only as long as every per-mode system stays away from the
     condition guard `_COND_GUARD`, above which it raises NearSingularMode.
     """
+    return _solve_media([medium], source, omega)[0]
+
+
+def _solve_media(media, source: SurfaceCurrentSource,
+                 omega: float) -> list[FieldSolution]:
+    """`solve` of each medium, as the columns of one region pass.
+
+    The media must share their region breakpoints, so the source lies in
+    the same region of each; their mode tables are joined along the key
+    axis, solved together, and each medium's `FieldSolution` gets its own
+    columns, with exactly the bits of a solve of that medium alone.
+    """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    regions, src_idx = _build_regions(medium, source.radius)
-    out = regions[-1]
-    if any(abs(c - 1) > 1e-14
-           for c in (out.eps_rad, out.eps_tan, out.mu_rad, out.mu_tan)):
-        raise ValueError("outermost layer must be vacuum")
+    built = [_build_regions(medium, source.radius) for medium in media]
+    regions, src_idx = built[0]
+    ends = [(reg.r_lo, reg.r_hi) for reg in regions]
+    for regs, _ in built:
+        out = regs[-1]
+        if any(abs(c - 1) > 1e-14
+               for c in (out.eps_rad, out.eps_tan, out.mu_rad, out.mu_tan)):
+            raise ValueError("outermost layer must be vacuum")
+        if [(reg.r_lo, reg.r_hi) for reg in regs] != ends:
+            raise ValueError("media solved together need the same region "
+                             "breakpoints, the source radius included")
     keys = source.radial_keys()
-    modes = _mode_constants(regions, keys, omega)
-    radial, c_j, c_y = _solve_radial(regions, src_idx, keys, modes, omega)
-    return FieldSolution(medium=medium, source=source, omega=omega,
-                         regions=tuple(regions), radial=radial,
-                         modes=modes._replace(c_j=c_j, c_y=c_y))
+    tables = [_mode_constants(regs, keys, omega) for regs, _ in built]
+    joined = ModeTable._make(
+        None if column[0] is None else np.concatenate(column, axis=1)
+        for column in zip(*tables))
+    radial, c_j, c_y = _solve_radial(regions, src_idx, keys * len(media), joined, omega)
+    joined = joined._replace(c_j=c_j, c_y=c_y)
+    nkeys = len(keys)
+    solutions = []
+    for i, (medium, (regs, _)) in enumerate(zip(media, built)):
+        cols = np.arange(i * nkeys, (i + 1) * nkeys)
+        solutions.append(FieldSolution(
+            medium=medium, source=source, omega=omega, regions=tuple(regs),
+            radial=dict(zip(keys, radial[i * nkeys:(i + 1) * nkeys])),
+            modes=ModeTable._make(column[:, cols] for column in joined)))
+    return solutions

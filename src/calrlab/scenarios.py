@@ -10,7 +10,8 @@ ordered, so reruns with the same config are bit-identical.
 
 The five loss sweeps (`dcm_convergence`, `blowup_scan`, `superlens`,
 `cm_cloak`, `gluing_demo`) loop over `_delta_sweep`, which builds the source
-and any reference solve once and yields the staircased solve of each delta.
+and any reference solve once, solves every delta's staircased medium in one
+batch, and yields the solve of each delta.
 """
 from __future__ import annotations
 
@@ -104,12 +105,14 @@ def _fit_loglog(xs, ys) -> float:
 def _delta_sweep(p: dict, build_medium, reference=None, richardson=True):
     """Yield (delta, sol, ref) per loss: the source and ref, the plain solve
     of `reference` (None without one), are made once; sol is the staircased
-    solve of build_medium(delta), Richardson-refined if richardson."""
+    solve of build_medium(delta), Richardson-refined if richardson.  All
+    losses are solved up front by one `solve_staircased` call, one region
+    pass per refinement level."""
     src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
     ref = None if reference is None else solve(reference, src, p["omega"])
-    for delta in p["deltas"]:
-        sol = solve_staircased(build_medium(delta), src, p["omega"],
-                               layers=p["layers"], richardson=richardson)
+    sols = solve_staircased([build_medium(delta) for delta in p["deltas"]], src,
+                            p["omega"], layers=p["layers"], richardson=richardson)
+    for delta, sol in zip(p["deltas"], sols):
         yield delta, sol, ref
 
 

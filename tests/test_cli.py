@@ -146,6 +146,23 @@ def test_tripped_guard_exit_numerical(tmp_path, capsys, monkeypatch):
     assert "numerical guard: near-singular mode" in capsys.readouterr().err
 
 
+def test_escalated_residual_warning_exit_numerical(tmp_path, capsys, monkeypatch):
+    # with warnings turned into errors, an interface-residual warning is a
+    # tripped guard: the run exits 4, names the mode and writes nothing
+    import warnings
+    monkeypatch.setattr("calrlab.layered_maxwell.solver._INTERFACE_TOL", 0.0)
+    cfg = _write_config(tmp_path, "resid.json", "cm_cloak",
+                        {"n_src": 1, "layers": 8, "deltas": [1e-2, 1e-3]},
+                        tmp_path / "outr")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert not (tmp_path / "outr").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: interface residual ")
+    assert "for (n=1, pol=TE)" in err
+
+
 def test_lossy_dcm_with_p_other_than_2_exit_config(tmp_path):
     # a positive loss on a p != 2 shell gives a complex effective order
     for i, scenario in enumerate(("dcm_convergence", "blowup_scan")):

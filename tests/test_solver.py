@@ -17,7 +17,16 @@ from calrlab.layered_maxwell import (
     solve,
     staircase,
 )
-from calrlab.media import Layer, LayerCoeff, RadialMedium, make_dcm_example, vacuum_medium
+from calrlab.layered_maxwell.solver import ModeTable
+from calrlab.media import (
+    Layer,
+    LayerCoeff,
+    RadialMedium,
+    make_cm_cloak,
+    make_dcm_example,
+    make_superlens,
+    vacuum_medium,
+)
 from layered_cases import eps_ne_mu_medium, eps_ne_mu_solution
 
 mp.mp.dps = 40
@@ -328,8 +337,8 @@ def test_dcm_fine_pass_raises_no_solver_warning():
     src = mixed_mode_source(5.0, 1, 7)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for delta in (1e-2, 1e-3):
-            solve_staircased(make_dcm_example(1.0, 2.0, 2.0, delta), src, 1.0, layers=96)
+        solve_staircased([make_dcm_example(1.0, 2.0, 2.0, delta) for delta in (1e-2, 1e-3)],
+                         src, 1.0, layers=96)
     assert not caught
 
 
@@ -420,3 +429,106 @@ def test_eps_ne_mu_solve_shares_bessel_calls_by_region_set(monkeypatch):
     for a, b in ((sol.modes.c_j, cached.modes.c_j), (sol.modes.c_y, cached.modes.c_y)):
         assert np.array_equal(a.m, b.m) and np.array_equal(a.e, b.e)
 
+
+def _graded_family(name):
+    """Three losses of one graded structure: the DCM, the superlens or the cloak."""
+    build = {"dcm": lambda d: make_dcm_example(1.0, 2.0, 2.0, d),
+             "superlens": lambda d: make_superlens(0.5, 4.0, (2.0 + 0j, 2.0 + 0j), d, r1=1.0)[0],
+             "cloak": lambda d: make_cm_cloak(1.0, 2.0, None, d)}[name]
+    return [build(d) for d in (1e-2, 1e-3, 1e-4)]
+
+
+def _eps_ne_mu_lossless_family():
+    """Lossless shells of other eps != mu on `eps_ne_mu_medium`'s breakpoints."""
+    core, shell, vac = eps_ne_mu_medium().layers
+    return [RadialMedium(layers=(core, Layer(shell.r_lo, shell.r_hi, LayerCoeff.iso(e),
+                                             LayerCoeff.iso(m)), vac))
+            for e, m in ((2.0, 1.3), (3.0, 0.8), (1.5, 2.5))]
+
+
+def _mixed_source(radius):
+    amps = {mode(n, m, pol): complex(n, m) for n in (1, 2, 3) for m in (0, 1)
+            for pol in ("TE", "TM")}
+    return SurfaceCurrentSource(radius=radius, amplitudes=amps)
+
+
+def _assert_same_solution(got, want):
+    assert got.regions == want.regions
+    assert list(got.radial) == list(want.radial)
+    for key, rs in want.radial.items():
+        assert got.radial[key].condition == rs.condition, key
+        assert got.radial[key].interface_residual == rs.interface_residual, key
+    for name, a, b in zip(ModeTable._fields, got.modes, want.modes):
+        if hasattr(a, "m"):
+            assert np.array_equal(a.m, b.m) and np.array_equal(a.e, b.e), name
+        else:
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("family", ["dcm", "superlens", "cloak", "eps_ne_mu_lossless"])
+def test_batched_media_match_one_solve_per_medium(family):
+    # every medium of a loss sweep is a set of columns of one region pass,
+    # with exactly the bits of its own solve
+    from calrlab.layered_maxwell.solver import _solve_media
+    if family == "eps_ne_mu_lossless":
+        media, src = _eps_ne_mu_lossless_family(), _mixed_source(3.0)
+    else:
+        media, src = [staircase(m, 8) for m in _graded_family(family)], _mixed_source(5.0)
+    batched = _solve_media(media, src, 1.0)
+    assert len(batched) == len(media)
+    for got, medium in zip(batched, media):
+        assert got.medium is medium
+        _assert_same_solution(got, solve(medium, src, 1.0))
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("family", ["dcm", "superlens", "cloak"])
+def test_batched_solve_staircased_matches_per_medium_refinement(family, richardson):
+    from calrlab.layered_maxwell.refine import richardson_exterior, solve_staircased
+    media, src = _graded_family(family), _mixed_source(5.0)
+    batched = solve_staircased(media, src, 1.0, layers=4, richardson=richardson)
+    for got, medium in zip(batched, media):
+        if richardson:
+            lo = solve(staircase(medium, 4), src, 1.0)
+            want = richardson_exterior(lo, solve(staircase(medium, 8), src, 1.0))
+        else:
+            want = solve(staircase(medium, 4), src, 1.0)
+        assert got.medium.layers == want.medium.layers
+        _assert_same_solution(got, want)
+
+
+def test_batched_media_need_the_same_region_breakpoints():
+    from calrlab.layered_maxwell.solver import _solve_media
+    src = _mixed_source(3.0)
+    dcm = make_dcm_example(1.0, 2.0, 2.0, 1e-2)
+    with pytest.raises(ValueError, match="same region breakpoints"):
+        _solve_media([staircase(dcm, 4), staircase(dcm, 8)], src, 1.0)
+    # as many regions, but the sheet at r = 3 splits the third layer of one
+    # and the second of the other
+    core, shell, vac = eps_ne_mu_medium().layers
+    wide = RadialMedium(layers=(core, Layer(1.0, 4.0, shell.eps, shell.mu),
+                                Layer(4.0, math.inf, vac.eps, vac.mu)))
+    with pytest.raises(ValueError, match="same region breakpoints"):
+        _solve_media([eps_ne_mu_medium(), wide], src, 1.0)
+
+
+def test_richardson_delta_sweep_makes_one_region_pass_per_level(monkeypatch):
+    # four losses with Richardson: one batched solve per refinement level,
+    # plus the reference solve
+    import calrlab.layered_maxwell.solver as solver
+    from calrlab.scenarios import _delta_sweep
+    calls = []
+    inner = solver._solve_radial
+
+    def counted(regions, src_idx, keys, modes, omega):
+        calls.append(len(keys))
+        return inner(regions, src_idx, keys, modes, omega)
+
+    monkeypatch.setattr(solver, "_solve_radial", counted)
+    p = {"r_s": 5.0, "n_src": 1, "seed": 7, "omega": 1.0, "layers": 4,
+         "deltas": [1e-2, 1e-3, 1e-4, 1e-5]}
+    swept = list(_delta_sweep(p, lambda d: make_dcm_example(1.0, 2.0, 2.0, d),
+                              reference=vacuum_medium()))
+    assert [delta for delta, _, _ in swept] == p["deltas"]
+    assert len(calls) == 3
+    assert calls[1:] == [4 * calls[0]] * 2

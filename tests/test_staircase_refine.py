@@ -38,7 +38,7 @@ def test_richardson_extrapolation_stability():
     ext = {}
     for layers in (64, 128):
         ext[layers] = _exterior_coef(
-            solve_staircased(med, src, 1.0, layers=layers), 2, "TM")
+            solve_staircased([med], src, 1.0, layers=layers)[0], 2, "TM")
     scale = abs(ext[128])
     assert abs(ext[128] - ext[64]) / scale < 1e-6
 
@@ -46,7 +46,7 @@ def test_richardson_extrapolation_stability():
 def test_lossy_p2_shell_richardson_matches_deep_staircase():
     med = make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3)
     src = SurfaceCurrentSource(radius=5.0, amplitudes={mode(1, 0, "TE"): 1.0})
-    rich = _exterior_coef(solve_staircased(med, src, 1.0, layers=48), 1, "TE")
+    rich = _exterior_coef(solve_staircased([med], src, 1.0, layers=48)[0], 1, "TE")
     deep = _exterior_coef(solve(staircase(med, 1536), src, 1.0), 1, "TE")
     assert rich == pytest.approx(deep, rel=1e-6)
 
@@ -62,7 +62,7 @@ def test_piecewise_constant_passthrough():
     med = make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2)
     st = staircase(med, 4)
     src = SurfaceCurrentSource(radius=5.0, amplitudes={mode(1, 0, "TE"): 1.0})
-    a = solve_staircased(st, src, 1.0, layers=99)   # already constant: plain solve
+    a, = solve_staircased([st], src, 1.0, layers=99)   # already constant: plain solve
     b = solve(st, src, 1.0)
     assert _exterior_coef(a, 1, "TE") == _exterior_coef(b, 1, "TE")
 
