@@ -12,10 +12,14 @@ the component factors and the outgoing flag), which `FieldSolution.modes`
 keeps with the coefficients and `FieldSolution.table` hands to the field
 and norm kernels.
 
-Coefficients are propagated as scaled projective pairs and interfaces are
-resolved with the exact Wronskian determinant -(2nu+1)/z^2, so localized
-resonance (condition numbers like (r2/r1)^(2n)/delta) costs accuracy, never
-overflow.  This is the impedance-safe form of the transfer recursion.
+Coefficients are propagated as scaled projective pairs: a region's state
+is one (2, ncols) `ScaledArray` [c_j, c_y], and each region end is one
+multiply, add and divide of it against trace and match tables built once
+per solve.  Interfaces are resolved with the exact Wronskian determinant
+-(2nu+1)/z^2, so localized resonance (condition numbers like
+(r2/r1)^(2n)/delta) costs accuracy, never overflow.  This is the
+impedance-safe form of the transfer recursion (Toon & Ackerman, Appl. Opt.
+20, 1981).
 
 The radial basis is evaluated in one place, `_basis_values`, which the
 solver calls on every finite region end with one Bessel group per region,
@@ -54,10 +58,6 @@ _INTERFACE_TOL = 1e-9
 # Condition of a mode's source-jump system above which a solve raises
 # NearSingularMode.
 _COND_GUARD = 1e12
-
-
-def _s(value) -> ScaledArray:
-    return ScaledArray.from_complex(np.atleast_1d(np.asarray(value, dtype=complex)))
 
 
 def branch_sqrt(z: complex) -> complex:
@@ -226,6 +226,9 @@ def _build_regions(medium: RadialMedium, r_s: float) -> tuple[list, int]:
 def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
     """Trace pair of the state cj jhat + cy yhat (cy hhat if outgoing, where
     cj is zero) from the basis traces (e0, h0, e1, h1)."""
+    # _solve_radial steps on stacked pair tables; the field kernel and
+    # _interface_residual keep this elementwise form, because stacking their
+    # many-point arrays costs more in copies than it saves in normalizations
     e0, h0, e1, h1 = basis
     if outgoing:
         return cy * e1, cy * h1
@@ -326,35 +329,51 @@ def _solve_radial(regions, src_idx, keys, modes, omega):
 
     Columns of every ScaledArray below are keys, which may repeat (one
     column per key and medium of a batch); the coefficients of each column
-    are exactly those of a solve of that column alone.  Returns the
-    `RadialSolve` of each column, in column order, and the (region x key)
-    tables c_j and c_y.
+    are exactly those of a solve of that column alone.  A region's state
+    is one (2, ncols) pair [c_j, c_y]; each region end is one multiply, add
+    and divide on it against `fwd`, which maps the pair to its traces
+    [e, h], and `bwd`, which maps traces back to the pair times the
+    Wronskian determinant.  Each element takes the ufunc sequence of
+    c_j = (e h1 - h e1) / det and c_y = (h e0 - e h0) / det with the
+    negations moved onto table entries; IEEE negation is exact and sums
+    and products commute, so every coefficient equals that of the
+    four-product form exactly.  Returns the `RadialSolve` of each column,
+    in column order, and the (region x key) tables c_j and c_y.
     """
     nreg = len(regions)
     last = nreg - 1
     basis, det = _basis_traces(regions, keys, modes, omega)
+    e0, h0, e1, h1 = basis
+    # (side, region, 2, 2, key) tables: fwd[side, i, b, t] is trace t of
+    # basis b, bwd[side, i, t] the row that trace t adds to [c_j, c_y]
+    fwd, bwd = (ScaledArray.stack([ScaledArray.stack(row, axis=2) for row in rows], axis=2)
+                for rows in (((e0, h0), (e1, h1)), ((h1, -h0), (-e1, e0))))
 
-    def at(side, i):
-        return tuple(b[side, i] for b in basis)
+    def state(c, side, i):
+        # traces [e, h] of the pair c at that end of region i (c_y hhat in
+        # the outermost region, where c_j is zero)
+        if i == last:
+            return c[1, None] * fwd[side, i, 1]
+        p = c[:, None] * fwd[side, i]
+        return p[0] + p[1]
 
-    def match(side, i, e_t, h_t):
-        # coefficients in region i whose trace at that end is (e_t, h_t)
-        e1, h1, e2, h2 = at(side, i)
-        d = det[side, i]
-        return (e_t * h2 - h_t * e2) / d, (h_t * e1 - e_t * h1) / d
+    def match(t, side, i):
+        # the pair in region i whose traces at that end are t
+        q = t[:, None] * bwd[side, i]
+        return (q[0] + q[1]) / det[side, i]
 
-    nkeys = len(keys)
-    one, zero = _s(np.ones(nkeys)), _s(np.zeros(nkeys))
-    inner = [(one, zero)]
+    ncols = len(keys)
+    inner = [ScaledArray.from_complex(np.array([np.ones(ncols), np.zeros(ncols)]))]
     for i in range(src_idx):
-        inner.append(match(0, i + 1, *_state(*inner[-1], at(1, i))))
-    outer = [(zero, one)]
+        inner.append(match(state(inner[-1], 1, i), 0, i + 1))
+    outer = [ScaledArray.from_complex(np.array([np.zeros(ncols), np.ones(ncols)]))]
     for i in range(last, src_idx + 1, -1):
-        outer.append(match(1, i - 1, *_state(*outer[-1], at(0, i), i == last)))
+        outer.append(match(state(outer[-1], 0, i), 1, i - 1))
     outer.reverse()
 
-    e_m, h_m = _state(*inner[-1], at(1, src_idx))
-    e_p, h_p = _state(*outer[0], at(0, src_idx + 1), src_idx + 1 == last)
+    s_m = state(inner[-1], 1, src_idx)
+    s_p = state(outer[0], 0, src_idx + 1)
+    e_m, h_m, e_p, h_p = s_m[0], s_m[1], s_p[0], s_p[1]
 
     # E continuous, H_t jumps by 1:  E+ B - E- A = 0,  H+ B - H- A = 1
     t1 = h_p * e_m
@@ -367,8 +386,8 @@ def _solve_radial(regions, src_idx, keys, modes, omega):
         conds.append(math.inf if det_mag == 0 else float(mag / det_mag))
     rows = np.arange(nreg)[:, None] <= src_idx
     scale = ScaledArray.where(rows, e_p / det_src, e_m / det_src)
-    c_j = ScaledArray.stack([c for c, _ in inner + outer]) * scale
-    c_y = ScaledArray.stack([c for _, c in inner + outer]) * scale
+    c = ScaledArray.stack(inner + outer, axis=1) * scale
+    c_j, c_y = c[0], c[1]
     resid = _interface_residual(basis, c_j, c_y, src_idx)
 
     out = []

@@ -532,3 +532,150 @@ def test_richardson_delta_sweep_makes_one_region_pass_per_level(monkeypatch):
     assert [delta for delta, _, _ in swept] == p["deltas"]
     assert len(calls) == 3
     assert calls[1:] == [4 * calls[0]] * 2
+
+
+def _high_order_fields(sol, n, r, omega, r_s):
+    """Worst relative error of E and H of the TE (n, 0) vacuum solve at 6
+    points of radius r against the mpmath closed forms."""
+    from calrlab.specfun import vsh
+    t = omega * r_s
+    if r < r_s:
+        c = 1j * t * t * _hat_h(n, t) / (2 * n + 1)
+        g = c * _hat_j(n, omega * r)
+        dg = c * omega * ((2 * n + 1) * _hat_j(n - 1, omega * r)
+                          - (n + 1) / (omega * r) * _hat_j(n, omega * r))
+    else:
+        c = 1j * t * t * _hat_j(n, t) / (2 * n + 1)
+        g = c * _hat_h(n, omega * r)
+        dg = c * omega * (_hat_h(n - 1, omega * r) / (2 * n - 1)
+                          - (n + 1) / (omega * r) * _hat_h(n, omega * r))
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(6):
+        x = rng.standard_normal(3)
+        x *= r / np.linalg.norm(x)
+        trip = vsh(n, 0, x / r)
+        want = (g * trip.rotated_tangent,
+                (1j / omega) * (math.sqrt(n * (n + 1)) * g / r * trip.radial
+                                + (dg + g / r) * trip.gradient_tangent))
+        for got, w in zip(eval_field(sol, x), want):
+            worst = max(worst, np.max(np.abs(got - w)) / np.max(np.abs(w)))
+    return worst
+
+
+def test_high_order_vacuum_fields_match_closed_form():
+    # n = 300: the solve's coefficients leave double range, the fields
+    # on either side of the sheet do not
+    omega, r_s, n = 1.0, 5.0, 300
+    sol = solve(vacuum_medium(), SurfaceCurrentSource(
+        radius=r_s, amplitudes={mode(n, 0, "TE"): 1.0}), omega)
+    for r in (4.5, 5.5):
+        assert _high_order_fields(sol, n, r, omega, r_s) < 1e-10, r
+
+
+def test_high_order_dcm_norms_are_pinned():
+    # the n = 300 DCM solve spans 10^-320 .. 10^143 in its coefficients;
+    # its shell and exterior norms are pinned to the values of the
+    # four-product region recursion
+    med = staircase(make_dcm_example(1.0, 2.0, 2.0, 1e-3), 32)
+    src = SurfaceCurrentSource(radius=3.0, amplitudes={
+        mode(300, 0, "TE"): 1.0, mode(300, 0, "TM"): 1.0})
+    sol = solve(med, src, 1.0)
+    mags = np.concatenate([sol.modes.c_j.log10_abs().ravel(),
+                           sol.modes.c_y.log10_abs().ravel()])
+    mags = mags[np.isfinite(mags)]
+    assert mags.min() < -308 and mags.max() > 100
+    for (a, b), want in (((1.0, 2.0), 2.9285608678439897e-50),
+                         ((4.0, 6.0), 4.318188988503713e-37)):
+        got = l2_norm_annulus(sol, a, b)
+        assert math.isfinite(got) and abs(got / want - 1.0) < 1e-8, (a, b, got)
+
+
+def _four_product_state(cj, cy, basis, outgoing=False):
+    e0, h0, e1, h1 = basis
+    if outgoing:
+        return cy * e1, cy * h1
+    return cj * e0 + cy * e1, cj * h0 + cy * h1
+
+
+def _four_product_solve(regions, src_idx, keys, modes, omega):
+    """The region recursion on one (c_j, c_y) tuple of ScaledArrays per
+    region, with four products and explicit subtractions per match.
+    Returns the conditions, the interface residuals, c_j and c_y."""
+    from calrlab.layered_maxwell.solver import _basis_traces, _interface_residual
+    from calrlab.specfun.scaled import ScaledArray
+    last = len(regions) - 1
+    basis, det = _basis_traces(regions, keys, modes, omega)
+
+    def at(side, i):
+        return tuple(b[side, i] for b in basis)
+
+    def match(side, i, e_t, h_t):
+        e1, h1, e2, h2 = at(side, i)
+        d = det[side, i]
+        return (e_t * h2 - h_t * e2) / d, (h_t * e1 - e_t * h1) / d
+
+    one = ScaledArray.from_complex(np.ones(len(keys), dtype=complex))
+    zero = ScaledArray.from_complex(np.zeros(len(keys), dtype=complex))
+    inner = [(one, zero)]
+    for i in range(src_idx):
+        inner.append(match(0, i + 1, *_four_product_state(*inner[-1], at(1, i))))
+    outer = [(zero, one)]
+    for i in range(last, src_idx + 1, -1):
+        outer.append(match(1, i - 1, *_four_product_state(*outer[-1], at(0, i), i == last)))
+    outer.reverse()
+    e_m, h_m = _four_product_state(*inner[-1], at(1, src_idx))
+    e_p, h_p = _four_product_state(*outer[0], at(0, src_idx + 1), src_idx + 1 == last)
+    t1, t2 = h_p * e_m, h_m * e_p
+    det_src = t1 - t2
+    conds = []
+    for lmag, ldet in zip(np.maximum(t1.log10_abs(), t2.log10_abs()), det_src.log10_abs()):
+        mag, det_mag = 10.0 ** lmag, 10.0 ** ldet
+        conds.append(math.inf if det_mag == 0 else float(mag / det_mag))
+    rows = np.arange(last + 1)[:, None] <= src_idx
+    scale = ScaledArray.where(rows, e_p / det_src, e_m / det_src)
+    c_j = ScaledArray.stack([c for c, _ in inner + outer]) * scale
+    c_y = ScaledArray.stack([c for _, c in inner + outer]) * scale
+    return conds, _interface_residual(basis, c_j, c_y, src_idx).tolist(), c_j, c_y
+
+
+def _reference_chain_cases():
+    from calrlab.scenarios import mixed_mode_source
+    dcm = [make_dcm_example(1.0, 2.0, 2.0, d) for d in (1e-2, 1e-3)]
+    yield ([staircase(make_dcm_example(1.0, 2.0, 2.0, d), 96)
+            for d in (1e-2, 1e-3, 1e-4, 1e-5)], mixed_mode_source(5.0, 6, 7))
+    yield [staircase(m, 16) for m in dcm], mixed_mode_source(5.0, 12, 19)
+    for family in ("superlens", "cloak"):
+        yield [staircase(m, 8) for m in _graded_family(family)], _mixed_source(5.0)
+    # the sheet in the core (empty inner chain), in the shell, and in the
+    # vacuum next to the exterior region (outgoing source state)
+    for r_s in (0.5, 1.5, 3.0):
+        yield [eps_ne_mu_medium()], _mixed_source(r_s)
+
+
+def test_stacked_region_steps_match_the_four_product_recursion(monkeypatch):
+    # the (2, ncols) pair steps give every coefficient, condition and
+    # residual of the one-pair-per-region recursion bit for bit
+    import calrlab.layered_maxwell.solver as solver
+    from calrlab.layered_maxwell.solver import _solve_media
+    inner = solver._solve_radial
+    seen = []
+
+    def checked(regions, src_idx, keys, modes, omega):
+        got = inner(regions, src_idx, keys, modes, omega)
+        seen.append((src_idx, len(regions) - 1, got,
+                     _four_product_solve(regions, src_idx, keys, modes, omega)))
+        return got
+
+    monkeypatch.setattr(solver, "_solve_radial", checked)
+    for media, src in _reference_chain_cases():
+        _solve_media(media, src, 1.0)
+    for src_idx, last, (radial, c_j, c_y), (conds, resid, want_j, want_y) in seen:
+        assert [rs.condition for rs in radial] == conds
+        assert [rs.interface_residual for rs in radial] == resid
+        for got, want in ((c_j, want_j), (c_y, want_y)):
+            assert np.array_equal(got.m, want.m) and np.array_equal(got.e, want.e)
+    ends = {(src_idx == 0, src_idx + 1 == last) for src_idx, last, _, _ in seen}
+    assert ends == {(True, False), (False, False), (False, True)}
+    # the first pass is the 96-layer staircase: four losses of twelve keys
+    assert seen[0][1] == 98 and seen[0][2][1].shape == (99, 4 * 12)
