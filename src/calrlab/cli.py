@@ -30,7 +30,8 @@ def load_config(path: str) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
-    if config.get("scenario") not in SCENARIOS:
+    scenario = config.get("scenario")
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ValueError(
             f"config needs a 'scenario' among {sorted(SCENARIOS)}")
     params = config.get("params", {})

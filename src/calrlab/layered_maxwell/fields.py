@@ -4,16 +4,16 @@ One kernel, `_components`, evaluates the six radial components of every
 (n, pol) mode at many radii spread over several regions; both
 `eval_field_many` and the annulus norms of `calrlab.layered_maxwell.norms`
 are built on it.  It maps `_radial_components` over the Bessel values of
-`solver._basis_values`, the dispatch the solver uses for its region ends,
-whose calls are grouped by integer labels as in `sph_jy`, so each group
-gets exactly the bits of a call on its radii alone.  `eval_field_many`
-groups by (region, point label): a gluing residual report uses the labels
-to evaluate all of its point sets (both gluing spheres, the
-finite-difference stencil and its centres, raw and reflected) in one call.
-The norms group by quadrature panel.  The kernel reads every per-(region,
-mode) constant (order, wavenumber, component factors) from the rows of
-`FieldSolution.table`, so the TE/TM rule is `solver._mode_constants` alone;
-here a mode's polarization only places u among the six components.
+`solver._basis_values`, the dispatch the solver uses for its region ends.
+Every step is elementwise, so each radius gets exactly the bits of a call
+on it alone: a gluing residual report evaluates all of its point sets
+(both gluing spheres, the finite-difference stencil and its centres, raw
+and reflected) in one `eval_field_many` call, and a norm evaluates all of
+its quadrature panels in one kernel call.  The kernel reads every
+per-(region, mode) constant (order, wavenumber, component factors) from
+the rows of `FieldSolution.table`, so the TE/TM rule is
+`solver._mode_constants` alone; here a mode's polarization only places u
+among the six components.
 """
 from __future__ import annotations
 
@@ -75,20 +75,19 @@ def _components(keys: list, table: ModeTable):
     several regions, from a `ModeTable` of `FieldSolution.table` with one
     column per key.
 
-    Returns evaluate(owner, r, groups), which takes radii r, the row of
-    each and integer Bessel group labels, none shared by two rows, and
-    yields ((n, pol), sel, the six arrays of `mode_radial_components` at
-    r[sel]) in key order, once per set of rows whose coefficients share an
-    order and basis, with the Bessel values of `solver._basis_values`.
+    Returns evaluate(owner, r), which takes radii r and the row of each,
+    and yields ((n, pol), sel, the six arrays of `mode_radial_components`
+    at r[sel]) in key order, once per set of rows whose coefficients share
+    an order and basis, with the Bessel values of `solver._basis_values`.
     Wavenumbers, coefficients and factors are gathered to the radii as
-    arrays, and every product keeps its operand order, so each group gets
-    exactly the values of `mode_radial_components` on its radii alone.
+    arrays, and every product keeps its operand order, so each radius gets
+    exactly the values of `mode_radial_components` on it alone.
     """
     basis_values = _basis_values(table.nu, table.k, table.outgoing)
     k_split = ScaledArray.from_complex(table.k)
 
-    def evaluate(owner, r, groups):
-        for col, sel, out, vals in basis_values(owner, r, groups):
+    def evaluate(owner, r):
+        for col, sel, out, vals in basis_values(owner, r):
             at = owner[sel]
             yield keys[col], sel, _radial_components(
                 keys[col][1], table.rad[at, col], table.tan[at, col], k_split[at, col],
@@ -97,35 +96,26 @@ def _components(keys: list, table: ModeTable):
     return evaluate
 
 
-def eval_field_many(sol: FieldSolution, points,
-                    groups=None) -> tuple[np.ndarray, np.ndarray]:
+def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]:
     """(E, H) at an (N, 3) array of points; on a breakpoint the inside
     region is used.
 
     The radial components come from one `_components` kernel over the
-    regions the points reach, one Bessel group per (region, label) pair, and
-    the angular triples are streamed one (n, m) at a time.  `groups`
-    (integer labels, one per point) evaluates several point sets in one
-    call; every other step is elementwise, so each set gets exactly the
-    values of a call on its points alone.
+    regions the points reach, and the angular triples are streamed one
+    (n, m) at a time.  Every step is elementwise, so each point gets exactly
+    the values of a call on it alone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.linalg.norm(pts, axis=1)
     if np.any(r <= 0):
         raise ValueError("evaluation requires |x| > 0")
-    labels = np.zeros(len(r), dtype=int) if groups is None else np.asarray(groups)
-    if labels.shape != r.shape or not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"groups must be integer labels, one per point: got dtype "
-                         f"{labels.dtype} and shape {labels.shape} for {len(r)} points")
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     used, owner = np.unique(sol.region_indices(r), return_inverse=True)
-    _, bessel_groups = np.unique(np.stack([owner, labels], axis=1), axis=0,
-                                 return_inverse=True)
     keys = list(sol.radial)
     evaluate = _components(keys, sol.table(used, keys))
     comps = {key: [] for key in keys}
-    for key, sel, c in evaluate(owner, r, bessel_groups.reshape(-1)):
+    for key, sel, c in evaluate(owner, r):
         comps[key].append((sel, c))
     angular = VshStream(sol.source.n_max, theta, phi)
     e_out = np.zeros((len(pts), 3), dtype=complex)
@@ -225,8 +215,8 @@ class GluedField:
     Every evaluation is a list of (branch, points) requests, where a branch
     is the raw solution ("raw"), its reflection through F ("refl1") or
     through G after F ("refl2").  `_fields` answers all of a list with one
-    `eval_field_many` call, one group per request, so each request gets the
-    values of an evaluation on its points alone.  The maps must take stacks
+    `eval_field_many` call, and each request gets the values of an
+    evaluation on its points alone.  The maps must take stacks
     of points, as those of `calrlab.media.maps` do.
     """
 
@@ -255,11 +245,8 @@ class GluedField:
                 x = mapping.inverse(x)
                 chain.insert(0, (mapping, x))
             pulled.append((x, chain))
-        sizes = [len(x) for x, _ in pulled]
-        groups = np.repeat(np.arange(len(sizes)), sizes)
-        e_all, h_all = eval_field_many(
-            self.sol, np.vstack([x for x, _ in pulled]), groups)
-        bounds = np.cumsum(sizes)[:-1]
+        e_all, h_all = eval_field_many(self.sol, np.vstack([x for x, _ in pulled]))
+        bounds = np.cumsum([len(x) for x, _ in pulled])[:-1]
         out = []
         for (_, chain), e, h in zip(pulled, np.split(e_all, bounds),
                                     np.split(h_all, bounds)):
@@ -313,7 +300,7 @@ class GluedField:
         satisfy curl E = i omega H + delta omega F_* I H1 in D (vacuum
         background there), so the finite-difference residual is compared
         against that predicted forcing.  Every field value comes from one
-        grouped evaluation.
+        field evaluation.
         """
         rng = np.random.default_rng(seed)
         samples = []

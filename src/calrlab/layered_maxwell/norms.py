@@ -9,8 +9,8 @@ staircase segments of an annulus, or the lossy layers): every interval
 doubles its panels and tests its convergence on its own, and each level
 evaluates the panels of every interval still running in one integrand call.
 The modal density takes the components of those rows from the radial
-kernel that field evaluation uses (`fields._components`), with one Bessel
-group per row, so every row gets the bits of a call on that row alone and a
+kernel that field evaluation uses (`fields._components`), which is
+elementwise, so every row gets the bits of a call on that row alone and a
 norm is the same float as the sum of separate one-interval quadratures.
 Every per-(region, mode) constant, and with it the choice between eps and
 mu that tells TE from TM, comes from the rows of `FieldSolution.table`
@@ -149,8 +149,8 @@ def _modal_density(starts, comps: list, weights: dict, table):
     (a `ModeTable` of `FieldSolution.table`) the region it lies in, one
     column per (n, pol) of `weights`, which maps (n, pol) to w.  The
     components come from one `fields._components` kernel over all
-    intervals, one Bessel group per row, so each row gets exactly the
-    values of a call on that row alone.
+    intervals, so each row gets exactly the values of a call on that row
+    alone.
     """
     starts = np.asarray(starts, dtype=float)
     comp = np.array(comps, dtype=float).T.copy()
@@ -161,11 +161,10 @@ def _modal_density(starts, comps: list, weights: dict, table):
         order = rows.shape[1]
         owner = np.repeat(np.searchsorted(starts, rows[:, order // 2], side="right") - 1,
                           order)
-        groups = np.repeat(np.arange(rows.shape[0]), order)
         r = rows.reshape(-1)
         ey_w, et_w, hy_w, ht_w = comp[:, owner]
         out = np.zeros_like(r, dtype=float)
-        for key, sel, (e_y, e_u, e_v, h_y, h_u, h_v) in evaluate(owner, r, groups):
+        for key, sel, (e_y, e_u, e_v, h_y, h_u, h_v) in evaluate(owner, r):
             e_sq = (ey_w[sel] * np.abs(e_y) ** 2
                     + et_w[sel] * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
             h_sq = (hy_w[sel] * np.abs(h_y) ** 2
@@ -255,9 +254,8 @@ def _source_pairing(sol: FieldSolution) -> complex:
     """int J . conj(E) over the sheet, by modal orthonormality."""
     r_s = sol.source.radius
     keys = list(sol.radial)
-    one = np.zeros(1, dtype=int)
     evaluate = _components(keys, sol.table(sol.region_indices([r_s]), keys))
-    comps = {key: c for key, _, c in evaluate(one, np.array([r_s]), one)}
+    comps = {key: c for key, _, c in evaluate(np.zeros(1, dtype=int), np.array([r_s]))}
     pairing = 0.0 + 0.0j
     for key, amp in sol.source.amplitudes.items():
         _, e_u, e_v, _, _, _ = comps[(key.n, key.pol)]

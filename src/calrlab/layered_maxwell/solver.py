@@ -22,11 +22,11 @@ impedance-safe form of the transfer recursion (Toon & Ackerman, Appl. Opt.
 20, 1981).
 
 The radial basis is evaluated in one place, `_basis_values`, which the
-solver calls on every finite region end with one Bessel group per region,
-so each region gets exactly the values of a call on its own ends; keys
-with the same orders and wavenumbers there (TE and TM wherever eps = mu)
-share their calls.  All (n, pol) keys are propagated together as the
-columns of (region x key) `ScaledArray` tables, the only stored form of
+solver calls on every finite region end; the Bessel functions are
+elementwise, so each end gets exactly the values of a call on it alone, and
+keys with the same orders and wavenumbers there (TE and TM wherever
+eps = mu) share their calls.  All (n, pol) keys are propagated together as
+the columns of (region x key) `ScaledArray` tables, the only stored form of
 the coefficients, and the source scaling and the interface residual take
 one pass over all interfaces.  Every operation on a coefficient is the
 elementwise numpy operation a one-key, one-region-at-a-time solve would do,
@@ -247,14 +247,11 @@ def _basis_values(nu, k, outgoing):
     """The one Bessel dispatch of the radial basis, over a (row x column)
     table of orders nu, wavenumbers k and `outgoing` flags.
 
-    Returns evaluate(owner, r, groups), which takes radii r, the row of
-    each and integer Bessel group labels, none shared by two rows, and
-    yields (col, sel, outgoing, values) in column order, once per set of a
-    column's rows that share an order and basis: the values of hat_jy
-    (hat_h1 if outgoing) at k r[sel], from one call grouped by groups[sel].
-    Columns whose set has the same rows, order and wavenumbers share that
-    call, so each group gets exactly the values of a call on its radii
-    alone.
+    Returns evaluate(owner, r), which takes radii r and the row of each,
+    and yields (col, sel, outgoing, values) in column order, once per set
+    of a column's rows that share an order and basis: the values of hat_jy
+    (hat_h1 if outgoing) at k r[sel], from one call.  Columns whose set has
+    the same rows, order and wavenumbers share that call.
     """
     sets = []
     for col in range(nu.shape[1]):
@@ -263,7 +260,7 @@ def _basis_values(nu, k, outgoing):
             rows = np.flatnonzero(in_set).tolist()
             sets.append((col, in_set, (order, out) + tuple(zip(rows, k[in_set, col].tolist()))))
 
-    def evaluate(owner, r, groups):
+    def evaluate(owner, r):
         cache = {}
         for col, in_set, basis in sets:
             sel = in_set[owner]
@@ -272,7 +269,7 @@ def _basis_values(nu, k, outgoing):
             order, out = basis[:2]
             if basis not in cache:
                 z = k[owner[sel], col] * r[sel].astype(complex)
-                cache[basis] = (hat_h1 if out else hat_jy)(order, z, groups[sel])
+                cache[basis] = (hat_h1 if out else hat_jy)(order, z)
             yield col, sel, out, cache[basis]
 
     return evaluate
@@ -286,8 +283,7 @@ def _basis_traces(regions, keys, modes: ModeTable, omega: float):
     jhat, basis 1 yhat (hhat in the outermost region).  `modes` is the
     table of `_mode_constants`.  Also returns the match determinants at
     every end.  The basis values at the finite ends come from
-    `_basis_values` with one Bessel group per region, so each region gets
-    exactly the values of a call on its own ends.
+    `_basis_values`.
     """
     nu, k, coef, tan = modes.nu, modes.k, modes.coef, modes.tan
     nreg = len(regions)
@@ -301,7 +297,7 @@ def _basis_traces(regions, keys, modes: ModeTable, omega: float):
         ScaledArray(np.zeros((2,) + nu.shape, dtype=complex), 0, normalize=False)
         for _ in range(4)]
     evaluate = _basis_values(nu, k, modes.outgoing)
-    for col, sel, out, vals in evaluate(owner, radius[side, owner], owner):
+    for col, sel, out, vals in evaluate(owner, radius[side, owner]):
         at = side[sel], owner[sel], col
         for table, v in zip(tables, _basis(vals, out)):
             if v is not None:

@@ -8,6 +8,12 @@ obtained through the reflection formula (fractional order).  Downward for
 j / upward for y is forced by which solution is recessive or dominant as
 the order grows at fixed argument.
 
+Every decision is made per element: the series stops on each element's own
+term, the series/Miller switch reads each element's own |z|, and Miller
+starts each element at the order its own |z| calls for.  So each element of
+a batched call gets exactly the values of a call on that element alone,
+whatever else is in the batch.
+
 Fractional orders arise from spherical-frame anisotropic layers, where the
 effective order solves nu(nu+1) = (tangential/radial) * n(n+1).
 
@@ -24,6 +30,11 @@ from .scaled import ScaledArray
 
 MAX_ORDER = 1500
 _SERIES_CUTOFF = 8.0  # |z| below which the ascending series is used for j
+# |z| above which the ascending series raises.  Only fractional orders call
+# it there (for Miller anchors and y seeds); its terms cancel like e^|z|, and
+# against mpmath its worst relative error read about 1e-9 at |z| = 16, 1e-7
+# at 20 and 1e-3 at 30.
+_SERIES_MAX_Z = 20.0
 _LN10 = math.log(10.0)
 
 
@@ -43,42 +54,26 @@ def _as_z_array(z):
     return np.atleast_1d(z), scalar
 
 
-def _group_max(x: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Each element's group maximum of x."""
-    out = np.full(int(groups.max()) + 1, -np.inf)
-    np.maximum.at(out, groups, x)
-    return out[groups]
-
-
-def _ascending_sum(zsq4: np.ndarray, denom, groups) -> np.ndarray:
+def _ascending_sum(zsq4: np.ndarray, denom) -> np.ndarray:
     """1 + sum_k prod_{i<=k} zsq4 / denom(i), term by term.
 
-    Each group stops once every one of its terms is below 1e-18 of its
-    partial sum (or after 401 terms) and keeps that sum, so a group's result
-    does not depend on what else is in the batch.
+    Each element stops once its own term is below 1e-18 of its partial sum
+    (or after 401 terms) and keeps that sum, so its result does not depend
+    on what else is in the batch.
     """
     term = np.ones_like(zsq4)
     acc = np.ones_like(zsq4)
-    live = np.ones(zsq4.shape, dtype=bool)     # its group is still summing
-    unfinished = np.empty(int(groups.max()) + 1, dtype=bool)
-    k = 0
-    while True:
-        k += 1
+    live = np.ones(zsq4.shape, dtype=bool)     # still summing
+    for k in range(1, 402):
         term = term * zsq4 / denom(k)
         np.add(acc, term, out=acc, where=live)
-        small = np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)
-        if small.any():         # else no group can stop
-            unfinished[:] = False
-            unfinished[groups[~small]] = True
-            live &= unfinished[groups]
-            if not live.any():
-                break
-        if k > 400:
+        live &= np.abs(term) > 1e-18 * np.maximum(np.abs(acc), 1e-300)
+        if not live.any():
             break
     return acc
 
 
-def _series_j(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
+def _series_j(nu: float, z: np.ndarray) -> ScaledArray:
     """Ascending series for j_nu, valid for nu > -3/2, scaled output.
 
     j_nu(z) = (sqrt(pi)/2) (z/2)^nu sum_k (-z^2/4)^k / (k! Gamma(k+nu+3/2)).
@@ -86,10 +81,10 @@ def _series_j(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
     """
     if nu <= -1.5:
         raise ValueError(f"series invalid for order {nu}")
-    if float(np.max(np.abs(z))) > 60.0:
-        raise ValueError("ascending series unreliable for |z| > 60")
+    if float(np.max(np.abs(z))) > _SERIES_MAX_Z:
+        raise ValueError(f"ascending series unreliable for |z| > {_SERIES_MAX_Z:g}")
     zsq4 = -(z * z) / 4.0
-    acc = _ascending_sum(zsq4, lambda k: k * (k + nu + 0.5), groups)
+    acc = _ascending_sum(zsq4, lambda k: k * (k + nu + 0.5))
     # prefactor (sqrt(pi)/2) (z/2)^nu / Gamma(nu+3/2), in log10 pieces
     out = ScaledArray.from_complex(acc)
     logpref = (0.5 * math.log(math.pi) - math.log(2.0) - math.lgamma(nu + 1.5)) / _LN10
@@ -105,7 +100,7 @@ def _series_j(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
     return out
 
 
-def _series_jminus_aux(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
+def _series_jminus_aux(nu: float, z: np.ndarray) -> ScaledArray:
     """sqrt(pi/(2z)) * J_{-(nu+1/2)}(z), the second series of the reflection.
 
     Equals (sqrt(pi)/2) (z/2)^(-nu-1) sum_k (-z^2/4)^k / (k! Gamma(k-nu+1/2)).
@@ -114,7 +109,7 @@ def _series_jminus_aux(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledAr
     if abs(g0 - round(g0)) < 1e-12 and round(g0) <= 0:
         raise ValueError(f"reflection series degenerate at order {nu}")
     zsq4 = -(z * z) / 4.0
-    acc = _ascending_sum(zsq4, lambda k: k * (k - nu - 0.5), groups)
+    acc = _ascending_sum(zsq4, lambda k: k * (k - nu - 0.5))
     # 1/Gamma(g0) with sign (g0 may be negative non-integer)
     sign = 1.0
     if g0 < 0:
@@ -133,7 +128,7 @@ def _series_jminus_aux(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledAr
     return ScaledArray(out.m * phase, out.e).scale10(logmag + logpref)
 
 
-def _series_y(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
+def _series_y(nu: float, z: np.ndarray) -> ScaledArray:
     """y_nu by the reflection formula (fractional nu) or trig (integer nu<=1)."""
     if abs(nu - round(nu)) < 1e-12:
         n = int(round(nu))
@@ -150,24 +145,21 @@ def _series_y(nu: float, z: np.ndarray, groups: np.ndarray) -> ScaledArray:
         raise ValueError(
             f"order {nu} too close to half-integer for the reflection formula; "
             "perturb the order slightly")
-    j = _series_j(nu, z, groups)
-    aux = _series_jminus_aux(nu, z, groups)
+    j = _series_j(nu, z)
+    aux = _series_jminus_aux(nu, z)
     return (j * math.cos(math.pi * a) - aux) * (1.0 / s)
 
 
-def _miller_j(nu: float, z: np.ndarray, base: float,
-              groups: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
+def _miller_j(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, ScaledArray]:
     """Scaled downward recurrence; returns j at orders (nu-1, nu).
 
     `base` is the fractional part of nu (the anchor order); anchoring is at
     base or base+1, whichever true value is larger elementwise, so zeros of
-    the anchor do not poison the normalization.  Each group starts at the
-    order its own largest |z| calls for.
+    the anchor do not poison the normalization.  Each element starts at the
+    order its own |z| calls for.
     """
     steps = int(round(nu - base))
-    zmax, which = np.unique(_group_max(np.abs(z), groups), return_inverse=True)
-    tops = np.array([steps + max(24, int(math.ceil(1.1 * zm - nu)) + 24)
-                     for zm in zmax.tolist()])[which]
+    tops = steps + np.maximum(24, np.ceil(1.1 * np.abs(z) - nu).astype(np.int64) + 24)
     top, first = int(tops.max()), int(tops.min())
     fp = np.zeros_like(z)            # f_{k+1}
     fc = np.ones_like(z)             # f_k, arbitrary seed
@@ -188,7 +180,7 @@ def _miller_j(nu: float, z: np.ndarray, base: float,
         order = base + k
         fm = (2.0 * order + 1.0) / z * fc - fp
         if k > first:
-            # groups that start lower keep their seed (f_k, f_{k+1}) = (1, 0)
+            # elements that start lower keep their seed (f_k, f_{k+1}) = (1, 0)
             held = k > tops
             fp, fc = np.where(held, fp, fc), np.where(held, fc, fm)
         else:
@@ -206,8 +198,8 @@ def _miller_j(nu: float, z: np.ndarray, base: float,
             np.where(z != 0, np.sin(z) / np.where(z != 0, z * z, 1.0)
                      - np.cos(z) / np.where(z != 0, z, 1.0), 0.0))
     else:
-        t0 = _series_j(base, z, groups)
-        t1 = _series_j(base + 1.0, z, groups)
+        t0 = _series_j(base, z)
+        t1 = _series_j(base + 1.0, z)
     # elementwise anchor choice by larger true magnitude
     use1 = t1.log10_abs() > t0.log10_abs()
     rat0 = t0 / f0
@@ -223,16 +215,15 @@ def _miller_j(nu: float, z: np.ndarray, base: float,
     return j_below, j_at
 
 
-def _upward_y(nu: float, z: np.ndarray, base: float,
-              groups: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
+def _upward_y(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, ScaledArray]:
     """Scaled upward recurrence; returns y at orders (nu-1, nu)."""
     steps = int(round(nu - base))
     if abs(base) < 1e-12:
         ym1 = ScaledArray.from_complex(np.sin(z) / z)   # y_{-1}
         y0 = ScaledArray.from_complex(-np.cos(z) / z)
     else:
-        ym1 = _series_y(base - 1.0, z, groups)
-        y0 = _series_y(base, z, groups)
+        ym1 = _series_y(base - 1.0, z)
+        y0 = _series_y(base, z)
     if steps == 0:
         return ym1, y0
     prev_m, prev_e = ym1.m.copy(), ym1.e.copy()
@@ -263,31 +254,24 @@ def _merge(mask: np.ndarray, a: ScaledArray, b: ScaledArray) -> ScaledArray:
     return ScaledArray(m, e, normalize=False)
 
 
-def _j_pair(nu: float, z: np.ndarray, base: float,
-            groups: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
-    """j at orders (nu-1, nu): series for groups with |z| <= 8, else Miller."""
-    series = _group_max(np.abs(z), groups) <= _SERIES_CUTOFF
+def _j_pair(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, ScaledArray]:
+    """j at orders (nu-1, nu): series where |z| <= 8, Miller elsewhere."""
+    series = np.abs(z) <= _SERIES_CUTOFF
     if np.all(series):
-        return _series_j(nu - 1.0, z, groups), _series_j(nu, z, groups)
+        return _series_j(nu - 1.0, z), _series_j(nu, z)
     if not np.any(series):
-        return _miller_j(nu, z, base, groups)
-    s, m = series, ~series
-    near = _j_pair(nu, z[s], base, groups[s])
-    far = _j_pair(nu, z[m], base, groups[m])
-    return _merge(s, near[0], far[0]), _merge(s, near[1], far[1])
+        return _miller_j(nu, z, base)
+    near = _j_pair(nu, z[series], base)
+    far = _j_pair(nu, z[~series], base)
+    return _merge(series, near[0], far[0]), _merge(series, near[1], far[1])
 
 
-def sph_jy(nu: float, z, groups=None) -> dict:
+def sph_jy(nu: float, z) -> dict:
     """j_nu, y_nu and their z-derivatives as ScaledArrays.
 
     Vectorized over z (complex); nu is a scalar real order >= 0.
-    Derivatives use f' = f_{nu-1} - (nu+1)/z * f_nu.
-
-    `groups` (non-negative integer labels, one per element of z, else
-    ValueError) batches several independent evaluations: the series
-    stopping rule, the series/Miller switch and the Miller start order are
-    decided per group, so each group gets exactly the values a call on its
-    elements alone would give.  Without `groups` all of z is one group.
+    Derivatives use f' = f_{nu-1} - (nu+1)/z * f_nu.  Each element gets
+    exactly the values of a call on that element alone.
     """
     if nu < 0:
         raise ValueError("order must be >= 0")
@@ -296,14 +280,9 @@ def sph_jy(nu: float, z, groups=None) -> dict:
     z, scalar = _as_z_array(z)
     if np.any(z == 0):
         raise ZeroDivisionError("sph_jy requires z != 0 (y is singular there)")
-    groups = np.zeros(z.shape, dtype=np.intp) if groups is None else np.asarray(groups)
-    if (groups.shape != z.shape or not np.issubdtype(groups.dtype, np.integer)
-            or np.any(groups < 0)):
-        raise ValueError(f"groups must be non-negative integer labels, one per "
-                         f"element of z (shape {z.shape})")
     base = nu - math.floor(nu)
-    j_below, j_at = _j_pair(nu, z, base, groups)
-    y_below, y_at = _upward_y(nu, z, base, groups)
+    j_below, j_at = _j_pair(nu, z, base)
+    y_below, y_at = _upward_y(nu, z, base)
     inv_z = ScaledArray.from_complex(1.0 / z)
     dj = j_below - (nu + 1.0) * (j_at * inv_z)
     dy = y_below - (nu + 1.0) * (y_at * inv_z)
@@ -314,14 +293,14 @@ def sph_jy(nu: float, z, groups=None) -> dict:
     return out
 
 
-def hat_jy(nu: float, z, groups=None) -> dict:
+def hat_jy(nu: float, z) -> dict:
     """Growth-normalized pair: jhat = (2nu+1)!! j, yhat = -y/(2nu-1)!!.
 
     Near zero argument jhat(t) ~ t^nu and yhat(t) ~ t^(-nu-1), which keeps
     high-order coefficients meaningful.  Returns ScaledArrays for the values
-    and their z-derivatives; `groups` is passed on to `sph_jy`.
+    and their z-derivatives.
     """
-    raw = sph_jy(nu, z, groups)
+    raw = sph_jy(nu, z)
     lp = log_dfact_plus(nu) / _LN10
     lm = log_dfact_minus(nu) / _LN10
     return {
@@ -332,13 +311,12 @@ def hat_jy(nu: float, z, groups=None) -> dict:
     }
 
 
-def hat_h1(nu: float, z, groups=None) -> dict:
+def hat_h1(nu: float, z) -> dict:
     """Outgoing radial function hhat = i h1 / (2nu-1)!! and its derivative.
 
     Shares the small-argument normalization of yhat: hhat(t) ~ t^(-nu-1).
-    `groups` is passed on to `sph_jy`.
     """
-    raw = sph_jy(nu, z, groups)
+    raw = sph_jy(nu, z)
     lm = log_dfact_minus(nu) / _LN10
     h = (1j * raw["j"] - raw["y"]).scale10(-lm)
     dh = (1j * raw["dj"] - raw["dy"]).scale10(-lm)

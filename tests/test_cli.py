@@ -81,6 +81,16 @@ def test_bad_out_exit_config(tmp_path, capsys, monkeypatch, out):
     assert capsys.readouterr().err.count("'out'") == 2
 
 
+@pytest.mark.parametrize("scenario", [["cm_cloak"], {"a": 1}], ids=["list", "object"])
+def test_scenario_that_is_not_a_string_exit_config(tmp_path, capsys, monkeypatch, scenario):
+    monkeypatch.setattr("calrlab.cli.run_scenario", pytest.fail)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "out": str(tmp_path / "out")}))
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("config needs a 'scenario' among") == 2
+
+
 def test_run_config_error_exit_code(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["run", str(missing)]) == EXIT_CONFIG

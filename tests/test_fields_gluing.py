@@ -147,29 +147,25 @@ def _directions(rng, count):
 
 def test_grouped_evaluation_matches_separate_calls():
     # a stays below |k r| = 8 (ascending series), b goes above it (Miller);
-    # both reach the outermost region, so only the groups keep a's bits
+    # both reach the outermost region, and one batch keeps a's bits
     sol, _ = _dcm_solution(1e-3)
     rng = np.random.default_rng(3)
     a = rng.uniform(0.5, 7.5, (40, 1)) * _directions(rng, 40)
     b = rng.uniform(8.5, 12.0, (15, 1)) * _directions(rng, 15)
-    groups = np.repeat([0, 1], [len(a), len(b)])
-    e, h = eval_field_many(sol, np.vstack([a, b]), groups)
+    e, h = eval_field_many(sol, np.vstack([a, b]))
     (ea, ha), (eb, hb) = eval_field_many(sol, a), eval_field_many(sol, b)
     assert np.array_equal(e, np.vstack([ea, eb]))
     assert np.array_equal(h, np.vstack([ha, hb]))
-    e_mixed, _ = eval_field_many(sol, np.vstack([a, b]))
-    assert not np.array_equal(e_mixed[:len(a)], ea)
 
 
 def test_field_kernel_matches_per_region_assembly():
-    # one kernel evaluates every region together; each (region, label) set
-    # must get exactly the field assembled region by region from the public
-    # per-mode components.  At omega = 3 the core (|k r| = 3.6) stays on the
+    # one kernel evaluates every region together; each region must get
+    # exactly the field assembled region by region from the public per-mode
+    # components.  At omega = 3 the core (|k r| = 3.6) stays on the
     # ascending series while the shell layer (|k r| ~ 9) takes the Miller
-    # path, with the same order and basis (hat_jy) and the same label, so a
-    # Bessel group spanning two regions changes the core's bits.  The source
+    # path, with the same order and basis (hat_jy), so the core's bits hold
+    # only if one Bessel call over both regions is elementwise.  The source
     # at 2.4 puts the outgoing exterior (hat_h1) on both sides of |k r| = 8.
-    # A negative label must not merge with another region's label either.
     # In the eps != mu medium TE and TM have different orders in the core,
     # so there they share neither end values nor a Bessel basis.
     med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 8)
@@ -177,7 +173,6 @@ def test_field_kernel_matches_per_region_assembly():
             for n in (1, 2, 3) for m in (-1, 0, 1) for pol in ("TE", "TM")}
     sol = solve(med, SurfaceCurrentSource(radius=2.4, amplitudes=amps), 3.0)
     radii = np.array([0.3, 0.7, 1.3, 1.31, 2.2, 2.5, 2.6, 4.0, 6.0])
-    labels = np.array([-1, 1, -1, 1, 1, -1, 1, 1, -1])
     rng = np.random.default_rng(11)
     pts = radii[:, None] * _directions(rng, len(radii))
     r = np.linalg.norm(pts, axis=1)
@@ -185,23 +180,22 @@ def test_field_kernel_matches_per_region_assembly():
     assert sol.regions[region_of[0]].r_hi == 1.0
     assert region_of[2] == region_of[3] and sol.regions[region_of[2]].r_lo >= 1.0
     assert region_of[-1] == len(sol.regions) - 1 == region_of[5]
-    _assert_kernel_matches_per_region_assembly(sol, pts, labels)
+    _assert_kernel_matches_per_region_assembly(sol, pts)
     assert all(v.shape == (0, 3) for v in eval_field_many(sol, np.zeros((0, 3))))
     sol = eps_ne_mu_solution()
     keys = list(sol.radial)
     assert sol.modes.nu[0, keys.index((1, "TE"))] != sol.modes.nu[0, keys.index((1, "TM"))]
     radii = np.array([0.2, 0.6, 0.95, 1.0, 1.5, 1.9, 2.5, 3.0, 3.5, 6.0])
-    labels = np.array([1, -1, 1, 1, -1, 1, 1, -1, 1, 1])
     pts = radii[:, None] * _directions(rng, len(radii))
-    _assert_kernel_matches_per_region_assembly(sol, pts, labels)
+    _assert_kernel_matches_per_region_assembly(sol, pts)
 
 
-def _assert_kernel_matches_per_region_assembly(sol, pts, labels):
-    """One grouped evaluation against the field assembled from
-    `mode_radial_components` per (region, label) set, bit for bit."""
+def _assert_kernel_matches_per_region_assembly(sol, pts):
+    """One evaluation against the field assembled from
+    `mode_radial_components` region by region, bit for bit."""
     r = np.linalg.norm(pts, axis=1)
     region_of = sol.region_indices(r)
-    e, h = eval_field_many(sol, pts, labels)
+    e, h = eval_field_many(sol, pts)
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     table = vsh_table(sol.source.n_max, theta, np.arctan2(pts[:, 1], pts[:, 0]))
     e_ref = np.zeros((len(pts), 3), dtype=complex)
@@ -209,29 +203,15 @@ def _assert_kernel_matches_per_region_assembly(sol, pts, labels):
     for key, amp in sol.source.amplitudes.items():
         mult = amp * h_jump_factor(key.pol)
         for idx in np.unique(region_of):
-            for label in (-1, 1):
-                sel = (region_of == idx) & (labels == label)
-                if not sel.any():
-                    continue
-                e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
-                    sol, (key.n, key.pol), idx, r[sel])
-                rad, grad, rot = (v[sel] for v in table[(key.n, key.m)])
-                e_ref[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad
-                                      + e_v[:, None] * rot)
-                h_ref[sel] += mult * (h_y[:, None] * rad + h_u[:, None] * grad
-                                      + h_v[:, None] * rot)
+            sel = region_of == idx
+            e_y, e_u, e_v, h_y, h_u, h_v = mode_radial_components(
+                sol, (key.n, key.pol), idx, r[sel])
+            rad, grad, rot = (v[sel] for v in table[(key.n, key.m)])
+            e_ref[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad
+                                  + e_v[:, None] * rot)
+            h_ref[sel] += mult * (h_y[:, None] * rad + h_u[:, None] * grad
+                                  + h_v[:, None] * rot)
     assert np.array_equal(e, e_ref) and np.array_equal(h, h_ref)
-
-
-def test_field_groups_must_be_one_integer_label_per_point():
-    sol, _ = _dcm_solution(1e-3, layers=8)
-    pts = np.array([[0.0, 0.0, 0.5], [0.0, 3.0, 0.0], [6.0, 0.0, 0.0]])
-    for groups in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]], [0.5, 1, 2], [0.0, 1.0, 2.0]):
-        with pytest.raises(ValueError, match="groups must be integer labels"):
-            eval_field_many(sol, pts, groups)
-    e, h = eval_field_many(sol, pts, [-1, 0, -1])
-    e0, h0 = eval_field_many(sol, pts)
-    assert np.array_equal(e, e0) and np.array_equal(h, h0)
 
 
 def test_breakpoint_lookup_takes_inside_region():
@@ -244,8 +224,8 @@ def test_breakpoint_lookup_takes_inside_region():
     # a point on the z axis has |x| equal to its coordinate, bit for bit
     for r in rs:
         e, h = eval_field_many(sol, [[0.0, 0.0, r]])
-        e1, h1 = eval_field_many(sol, [[0.0, 0.0, r], [0.0, 0.0, r]], [0, 1])
-        assert np.array_equal(e1[1], e[0]) and np.array_equal(h1[1], h[0])
+        e1, h1 = eval_field_many(sol, [[0.0, 0.0, r], [0.0, 0.0, r]])
+        assert np.array_equal(e1, [e[0], e[0]]) and np.array_equal(h1, [h[0], h[0]])
 
 
 def test_glued_eval_many_matches_single_point_reflections():
