@@ -1,17 +1,17 @@
 """Pointwise field evaluation, reflected fields, and the singularity-removing glue.
 
 One kernel, `_components`, evaluates the six radial components of every
-(n, pol) mode at many radii spread over several regions; both
-`eval_field_many` and the annulus norms of `calrlab.layered_maxwell.norms`
-are built on it.  It maps `_radial_components` over the Bessel values of
+(n, pol) mode at radii spread over several regions into one dense
+(component x radius x key) array, whose key columns `eval_field_many` and
+the norms of `calrlab.layered_maxwell.norms` index.  It maps
+`_radial_components` over the key columns of the basis tables of
 `solver._basis_values`, the dispatch the solver uses for its region ends.
 Every step is elementwise, so each radius gets exactly the bits of a call
 on it alone: a gluing residual report evaluates all of its point sets
 (both gluing spheres, the finite-difference stencil and its centres, raw
 and reflected) in one `eval_field_many` call, and a norm evaluates all of
-its quadrature panels in one kernel call.  The kernel reads every
-per-(region, mode) constant (order, wavenumber, component factors) from
-the rows of `FieldSolution.table`, so the TE/TM rule is
+its quadrature panels in one kernel call.  Every per-(region, mode)
+constant comes from a `ModeTable` of the solve, so the TE/TM rule is
 `solver._mode_constants` alone; here a mode's polarization only places u
 among the six components.
 """
@@ -28,7 +28,7 @@ from ..specfun.bessel import hat_h1, hat_jy
 from ..specfun.scaled import ScaledArray
 from ..specfun.vsh import VshStream, sphere_rule
 from .modes import TE, h_jump_factor
-from .solver import FieldSolution, ModeTable, _basis, _basis_values, _state
+from .solver import FieldSolution, ModeTable, _basis_values, _state
 
 
 def mode_radial_components(sol: FieldSolution, key, i: int, r):
@@ -45,20 +45,23 @@ def mode_radial_components(sol: FieldSolution, key, i: int, r):
     nu, k = float(cell.nu[0, 0]), complex(cell.k[0, 0])
     outgoing = bool(cell.outgoing[0, 0])
     vals = (hat_h1 if outgoing else hat_jy)(nu, k * r.astype(complex))
+    basis = ((None, None, vals["h"], vals["dh"]) if outgoing
+             else (vals["j"], vals["dj"], vals["y"], vals["dy"]))
     return _radial_components(key[1], complex(cell.rad[0, 0]), complex(cell.tan[0, 0]),
-                              k, cell.c_j[0], cell.c_y[0], vals, outgoing, r)
+                              k, cell.c_j[0], cell.c_y[0], basis, outgoing, r)
 
 
-def _radial_components(pol: str, rad, tan, k, c_j, c_y, vals, outgoing: bool, r):
+def _radial_components(pol: str, rad, tan, k, c_j, c_y, basis, outgoing, r):
     """`mode_radial_components` at an array of radii r from the cell's
     factors rad and tan (see `solver._mode_constants`) and wavenumber k,
-    scalars or one value per radius, its coefficients, and the values
-    `vals` of hat_jy (hat_h1 if outgoing) at k r.
+    scalars or one value per radius, its coefficients, and the basis
+    values (u0, du0, u1, du1) at k r, hhat's in u1 where `outgoing` holds
+    (one flag, or one per radius).
 
     k multiplies du/dz from the right, so it may also be a ScaledArray of
     split wavenumbers; either way the product has the bits of a scalar k.
     """
-    u, du = _state(c_j, c_y, _basis(vals, outgoing), outgoing)
+    u, du = _state(c_j, c_y, basis, outgoing)
     inv_r = 1.0 / r
     curlish = (du * k + u * inv_r).to_complex()
     uval = u.to_complex()
@@ -70,30 +73,25 @@ def _radial_components(pol: str, rad, tan, k, c_j, c_y, vals, outgoing: bool, r)
     return radial, tangential, zero, zero, zero, uval
 
 
-def _components(keys: list, table: ModeTable):
-    """The radial components of the (n, pol) keys at radii spread over
-    several regions, from a `ModeTable` of `FieldSolution.table` with one
-    column per key.
+def _components(keys: list, table: ModeTable, owner, r) -> np.ndarray:
+    """The radial components of the (n, pol) keys at radii r, with owner
+    the row of each in a `ModeTable` with one column per key.
 
-    Returns evaluate(owner, r), which takes radii r and the row of each,
-    and yields ((n, pol), sel, the six arrays of `mode_radial_components`
-    at r[sel]) in key order, once per set of rows whose coefficients share
-    an order and basis, with the Bessel values of `solver._basis_values`.
-    Wavenumbers, coefficients and factors are gathered to the radii as
-    arrays, and every product keeps its operand order, so each radius gets
-    exactly the values of `mode_radial_components` on it alone.
+    Returns a complex array of shape (6, len(r), len(keys)) whose [:, i, col]
+    are the six values of `mode_radial_components` of keys[col] at r[i],
+    formed one key column at a time from one `solver._basis_values` call.
+    Every product keeps its operand order, so each radius gets exactly the
+    values of `mode_radial_components` on it alone.
     """
-    basis_values = _basis_values(table.nu, table.k, table.outgoing)
+    basis = _basis_values(table.nu, table.k, table.outgoing, owner, r)
     k_split = ScaledArray.from_complex(table.k)
-
-    def evaluate(owner, r):
-        for col, sel, out, vals in basis_values(owner, r):
-            at = owner[sel]
-            yield keys[col], sel, _radial_components(
-                keys[col][1], table.rad[at, col], table.tan[at, col], k_split[at, col],
-                table.c_j[at, col], table.c_y[at, col], vals, out, r[sel])
-
-    return evaluate
+    out = np.empty((6, len(r), len(keys)), dtype=complex)
+    for col, (_, pol) in enumerate(keys):
+        at = owner, col
+        out[..., col] = _radial_components(
+            pol, table.rad[at], table.tan[at], k_split[at], table.c_j[at],
+            table.c_y[at], tuple(b[:, col] for b in basis), table.outgoing[at], r)
+    return out
 
 
 def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]:
@@ -111,27 +109,19 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("evaluation requires |x| > 0")
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    used, owner = np.unique(sol.region_indices(r), return_inverse=True)
-    keys = list(sol.radial)
-    evaluate = _components(keys, sol.table(used, keys))
-    comps = {key: [] for key in keys}
-    for key, sel, c in evaluate(owner, r):
-        comps[key].append((sel, c))
+    comps = _components(list(sol.radial), sol.modes, sol.region_indices(r), r)
     angular = VshStream(sol.source.n_max, theta, phi)
     e_out = np.zeros((len(pts), 3), dtype=complex)
     h_out = np.zeros((len(pts), 3), dtype=complex)
-    nm = triple = None
+    nm = None
     for key, amp in sol.source.amplitudes.items():
         if (key.n, key.m) != nm:
             nm = (key.n, key.m)
-            triple = angular(key.n, key.m)
+            rad, grad, rot = angular(key.n, key.m)
         mult = amp * h_jump_factor(key.pol)
-        for sel, (e_y, e_u, e_v, h_y, h_u, h_v) in comps[(key.n, key.pol)]:
-            rad, grad, rot = (v[sel] for v in triple)
-            e_out[sel] += mult * (e_y[:, None] * rad + e_u[:, None] * grad
-                                  + e_v[:, None] * rot)
-            h_out[sel] += mult * (h_y[:, None] * rad + h_u[:, None] * grad
-                                  + h_v[:, None] * rot)
+        e_y, e_u, e_v, h_y, h_u, h_v = comps[..., sol._columns[(key.n, key.pol)], None]
+        e_out += mult * (e_y * rad + e_u * grad + e_v * rot)
+        h_out += mult * (h_y * rad + h_u * grad + h_v * rot)
     return e_out, h_out
 
 

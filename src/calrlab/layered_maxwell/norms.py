@@ -8,10 +8,10 @@ Each norm is one `adaptive_gauss` call over all of its intervals (the
 staircase segments of an annulus, or the lossy layers): every interval
 doubles its panels and tests its convergence on its own, and each level
 evaluates the panels of every interval still running in one integrand call.
-The modal density takes the components of those rows from the radial
-kernel that field evaluation uses (`fields._components`), which is
-elementwise, so every row gets the bits of a call on that row alone and a
-norm is the same float as the sum of separate one-interval quadratures.
+The modal density sums the key columns of the dense component array of
+the radial kernel that field evaluation uses (`fields._components`), which
+is elementwise, so every row gets the bits of a call on that row alone and
+a norm is the same float as the sum of separate one-interval quadratures.
 Every per-(region, mode) constant, and with it the choice between eps and
 mu that tells TE from TM, comes from the rows of `FieldSolution.table`
 (see `solver._mode_constants`); the sheet pairing takes its sign from
@@ -148,13 +148,12 @@ def _modal_density(starts, comps: list, weights: dict, table):
     |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2, and row i of `table`
     (a `ModeTable` of `FieldSolution.table`) the region it lies in, one
     column per (n, pol) of `weights`, which maps (n, pol) to w.  The
-    components come from one `fields._components` kernel over all
+    components come from one `fields._components` call over all
     intervals, so each row gets exactly the values of a call on that row
     alone.
     """
     starts = np.asarray(starts, dtype=float)
     comp = np.array(comps, dtype=float).T.copy()
-    evaluate = _components(list(weights), table)
 
     def density(rows):
         rows = np.atleast_2d(rows)
@@ -164,12 +163,11 @@ def _modal_density(starts, comps: list, weights: dict, table):
         r = rows.reshape(-1)
         ey_w, et_w, hy_w, ht_w = comp[:, owner]
         out = np.zeros_like(r, dtype=float)
-        for key, sel, (e_y, e_u, e_v, h_y, h_u, h_v) in evaluate(owner, r):
-            e_sq = (ey_w[sel] * np.abs(e_y) ** 2
-                    + et_w[sel] * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2))
-            h_sq = (hy_w[sel] * np.abs(h_y) ** 2
-                    + ht_w[sel] * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2))
-            out[sel] += weights[key] * (e_sq + h_sq)
+        values = _components(list(weights), table, owner, r)
+        for key, (e_y, e_u, e_v, h_y, h_u, h_v) in zip(weights, values.transpose(2, 0, 1)):
+            e_sq = ey_w * np.abs(e_y) ** 2 + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2)
+            h_sq = hy_w * np.abs(h_y) ** 2 + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2)
+            out += weights[key] * (e_sq + h_sq)
         return (out * r * r).reshape(rows.shape)
 
     return density
@@ -253,14 +251,13 @@ class DataReport:
 def _source_pairing(sol: FieldSolution) -> complex:
     """int J . conj(E) over the sheet, by modal orthonormality."""
     r_s = sol.source.radius
-    keys = list(sol.radial)
-    evaluate = _components(keys, sol.table(sol.region_indices([r_s]), keys))
-    comps = {key: c for key, _, c in evaluate(np.zeros(1, dtype=int), np.array([r_s]))}
+    values = _components(list(sol.radial), sol.modes, sol.region_indices([r_s]),
+                         np.array([r_s]))[:, 0]
     pairing = 0.0 + 0.0j
     for key, amp in sol.source.amplitudes.items():
-        _, e_u, e_v, _, _, _ = comps[(key.n, key.pol)]
+        _, e_u, e_v, _, _, _ = values[:, sol._columns[(key.n, key.pol)]]
         e_sheet = e_v if key.pol == TE else e_u     # the sheet runs along Vtilde or Utilde
-        e_comp = amp * h_jump_factor(key.pol) * e_sheet[0]
+        e_comp = amp * h_jump_factor(key.pol) * e_sheet
         pairing += r_s * r_s * amp * np.conj(e_comp)
     return complex(pairing)
 

@@ -21,11 +21,11 @@ per solve.  Interfaces are resolved with the exact Wronskian determinant
 impedance-safe form of the transfer recursion (Toon & Ackerman, Appl. Opt.
 20, 1981).
 
-The radial basis is evaluated in one place, `_basis_values`, which the
-solver calls on every finite region end; the Bessel functions are
-elementwise, so each end gets exactly the values of a call on it alone, and
-keys with the same orders and wavenumbers there (TE and TM wherever
-eps = mu) share their calls.  All (n, pol) keys are propagated together as
+The radial basis is evaluated in one place, `_basis_values`, which returns
+dense (radius x key) tables from one Bessel call per distinct order and
+basis; the solver takes every region end from one of its calls.  The
+Bessel functions are elementwise, so each cell gets exactly the values of
+a call on it alone.  All (n, pol) keys are propagated together as
 the columns of (region x key) `ScaledArray` tables, the only stored form of
 the coefficients, and the source scaling and the interface residual take
 one pass over all interfaces.  Every operation on a coefficient is the
@@ -224,55 +224,53 @@ def _build_regions(medium: RadialMedium, r_s: float) -> tuple[list, int]:
 
 
 def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
-    """Trace pair of the state cj jhat + cy yhat (cy hhat if outgoing, where
-    cj is zero) from the basis traces (e0, h0, e1, h1)."""
-    # _solve_radial steps on stacked pair tables; the field kernel and
-    # _interface_residual keep this elementwise form, because stacking their
-    # many-point arrays costs more in copies than it saves in normalizations
+    """Trace pair of the state cj jhat + cy yhat, or cy hhat where `outgoing`
+    holds (one flag, or one per element; cj is zero there), from the basis
+    traces (e0, h0, e1, h1)."""
+    # _solve_radial steps on stacked pair tables; the field kernel (one key
+    # column of its dense tables at a time) and _interface_residual keep this
+    # elementwise form, as stacking costs them more in copies than it saves
     e0, h0, e1, h1 = basis
-    if outgoing:
-        return cy * e1, cy * h1
-    return cj * e0 + cy * e1, cj * h0 + cy * h1
+    e, h = cy * e1, cy * h1
+    if np.all(outgoing):
+        return e, h
+    # an outgoing element keeps the bare product: adding the zero cj e0
+    # would round it to the zero's exponent
+    return (ScaledArray.where(outgoing, e, cj * e0 + e),
+            ScaledArray.where(outgoing, h, cj * h0 + h))
 
 
-def _basis(vals, outgoing: bool) -> tuple:
-    """Basis values (u0, du0, u1, du1) from those of hat_jy, or of hat_h1
-    if outgoing (u0 and du0 None there, where c_j is zero)."""
-    if outgoing:
-        return None, None, vals["h"], vals["dh"]
-    return vals["j"], vals["dj"], vals["y"], vals["dy"]
-
-
-def _basis_values(nu, k, outgoing):
+def _basis_values(nu, k, outgoing, owner, r) -> tuple:
     """The one Bessel dispatch of the radial basis, over a (row x column)
-    table of orders nu, wavenumbers k and `outgoing` flags.
+    table of orders nu, wavenumbers k and `outgoing` flags, at positive
+    radii r of rows owner (both of one shape).
 
-    Returns evaluate(owner, r), which takes radii r and the row of each,
-    and yields (col, sel, outgoing, values) in column order, once per set
-    of a column's rows that share an order and basis: the values of hat_jy
-    (hat_h1 if outgoing) at k r[sel], from one call.  Columns whose set has
-    the same rows, order and wavenumbers share that call.
+    Returns the tables (u0, du0, u1, du1), ScaledArrays of shape
+    r.shape + (columns,): jhat, yhat and their derivatives at k r in each
+    cell, or 0, 0, hhat and its derivative in an outgoing one.  Each
+    distinct (order, outgoing) pair of the cells takes one hat_jy (hat_h1)
+    call over the distinct arguments k r of its cells, told apart by the
+    bits of k (so +0.0 and -0.0 stay apart) and r; the Bessel functions are
+    elementwise, so each cell gets exactly the values of a call on its own
+    argument.
     """
-    sets = []
-    for col in range(nu.shape[1]):
-        for order, out in dict.fromkeys(zip(nu[:, col].tolist(), outgoing[:, col].tolist())):
-            in_set = (nu[:, col] == order) & (outgoing[:, col] == out)
-            rows = np.flatnonzero(in_set).tolist()
-            sets.append((col, in_set, (order, out) + tuple(zip(rows, k[in_set, col].tolist()))))
-
-    def evaluate(owner, r):
-        cache = {}
-        for col, in_set, basis in sets:
-            sel = in_set[owner]
-            if not sel.any():
-                continue
-            order, out = basis[:2]
-            if basis not in cache:
-                z = k[owner[sel], col] * r[sel].astype(complex)
-                cache[basis] = (hat_h1 if out else hat_jy)(order, z)
-            yield col, sel, out, cache[basis]
-
-    return evaluate
+    # labels of the distinct (order, outgoing, k) in byte order: each (order, outgoing) is a run
+    consts = np.stack([nu, outgoing, k.real, k.imag], axis=-1).reshape(-1, 4)
+    triples, label = np.unique(consts.view("V32")[:, 0], return_inverse=True)
+    cells, inverse = np.unique(label.reshape(nu.shape)[owner] + 1j * r[..., None],
+                               return_inverse=True)
+    args = triples.view(float).reshape(-1, 4)[cells.real.astype(int)]
+    z_args = np.ascontiguousarray(args[:, 2:]).view(complex)[:, 0] * cells.imag.astype(complex)
+    m, e = np.zeros((4, len(args)), complex), np.zeros((4, len(args)), np.int64)
+    starts = np.flatnonzero(np.diff(args[:, :2], axis=0, prepend=-1.0).any(axis=1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(args))):
+        order, out = args[lo, :2].tolist()
+        vals = (hat_h1 if out else hat_jy)(order, z_args[lo:hi])
+        names = ("h", "dh") if out else ("j", "dj", "y", "dy")
+        for slot, name in enumerate(names, 4 - len(names)):
+            m[slot, lo:hi], e[slot, lo:hi] = vals[name].m, vals[name].e
+    at = inverse.reshape(r.shape + nu.shape[1:])
+    return tuple(ScaledArray(m[slot][at], e[slot][at], normalize=False) for slot in range(4))
 
 
 def _basis_traces(regions, keys, modes: ModeTable, omega: float):
@@ -282,26 +280,15 @@ def _basis_traces(regions, keys, modes: ModeTable, omega: float):
     [1, i] at r_hi of region i, one column per (n, pol) key; basis 0 is
     jhat, basis 1 yhat (hhat in the outermost region).  `modes` is the
     table of `_mode_constants`.  Also returns the match determinants at
-    every end.  The basis values at the finite ends come from
-    `_basis_values`.
+    every end.  Every end takes its basis values from one `_basis_values`
+    call, the two that are not there (r = 0, r = inf) at r = 1, unused.
     """
     nu, k, coef, tan = modes.nu, modes.k, modes.coef, modes.tan
-    nreg = len(regions)
     radius = np.array([[reg.r_lo for reg in regions],
                        [reg.r_hi for reg in regions]])
     radius[0, 0] = radius[1, -1] = 1.0          # no end there; placeholders
-    # finite ends: r_lo of regions 1.., r_hi of regions ..last-1
-    owner = np.repeat(np.arange(nreg), 2)[1:-1]
-    side = np.tile([0, 1], nreg)[1:-1]
-    u0, du0, u1, du1 = tables = [
-        ScaledArray(np.zeros((2,) + nu.shape, dtype=complex), 0, normalize=False)
-        for _ in range(4)]
-    evaluate = _basis_values(nu, k, modes.outgoing)
-    for col, sel, out, vals in evaluate(owner, radius[side, owner]):
-        at = side[sel], owner[sel], col
-        for table, v in zip(tables, _basis(vals, out)):
-            if v is not None:
-                table.m[at], table.e[at] = v.m, v.e
+    owner = np.broadcast_to(np.arange(len(regions)), radius.shape)
+    u0, du0, u1, du1 = _basis_values(nu, k, modes.outgoing, owner, radius)
     te = np.array([pol == TE for _, pol in keys])
     inv_r = (1.0 / radius)[..., None]
 
@@ -402,10 +389,8 @@ def _interface_residual(basis, c_j, c_y, src_idx) -> np.ndarray:
     """Per key, the relative trace mismatch across every interface (source
     jump included): interface i joins region i at r_hi to region i+1 at r_lo."""
     e_a, h_a = _state(c_j[:-1], c_y[:-1], tuple(b[1, :-1] for b in basis))
-    e_b, h_b = _state(c_j[1:], c_y[1:], tuple(b[0, 1:] for b in basis))
-    outgoing = _state(None, c_y[-1], tuple(b[0, -1] for b in basis), outgoing=True)
-    for full, part in zip((e_b, h_b), outgoing):
-        full.m[-1], full.e[-1] = part.m, part.e
+    outgoing = np.arange(1, c_j.shape[0])[:, None] == c_j.shape[0] - 1
+    e_b, h_b = _state(c_j[1:], c_y[1:], tuple(b[0, 1:] for b in basis), outgoing)
     de = np.abs((e_b - e_a).to_complex())
     dh_s = h_b - h_a
     dh = dh_s.to_complex()

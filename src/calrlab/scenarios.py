@@ -46,7 +46,7 @@ from .layered_maxwell import (
     solve,
 )
 from .layered_maxwell.refine import solve_staircased
-from .layered_maxwell.staircase import graded_midpoints
+from .layered_maxwell.staircase import graded_midpoints, staircase
 from .media import dcm_maps, make_cm_cloak, make_dcm_example, make_superlens, vacuum_medium
 from .report import write_csv, write_manifest
 from .three_sphere import (
@@ -69,11 +69,12 @@ class Scenario:
     body: Callable
     defaults: dict
     tolerances: Callable    # merged params -> the manifest's tolerances
+    geometry: Callable      # merged params -> None, or ValueError before any solve
 
 
-def scenario(name, defaults, tolerances=lambda p: {}):
+def scenario(name, defaults, tolerances=lambda p: {}, geometry=lambda p: None):
     def deco(fn):
-        SCENARIOS[name] = Scenario(fn, defaults, tolerances)
+        SCENARIOS[name] = Scenario(fn, defaults, tolerances, geometry)
         return fn
     return deco
 
@@ -116,19 +117,48 @@ def _delta_sweep(p: dict, build_medium, reference=None, richardson=True):
         yield delta, sol, ref
 
 
+def _sweep_geometry(build_medium, compare=None, richardson=True):
+    """The geometry rule of a `_delta_sweep` over build_medium(p, delta):
+    the constructor's radius rules, a source radius off every breakpoint of
+    the staircased media, and a `compare` annulus that starts at r2 or
+    beyond, where the medium and its reference are both vacuum."""
+    def check(p):
+        medium = build_medium(p, p["deltas"][0])
+        for layers in (p["layers"], 2 * p["layers"])[:1 + richardson]:
+            if p["r_s"] in staircase(medium, layers).breakpoints:
+                raise ValueError(f"'r_s' {p['r_s']} lies on a layer breakpoint")
+        if compare and p[compare][0] < medium.provenance["r2"]:
+            raise ValueError(f"'{compare}' must start at r2 = {medium.provenance['r2']} "
+                             "or beyond, where the compared media are vacuum")
+    return check
+
+
+def _dcm(p, delta):
+    return make_dcm_example(p["r1"], p["r2"], p.get("p", 2.0), delta)
+
+
+def _superlens(p, delta):
+    obj = p["object"]
+    return make_superlens(p["r0"], p["m"], (complex(*obj[:2]), complex(*obj[2:])),
+                          delta, r1=p["r1"])
+
+
+def _cm_cloak(p, delta):
+    return make_cm_cloak(p["r2"], p["r3"], None, delta)
+
+
 @scenario("dcm_convergence",
           defaults={"r1": 1.0, "r2": 2.0, "p": 2.0, "omega": 1.0, "r_s": 5.0,
                     "n_src": 6, "seed": 7, "layers": 96,
                     "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "annulus": [4.0, 6.0],
                     "slope_window": [0.85, 1.15], "bound_variation": 0.10},
           tolerances=lambda p: {"slope_window": p["slope_window"],
-                                "bound_variation": p["bound_variation"]})
+                                "bound_variation": p["bound_variation"]},
+          geometry=_sweep_geometry(_dcm, compare="annulus"))
 def run_dcm_convergence(p: dict):
     """err(delta) against the homogenized limit, with the uniform exterior bound."""
     rows = []
-    for delta, sol, vac in _delta_sweep(
-            p, lambda d: make_dcm_example(p["r1"], p["r2"], p["p"], d),
-            reference=vacuum_medium()):
+    for delta, sol, vac in _delta_sweep(p, lambda d: _dcm(p, d), reference=vacuum_medium()):
         j_norm = math.sqrt(sol.source.l2_norm_sq())
         err = l2_norm_annulus_diff(sol, vac, *p["annulus"])
         ext = l2_norm_annulus(sol, *p["annulus"])
@@ -154,13 +184,12 @@ def run_dcm_convergence(p: dict):
 @scenario("blowup_scan",
           defaults={"r1": 1.0, "r2": 2.0, "p": 2.0, "omega": 1.0, "r_s": 3.0,
                     "n_src": 4, "seed": 11, "layers": 64,
-                    "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "exterior": [4.0, 6.0]})
+                    "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "exterior": [4.0, 6.0]},
+          geometry=_sweep_geometry(_dcm, richardson=False))
 def run_blowup_scan(p: dict):
     """Shell-norm growth for a source between r2 and r3 (localized resonance)."""
     rows = []
-    for delta, sol, _ in _delta_sweep(
-            p, lambda d: make_dcm_example(p["r1"], p["r2"], p["p"], d),
-            richardson=False):
+    for delta, sol, _ in _delta_sweep(p, lambda d: _dcm(p, d), richardson=False):
         j_norm = math.sqrt(sol.source.l2_norm_sq())
         s_norm = l2_norm_annulus(sol, p["r1"], p["r2"])
         e_norm = l2_norm_annulus(sol, *p["exterior"])
@@ -188,16 +217,13 @@ def run_blowup_scan(p: dict):
                     "omega": 1.0, "r_s": 5.0, "n_src": 4, "seed": 13, "layers": 96,
                     "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "annulus": [4.0, 6.0],
                     "ratio_bound": 1e-2},
-          tolerances=lambda p: {"ratio_bound": p["ratio_bound"]})
+          tolerances=lambda p: {"ratio_bound": p["ratio_bound"]},
+          geometry=_sweep_geometry(lambda p, d: _superlens(p, d)[0], compare="annulus"))
 def run_superlens(p: dict):
     """Convergence to the magnified reference as the shell loss vanishes."""
-    obj = (complex(p["object"][0], p["object"][1]),
-           complex(p["object"][2], p["object"][3]))
-    _, reference = make_superlens(p["r0"], p["m"], obj, 0.0, r1=p["r1"])
     rows = []
-    for delta, sol, ref_sol in _delta_sweep(
-            p, lambda d: make_superlens(p["r0"], p["m"], obj, d, r1=p["r1"])[0],
-            reference=reference):
+    for delta, sol, ref_sol in _delta_sweep(p, lambda d: _superlens(p, d)[0],
+                                            reference=_superlens(p, 0.0)[1]):
         rows.append([delta, l2_norm_annulus_diff(sol, ref_sol, *p["annulus"])])
     errs = [err for _, err in rows]
     tables = {"superlens.csv": (["delta", "err_vs_reference"], rows)}
@@ -216,13 +242,12 @@ def run_superlens(p: dict):
 @scenario("cm_cloak",
           defaults={"r2": 1.0, "r3": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 3,
                     "seed": 17, "layers": 96, "deltas": [1e-2, 1e-3, 1e-4],
-                    "annulus": [3.0, 5.0]})
+                    "annulus": [3.0, 5.0]},
+          geometry=_sweep_geometry(_cm_cloak, compare="annulus"))
 def run_cm_cloak(p: dict):
     """Annulus cloak against free space: exterior error vs loss."""
     rows = []
-    for delta, sol, vac in _delta_sweep(
-            p, lambda d: make_cm_cloak(p["r2"], p["r3"], None, d),
-            reference=vacuum_medium()):
+    for delta, sol, vac in _delta_sweep(p, lambda d: _cm_cloak(p, d), reference=vacuum_medium()):
         rows.append([delta, l2_norm_annulus_diff(sol, vac, *p["annulus"])])
     errs = [err for _, err in rows]
     tables = {"cm_cloak.csv": (["delta", "err_vs_free_space"], rows)}
@@ -236,14 +261,13 @@ def run_cm_cloak(p: dict):
           defaults={"r1": 1.0, "r2": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 2,
                     "seed": 19, "layers": 192, "deltas": [1e-2, 1e-3, 1e-4],
                     "jump_tol": 1e-6, "ratio_variation": 2.0},
-          tolerances=lambda p: {"jump_tol": p["jump_tol"]})
+          tolerances=lambda p: {"jump_tol": p["jump_tol"]},
+          geometry=_sweep_geometry(_dcm, richardson=False))
 def run_gluing_demo(p: dict):
     """Removing the localized singularity: jump residuals and the delta-forcing."""
     rows = []
     # without Richardson, sol.medium is the staircased DCM that was solved
-    for delta, sol, _ in _delta_sweep(
-            p, lambda d: make_dcm_example(p["r1"], p["r2"], 2.0, d),
-            richardson=False):
+    for delta, sol, _ in _delta_sweep(p, lambda d: _dcm(p, d), richardson=False):
         f_map, g_map = dcm_maps(sol.medium)
         glued = remove_localized_singularity(sol, f_map, g_map)
         mids = graded_midpoints(sol.medium, p["r1"], p["r2"])
@@ -498,8 +522,9 @@ def scenario_params(name: str, params: dict) -> dict:
     Raises ValueError for a key the defaults lack, a value of another type
     than its default, a number or list entry that is not finite (JSON NaN
     or Infinity), a number that is not positive (a `seed` that is negative),
-    and a value that breaks a rule of `_check_list` or `_check_keyed`; each
-    rule is keyed by the param it checks (docs/schemas.md lists them).
+    a value that breaks a rule of `_check_list` or `_check_keyed`, each
+    keyed by the param it checks, and params that break the scenario's
+    geometry rule (docs/schemas.md lists them all).
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -518,7 +543,9 @@ def scenario_params(name: str, params: dict) -> dict:
             raise ValueError(f"param {key!r} must be {'>= 0' if key == 'seed' else '> 0'}"
                              f", not {value!r}")
         _check_keyed(key, value)
-    return {**defaults, **params}
+    merged = {**defaults, **params}
+    SCENARIOS[name].geometry(merged)
+    return merged
 
 
 def run_scenario(name: str, params: dict, outdir) -> dict:

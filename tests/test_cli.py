@@ -145,6 +145,27 @@ def test_single_delta_sweep_exit_config(tmp_path, capsys, scenario):
     assert capsys.readouterr().err.count("'deltas' needs at least two") == 4
 
 
+@pytest.mark.parametrize("scenario, params", [
+    ("cm_cloak", {"r2": 2.0, "r3": 1.0}),
+    ("dcm_convergence", {"r1": 3.0}),
+    ("dcm_convergence", {"r_s": 2.0}),
+    ("dcm_convergence", {"annulus": [0.5, 6.0]}),
+], ids=["cloak-radii-reversed", "core-beyond-shell", "source-on-breakpoint",
+        "annulus-over-the-shell"])
+def test_bad_sweep_geometry_exit_config_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         scenario, params):
+    # radii out of order, a source on a layer breakpoint, or a comparison
+    # annulus that reaches where the medium is not vacuum: both commands
+    # reject the config before a solve, and write nothing
+    monkeypatch.setattr("calrlab.scenarios.solve", pytest.fail)
+    monkeypatch.setattr("calrlab.scenarios.solve_staircased", pytest.fail)
+    cfg = _write_config(tmp_path, "geometry.json", scenario, params, tmp_path / "outg")
+    assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "outg").exists()
+    assert capsys.readouterr().err.count("config error: ") == 2
+
+
 def test_tripped_guard_exit_numerical(tmp_path, capsys, monkeypatch):
     # a near-singular mode raises; the run exits 4 and writes nothing
     monkeypatch.setattr("calrlab.layered_maxwell.solver._COND_GUARD", 1e-2)

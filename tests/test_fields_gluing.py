@@ -248,3 +248,36 @@ def test_glued_eval_many_matches_single_point_reflections():
             want = refl2(y)
         for got, ref in zip((ey, hy), want):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_field_evaluation_memory_at_glue_high_order_size(monkeypatch):
+    # the one field evaluation of a gluing residual report at the size of
+    # the glue_high_order benchmark workload: 2128 points x 24 keys x 19
+    # regions.  Its tracemalloc peak read 10.2 MB with the per-set kernel
+    # that the dense basis tables replaced, and 11.4 MB with them
+    import tracemalloc
+
+    import calrlab.layered_maxwell.fields as fields
+    from calrlab.layered_maxwell.refine import solve_staircased
+    from calrlab.scenarios import mixed_mode_source
+    sol, = solve_staircased([make_dcm_example(1.0, 2.0, 2.0, 1e-2)],
+                            mixed_mode_source(5.0, 12, 19), 1.0, layers=16,
+                            richardson=False)
+    glued = remove_localized_singularity(sol, *dcm_maps(sol.medium))
+    radii = sorted(4.0 / m for m in graded_midpoints(sol.medium, 1.0, 2.0)
+                   if 2.2 < 4.0 / m < 0.95 * glued.r3)[::12]
+    peaks = []
+
+    def measured(sol, points):
+        tracemalloc.start()
+        try:
+            return eval_field_many(sol, points)
+        finally:
+            peaks.append((len(points), tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(fields, "eval_field_many", measured)
+    glued.residual_report(radii, quad_order=16, points_per_radius=2, h=1e-4, seed=19)
+    assert len(sol.radial) == 24 and len(sol.regions) == 19
+    assert [n for n, _ in peaks] == [2128]
+    assert peaks[0][1] < 1.5 * 10.2e6

@@ -679,3 +679,62 @@ def test_stacked_region_steps_match_the_four_product_recursion(monkeypatch):
     assert ends == {(True, False), (False, False), (False, True)}
     # the first pass is the 96-layer staircase: four losses of twelve keys
     assert seen[0][1] == 98 and seen[0][2][1].shape == (99, 4 * 12)
+
+
+def test_basis_values_are_one_call_per_order_and_basis(monkeypatch):
+    # one hat_jy/hat_h1 call per distinct (order, outgoing) pair over the
+    # bit-distinct arguments of its cells, and each cell gets exactly the
+    # values of a one-element call on its own argument.  The table has TE
+    # and TM columns with equal arguments, an outgoing row, a lossless layer
+    # with eps and mu both negative (eps mu = 1 - 0j, and k = omega (1 - 0j)
+    # = 1 + 0j shares the vacuum arguments' bits), two layers whose
+    # k = +-0.0 + 1j give arguments equal in value with different bits, and
+    # an anisotropic layer where TM alone has a fractional order.
+    import calrlab.layered_maxwell.solver as solver
+    from calrlab.layered_maxwell.solver import RegionSpec, _basis_values, _mode_constants
+    from calrlab.specfun.bessel import hat_h1, hat_jy
+    regions = [RegionSpec(0.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+               RegionSpec(1.0, 2.0, -2.0 + 0j, -2.0 + 0j, -0.5 + 0j, -0.5 + 0j),
+               RegionSpec(2.0, 3.0, complex(-1.0, -0.0), complex(-1.0, -0.0), 1.0, 1.0),
+               RegionSpec(3.0, 4.0, -1.0 + 0j, -1.0 + 0j, 1.0, 1.0),
+               RegionSpec(4.0, 5.0, 2.0, 1.0, 1.0, 1.0),
+               RegionSpec(5.0, math.inf, 1.0, 1.0, 1.0, 1.0)]
+    keys = [(1, "TE"), (1, "TM"), (2, "TM")]
+    modes = _mode_constants(regions, keys, 1.0)
+    assert math.copysign(1.0, (regions[1].eps_tan * regions[1].mu_tan).imag) == -1.0
+    assert modes.k[1, 0].tobytes() == modes.k[0, 0].tobytes()
+    assert math.copysign(1.0, modes.k[2, 0].real) == -1.0 == -math.copysign(1.0, modes.k[3, 0].real)
+    assert modes.nu[4, 0] == 1.0 != modes.nu[4, 1]
+    owner = np.array([0, 1, 2, 3, 4, 5, 0, 1, 4, 5])
+    r = np.array([0.5] * 6 + [1.7, 1.7, 2.2, 0.3])
+    calls = []
+
+    def counted(fn):
+        def call(nu, z):
+            calls.append((fn is hat_h1, nu, z.tobytes()))
+            return fn(nu, z)
+        return call
+
+    monkeypatch.setattr(solver, "hat_jy", counted(hat_jy))
+    monkeypatch.setattr(solver, "hat_h1", counted(hat_h1))
+    tables = _basis_values(modes.nu, modes.k, modes.outgoing, owner, r)
+    cells = {}
+    for i, row in enumerate(owner):
+        for col in range(len(keys)):
+            nu, out = float(modes.nu[row, col]), bool(modes.outgoing[row, col])
+            z = modes.k[row, col:col + 1] * r[i:i + 1].astype(complex)
+            cells.setdefault((out, nu), set()).add(z.tobytes())
+            one = hat_h1(nu, z) if out else hat_jy(nu, z)
+            want = ((None, None, one["h"], one["dh"]) if out
+                    else (one["j"], one["dj"], one["y"], one["dy"]))
+            for table, v in zip(tables, want):
+                got = table[i, col]
+                if v is None:
+                    assert got.m == 0 and got.e == 0
+                else:
+                    assert got.m.tobytes() == v.m.tobytes() and got.e == v.e[0]
+    assert len(cells[(False, 1.0)]) == 5       # 0.5, 1.7, 2.2 and +-0.0 + 0.5j
+    assert sorted((out, nu) for out, nu, _ in calls) == sorted(cells)
+    for out, nu, args in calls:
+        bits = {args[i:i + 16] for i in range(0, len(args), 16)}
+        assert len(args) == 16 * len(bits) and bits == cells[(out, nu)]
