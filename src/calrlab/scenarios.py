@@ -257,12 +257,31 @@ def run_cm_cloak(p: dict):
     return tables, results, assertions
 
 
+def _gluing_radii(p: dict, medium) -> list:
+    """The residual sample radii of `gluing_demo` on its staircased DCM
+    medium: the reflections r2^2/m of the shell's sublayer midpoints m that
+    lie in (1.1 r2, 0.95 r3), every 12th in increasing order."""
+    r2sq = p["r2"] * p["r2"]
+    r3 = medium.provenance["r3"]
+    return sorted(r2sq / m for m in graded_midpoints(medium, p["r1"], p["r2"])
+                  if 1.1 * p["r2"] < r2sq / m < 0.95 * r3)[::12]
+
+
+def _gluing_geometry(p: dict) -> None:
+    """`gluing_demo`'s sweep geometry, and a shell thick enough to leave
+    residual sample radii (r2/r1 above about 1.158)."""
+    _sweep_geometry(_dcm, richardson=False)(p)
+    if not _gluing_radii(p, staircase(_dcm(p, p["deltas"][0]), p["layers"])):
+        raise ValueError(f"'r1' {p['r1']} and 'r2' {p['r2']} leave no residual "
+                         "sample radius r2^2/m in (1.1 r2, 0.95 r3)")
+
+
 @scenario("gluing_demo",
           defaults={"r1": 1.0, "r2": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 2,
                     "seed": 19, "layers": 192, "deltas": [1e-2, 1e-3, 1e-4],
                     "jump_tol": 1e-6, "ratio_variation": 2.0},
           tolerances=lambda p: {"jump_tol": p["jump_tol"]},
-          geometry=_sweep_geometry(_dcm, richardson=False))
+          geometry=_gluing_geometry)
 def run_gluing_demo(p: dict):
     """Removing the localized singularity: jump residuals and the delta-forcing."""
     rows = []
@@ -270,10 +289,7 @@ def run_gluing_demo(p: dict):
     for delta, sol, _ in _delta_sweep(p, lambda d: _dcm(p, d), richardson=False):
         f_map, g_map = dcm_maps(sol.medium)
         glued = remove_localized_singularity(sol, f_map, g_map)
-        mids = graded_midpoints(sol.medium, p["r1"], p["r2"])
-        r2sq = p["r2"] * p["r2"]
-        radii = sorted(r2sq / m for m in mids
-                       if 1.1 * p["r2"] < r2sq / m < 0.95 * glued.r3)[::12]
+        radii = _gluing_radii(p, sol.medium)
         rep = glued.residual_report(radii, quad_order=16, points_per_radius=2,
                                     h=1e-4, seed=p["seed"])
         rows.append([delta, rep.jump_rel_r2, rep.jump_rel_r3,
@@ -298,6 +314,9 @@ def run_gluing_demo(p: dict):
 # Fixed thresholds, read by the assertion and by the manifest's tolerances.
 _RATIO_BOUND = 1e-10
 _MONOMIAL_TOL = 1e-12
+# Polynomials per `check_hadamard` call in `three_sphere_suite`: one call
+# per block keeps its stacks, and the suite's memory, flat in `count`.
+_HADAMARD_BLOCK = 256
 _ANCHOR_TOL = 1e-10
 
 
@@ -319,19 +338,22 @@ def run_three_sphere_suite(p: dict):
     triples = list(itertools.combinations(p["radius_grid"], 3))
     worst = 0.0
     rows = []
-    for idx in range(p["count"]):
-        deg = int(rng.integers(1, p["max_degree"] + 1))
-        coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        v = HarmonicExpansion2D.holomorphic(coeffs)
-        r1, r2, r3 = triples[idx % len(triples)]
-        lhs, rhs, alpha, ratio = check_hadamard(v, r1, r2, r3)
-        worst = max(worst, ratio)
-        if idx < 200:
-            rows.append(["hadamard", r1, r2, r3, 0.0, lhs, rhs, ratio])
+    for start in range(0, p["count"], _HADAMARD_BLOCK):
+        items = []
+        for idx in range(start, min(start + _HADAMARD_BLOCK, p["count"])):
+            deg = int(rng.integers(1, p["max_degree"] + 1))
+            coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            items.append((HarmonicExpansion2D.holomorphic(coeffs),
+                          triples[idx % len(triples)]))
+        for idx, ((_, radii), (lhs, rhs, _, ratio)) in enumerate(
+                zip(items, check_hadamard(items)), start):
+            worst = max(worst, ratio)
+            if idx < 200:
+                rows.append(["hadamard", *radii, 0.0, lhs, rhs, ratio])
     mono_dev = 0.0
-    for k in range(1, p["monomial_max"] + 1):
-        v = HarmonicExpansion2D.holomorphic([0.0] * k + [1.0])
-        _, _, _, ratio = check_hadamard(v, 0.5, 1.1, 2.5)
+    monomials = [(HarmonicExpansion2D.holomorphic([0.0] * k + [1.0]), (0.5, 1.1, 2.5))
+                 for k in range(1, p["monomial_max"] + 1)]
+    for _, _, _, ratio in check_hadamard(monomials):
         mono_dev = max(mono_dev, abs(ratio - 1.0))
     family = [SphericalExpansion(kind="harmonic", coeffs={(n, 0): (1.0, 0.0)})
               for n in range(12, 40)]

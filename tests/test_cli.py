@@ -150,13 +150,15 @@ def test_single_delta_sweep_exit_config(tmp_path, capsys, scenario):
     ("dcm_convergence", {"r1": 3.0}),
     ("dcm_convergence", {"r_s": 2.0}),
     ("dcm_convergence", {"annulus": [0.5, 6.0]}),
+    ("gluing_demo", {"r1": 1.0, "r2": 1.1, "n_src": 1, "layers": 8}),
 ], ids=["cloak-radii-reversed", "core-beyond-shell", "source-on-breakpoint",
-        "annulus-over-the-shell"])
+        "annulus-over-the-shell", "gluing-shell-too-thin"])
 def test_bad_sweep_geometry_exit_config_before_any_solve(tmp_path, capsys, monkeypatch,
                                                          scenario, params):
-    # radii out of order, a source on a layer breakpoint, or a comparison
-    # annulus that reaches where the medium is not vacuum: both commands
-    # reject the config before a solve, and write nothing
+    # radii out of order, a source on a layer breakpoint, a comparison
+    # annulus that reaches where the medium is not vacuum, or a gluing shell
+    # too thin for any residual sample radius: both commands reject the
+    # config before a solve, and write nothing
     monkeypatch.setattr("calrlab.scenarios.solve", pytest.fail)
     monkeypatch.setattr("calrlab.scenarios.solve_staircased", pytest.fail)
     cfg = _write_config(tmp_path, "geometry.json", scenario, params, tmp_path / "outg")

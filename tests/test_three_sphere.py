@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from calrlab.three_sphere import (
     partial_data_norm,
     random_modal_field,
     sup_norm_circle,
+    sup_norms_circle,
 )
+from calrlab.scenarios import run_scenario
 from calrlab.specfun import sphere_rule
 
 
@@ -61,10 +64,85 @@ def test_sup_norm_against_brute_scan_more_inputs(v, r):
     _check_against_brute_scan(v, r)
 
 
+def _scalar_sup_norm_circle(v, radius):
+    """The sup norm as first written: one FFT, a greedy candidate loop and a
+    Newton loop per (expansion, radius)."""
+    coeffs = v.circle_coeffs(radius)
+    ks = np.fromiter(coeffs, dtype=float, count=len(coeffs))
+    a = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+    kmax = int(np.abs(ks).max(initial=0))
+    n = max(512, 64 * (kmax + 1))
+    theta = 2.0 * math.pi * np.arange(n) / n
+    spectrum = np.zeros(n, dtype=complex)
+    np.add.at(spectrum, ks.astype(int) % n, a)
+    prof = np.abs(np.fft.ifft(spectrum, norm="forward"))
+    best = float(prof.max())
+    derivs = np.stack([a, 1j * ks * a, -ks * ks * a], axis=1)
+    h = 2.0 * math.pi / n
+    taken = []
+    for idx in np.argsort(prof)[::-1]:
+        if all(min(abs(idx - t), n - abs(idx - t)) > 3 for t in taken):
+            taken.append(idx)
+        if len(taken) >= 3:
+            break
+    th = theta[taken]
+    lo, hi = th - h, th + h
+    for _ in range(12):
+        f, df, d2f = (np.exp(1j * np.outer(th, ks)) @ derivs).T
+        best = max(best, float(np.abs(f).max()))
+        g1 = 2.0 * (f.conj() * df).real
+        g2 = 2.0 * (np.abs(df) ** 2 + (f.conj() * d2f).real)
+        step = np.divide(-g1, g2, out=np.zeros_like(g1), where=g2 < 0.0)
+        moved = np.clip(th + step, lo, hi)
+        if np.max(np.abs(moved - th)) <= 1e-12:
+            break
+        th = moved
+    return best
+
+
+def test_stacked_sup_norm_matches_scalar_bitwise():
+    # Random polynomials at the five grid radii put several rows on one
+    # frequency set, whose rows converge, and leave the Newton stack, at
+    # different steps; monomials, the zero polynomial and non-holomorphic
+    # expansions with negative and singular frequencies fill out the mix.
+    rng = np.random.default_rng(41)
+    rows = []
+    for _ in range(60):
+        deg = int(rng.integers(1, 31))
+        coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        v = HarmonicExpansion2D.holomorphic(coeffs)
+        rows += [(v, r) for r in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    rows += [(HarmonicExpansion2D.holomorphic([0.0] * k + [1.0]), r)
+             for k in (1, 7, 50) for r in (0.5, 1.1, 2.5)]
+    rows += [(HarmonicExpansion2D.holomorphic([0.0]), 0.7)]
+    for _ in range(10):
+        v = HarmonicExpansion2D(
+            regular={int(k): complex(*rng.standard_normal(2)) for k in rng.integers(-8, 9, 4)},
+            singular={int(k): complex(*rng.standard_normal(2)) for k in rng.integers(-8, 9, 3)})
+        rows += [(v, 0.6), (v, 1.3)]
+    rows += [(HarmonicExpansion2D(regular={1: 1.0, 3: 0.3j}, singular={2: 0.5, -1: 0.2}), r)
+             for r in (0.8, 1.3, 1.9)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    assert sup_norms_circle(rows) == [_scalar_sup_norm_circle(v, r) for v, r in rows]
+
+
+def test_three_sphere_suite_memory_flat_in_count(tmp_path):
+    # check_hadamard runs on fixed-size blocks of polynomials, so the
+    # suite's allocation peak does not grow with the number of polynomials
+    def peak(count):
+        tracemalloc.start()
+        try:
+            run_scenario("three_sphere_suite", {"count": count}, tmp_path / str(count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(1200) <= 1.5 * peak(300)
+
+
 def test_hadamard_monomial_equality():
     for k in (1, 3, 10, 30, 50):
         v = HarmonicExpansion2D.holomorphic([0] * k + [1.0])
-        _, _, _, ratio = check_hadamard(v, 0.5, 1.1, 2.5)
+        [(_, _, _, ratio)] = check_hadamard([(v, (0.5, 1.1, 2.5))])
         assert abs(ratio - 1.0) < 1e-12
 
 
@@ -77,15 +155,14 @@ def test_hadamard_random_polynomials():
         deg = int(rng.integers(1, 31))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         v = HarmonicExpansion2D.holomorphic(coeffs)
-        for r1, r2, r3 in triples[:3]:
-            _, _, _, ratio = check_hadamard(v, r1, r2, r3)
+        for _, _, _, ratio in check_hadamard((v, radii) for radii in triples[:3]):
             assert ratio <= 1.0 + 1e-10
 
 
 def test_hadamard_zero_function_needs_no_constant():
     # 0/0: the zero function satisfies the inequality with any constant
-    lhs, rhs, alpha, ratio = check_hadamard(HarmonicExpansion2D.holomorphic([0.0]),
-                                            0.5, 1.0, 2.0)
+    [(lhs, rhs, alpha, ratio)] = check_hadamard([(HarmonicExpansion2D.holomorphic([0.0]),
+                                                  (0.5, 1.0, 2.0))])
     assert (lhs, rhs, ratio) == (0.0, 0.0, 0.0)
     assert alpha == math.log(2.0) / math.log(4.0)
 
@@ -93,7 +170,7 @@ def test_hadamard_zero_function_needs_no_constant():
 def test_hadamard_rejects_non_holomorphic():
     v = HarmonicExpansion2D(regular={1: 1.0}, singular={1: 0.5})
     with pytest.raises(ValueError):
-        check_hadamard(v, 0.5, 1.0, 2.0)
+        check_hadamard([(v, (0.5, 1.0, 2.0))])
 
 
 def test_hminushalf_norm_values_and_axioms():
