@@ -172,6 +172,13 @@ def fd_curl(evaluator, x, component: int, h: float = 1e-4) -> np.ndarray:
     return np.array([g[1][2] - g[2][1], g[2][0] - g[0][2], g[0][1] - g[1][0]])
 
 
+# A gluing residual report's sphere rule for the trace jumps, its random
+# directions per sample radius, and the largest finite-difference step.
+_JUMP_QUAD_ORDER = 16
+_POINTS_PER_RADIUS = 2
+_MAX_STEP = 1e-4
+
+
 @dataclass
 class GluedReport:
     jump_rel_r2: float
@@ -217,6 +224,12 @@ class GluedField:
         self.f_map = f_map
         self.g_map = g_map
         self.r1, self.r2, self.r3 = r1, r2, r3
+        # the finite-difference step: an eighth of the narrowest solved
+        # region in (r1, r2), and at most _MAX_STEP; a stencil centred on
+        # the reflection r2^2/m of a sublayer midpoint m then stays, pulled
+        # back through F, inside that sublayer
+        self.step = min([_MAX_STEP] + [(reg.r_hi - reg.r_lo) / 8 for reg in sol.regions
+                                       if r1 <= reg.r_lo and reg.r_hi <= r2])
 
     def _fields(self, requests) -> list:
         """(E, H) of each (branch, points) request, from one field evaluation.
@@ -247,40 +260,24 @@ class GluedField:
             out.append((e, h))
         return out
 
-    def _glued(self, ys):
-        """The requests for the glued field at ys, and the function that
-        assembles its (E, H) from their results."""
-        r = np.linalg.norm(ys, axis=1)
-        outside = r > self.r3
-        annulus = (r > self.r2) & ~outside
-        core = ~outside & ~annulus
-        parts = [(sel, branches) for sel, branches in (
-            (outside, ("raw",)), (annulus, ("raw", "refl1", "refl2")),
-            (core, ("refl2",))) if np.any(sel)]
-        requests = [(b, ys[sel]) for sel, branches in parts for b in branches]
-
-        def assemble(results):
-            e = np.zeros((len(ys), 3), dtype=complex)
-            h = np.zeros((len(ys), 3), dtype=complex)
-            it = iter(results)
-            for sel, branches in parts:
-                if len(branches) == 1:
-                    e[sel], h[sel] = next(it)
-                else:
-                    (e0, h0), (e1, h1), (e2, h2) = next(it), next(it), next(it)
-                    e[sel] = e0 - e1 + e2
-                    h[sel] = h0 - h1 + h2
-            return e, h
-
-        return requests, assemble
-
     def eval_many(self, ys) -> tuple[np.ndarray, np.ndarray]:
-        requests, assemble = self._glued(np.atleast_2d(np.asarray(ys, dtype=float)))
-        return assemble(self._fields(requests))
+        """(E, H) of the glued field at an (N, 3) array of points: the raw
+        field outside r3, raw - refl1 + refl2 in D and refl2 inside r2."""
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        r = np.linalg.norm(ys, axis=1)
+        core, outside = r <= self.r2, r > self.r3
+        annulus = ~core & ~outside
+        (e_out, h_out), (e0, h0), (e1, h1), (e2, h2), (e_core, h_core) = self._fields(
+            [("raw", ys[outside]), ("raw", ys[annulus]), ("refl1", ys[annulus]),
+             ("refl2", ys[annulus]), ("refl2", ys[core])])
+        e = np.zeros((len(ys), 3), dtype=complex)
+        h = np.zeros((len(ys), 3), dtype=complex)
+        e[outside], h[outside] = e_out, h_out
+        e[annulus], h[annulus] = e0 - e1 + e2, h0 - h1 + h2
+        e[core], h[core] = e_core, h_core
+        return e, h
 
-    def residual_report(self, sample_radii, quad_order: int = 24,
-                        points_per_radius: int = 4, h: float = 1e-4,
-                        seed: int = 0) -> GluedReport:
+    def residual_report(self, sample_radii, seed: int = 0) -> GluedReport:
         """Jump residuals plus the interior Maxwell residual in D.
 
         At r2 the tangential trace jump of the glued field reduces to that of
@@ -288,21 +285,28 @@ class GluedField:
         reflection); both vanish exactly in the continuum because the
         reflections fix their spheres pointwise.  The glued field must
         satisfy curl E = i omega H + delta omega F_* I H1 in D (vacuum
-        background there), so the finite-difference residual is compared
-        against that predicted forcing.  Every field value comes from one
-        field evaluation.
+        background there), so the finite-difference residual at
+        _POINTS_PER_RADIUS random points per sample radius is compared
+        against that predicted forcing.  The stencil step is `self.step`,
+        which keeps the pulled-back stencil off the shell's breakpoints only
+        at radii that reflect sublayer midpoints; other radii are not
+        checked for that.  Every sample radius must lie in (r2 + 4 step,
+        r3 - 4 step), so that the whole stencil lies in D, or ValueError
+        names the band.  Every field value comes from one field evaluation.
         """
+        h = self.step
+        lo, hi = self.r2 + 4 * h, self.r3 - 4 * h
+        radii = list(sample_radii)
+        if not radii or not all(lo < r < hi for r in radii):
+            raise ValueError(f"sample radii {radii} must be a nonempty list in "
+                             f"({lo}, {hi}), the gluing annulus less the stencil")
         rng = np.random.default_rng(seed)
         samples = []
-        for r in sample_radii:
-            if not (self.r2 + 4 * h < r < self.r3 - 4 * h):
-                continue
-            for _ in range(points_per_radius):
+        for r in radii:
+            for _ in range(_POINTS_PER_RADIUS):
                 d = rng.standard_normal(3)
                 d /= np.linalg.norm(d)
                 samples.append(r * d)
-        if not samples:
-            raise ValueError("no usable sample radii in the gluing annulus")
         ys = np.array(samples)
         n = len(ys)
         # the stencil: center + four shifts per axis
@@ -312,34 +316,27 @@ class GluedField:
                 shifted = ys.copy()
                 shifted[:, k] += sgn * h
                 stencil.append(shifted)
-        glued, assemble = self._glued(np.vstack(stencil))
-        pts, w, _, _ = sphere_rule(quad_order)
+        stencil = np.vstack(stencil)
+        pts, w, _, _ = sphere_rule(_JUMP_QUAD_ORDER)
         on_r2, on_r3 = self.r2 * pts, self.r3 * pts
-        raw2, refl1_2, refl1_3, refl2_3, (_, h1), *rest = self._fields(
+        raw2, refl1_2, refl1_3, refl2_3, (_, h_refl), raw, refl1, refl2 = self._fields(
             [("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
-             ("refl1", ys)] + glued)
+             ("refl1", ys), ("raw", stencil), ("refl1", stencil), ("refl2", stencil)])
         jump2 = _trace_jump(pts, w, raw2, refl1_2)
         jump3 = _trace_jump(pts, w, refl1_3, refl2_3)
-        e_all, h_all = assemble(rest)
-        e_c, h_c = e_all[:n], h_all[:n]
-        curls = np.zeros((n, 3), dtype=complex)
-
-        def block(idx):
-            return e_all[idx * n:(idx + 1) * n]
-
+        e = (raw[0] - refl1[0] + refl2[0]).reshape(13, n, 3)
+        h_c = raw[1][:n] - refl1[1][:n] + refl2[1][:n]
         # five-point derivative d_k E from blocks (+2h, +h, -h, -2h)
-        de = [(-block(1 + 4 * k) + 8 * block(2 + 4 * k)
-               - 8 * block(3 + 4 * k) + block(4 + 4 * k)) / (12 * h)
+        de = [(-e[1 + 4 * k] + 8 * e[2 + 4 * k] - 8 * e[3 + 4 * k] + e[4 + 4 * k]) / (12 * h)
               for k in range(3)]
+        curls = np.zeros((n, 3), dtype=complex)
         curls[:, 0] = de[1][:, 2] - de[2][:, 1]
         curls[:, 1] = de[2][:, 0] - de[0][:, 2]
         curls[:, 2] = de[0][:, 1] - de[1][:, 0]
         resid = curls - 1j * self.omega * h_c
         delta = self.sol.medium.provenance.get("delta", 0.0)
-        predicted = np.empty_like(resid)
-        for i, y in enumerate(ys):
-            fstar = push_forward_tensor(self.f_map, np.eye(3), y)
-            predicted[i] = delta * self.omega * (fstar @ h1[i])
+        fstar = push_forward_tensor(self.f_map, np.eye(3), ys)
+        predicted = delta * self.omega * (fstar @ h_refl[..., None])[..., 0]
         resid_sq = float(np.mean(np.sum(np.abs(resid) ** 2, axis=1)))
         forcing_sq = float(np.mean(np.sum(np.abs(predicted) ** 2, axis=1)))
         dev_sq = float(np.mean(np.sum(np.abs(resid - predicted) ** 2, axis=1)))
@@ -353,25 +350,19 @@ class GluedField:
 
 
 def remove_localized_singularity(sol: FieldSolution, f_map: SmoothMap,
-                                 g_map: SmoothMap,
-                                 geometry: dict | None = None) -> GluedField:
-    """Build the glued field for a doubly complementary solve.
-
-    `geometry` may override the radii; by default they come from the medium's
-    constructor provenance.  The degenerate vacuum case (r1=r2=r3 absent)
-    is rejected.
-    """
+                                 g_map: SmoothMap) -> GluedField:
+    """Build the glued field for a doubly complementary solve, with the radii
+    r1 < r2 < r3 of the medium's constructor provenance; r1 and r2 must be
+    breakpoints of the solved medium."""
     prov = sol.medium.provenance
-    geo = geometry if geometry is not None else prov
     try:
-        r1, r2, r3 = geo["r1"], geo["r2"], geo["r3"]
+        r1, r2, r3 = prov["r1"], prov["r2"], prov["r3"]
     except KeyError as exc:
         raise ValueError("geometry needs radii r1 < r2 < r3") from exc
     if not (0 < r1 < r2 < r3):
         raise ValueError("geometry needs 0 < r1 < r2 < r3")
-    if geometry is None:
-        bps = {round(b, 12) for b in sol.medium.breakpoints}
-        for r in (r1, r2):
-            if round(r, 12) not in bps:
-                raise ValueError(f"gluing radius {r} is not a medium breakpoint")
+    bps = {round(b, 12) for b in sol.medium.breakpoints}
+    for r in (r1, r2):
+        if round(r, 12) not in bps:
+            raise ValueError(f"gluing radius {r} is not a medium breakpoint")
     return GluedField(sol, f_map, g_map, r1, r2, r3)

@@ -87,25 +87,22 @@ def adaptive_gauss(fn, a, b, max_doublings: int = 10) -> float:
     if not live:
         return 0.0
     first = estimates([(i, panels) for i in live for panels in (1, 2)])
-    early = (dict(zip(live, first[0::2])), dict(zip(live, first[1::2])))
+    prev = dict(zip(live, first[0::2]))
+    current = first[1::2]
     totals = [0.0] * len(los)
-    prev = {}
-    for level in range(max_doublings + 1):
-        if not live:
-            break
-        if level < 2:
-            current = early[level]
-        else:
-            current = dict(zip(live, estimates([(i, 2 ** level) for i in live])))
+    for level in range(1, max_doublings + 1):
+        if level > 1:
+            current = estimates([(i, 2 ** level) for i in live])
         running = []
-        for i in live:
-            total = current[i]
-            if i in prev and abs(total - prev[i]) <= _REL_TOL * max(abs(total), 1e-300):
+        for i, total in zip(live, current):
+            if abs(total - prev[i]) <= _REL_TOL * max(abs(total), 1e-300):
                 totals[i] = total
             else:
                 prev[i] = total
                 running.append(i)
         live = running
+        if not live:
+            break
     if live:
         raise RuntimeError(f"quadrature on [{los[live[0]]}, {his[live[0]]}] not "
                            f"converged after {max_doublings} doublings")

@@ -18,14 +18,15 @@ def _tensor_at(a, x):
 
 
 def push_forward_tensor(mapping: SmoothMap, tensor, y) -> np.ndarray:
-    """Push a (possibly position-dependent) 3x3 tensor forward to the point y."""
+    """Push a (possibly position-dependent) 3x3 tensor forward to the point y,
+    or to each row of an (N, 3) stack of points, giving (N, 3, 3)."""
     y = np.asarray(y, dtype=float)
     x = mapping.inverse(y)
     j = mapping.jacobian(x)
     det = np.linalg.det(j)
-    if det == 0:
+    if np.any(det == 0):
         raise ZeroDivisionError("singular Jacobian in push-forward")
-    return j @ _tensor_at(tensor, x) @ j.T / det
+    return j @ _tensor_at(tensor, x) @ np.swapaxes(j, -1, -2) / det[..., None, None]
 
 
 def spherical_diag(rad, tan, x) -> np.ndarray:

@@ -290,8 +290,7 @@ def run_gluing_demo(p: dict):
         f_map, g_map = dcm_maps(sol.medium)
         glued = remove_localized_singularity(sol, f_map, g_map)
         radii = _gluing_radii(p, sol.medium)
-        rep = glued.residual_report(radii, quad_order=16, points_per_radius=2,
-                                    h=1e-4, seed=p["seed"])
+        rep = glued.residual_report(radii, seed=p["seed"])
         rows.append([delta, rep.jump_rel_r2, rep.jump_rel_r3,
                      rep.maxwell_resid_norm, rep.maxwell_resid_norm / delta,
                      rep.forcing_rel_deviation])

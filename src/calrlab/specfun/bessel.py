@@ -218,12 +218,8 @@ def _miller_j(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, Scale
 def _upward_y(nu: float, z: np.ndarray, base: float) -> tuple[ScaledArray, ScaledArray]:
     """Scaled upward recurrence; returns y at orders (nu-1, nu)."""
     steps = int(round(nu - base))
-    if abs(base) < 1e-12:
-        ym1 = ScaledArray.from_complex(np.sin(z) / z)   # y_{-1}
-        y0 = ScaledArray.from_complex(-np.cos(z) / z)
-    else:
-        ym1 = _series_y(base - 1.0, z)
-        y0 = _series_y(base, z)
+    ym1 = _series_y(base - 1.0, z)
+    y0 = _series_y(base, z)
     if steps == 0:
         return ym1, y0
     prev_m, prev_e = ym1.m.copy(), ym1.e.copy()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from calrlab.layered_maxwell import (
+    GluedField,
     SurfaceCurrentSource,
     eval_field,
     eval_field_many,
@@ -91,8 +92,7 @@ def test_reflection_region_guard():
 def test_glued_field_vacuum_degenerate():
     src = SurfaceCurrentSource(radius=5.0, amplitudes={mode(1, 0, "TE"): 1.0})
     sol = solve(vacuum_medium(), src, 1.0)
-    glued = remove_localized_singularity(sol, identity_map(), identity_map(),
-                                         geometry={"r1": 1.0, "r2": 2.0, "r3": 4.0})
+    glued = GluedField(sol, identity_map(), identity_map(), 1.0, 2.0, 4.0)
     for r in (0.5, 3.0, 4.5):
         y = np.array([r, 0.1, 0.2])
         y *= r / np.linalg.norm(y)
@@ -119,7 +119,7 @@ def test_glued_report_jumps_and_forcing():
     glued = remove_localized_singularity(sol, f, g)
     mids = graded_midpoints(med, 1.0, 2.0)
     radii = sorted(4.0 / m for m in mids if 2.2 < 4.0 / m < 3.8)[::6]
-    rep = glued.residual_report(radii, quad_order=16, points_per_radius=2, h=1e-4)
+    rep = glued.residual_report(radii)
     assert rep.jump_rel_r2 < 1e-9
     assert rep.jump_rel_r3 < 1e-9
     # the interior Maxwell defect equals the predicted delta-forcing
@@ -135,7 +135,7 @@ def test_glued_residual_scales_with_delta():
         glued = remove_localized_singularity(sol, f, g)
         mids = graded_midpoints(med, 1.0, 2.0)
         radii = sorted(4.0 / m for m in mids if 2.3 < 4.0 / m < 3.7)[::8]
-        rep = glued.residual_report(radii, quad_order=12, points_per_radius=2, h=1e-4)
+        rep = glued.residual_report(radii)
         ratios.append(rep.maxwell_resid_norm / delta)
     assert max(ratios) / min(ratios) < 2.0
 
@@ -277,7 +277,150 @@ def test_field_evaluation_memory_at_glue_high_order_size(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(fields, "eval_field_many", measured)
-    glued.residual_report(radii, quad_order=16, points_per_radius=2, h=1e-4, seed=19)
+    glued.residual_report(radii, seed=19)
     assert len(sol.radial) == 24 and len(sol.regions) == 19
     assert [n for n, _ in peaks] == [2128]
     assert peaks[0][1] < 1.5 * 10.2e6
+
+
+def _closure_glued(glued, ys):
+    """The glued-field requests at ys and their assembly, as first written:
+    a closure over the three-part split."""
+    r = np.linalg.norm(ys, axis=1)
+    outside = r > glued.r3
+    annulus = (r > glued.r2) & ~outside
+    core = ~outside & ~annulus
+    parts = [(sel, branches) for sel, branches in (
+        (outside, ("raw",)), (annulus, ("raw", "refl1", "refl2")),
+        (core, ("refl2",))) if np.any(sel)]
+    requests = [(b, ys[sel]) for sel, branches in parts for b in branches]
+
+    def assemble(results):
+        e = np.zeros((len(ys), 3), dtype=complex)
+        h = np.zeros((len(ys), 3), dtype=complex)
+        it = iter(results)
+        for sel, branches in parts:
+            if len(branches) == 1:
+                e[sel], h[sel] = next(it)
+            else:
+                (e0, h0), (e1, h1), (e2, h2) = next(it), next(it), next(it)
+                e[sel] = e0 - e1 + e2
+                h[sel] = h0 - h1 + h2
+        return e, h
+
+    return requests, assemble
+
+
+def _closure_residual_report(glued, sample_radii, seed):
+    """`GluedField.residual_report` as first written, at its one used
+    setting: 16 nodes, 2 points per radius, h = 1e-4, the closure's
+    assembly and a per-point push-forward of the forcing."""
+    from calrlab.layered_maxwell.fields import GluedReport, _trace_jump
+    from calrlab.media import push_forward_tensor
+    h = 1e-4
+    rng = np.random.default_rng(seed)
+    samples = []
+    for r in sample_radii:
+        if not (glued.r2 + 4 * h < r < glued.r3 - 4 * h):
+            continue
+        for _ in range(2):
+            d = rng.standard_normal(3)
+            d /= np.linalg.norm(d)
+            samples.append(r * d)
+    ys = np.array(samples)
+    n = len(ys)
+    stencil = [ys]
+    for k in range(3):
+        for sgn in (2.0, 1.0, -1.0, -2.0):
+            shifted = ys.copy()
+            shifted[:, k] += sgn * h
+            stencil.append(shifted)
+    requests, assemble = _closure_glued(glued, np.vstack(stencil))
+    pts, w, _, _ = sphere_rule(16)
+    on_r2, on_r3 = glued.r2 * pts, glued.r3 * pts
+    raw2, refl1_2, refl1_3, refl2_3, (_, h1), *rest = glued._fields(
+        [("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
+         ("refl1", ys)] + requests)
+    e_all, h_all = assemble(rest)
+    h_c = h_all[:n]
+    curls = np.zeros((n, 3), dtype=complex)
+
+    def block(idx):
+        return e_all[idx * n:(idx + 1) * n]
+
+    de = [(-block(1 + 4 * k) + 8 * block(2 + 4 * k)
+           - 8 * block(3 + 4 * k) + block(4 + 4 * k)) / (12 * h) for k in range(3)]
+    curls[:, 0] = de[1][:, 2] - de[2][:, 1]
+    curls[:, 1] = de[2][:, 0] - de[0][:, 2]
+    curls[:, 2] = de[0][:, 1] - de[1][:, 0]
+    resid = curls - 1j * glued.omega * h_c
+    delta = glued.sol.medium.provenance.get("delta", 0.0)
+    predicted = np.empty_like(resid)
+    for i, y in enumerate(ys):
+        fstar = push_forward_tensor(glued.f_map, np.eye(3), y)
+        predicted[i] = delta * glued.omega * (fstar @ h1[i])
+    resid_sq = float(np.mean(np.sum(np.abs(resid) ** 2, axis=1)))
+    forcing_sq = float(np.mean(np.sum(np.abs(predicted) ** 2, axis=1)))
+    dev_sq = float(np.mean(np.sum(np.abs(resid - predicted) ** 2, axis=1)))
+    return GluedReport(
+        jump_rel_r2=_trace_jump(pts, w, raw2, refl1_2),
+        jump_rel_r3=_trace_jump(pts, w, refl1_3, refl2_3),
+        maxwell_resid_norm=math.sqrt(resid_sq),
+        forcing_norm=math.sqrt(forcing_sq),
+        forcing_rel_deviation=math.sqrt(dev_sq / max(forcing_sq, 1e-300)),
+    )
+
+
+def _gluing_demo_fields(params):
+    """The glued field and sample radii of each loss of a `gluing_demo` run
+    at params (over the scenario's defaults), built as the scenario does."""
+    from calrlab.scenarios import SCENARIOS, _dcm, _delta_sweep, _gluing_radii
+    p = {**SCENARIOS["gluing_demo"].defaults, **params}
+    for _, sol, _ in _delta_sweep(p, lambda d: _dcm(p, d), richardson=False):
+        glued = remove_localized_singularity(sol, *dcm_maps(sol.medium))
+        yield glued, _gluing_radii(p, sol.medium), p["seed"]
+
+
+@pytest.mark.parametrize("params", [{"n_src": 12, "layers": 16, "deltas": [1e-2, 1e-3]}, {}],
+                         ids=["glue_high_order", "gluing_demo_defaults"])
+def test_glued_report_and_eval_many_match_first_written_bodies_bitwise(params):
+    # the request-list report and eval_many against the closure-assembled
+    # bodies they replaced: at these configs the step from the solve is the
+    # old fixed 1e-4, so every field must agree with ==
+    rng = np.random.default_rng(23)
+    for glued, radii, seed in _gluing_demo_fields(params):
+        assert glued.step == 1e-4
+        assert glued.residual_report(radii, seed=seed) == _closure_residual_report(
+            glued, radii, seed)
+        # points in the core, the annulus D and outside r3, interleaved, and
+        # points in D alone; tobytes tells -0.0 from +0.0
+        r = np.concatenate([rng.uniform(1.1, 1.9, 5), rng.uniform(2.1, 3.9, 7),
+                            rng.uniform(4.1, 6.0, 5), [2.0, 4.0]])
+        for r in (rng.permutation(r), rng.uniform(2.1, 3.9, 4)):
+            ys = r[:, None] * _directions(rng, len(r))
+            requests, assemble = _closure_glued(glued, ys)
+            want = assemble(glued._fields(requests))
+            got = glued.eval_many(ys)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("r1, r2", [(0.05, 0.1), (0.01, 0.02)])
+def test_gluing_demo_thin_shell_step_follows_the_solve(tmp_path, r1, r2):
+    # the shell's 192 layers are 2.6e-4 and 5.2e-5 wide, so a fixed step of
+    # 1e-4 pulled back through F crossed their breakpoints: forcing_rel_dev
+    # read 4.1e2 to 1.0e6 and resid_over_delta_bounded failed
+    from calrlab.scenarios import run_scenario
+    res = run_scenario("gluing_demo", {"r1": r1, "r2": r2, "n_src": 1}, tmp_path)
+    assert all(passed for _, passed, _ in res["assertions"])
+    rows = (tmp_path / "gluing_demo.csv").read_text().splitlines()
+    assert rows[0].split(",")[-1] == "forcing_rel_dev"
+    assert max(float(row.split(",")[-1]) for row in rows[1:]) < 1e-4
+
+
+def test_glued_report_rejects_a_radius_outside_the_stencil_band():
+    sol, med = _dcm_solution(1e-3)
+    glued = remove_localized_singularity(sol, *dcm_maps(med))
+    band = rf"\({glued.r2 + 4 * glued.step}, {glued.r3 - 4 * glued.step}\)"
+    for radii in ([2.5, glued.r2 + 2 * glued.step], [3.0, 4.5], []):
+        with pytest.raises(ValueError, match=band):
+            glued.residual_report(radii)

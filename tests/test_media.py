@@ -6,6 +6,7 @@ import pytest
 
 from calrlab.media import (
     RadialMedium,
+    SmoothMap,
     check_inverse,
     compose,
     dcm_maps,
@@ -87,6 +88,25 @@ def test_pushforward_identity_and_kelvin_shell():
     ry2 = float(np.dot(y, y))
     got = push_forward_tensor(k, np.eye(3, dtype=complex), y)
     assert np.allclose(got, -(4.0 / ry2) * np.eye(3), atol=1e-12)
+
+
+def test_pushforward_stack_matches_single_points_bitwise():
+    f = power_map(2.0, 2.0)
+    ys = np.random.default_rng(5).standard_normal((6, 3)) + np.array([3.0, 0, 0])
+    got = push_forward_tensor(f, np.eye(3), ys)
+    assert got.shape == (6, 3, 3)
+    assert got.tobytes() == np.array(
+        [push_forward_tensor(f, np.eye(3), y) for y in ys]).tobytes()
+    # one flat point in the stack is enough to raise
+
+    def flat_at_one(x):
+        j = np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)).copy()
+        j[3] = 0.0
+        return j
+
+    flat = SmoothMap(forward=lambda x: x, inverse=lambda y: y, jacobian=flat_at_one)
+    with pytest.raises(ZeroDivisionError):
+        push_forward_tensor(flat, np.eye(3), ys)
 
 
 def test_pushforward_functoriality():
