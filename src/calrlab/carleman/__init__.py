@@ -19,6 +19,7 @@ from .weights import (
     ExponentTable,
     WeightedCheck,
     carleman_inequality_check,
+    check_inequality_args,
     exponent_bookkeeping,
     minimal_fold_parameter,
     weight_derivative_identity,
@@ -32,6 +33,6 @@ __all__ = [
     "sample_transformed_domain",
     "verify_structural_claims",
     "BumpFunction", "ExponentTable", "WeightedCheck",
-    "carleman_inequality_check", "exponent_bookkeeping",
+    "carleman_inequality_check", "check_inequality_args", "exponent_bookkeeping",
     "minimal_fold_parameter", "weight_derivative_identity",
 ]

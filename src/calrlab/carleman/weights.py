@@ -135,6 +135,16 @@ def _angular_densities(t: float, var: float, r, dv, d2v):
     return dv * dv * (t / 3.0), (a * (t / 3.0) + b) ** 2 + a * a * var
 
 
+def check_inequality_args(beta: float, p: float, shell: tuple = (0.55, 0.95)) -> None:
+    """Raise ValueError outside the range of `carleman_inequality_check`."""
+    if not (0 < shell[0] < shell[1] <= 1.0):
+        raise ValueError("shell must sit inside the unit ball, away from 0")
+    if p < 1 or abs(beta) < 1:
+        raise ValueError("need p >= 1 and |beta| >= 1")
+    if beta >= 0:
+        raise ValueError("the weight sweep uses beta < 0 (decay away from 0)")
+
+
 def carleman_inequality_check(m, v, beta: float, p: float,
                               shell: tuple[float, float] = (0.55, 0.95)) -> WeightedCheck:
     """Measured constant of the central weighted inequality on a shell.
@@ -157,13 +167,8 @@ def carleman_inequality_check(m, v, beta: float, p: float,
     The run is repeated with twice the panels; the two must agree to
     _REFINE_GUARD or the check raises.
     """
+    check_inequality_args(beta, p, shell)
     a, b = shell
-    if not (0 < a < b <= 1.0):
-        raise ValueError("shell must sit inside the unit ball, away from 0")
-    if p < 1 or abs(beta) < 1:
-        raise ValueError("need p >= 1 and |beta| >= 1")
-    if beta >= 0:
-        raise ValueError("the weight sweep uses beta < 0 (decay away from 0)")
     t, var = _sphere_moments(m)
     # interior mass lives on supp(v) when the test function declares one;
     # referencing the weight there keeps the shared scale factor meaningful

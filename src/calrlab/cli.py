@@ -3,9 +3,10 @@
 Subcommands: `run CONFIG`, `validate-config CONFIG`, `list-scenarios`.
 The config is a JSON file {"scenario": NAME, "out": DIR, "params": {...}}.
 Every key in "params" must be one of the scenario's defaults, with a value
-of the default's type.
-Exit codes: 0 success, 2 config error, 3 assertion failure, 4 numerical
-guard tripped (a solver warning raised as an error included).
+of the default's type, and the merged params must pass the scenario's check.
+Exit codes: 0 success, 2 config error (an ArithmeticError in the check too),
+3 assertion failure, 4 numerical guard tripped (a solver warning raised as
+an error, or an ArithmeticError in the run).
 """
 from __future__ import annotations
 
@@ -37,7 +38,10 @@ def load_config(path: str) -> dict:
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("'params' must be an object")
-    scenario_params(config["scenario"], params)
+    try:
+        scenario_params(config["scenario"], params)
+    except ArithmeticError as exc:
+        raise ValueError(f"checking the params raised {exc!r}") from exc
     out = config.get("out", "out")
     if not isinstance(out, str):
         raise ValueError(f"'out' must be a directory path, not {out!r}")
@@ -48,11 +52,7 @@ def load_config(path: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config)
     outdir = Path(config.get("out", "out"))
     try:
         results = run_scenario(config["scenario"], config.get("params", {}),
@@ -61,9 +61,9 @@ def cmd_run(args) -> int:
         # RuntimeWarning: a solver warning escalated by the warnings filter
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"numerical guard: {exc!r}", file=sys.stderr)
+        return EXIT_NUMERICAL
     failed = [a for a in results.get("assertions", []) if not a[1]]
     for name, passed, detail in results.get("assertions", []):
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
@@ -72,11 +72,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config)
     print(f"config ok: scenario {config['scenario']}")
     return EXIT_OK
 
@@ -101,7 +97,11 @@ def main(argv=None) -> int:
     p_list = sub.add_parser("list-scenarios", help="list the named experiments")
     p_list.set_defaults(fn=cmd_list)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .fields import (
 from .norms import (
     DataReport,
     adaptive_gauss,
+    check_media_agree,
     data_quantity,
     farfield_flux,
     l2_norm_annulus,
@@ -38,7 +39,7 @@ __all__ = [
     "branch_sqrt", "effective_order", "solve",
     "GluedField", "GluedReport", "eval_field", "eval_field_many", "fd_curl", "field_evaluator",
     "mode_radial_components", "reflect_solution", "remove_localized_singularity",
-    "DataReport", "adaptive_gauss", "data_quantity", "farfield_flux",
+    "DataReport", "adaptive_gauss", "check_media_agree", "data_quantity", "farfield_flux",
     "l2_norm_annulus", "l2_norm_annulus_diff", "second_order_residual",
     "graded_midpoints", "staircase",
 ]

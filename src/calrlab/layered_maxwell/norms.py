@@ -181,28 +181,33 @@ def l2_norm_annulus(sol: FieldSolution, a: float, b: float) -> float:
     return math.sqrt(max(adaptive_gauss(density, los, his), 0.0))
 
 
+def check_media_agree(medium_a, medium_b, a: float, b: float) -> None:
+    """Raise ValueError unless two piecewise-constant media agree, to 1e-12, on a < |x| < b."""
+    _check_annulus(a, b)
+    cuts = sorted({a, b} | {r for m in (medium_a, medium_b) for r in m.breakpoints if a < r < b})
+    for mid in (0.5 * (lo + hi) for lo, hi in zip(cuts[:-1], cuts[1:])):
+        la, lb = medium_a.layer_at(mid), medium_b.layer_at(mid)
+        if any(abs(x - y) > 1e-12 for x, y in zip(la.eps.at(mid) + la.mu.at(mid),
+                                                  lb.eps.at(mid) + lb.mu.at(mid))):
+            raise ValueError("media differ on the comparison annulus")
+
+
 def l2_norm_annulus_diff(sol_a: FieldSolution, sol_b: FieldSolution,
                          a: float, b: float) -> float:
     """L2 norm of the difference of two solves over an annulus.
 
-    Valid where both media agree (used in vacuum observation regions);
-    the sources must carry identical amplitude tables.
+    Valid where both media agree (`check_media_agree`; used in vacuum
+    observation regions); the sources must carry identical amplitude tables.
     """
-    _check_annulus(a, b)
-    if set(sol_a.source.amplitudes) != set(sol_b.source.amplitudes):
+    check_media_agree(sol_a.medium, sol_b.medium, a, b)
+    amps_a, amps_b = sol_a.source.amplitudes, sol_b.source.amplitudes
+    if set(amps_a) != set(amps_b) or any(abs(amp - amps_b[key]) > 1e-14 * max(1.0, abs(amp))
+                                         for key, amp in amps_a.items()):
         raise ValueError("difference norm needs identical source tables")
-    for key, amp in sol_a.source.amplitudes.items():
-        if abs(amp - sol_b.source.amplitudes[key]) > 1e-14 * max(1.0, abs(amp)):
-            raise ValueError("difference norm needs identical source tables")
     weights = _mode_weights(sol_a)
     los, his = zip(*_segments([sol_a, sol_b], a, b))
     mids = 0.5 * (np.array(los) + np.array(his))
     rows_a, rows_b = sol_a.region_indices(mids), sol_b.region_indices(mids)
-    for i, j in zip(rows_a.tolist(), rows_b.tolist()):
-        rega, regb = sol_a.regions[i], sol_b.regions[j]
-        for attr in ("eps_rad", "eps_tan", "mu_rad", "mu_tan"):
-            if abs(getattr(rega, attr) - getattr(regb, attr)) > 1e-12:
-                raise ValueError("media differ on the comparison annulus")
     t_a = sol_a.as_jy(rows_a, list(weights))
     t_b = sol_b.as_jy(rows_b, list(weights))
     density = _modal_density(los, [_UNIT_WEIGHTS] * len(rows_a), weights,

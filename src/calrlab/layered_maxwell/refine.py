@@ -40,23 +40,20 @@ def richardson_exterior(sol_lo: FieldSolution, sol_hi: FieldSolution) -> FieldSo
                                              c_y=extrapolate(hi.c_y, lo_rows.c_y)))
 
 
+def staircase_levels(medium, layers: int, richardson: bool = True) -> list:
+    """The media `solve_staircased` solves for medium, in order: medium if it is
+    piecewise constant, else its staircases at 2*layers and layers (layers alone
+    without richardson)."""
+    if medium.is_piecewise_constant:
+        return [medium]
+    return [staircase(medium, n) for n in ((2 * layers, layers) if richardson else (layers,))]
+
+
 def solve_staircased(media, source: SurfaceCurrentSource, omega: float,
                      layers: int, richardson: bool = True) -> list[FieldSolution]:
-    """Staircase graded media and solve; optionally Richardson-refine.
-
-    Returns one solution per medium.  The media must share their layer
-    breakpoints (a loss sweep of one structure), so each refinement level
-    is one region pass over all of them.  With richardson=True the solves
-    at layers and 2*layers are combined; each returned solution is accurate
-    for evaluation outside the graded shell.  Piecewise-constant media are
-    solved as they are.
-    """
-    media = list(media)
-    if all(medium.is_piecewise_constant for medium in media):
-        return _solve_media(media, source, omega)
-    sols_hi = _solve_media([staircase(medium, 2 * layers if richardson else layers)
-                            for medium in media], source, omega)
-    if not richardson:
-        return sols_hi
-    sols_lo = _solve_media([staircase(medium, layers) for medium in media], source, omega)
-    return [richardson_exterior(lo, hi) for lo, hi in zip(sols_lo, sols_hi)]
+    """One solution per medium, from one region pass per `staircase_levels`
+    level over all media, which must share their breakpoints (a loss sweep).
+    Two levels are Richardson-combined, accurate outside the graded shell."""
+    levels = zip(*(staircase_levels(m, layers, richardson) for m in media), strict=True)
+    sols = [_solve_media(list(level), source, omega) for level in levels]
+    return sols[0] if len(sols) == 1 else [richardson_exterior(lo, hi) for hi, lo in zip(*sols)]

@@ -6,12 +6,13 @@ tables (CSV file name -> (header, rows)), its results and its assertions, a
 list of (name, passed, detail) triples.  `run_scenario` writes the CSV
 tables plus a JSON manifest and returns the results with the assertions
 added.  All randomness flows from the configured seed, and reductions are
-ordered, so reruns with the same config are bit-identical.
+ordered, so reruns with the same config are bit-identical.  Assertions read
+numpy maxima and minima, which keep a NaN that the builtin max can drop.
 
-The five loss sweeps (`dcm_convergence`, `blowup_scan`, `superlens`,
-`cm_cloak`, `gluing_demo`) loop over `_delta_sweep`, which builds the source
-and any reference solve once, solves every delta's staircased medium in one
-batch, and yields the solve of each delta.
+Each scenario's `check` runs the library's own rules on what the run would
+build, before any work, naming the param of a failing rule.  Each of the
+five loss sweeps (`dcm_convergence`, `blowup_scan`, `superlens`, `cm_cloak`,
+`gluing_demo`) is one `Sweep`, whose `check` covers the media `solves` solves.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .carleman import (
     BumpFunction,
     build_frame,
     carleman_inequality_check,
+    check_inequality_args,
     constant_field,
     exponent_bookkeeping,
     lipschitz_test_field,
@@ -38,6 +40,7 @@ from .carleman import (
 )
 from .layered_maxwell import (
     SurfaceCurrentSource,
+    check_media_agree,
     data_quantity,
     l2_norm_annulus,
     l2_norm_annulus_diff,
@@ -45,8 +48,9 @@ from .layered_maxwell import (
     remove_localized_singularity,
     solve,
 )
-from .layered_maxwell.refine import solve_staircased
-from .layered_maxwell.staircase import graded_midpoints, staircase
+from .layered_maxwell.refine import solve_staircased, staircase_levels
+from .layered_maxwell.solver import _build_regions
+from .layered_maxwell.staircase import graded_midpoints
 from .media import dcm_maps, make_cm_cloak, make_dcm_example, make_superlens, vacuum_medium
 from .report import write_csv, write_manifest
 from .three_sphere import (
@@ -64,17 +68,17 @@ SCENARIOS = {}
 
 @dataclass(frozen=True)
 class Scenario:
-    """A registered experiment: its body, parameter defaults and tolerances."""
+    """A registered experiment: its body, parameter defaults, tolerances and check."""
 
     body: Callable
     defaults: dict
     tolerances: Callable    # merged params -> the manifest's tolerances
-    geometry: Callable      # merged params -> None, or ValueError before any solve
+    check: Callable         # merged params -> ValueError before any work, if they break a rule
 
 
-def scenario(name, defaults, tolerances=lambda p: {}, geometry=lambda p: None):
+def scenario(name, defaults, tolerances=lambda p: {}, check=lambda p: None):
     def deco(fn):
-        SCENARIOS[name] = Scenario(fn, defaults, tolerances, geometry)
+        SCENARIOS[name] = Scenario(fn, defaults, tolerances, check)
         return fn
     return deco
 
@@ -103,34 +107,49 @@ def _fit_loglog(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _delta_sweep(p: dict, build_medium, reference=None, richardson=True):
-    """Yield (delta, sol, ref) per loss: the source and ref, the plain solve
-    of `reference` (None without one), are made once; sol is the staircased
-    solve of build_medium(delta), Richardson-refined if richardson.  All
-    losses are solved up front by one `solve_staircased` call, one region
-    pass per refinement level."""
-    src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
-    ref = None if reference is None else solve(reference, src, p["omega"])
-    sols = solve_staircased([build_medium(delta) for delta in p["deltas"]], src,
-                            p["omega"], layers=p["layers"], richardson=richardson)
-    for delta, sol in zip(p["deltas"], sols):
-        yield delta, sol, ref
+def _named(param: str, rule, *args):
+    """rule(*args), with param prefixed to the ValueError it may raise."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ValueError(f"{param}: {exc}") from None
 
 
-def _sweep_geometry(build_medium, compare=None, richardson=True):
-    """The geometry rule of a `_delta_sweep` over build_medium(p, delta):
-    the constructor's radius rules, a source radius off every breakpoint of
-    the staircased media, and a `compare` annulus that starts at r2 or
-    beyond, where the medium and its reference are both vacuum."""
-    def check(p):
-        medium = build_medium(p, p["deltas"][0])
-        for layers in (p["layers"], 2 * p["layers"])[:1 + richardson]:
-            if p["r_s"] in staircase(medium, layers).breakpoints:
-                raise ValueError(f"'r_s' {p['r_s']} lies on a layer breakpoint")
-        if compare and p[compare][0] < medium.provenance["r2"]:
-            raise ValueError(f"'{compare}' must start at r2 = {medium.provenance['r2']} "
-                             "or beyond, where the compared media are vacuum")
-    return check
+@dataclass(frozen=True)
+class Sweep:
+    """The staircased solves of medium(p, delta) over the deltas, refined if
+    richardson, and the plain solve of reference(p), compared on p["annulus"]."""
+
+    medium: Callable                   # (params, delta) -> the medium at loss delta
+    reference: Callable | None = None  # params -> the reference medium
+    richardson: bool = True
+
+    def check(self, p: dict) -> list:
+        """Run the solver's rules on the media the run solves at the first
+        loss, and return them: the staircase levels, then the reference."""
+        if not min(p["deltas"]) > 0:
+            raise ValueError("'deltas' must be positive")
+        if len(set(p["deltas"])) < 2:
+            raise ValueError("'deltas' needs at least two distinct values to compare")
+        if p.get("p", 2.0) != 2.0:
+            raise ValueError("'p' must be 2: a lossy p != 2 shell has a complex effective order")
+        levels = staircase_levels(self.medium(p, p["deltas"][0]), p["layers"], self.richardson)
+        refs = [] if self.reference is None else [self.reference(p)]
+        for medium in levels + refs:
+            _named(f"'r_s' {p['r_s']!r}", _build_regions, medium, p["r_s"])
+        for level in levels if refs else []:
+            _named(f"'annulus' {p['annulus']!r}", check_media_agree, level, *refs, *p["annulus"])
+        return levels + refs
+
+    def solves(self, p: dict):
+        """Yield (delta, sol, ref) per loss (ref None without a reference),
+        all from one source and one `solve_staircased` call."""
+        src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
+        ref = None if self.reference is None else solve(self.reference(p), src, p["omega"])
+        sols = solve_staircased([self.medium(p, delta) for delta in p["deltas"]], src,
+                                p["omega"], layers=p["layers"], richardson=self.richardson)
+        for delta, sol in zip(p["deltas"], sols):
+            yield delta, sol, ref
 
 
 def _dcm(p, delta):
@@ -143,8 +162,14 @@ def _superlens(p, delta):
                           delta, r1=p["r1"])
 
 
-def _cm_cloak(p, delta):
-    return make_cm_cloak(p["r2"], p["r3"], None, delta)
+# The loss sweeps, one per scenario; each one's `check` is its scenario's.
+_DCM_CONVERGENCE = Sweep(_dcm, reference=lambda p: vacuum_medium())
+_BLOWUP_SCAN = Sweep(_dcm, richardson=False)
+_SUPERLENS = Sweep(lambda p, delta: _superlens(p, delta)[0],
+                   reference=lambda p: _superlens(p, 0.0)[1])
+_CM_CLOAK = Sweep(lambda p, delta: make_cm_cloak(p["r2"], p["r3"], None, delta),
+                  reference=lambda p: vacuum_medium())
+_GLUING_DEMO = Sweep(_dcm, richardson=False)
 
 
 @scenario("dcm_convergence",
@@ -154,19 +179,18 @@ def _cm_cloak(p, delta):
                     "slope_window": [0.85, 1.15], "bound_variation": 0.10},
           tolerances=lambda p: {"slope_window": p["slope_window"],
                                 "bound_variation": p["bound_variation"]},
-          geometry=_sweep_geometry(_dcm, compare="annulus"))
+          check=_DCM_CONVERGENCE.check)
 def run_dcm_convergence(p: dict):
     """err(delta) against the homogenized limit, with the uniform exterior bound."""
     rows = []
-    for delta, sol, vac in _delta_sweep(p, lambda d: _dcm(p, d), reference=vacuum_medium()):
+    for delta, sol, vac in _DCM_CONVERGENCE.solves(p):
         j_norm = math.sqrt(sol.source.l2_norm_sq())
         err = l2_norm_annulus_diff(sol, vac, *p["annulus"])
         ext = l2_norm_annulus(sol, *p["annulus"])
         rows.append([delta, err, ext, ext / j_norm])
-    errs = [row[1] for row in rows]
-    bounds = [row[3] for row in rows]
+    _, errs, _, bounds = zip(*rows)
     slope = _fit_loglog(p["deltas"], errs)
-    variation = (max(bounds) - min(bounds)) / max(bounds)
+    variation = (np.max(bounds) - np.min(bounds)) / np.max(bounds)
     tables = {"dcm_convergence.csv":
               (["delta", "err_l2", "exterior_l2", "exterior_over_j"], rows)}
     assertions = [
@@ -185,24 +209,23 @@ def run_dcm_convergence(p: dict):
           defaults={"r1": 1.0, "r2": 2.0, "p": 2.0, "omega": 1.0, "r_s": 3.0,
                     "n_src": 4, "seed": 11, "layers": 64,
                     "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "exterior": [4.0, 6.0]},
-          geometry=_sweep_geometry(_dcm, richardson=False))
+          check=_BLOWUP_SCAN.check)
 def run_blowup_scan(p: dict):
     """Shell-norm growth for a source between r2 and r3 (localized resonance)."""
     rows = []
-    for delta, sol, _ in _delta_sweep(p, lambda d: _dcm(p, d), richardson=False):
+    for delta, sol, _ in _BLOWUP_SCAN.solves(p):
         j_norm = math.sqrt(sol.source.l2_norm_sq())
         s_norm = l2_norm_annulus(sol, p["r1"], p["r2"])
         e_norm = l2_norm_annulus(sol, *p["exterior"])
         rep = data_quantity(sol, delta)
         rows.append([delta, s_norm, e_norm, e_norm / j_norm,
                      rep.value, s_norm ** 2 / rep.value])
-    shell = [row[1] for row in rows]
-    exterior = [row[2] for row in rows]
+    _, shell, exterior, *_ = zip(*rows)
     growth = -_fit_loglog(p["deltas"], shell)
     tables = {"blowup_scan.csv":
               (["delta", "shell_l2", "exterior_l2", "exterior_over_j",
                 "data_functional", "shell_sq_over_data"], rows)}
-    ext_variation = (max(exterior) - min(exterior)) / max(exterior)
+    ext_variation = (np.max(exterior) - np.min(exterior)) / np.max(exterior)
     assertions = [
         ("exterior_bounded", ext_variation < 0.5,
          f"variation={ext_variation:.4f}"),
@@ -218,13 +241,11 @@ def run_blowup_scan(p: dict):
                     "deltas": [1e-2, 1e-3, 1e-4, 1e-5], "annulus": [4.0, 6.0],
                     "ratio_bound": 1e-2},
           tolerances=lambda p: {"ratio_bound": p["ratio_bound"]},
-          geometry=_sweep_geometry(lambda p, d: _superlens(p, d)[0], compare="annulus"))
+          check=_SUPERLENS.check)
 def run_superlens(p: dict):
     """Convergence to the magnified reference as the shell loss vanishes."""
-    rows = []
-    for delta, sol, ref_sol in _delta_sweep(p, lambda d: _superlens(p, d)[0],
-                                            reference=_superlens(p, 0.0)[1]):
-        rows.append([delta, l2_norm_annulus_diff(sol, ref_sol, *p["annulus"])])
+    rows = [[delta, l2_norm_annulus_diff(sol, ref_sol, *p["annulus"])]
+            for delta, sol, ref_sol in _SUPERLENS.solves(p)]
     errs = [err for _, err in rows]
     tables = {"superlens.csv": (["delta", "err_vs_reference"], rows)}
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
@@ -243,12 +264,11 @@ def run_superlens(p: dict):
           defaults={"r2": 1.0, "r3": 2.0, "omega": 1.0, "r_s": 5.0, "n_src": 3,
                     "seed": 17, "layers": 96, "deltas": [1e-2, 1e-3, 1e-4],
                     "annulus": [3.0, 5.0]},
-          geometry=_sweep_geometry(_cm_cloak, compare="annulus"))
+          check=_CM_CLOAK.check)
 def run_cm_cloak(p: dict):
     """Annulus cloak against free space: exterior error vs loss."""
-    rows = []
-    for delta, sol, vac in _delta_sweep(p, lambda d: _cm_cloak(p, d), reference=vacuum_medium()):
-        rows.append([delta, l2_norm_annulus_diff(sol, vac, *p["annulus"])])
+    rows = [[delta, l2_norm_annulus_diff(sol, vac, *p["annulus"])]
+            for delta, sol, vac in _CM_CLOAK.solves(p)]
     errs = [err for _, err in rows]
     tables = {"cm_cloak.csv": (["delta", "err_vs_free_space"], rows)}
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
@@ -267,11 +287,11 @@ def _gluing_radii(p: dict, medium) -> list:
                   if 1.1 * p["r2"] < r2sq / m < 0.95 * r3)[::12]
 
 
-def _gluing_geometry(p: dict) -> None:
-    """`gluing_demo`'s sweep geometry, and a shell thick enough to leave
+def _gluing_check(p: dict) -> None:
+    """`gluing_demo`'s sweep check, and a shell thick enough to leave
     residual sample radii (r2/r1 above about 1.158)."""
-    _sweep_geometry(_dcm, richardson=False)(p)
-    if not _gluing_radii(p, staircase(_dcm(p, p["deltas"][0]), p["layers"])):
+    (medium,) = _GLUING_DEMO.check(p)
+    if not _gluing_radii(p, medium):
         raise ValueError(f"'r1' {p['r1']} and 'r2' {p['r2']} leave no residual "
                          "sample radius r2^2/m in (1.1 r2, 0.95 r3)")
 
@@ -281,28 +301,26 @@ def _gluing_geometry(p: dict) -> None:
                     "seed": 19, "layers": 192, "deltas": [1e-2, 1e-3, 1e-4],
                     "jump_tol": 1e-6, "ratio_variation": 2.0},
           tolerances=lambda p: {"jump_tol": p["jump_tol"]},
-          geometry=_gluing_geometry)
+          check=_gluing_check)
 def run_gluing_demo(p: dict):
     """Removing the localized singularity: jump residuals and the delta-forcing."""
     rows = []
     # without Richardson, sol.medium is the staircased DCM that was solved
-    for delta, sol, _ in _delta_sweep(p, lambda d: _dcm(p, d), richardson=False):
-        f_map, g_map = dcm_maps(sol.medium)
-        glued = remove_localized_singularity(sol, f_map, g_map)
-        radii = _gluing_radii(p, sol.medium)
-        rep = glued.residual_report(radii, seed=p["seed"])
+    for delta, sol, _ in _GLUING_DEMO.solves(p):
+        glued = remove_localized_singularity(sol, *dcm_maps(sol.medium))
+        rep = glued.residual_report(_gluing_radii(p, sol.medium), seed=p["seed"])
         rows.append([delta, rep.jump_rel_r2, rep.jump_rel_r3,
                      rep.maxwell_resid_norm, rep.maxwell_resid_norm / delta,
                      rep.forcing_rel_deviation])
     ratios = [row[4] for row in rows]
-    jumps = [max(row[1], row[2]) for row in rows]
+    jumps = [np.max(row[1:3]) for row in rows]
     tables = {"gluing_demo.csv":
               (["delta", "jump_rel_r2", "jump_rel_r3", "maxwell_resid",
                 "resid_over_delta", "forcing_rel_dev"], rows)}
-    variation = max(ratios) / min(ratios)
+    variation = np.max(ratios) / np.min(ratios)
     assertions = [
-        ("jump_residuals_small", max(jumps) < p["jump_tol"],
-         f"max jump={max(jumps):.3e}"),
+        ("jump_residuals_small", np.max(jumps) < p["jump_tol"],
+         f"max jump={np.max(jumps):.3e}"),
         ("resid_over_delta_bounded", variation < p["ratio_variation"],
          f"variation={variation:.3f}"),
     ]
@@ -330,12 +348,14 @@ def _alpha_boundary(r0: float) -> PartialBoundary:
                     "monomial_max": 50, "seed": 23,
                     "alpha_excisions": [0.2, 0.1, 0.05]},
           tolerances=lambda p: {"ratio_bound": _RATIO_BOUND,
-                                "monomial_tol": _MONOMIAL_TOL})
+                                "monomial_tol": _MONOMIAL_TOL},
+          check=lambda p: [_named(f"'alpha_excisions' entry {r0!r}", _alpha_boundary, r0)
+                           for r0 in p["alpha_excisions"]])
 def run_three_sphere_suite(p: dict):
     """Planar sup-norm interpolation plus the partial-data evidence table."""
     rng = np.random.default_rng(p["seed"])
     triples = list(itertools.combinations(p["radius_grid"], 3))
-    worst = 0.0
+    ratios = []
     rows = []
     for start in range(0, p["count"], _HADAMARD_BLOCK):
         items = []
@@ -346,14 +366,13 @@ def run_three_sphere_suite(p: dict):
                           triples[idx % len(triples)]))
         for idx, ((_, radii), (lhs, rhs, _, ratio)) in enumerate(
                 zip(items, check_hadamard(items)), start):
-            worst = max(worst, ratio)
+            ratios.append(ratio)
             if idx < 200:
                 rows.append(["hadamard", *radii, 0.0, lhs, rhs, ratio])
-    mono_dev = 0.0
+    worst = np.max(ratios)
     monomials = [(HarmonicExpansion2D.holomorphic([0.0] * k + [1.0]), (0.5, 1.1, 2.5))
                  for k in range(1, p["monomial_max"] + 1)]
-    for _, _, _, ratio in check_hadamard(monomials):
-        mono_dev = max(mono_dev, abs(ratio - 1.0))
+    mono_dev = np.max([abs(ratio - 1.0) for *_, ratio in check_hadamard(monomials)])
     family = [SphericalExpansion(kind="harmonic", coeffs={(n, 0): (1.0, 0.0)})
               for n in range(12, 40)]
     alpha_rows = []
@@ -391,8 +410,8 @@ def run_maxwell_3sphere_suite(p: dict):
         cs.append(c)
         if idx < 100:
             rows.append(["maxwell", r1, r2, r3, 0.0, lhs, rhs, c])
-    base_max = max(cs[:p["count"]])
-    full_max = max(cs)
+    base_max = np.max(cs[:p["count"]])
+    full_max = np.max(cs)
     single = check_maxwell_3sphere({(4, 2): (0.5, 0.1j, 0.2, 0.0)}, r1, r2, r3)[2]
     tables = {"maxwell_3sphere_suite.csv":
               (["experiment", "r1", "r2", "r3", "r0", "lhs", "rhs", "measured_c"],
@@ -409,18 +428,25 @@ def run_maxwell_3sphere_suite(p: dict):
     return tables, results, assertions
 
 
+def _carleman_check(p: dict) -> None:
+    for pw, beta in itertools.product(p["ps"], p["betas"]):
+        _named(f"'ps' entry {pw!r} with 'betas' entry {beta!r}", check_inequality_args, beta, pw)
+    _named(f"'claims_lam' {p['claims_lam']!r}", lipschitz_test_field, p["claims_lam"])
+
+
 @scenario("carleman_suite",
           defaults={"seed": 31, "frame_count": 50, "frame_lam": 10.0,
                     "frame_folds": [10.0, 20.0, 40.0], "claims_lam": 1.5,
                     "claims_samples": 80, "ps": [8.0, 16.0],
                     "betas": [-32.0, -64.0, -128.0],
                     "bookkeeping_lams": [1.0, 2.0], "alphas": [0.5, 0.9]},
-          tolerances=lambda p: {"anchor_tol": _ANCHOR_TOL})
+          tolerances=lambda p: {"anchor_tol": _ANCHOR_TOL},
+          check=_carleman_check)
 def run_carleman_suite(p: dict):
     """Frame exactness, claim flatness, the weighted inequality, bookkeeping."""
     rng = np.random.default_rng(p["seed"])
     # 1) anchor exactness
-    worst_dev = 0.0
+    devs = []
     for _ in range(p["frame_count"]):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         eigs = rng.uniform(1.0 / p["frame_lam"], p["frame_lam"], 3)
@@ -428,9 +454,9 @@ def run_carleman_suite(p: dict):
         fr = build_frame(m0, z3=float(rng.uniform(-0.3, 0.3)))
         for n in p["frame_folds"]:
             x = sample_folded_sector(fr, n, 3, rng)
-            dev = np.max(np.abs(pushed_matrix(fr, n, constant_field(m0), x)
-                                - anchor_block(fr, n, x)))
-            worst_dev = max(worst_dev, float(dev))
+            devs.append(np.max(np.abs(pushed_matrix(fr, n, constant_field(m0), x)
+                                      - anchor_block(fr, n, x))))
+    worst_dev = np.max(devs)
     # 2) structural claims: flat in the fold parameter
     lam = p["claims_lam"]
     field = lipschitz_test_field(lam)
@@ -513,39 +539,14 @@ def _check_list(key: str, value: list, default: list) -> None:
         raise ValueError(f"'{key}' must increase strictly")
 
 
-def _check_keyed(key: str, value) -> None:
-    """The rules of single params, keyed by the param whatever its scenario."""
-    if key == "deltas" and not min(value) > 0:
-        raise ValueError("'deltas' must be positive")
-    if key == "deltas" and len(set(value)) < 2:
-        raise ValueError("'deltas' needs at least two distinct values: a loss "
-                         "sweep fits or compares its results across them")
-    if key == "p" and value != 2.0:
-        raise ValueError("'p' must be 2: with a positive loss, p != 2 gives a "
-                         "complex effective order")
-    if key == "betas" and any(b > -1.0 for b in value):
-        raise ValueError("'betas' must all be <= -1")
-    if key == "ps" and any(q < 1.0 for q in value):
-        raise ValueError("'ps' must all be >= 1")
-    if key == "claims_lam" and not value > 1.0:
-        raise ValueError("'claims_lam' must exceed 1 for a nonconstant test field")
-    if key == "alpha_excisions":
-        for r0 in value:
-            try:
-                _alpha_boundary(r0)
-            except ValueError as exc:
-                raise ValueError(f"'alpha_excisions' entry {r0!r}: {exc}") from None
-
-
 def scenario_params(name: str, params: dict) -> dict:
-    """The scenario's defaults updated by params.
+    """The scenario's defaults updated by params, after the scenario's `check`.
 
-    Raises ValueError for a key the defaults lack, a value of another type
-    than its default, a number or list entry that is not finite (JSON NaN
-    or Infinity), a number that is not positive (a `seed` that is negative),
-    a value that breaks a rule of `_check_list` or `_check_keyed`, each
-    keyed by the param it checks, and params that break the scenario's
-    geometry rule (docs/schemas.md lists them all).
+    Raises ValueError naming the param for a key the defaults lack, a value
+    of another type than its default, a number or list entry that is not
+    finite (JSON NaN or Infinity), a number that is not positive (a `seed`
+    that is negative) or a list that breaks a rule of `_check_list`, and
+    for merged params that fail the check (docs/schemas.md lists them all).
     """
     defaults = SCENARIOS[name].defaults
     for key, value in params.items():
@@ -563,9 +564,8 @@ def scenario_params(name: str, params: dict) -> dict:
         elif not (value >= 0 if key == "seed" else value > 0):
             raise ValueError(f"param {key!r} must be {'>= 0' if key == 'seed' else '> 0'}"
                              f", not {value!r}")
-        _check_keyed(key, value)
     merged = {**defaults, **params}
-    SCENARIOS[name].geometry(merged)
+    SCENARIOS[name].check(merged)
     return merged
 
 

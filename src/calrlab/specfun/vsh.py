@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 def _q_seed(m: int) -> float:
@@ -198,7 +199,7 @@ def gauss_legendre(order: int):
 
     The arrays are shared between callers, so they are read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = leggauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -145,27 +145,105 @@ def test_single_delta_sweep_exit_config(tmp_path, capsys, scenario):
     assert capsys.readouterr().err.count("'deltas' needs at least two") == 4
 
 
-@pytest.mark.parametrize("scenario, params", [
-    ("cm_cloak", {"r2": 2.0, "r3": 1.0}),
-    ("dcm_convergence", {"r1": 3.0}),
-    ("dcm_convergence", {"r_s": 2.0}),
-    ("dcm_convergence", {"annulus": [0.5, 6.0]}),
-    ("gluing_demo", {"r1": 1.0, "r2": 1.1, "n_src": 1, "layers": 8}),
+@pytest.mark.parametrize("scenario, params, named", [
+    ("cm_cloak", {"r2": 2.0, "r3": 1.0}, "r3 > r2"),
+    ("dcm_convergence", {"r1": 3.0}, "r2 > r1"),
+    ("dcm_convergence", {"r_s": 2.0}, "'r_s'"),
+    ("dcm_convergence", {"annulus": [0.5, 6.0]}, "'annulus'"),
+    ("gluing_demo", {"r1": 1.0, "r2": 1.1, "n_src": 1, "layers": 8}, "'r1'"),
+    ("superlens", {"annulus": [1.0, 6.0]}, "'annulus'"),
+    ("cm_cloak", {"annulus": [0.9, 5.0]}, "'annulus'"),
+    ("blowup_scan", {"r_s": 1.5}, "'r_s'"),
+    ("dcm_convergence", {"r_s": 1.0052083333333333}, "'r_s'"),
 ], ids=["cloak-radii-reversed", "core-beyond-shell", "source-on-breakpoint",
-        "annulus-over-the-shell", "gluing-shell-too-thin"])
+        "annulus-over-the-shell", "gluing-shell-too-thin", "superlens-annulus-over-the-shell",
+        "cloak-annulus-over-the-complement", "blowup-source-on-breakpoint",
+        "source-on-a-richardson-only-breakpoint"])
 def test_bad_sweep_geometry_exit_config_before_any_solve(tmp_path, capsys, monkeypatch,
-                                                         scenario, params):
-    # radii out of order, a source on a layer breakpoint, a comparison
-    # annulus that reaches where the medium is not vacuum, or a gluing shell
+                                                         scenario, params, named):
+    # radii out of order, a source on a layer breakpoint (r1 + 1/192 is one
+    # of the 2 x 96-layer Richardson level only), a comparison annulus that
+    # reaches where the medium and its reference differ, or a gluing shell
     # too thin for any residual sample radius: both commands reject the
-    # config before a solve, and write nothing
+    # config before a solve, write nothing, and name the param
     monkeypatch.setattr("calrlab.scenarios.solve", pytest.fail)
     monkeypatch.setattr("calrlab.scenarios.solve_staircased", pytest.fail)
     cfg = _write_config(tmp_path, "geometry.json", scenario, params, tmp_path / "outg")
     assert main(["validate-config", str(cfg)]) == EXIT_CONFIG
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert not (tmp_path / "outg").exists()
-    assert capsys.readouterr().err.count("config error: ") == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: ") == 2
+    assert err.count(named) == 2
+
+
+@pytest.mark.parametrize("scenario, sweep, count", [
+    ("dcm_convergence", "_DCM_CONVERGENCE", 3), ("blowup_scan", "_BLOWUP_SCAN", 1),
+    ("superlens", "_SUPERLENS", 3), ("cm_cloak", "_CM_CLOAK", 3),
+    ("gluing_demo", "_GLUING_DEMO", 1)])
+def test_sweep_check_returns_the_media_the_run_solves(tmp_path, monkeypatch, scenario, sweep,
+                                                      count):
+    # the media the check runs the solver's rules on have the breakpoints
+    # of every medium the run hands to the solver: each staircase level (two
+    # with Richardson, one without) and the reference, if any
+    import calrlab.layered_maxwell.refine as refine
+    import calrlab.layered_maxwell.solver as solver
+    import calrlab.scenarios as scenarios
+    solved = []
+    inner = solver._solve_media
+
+    def recorded(media, source, omega):
+        solved.extend(tuple(medium.breakpoints) for medium in media)
+        return inner(media, source, omega)
+
+    monkeypatch.setattr(solver, "_solve_media", recorded)
+    monkeypatch.setattr(refine, "_solve_media", recorded)
+    p = scenario_params(scenario, {"n_src": 1, "layers": 8, "deltas": [1e-2, 1e-3]})
+    checked = getattr(scenarios, sweep).check(p)
+    assert solved == []
+    scenarios.run_scenario(scenario, p, tmp_path)
+    assert len(checked) == count
+    assert {tuple(medium.breakpoints) for medium in checked} == set(solved)
+
+
+@pytest.mark.parametrize("command, scenario, params, code, prefix", [
+    ("validate-config", "dcm_convergence", {"r1": 1e-200, "r2": 1e200}, EXIT_CONFIG,
+     "config error: checking the params raised OverflowError"),
+    ("run", "dcm_convergence", {"r1": 1e-200, "r2": 1e200}, EXIT_CONFIG,
+     "config error: checking the params raised OverflowError"),
+    ("run", "dcm_convergence", {"omega": 1e-200, "n_src": 1, "layers": 8,
+                                "deltas": [1e-2, 1e-3]}, EXIT_NUMERICAL,
+     "numerical guard: ZeroDivisionError"),
+    ("run", "three_sphere_suite", {"max_degree": 2000, "count": 2, "alpha_excisions": [0.1]},
+     EXIT_NUMERICAL, "numerical guard: OverflowError"),
+    ("run", "carleman_suite", {"ps": [1e300]}, EXIT_NUMERICAL, "numerical guard: OverflowError"),
+    ("run", "carleman_suite", {"betas": [-1e300, -64.0]}, EXIT_NUMERICAL,
+     "numerical guard: OverflowError"),
+    ("run", "carleman_suite", {"bookkeeping_lams": [1e300]}, EXIT_NUMERICAL,
+     "numerical guard: OverflowError"),
+], ids=["validate-overflow", "run-overflow-in-check", "wronskian-zero-division",
+        "circle-coeffs-overflow", "ps-overflow", "betas-overflow", "bookkeeping-overflow"])
+def test_arithmetic_error_exits_with_a_documented_code(tmp_path, capsys, command, scenario,
+                                                       params, code, prefix):
+    # an ArithmeticError while checking the params is a config error, and
+    # one in the run a tripped numerical guard; neither writes output
+    cfg = _write_config(tmp_path, "arith.json", scenario, params, tmp_path / "outa")
+    assert main([command, str(cfg)]) == code
+    assert not (tmp_path / "outa").exists()
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_nan_deviation_fails_its_assertion(tmp_path, capsys):
+    # at frame_lam 1e300 every anchor deviation is NaN; the running maximum
+    # must keep the NaN, so the assertion fails instead of reading 0.0
+    import warnings
+    cfg = _write_config(tmp_path, "nan.json", "carleman_suite",
+                        {"frame_lam": 1e300, "frame_count": 2, "claims_samples": 5},
+                        tmp_path / "outnan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", str(cfg)]) == EXIT_ASSERTION
+    assert "[FAIL] anchor_exactness: max deviation=nan" in capsys.readouterr().out
 
 
 def test_tripped_guard_exit_numerical(tmp_path, capsys, monkeypatch):

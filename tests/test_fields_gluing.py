@@ -374,9 +374,9 @@ def _closure_residual_report(glued, sample_radii, seed):
 def _gluing_demo_fields(params):
     """The glued field and sample radii of each loss of a `gluing_demo` run
     at params (over the scenario's defaults), built as the scenario does."""
-    from calrlab.scenarios import SCENARIOS, _dcm, _delta_sweep, _gluing_radii
+    from calrlab.scenarios import SCENARIOS, Sweep, _dcm, _gluing_radii
     p = {**SCENARIOS["gluing_demo"].defaults, **params}
-    for _, sol, _ in _delta_sweep(p, lambda d: _dcm(p, d), richardson=False):
+    for _, sol, _ in Sweep(_dcm, richardson=False).solves(p):
         glued = remove_localized_singularity(sol, *dcm_maps(sol.medium))
         yield glued, _gluing_radii(p, sol.medium), p["seed"]
 

@@ -516,7 +516,7 @@ def test_richardson_delta_sweep_makes_one_region_pass_per_level(monkeypatch):
     # four losses with Richardson: one batched solve per refinement level,
     # plus the reference solve
     import calrlab.layered_maxwell.solver as solver
-    from calrlab.scenarios import _delta_sweep
+    from calrlab.scenarios import Sweep
     calls = []
     inner = solver._solve_radial
 
@@ -527,8 +527,8 @@ def test_richardson_delta_sweep_makes_one_region_pass_per_level(monkeypatch):
     monkeypatch.setattr(solver, "_solve_radial", counted)
     p = {"r_s": 5.0, "n_src": 1, "seed": 7, "omega": 1.0, "layers": 4,
          "deltas": [1e-2, 1e-3, 1e-4, 1e-5]}
-    swept = list(_delta_sweep(p, lambda d: make_dcm_example(1.0, 2.0, 2.0, d),
-                              reference=vacuum_medium()))
+    swept = list(Sweep(lambda p, d: make_dcm_example(1.0, 2.0, 2.0, d),
+                       reference=lambda p: vacuum_medium()).solves(p))
     assert [delta for delta, _, _ in swept] == p["deltas"]
     assert len(calls) == 3
     assert calls[1:] == [4 * calls[0]] * 2
