@@ -206,8 +206,11 @@ def carleman_inequality_check(m, v, beta: float, p: float,
         scale = max(abs(x2), 1e-300)
         if abs(x1 - x2) / scale > _REFINE_GUARD and scale > 1e-290:
             raise RuntimeError(f"quadrature not converged: {x1} vs {x2}")
+    # an end where v and v' vanish adds exactly 0; its weight may overflow
     ends = np.array([a, b])
     val, dv, _ = v.radial(ends)
+    live = (val != 0) | (dv != 0)
+    ends, val, dv = ends[live], val[live], dv[live]
     bd = float(np.sum(4.0 * math.pi * ends * ends * weight(ends) * (
         dv * dv + p ** 2 * beta ** 2 * ends ** (-2 * p - 2) * val * val)))
     rhs = ri2 + bd

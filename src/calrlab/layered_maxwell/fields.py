@@ -10,7 +10,10 @@ Every step is elementwise, so each radius gets exactly the bits of a call
 on it alone: a gluing residual report evaluates all of its point sets
 (both gluing spheres, the finite-difference stencil and its centres, raw
 and reflected) in one `eval_field_many` call, and a norm evaluates all of
-its quadrature panels in one kernel call.  Every per-(region, mode)
+its quadrature panels in one kernel call.  `eval_field_many` runs the
+kernel on the distinct radii of its points and the angular triples on
+their distinct directions, and gathers both per point, so each point
+still gets the bits of a call on it alone.  Every per-(region, mode)
 constant comes from a `ModeTable` of the solve, so the TE/TM rule is
 `solver._mode_constants` alone; here a mode's polarization only places u
 among the six components.
@@ -99,9 +102,13 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
     region is used.
 
     The radial components come from one `_components` kernel over the
-    regions the points reach, and the angular triples are streamed one
-    (n, m) at a time.  Every step is elementwise, so each point gets exactly
-    the values of a call on it alone.
+    distinct radii of the points, and the angular triples are streamed one
+    (n, m) at a time over their distinct directions (theta, phi), told apart
+    by their bits so that phi = +0.0 and -0.0 stay apart; each point gathers
+    its own.  A TE mode adds only E_V and H_Y, H_U, a TM mode only E_Y, E_U
+    and H_V, the products that are not zero by polarization.  Every step is
+    elementwise, so each point gets exactly the values of a call on it
+    alone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.linalg.norm(pts, axis=1)
@@ -109,19 +116,29 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("evaluation requires |x| > 0")
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    comps = _components(list(sol.radial), sol.modes, sol.region_indices(r), r)
-    angular = VshStream(sol.source.n_max, theta, phi)
+    radii, at_r = np.unique(r, return_inverse=True)
+    comps = _components(list(sol.radial), sol.modes, sol.region_indices(radii), radii)
+    angles = np.stack([theta, phi], axis=-1)
+    _, first, at_d = np.unique(angles.view("V16")[:, 0], return_index=True,
+                               return_inverse=True)
+    angular = VshStream(sol.source.n_max, theta[first], phi[first])
     e_out = np.zeros((len(pts), 3), dtype=complex)
     h_out = np.zeros((len(pts), 3), dtype=complex)
     nm = None
     for key, amp in sol.source.amplitudes.items():
         if (key.n, key.m) != nm:
             nm = (key.n, key.m)
-            rad, grad, rot = angular(key.n, key.m)
+            rad, grad, rot = (v[at_d] for v in angular(key.n, key.m))
         mult = amp * h_jump_factor(key.pol)
-        e_y, e_u, e_v, h_y, h_u, h_v = comps[..., sol._columns[(key.n, key.pol)], None]
-        e_out += mult * (e_y * rad + e_u * grad + e_v * rot)
-        h_out += mult * (h_y * rad + h_u * grad + h_v * rot)
+        c = comps[..., sol._columns[(key.n, key.pol)]]
+        if key.pol == TE:
+            e_v, h_y, h_u = c[2:5, at_r, None]
+            e_out += mult * (e_v * rot)
+            h_out += mult * (h_y * rad + h_u * grad)
+        else:
+            e_y, e_u, h_v = c[[0, 1, 5]][:, at_r, None]
+            e_out += mult * (e_y * rad + e_u * grad)
+            h_out += mult * (h_v * rot)
     return e_out, h_out
 
 
@@ -231,23 +248,26 @@ class GluedField:
         self.step = min([_MAX_STEP] + [(reg.r_hi - reg.r_lo) / 8 for reg in sol.regions
                                        if r1 <= reg.r_lo and reg.r_hi <= r2])
 
-    def _fields(self, requests) -> list:
-        """(E, H) of each (branch, points) request, from one field evaluation.
+    def _pullback(self, branch: str, ys):
+        """The points x at which a branch evaluates the solution for points
+        ys, and the chain of (map, point) pairs it pulls (E, H) forward
+        through, the innermost map first."""
+        x = np.atleast_2d(np.asarray(ys, dtype=float))
+        chain = []
+        for mapping in {"raw": (), "refl1": (self.f_map,),
+                        "refl2": (self.g_map, self.f_map)}[branch]:
+            x = mapping.inverse(x)
+            chain.insert(0, (mapping, x))
+        return x, chain
 
-        A reflected branch evaluates the solution at the pulled-back points
-        and pulls (E, H) forward through each map's transposed Jacobian, the
-        innermost map first.
-        """
-        inverses = {"raw": (), "refl1": (self.f_map,),
-                    "refl2": (self.g_map, self.f_map)}
-        pulled = []
-        for branch, ys in requests:
-            x = np.atleast_2d(np.asarray(ys, dtype=float))
-            chain = []
-            for mapping in inverses[branch]:
-                x = mapping.inverse(x)
-                chain.insert(0, (mapping, x))
-            pulled.append((x, chain))
+    def _fields(self, requests) -> list:
+        """(E, H) of each (branch, points) request, from one field evaluation."""
+        return self._pushed([self._pullback(branch, ys) for branch, ys in requests])
+
+    def _pushed(self, pulled) -> list:
+        """(E, H) of each `_pullback` (x, chain), from one field evaluation:
+        the solution at every x, pulled forward through each map's transposed
+        Jacobian, the innermost map first."""
         e_all, h_all = eval_field_many(self.sol, np.vstack([x for x, _ in pulled]))
         bounds = np.cumsum([len(x) for x, _ in pulled])[:-1]
         out = []
@@ -288,11 +308,13 @@ class GluedField:
         background there), so the finite-difference residual at
         _POINTS_PER_RADIUS random points per sample radius is compared
         against that predicted forcing.  The stencil step is `self.step`,
-        which keeps the pulled-back stencil off the shell's breakpoints only
-        at radii that reflect sublayer midpoints; other radii are not
-        checked for that.  Every sample radius must lie in (r2 + 4 step,
-        r3 - 4 step), so that the whole stencil lies in D, or ValueError
-        names the band.  Every field value comes from one field evaluation.
+        which keeps the pulled-back stencil off the shell's breakpoints at
+        radii that reflect sublayer midpoints.  Every sample radius must lie
+        in (r2 + 4 step, r3 - 4 step), so that the whole stencil lies in D,
+        or ValueError names the band; and the 13 pulled-back points of each
+        sample's stencil must lie in one solved region on each of the three
+        branches, or ValueError names the radius and the branch.  Every
+        field value comes from one field evaluation.
         """
         h = self.step
         lo, hi = self.r2 + 4 * h, self.r3 - 4 * h
@@ -319,9 +341,18 @@ class GluedField:
         stencil = np.vstack(stencil)
         pts, w, _, _ = sphere_rule(_JUMP_QUAD_ORDER)
         on_r2, on_r3 = self.r2 * pts, self.r3 * pts
-        raw2, refl1_2, refl1_3, refl2_3, (_, h_refl), raw, refl1, refl2 = self._fields(
-            [("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
-             ("refl1", ys), ("raw", stencil), ("refl1", stencil), ("refl2", stencil)])
+        pulled = [self._pullback(branch, y) for branch, y in (
+            ("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
+            ("refl1", ys), ("raw", stencil), ("refl1", stencil), ("refl2", stencil))]
+        for branch, (x, _) in zip(("raw", "refl1", "refl2"), pulled[5:]):
+            owner = self.sol.region_indices(np.linalg.norm(x, axis=1)).reshape(13, n)
+            crossed = np.flatnonzero(np.any(owner != owner[0], axis=0))
+            if crossed.size:
+                raise ValueError(
+                    f"the {branch} stencil of sample radius "
+                    f"{radii[crossed[0] // _POINTS_PER_RADIUS]} crosses a breakpoint "
+                    f"of the solve at step {h}")
+        raw2, refl1_2, refl1_3, refl2_3, (_, h_refl), raw, refl1, refl2 = self._pushed(pulled)
         jump2 = _trace_jump(pts, w, raw2, refl1_2)
         jump3 = _trace_jump(pts, w, refl1_3, refl2_3)
         e = (raw[0] - refl1[0] + refl2[0]).reshape(13, n, 3)

@@ -246,6 +246,21 @@ def test_nan_deviation_fails_its_assertion(tmp_path, capsys):
     assert "[FAIL] anchor_exactness: max deviation=nan" in capsys.readouterr().out
 
 
+def test_carleman_boundary_term_at_large_beta_stays_finite(tmp_path):
+    # at p = 16 the weight at the shell's outer end overflows for beta =
+    # -256; the bump vanishes there, so that end adds nothing and the
+    # measured constants stay finite, with no overflow warning
+    import warnings
+    cfg = _write_config(tmp_path, "beta.json", "carleman_suite",
+                        {"betas": [-128.0, -256.0]}, tmp_path / "outbeta")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg)]) == EXIT_OK
+    rows = (tmp_path / "outbeta" / "carleman_inequality.csv").read_text().splitlines()
+    assert len(rows) == 9
+    assert all(math.isfinite(float(row.split(",")[-1])) for row in rows[1:])
+
+
 def test_tripped_guard_exit_numerical(tmp_path, capsys, monkeypatch):
     # a near-singular mode raises; the run exits 4 and writes nothing
     monkeypatch.setattr("calrlab.layered_maxwell.solver._COND_GUARD", 1e-2)

@@ -1,5 +1,6 @@
 """Reflections, the fixed-sphere trace identity, and the singularity-removing glue."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -424,3 +425,67 @@ def test_glued_report_rejects_a_radius_outside_the_stencil_band():
     for radii in ([2.5, glued.r2 + 2 * glued.step], [3.0, 4.5], []):
         with pytest.raises(ValueError, match=band):
             glued.residual_report(radii)
+
+
+def _shared_radius_and_direction_points(sol):
+    """Sphere-rule points at two radii (every direction twice), both poles,
+    phi = +0.0 and -0.0, and a breakpoint radius, interleaved."""
+    pts, _, _, _ = sphere_rule(4)
+    bp = sol.regions[2].r_hi
+    special = np.array([[0.0, 0.0, 2.5], [0.0, 0.0, -2.5], [1.5, 0.0, 0.7],
+                        [1.5, -0.0, 0.7], [-1.5, 0.0, 0.7], [-1.5, -0.0, 0.7],
+                        [0.0, 0.0, bp], [bp, -0.0, 0.0], [0.0, -0.0, -bp]])
+    return np.random.default_rng(29).permutation(np.vstack([2.5 * pts, 3.5 * pts, special]))
+
+
+def test_shared_radii_and_directions_keep_each_points_bits():
+    # the kernel runs on the distinct radii and the angular triples on the
+    # distinct directions; each point must still get the bytes of a call on
+    # it alone, -0.0 and +0.0 included
+    sol, _ = _dcm_solution(1e-3, layers=8)
+    ys = _shared_radius_and_direction_points(sol)
+    assert np.any(np.signbit(ys[:, 1]) & (ys[:, 1] == 0.0))
+    e, h = eval_field_many(sol, ys)
+    for y, ey, hy in zip(ys, e, h):
+        (e1,), (h1,) = eval_field_many(sol, y[None, :])
+        assert ey.tobytes() == e1.tobytes() and hy.tobytes() == h1.tobytes()
+
+
+def test_field_evaluation_works_on_distinct_radii_and_directions(monkeypatch):
+    import calrlab.layered_maxwell.fields as fields
+    sol, _ = _dcm_solution(1e-3, layers=8)
+    ys = _shared_radius_and_direction_points(sol)
+    seen = {}
+    components, stream = fields._components, fields.VshStream
+
+    def spy_components(keys, table, owner, r):
+        seen["r"] = r
+        return components(keys, table, owner, r)
+
+    def spy_stream(nmax, theta, phi):
+        seen["angles"] = np.stack([theta, phi], axis=-1)
+        return stream(nmax, theta, phi)
+
+    monkeypatch.setattr(fields, "_components", spy_components)
+    monkeypatch.setattr(fields, "VshStream", spy_stream)
+    eval_field_many(sol, ys)
+    r = np.linalg.norm(ys, axis=1)
+    assert sorted(seen["r"].tolist()) == sorted(set(r.tolist()))
+    angles = np.stack([np.arccos(np.clip(ys[:, 2] / r, -1.0, 1.0)),
+                       np.arctan2(ys[:, 1], ys[:, 0])], axis=-1)
+    want = {a.tobytes() for a in angles}
+    assert len(seen["angles"]) == len(want) < len(ys)
+    assert {a.tobytes() for a in seen["angles"]} == want
+    # phi = +0.0 and -0.0 are two directions, though equal as numbers
+    assert len({tuple(a) for a in angles.tolist()}) < len(want)
+
+
+def test_glued_report_rejects_a_stencil_across_a_breakpoint():
+    # a sample radius whose reflection through F lies within the step of a
+    # shell breakpoint puts its pulled-back stencil on both sides of it
+    sol, med = _dcm_solution(1e-3)
+    glued = remove_localized_singularity(sol, *dcm_maps(med))
+    b = next(reg.r_hi for reg in sol.regions if 1.2 < reg.r_hi < 1.8)
+    r = glued.r2 ** 2 / b + glued.step / 4
+    with pytest.raises(ValueError, match=re.escape(f"refl1 stencil of sample radius {r} crosses")):
+        glued.residual_report([2.5, r])
