@@ -5,7 +5,8 @@ One kernel, `_components`, evaluates the six radial components of every
 (component x radius x key) array, whose key columns `eval_field_many` and
 the norms of `calrlab.layered_maxwell.norms` index.  It maps
 `_radial_components` over the key columns of the basis tables of
-`solver._basis_values`, the dispatch the solver uses for its region ends.
+`solver._basis_values`, the dispatch the solver uses for its region ends:
+one Bessel call per basis, elementwise in (order, argument).
 Every step is elementwise, so each radius gets exactly the bits of a call
 on it alone: a gluing residual report evaluates all of its point sets
 (both gluing spheres, the finite-difference stencil and its centres, raw
@@ -98,8 +99,8 @@ def _components(keys: list, table: ModeTable, owner, r) -> np.ndarray:
 
 
 def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]:
-    """(E, H) at an (N, 3) array of points; on a breakpoint the inside
-    region is used.
+    """(E, H) at an (N, 3) array of finite, nonzero points; on a
+    breakpoint the inside region is used.
 
     The radial components come from one `_components` kernel over the
     distinct radii of the points, and the angular triples are streamed one
@@ -111,6 +112,8 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
     alone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation requires finite points")
     r = np.linalg.norm(pts, axis=1)
     if np.any(r <= 0):
         raise ValueError("evaluation requires |x| > 0")

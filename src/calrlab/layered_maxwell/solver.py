@@ -22,9 +22,10 @@ impedance-safe form of the transfer recursion (Toon & Ackerman, Appl. Opt.
 20, 1981).
 
 The radial basis is evaluated in one place, `_basis_values`, which returns
-dense (radius x key) tables from one Bessel call per distinct order and
-basis; the solver takes every region end from one of its calls.  The
-Bessel functions are elementwise, so each cell gets exactly the values of
+dense (radius x key) tables from one Bessel call per basis (hat_jy for the
+inner regions, hat_h1 for the outgoing one) over all orders; the solver
+takes every region end from one of its calls.  The Bessel functions are
+elementwise in (order, argument), so each cell gets exactly the values of
 a call on it alone.  All (n, pol) keys are propagated together as
 the columns of (region x key) `ScaledArray` tables, the only stored form of
 the coefficients, and the source scaling and the interface residual take
@@ -247,30 +248,31 @@ def _basis_values(nu, k, outgoing, owner, r) -> tuple:
 
     Returns the tables (u0, du0, u1, du1), ScaledArrays of shape
     r.shape + (columns,): jhat, yhat and their derivatives at k r in each
-    cell, or 0, 0, hhat and its derivative in an outgoing one.  Each
-    distinct (order, outgoing) pair of the cells takes one hat_jy (hat_h1)
-    call over the distinct arguments k r of its cells, told apart by the
-    bits of k (so +0.0 and -0.0 stay apart) and r; the Bessel functions are
-    elementwise, so each cell gets exactly the values of a call on its own
-    argument.
+    cell, or 0, 0, hhat and its derivative in an outgoing one.  One hat_jy
+    call takes the distinct (order, argument k r) pairs of the cells that
+    are not outgoing and one hat_h1 call those of the outgoing cells, told
+    apart by their bits (so +0.0 and -0.0 stay apart); the Bessel functions
+    are elementwise in (order, argument), so each cell gets exactly the
+    values of a call on its own order and argument.
     """
-    # labels of the distinct (order, outgoing, k) in byte order: each (order, outgoing) is a run
-    consts = np.stack([nu, outgoing, k.real, k.imag], axis=-1).reshape(-1, 4)
-    triples, label = np.unique(consts.view("V32")[:, 0], return_inverse=True)
-    cells, inverse = np.unique(label.reshape(nu.shape)[owner] + 1j * r[..., None],
-                               return_inverse=True)
-    args = triples.view(float).reshape(-1, 4)[cells.real.astype(int)]
-    z_args = np.ascontiguousarray(args[:, 2:]).view(complex)[:, 0] * cells.imag.astype(complex)
-    m, e = np.zeros((4, len(args)), complex), np.zeros((4, len(args)), np.int64)
-    starts = np.flatnonzero(np.diff(args[:, :2], axis=0, prepend=-1.0).any(axis=1))
-    for lo, hi in zip(starts, np.append(starts[1:], len(args))):
-        order, out = args[lo, :2].tolist()
-        vals = (hat_h1 if out else hat_jy)(order, z_args[lo:hi])
-        names = ("h", "dh") if out else ("j", "dj", "y", "dy")
+    nu, z, out = nu[owner], k[owner] * r[..., None].astype(complex), outgoing[owner]
+    calls = []
+    for flag, fn, names in ((False, hat_jy, ("j", "dj", "y", "dy")), (True, hat_h1, ("h", "dh"))):
+        cells = out == flag
+        if cells.any():
+            orders, args = nu[cells], z[cells]
+            _, first, at = np.unique(
+                np.stack([orders, args.real, args.imag], axis=-1).view("V24")[:, 0],
+                return_index=True, return_inverse=True)
+            calls.append((cells, at, names, fn(orders[first], args[first])))
+    # the tables are made once the Bessel calls are done, so that they are
+    # not live during the calls
+    m = [np.zeros(z.shape, complex) for _ in range(4)]
+    e = [np.zeros(z.shape, np.int64) for _ in range(4)]
+    for cells, at, names, vals in calls:
         for slot, name in enumerate(names, 4 - len(names)):
-            m[slot, lo:hi], e[slot, lo:hi] = vals[name].m, vals[name].e
-    at = inverse.reshape(r.shape + nu.shape[1:])
-    return tuple(ScaledArray(m[slot][at], e[slot][at], normalize=False) for slot in range(4))
+            m[slot][cells], e[slot][cells] = vals[name].m[at], vals[name].e[at]
+    return tuple(ScaledArray(*table, normalize=False) for table in zip(m, e))
 
 
 def _basis_traces(regions, keys, modes: ModeTable, omega: float):

@@ -111,12 +111,16 @@ class ScaledArray:
     def __neg__(self):
         return ScaledArray(-self.m, self.e, normalize=False)
 
-    def scale10(self, log10_factor):
-        """Multiply by 10**log10_factor (real, possibly fractional)."""
+    @classmethod
+    def pow10(cls, log10_factor) -> "ScaledArray":
+        """10**log10_factor (real, possibly fractional) as 10**frac * 10**floor."""
         log10_factor = np.asarray(log10_factor, dtype=float)
         ip = np.floor(log10_factor)
-        frac = log10_factor - ip
-        return ScaledArray(self.m * 10.0 ** frac, self.e + ip.astype(np.int64))
+        return cls(10.0 ** (log10_factor - ip), ip.astype(np.int64), normalize=False)
+
+    def scale10(self, log10_factor):
+        """Multiply by 10**log10_factor (real, possibly fractional)."""
+        return self * ScaledArray.pow10(log10_factor)
 
     def log10_abs(self):
         """log10 of magnitude; -inf where zero."""

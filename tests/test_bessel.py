@@ -365,3 +365,88 @@ _arguments = st.lists(
 @given(nu=_orders, z=_arguments)
 def test_grouped_calls_match_per_group_calls(nu, z):
     _assert_elementwise(nu, z)
+
+
+# One order per element: a batch mixes integer orders 0-40 (|z| up to 30,
+# past the series/Miller switch at 8) with fractional orders on two bases
+# (|z| below the series bound of 20 they need), so that orders sharing a
+# base anchor and recur together.  Every element must get exactly the bits
+# of a scalar call on its own (order, argument): its own series stop,
+# Miller start, snapshots, upward steps and seeds, and per-order constants
+# computed on the scalar path.  The pinned example holds a zero of Re j_0
+# next to high orders whose series run longer, orders 10 and 12, whose
+# array-computed scale factors would differ in the last bit, and two
+# elements in the Miller range with different starts.
+_bases = st.floats(0.05, 0.95).filter(lambda v: abs(v - 0.5) > 1e-6)
+
+
+def _mixed_cells(base1, base2, draws):
+    cells = []
+    for kind, order, offset, radius, angle in draws:
+        if kind == "integer":
+            nu, r = float(order), 30.0 * radius
+        else:
+            nu, r = (base1 if kind == "first" else base2) + offset, 19.5 * radius
+        cells.append((nu, complex(r * math.cos(angle), r * math.sin(angle))))
+    return cells
+
+
+_draws = st.lists(
+    st.tuples(st.sampled_from(["integer", "first", "second"]), st.integers(0, 40),
+              st.integers(0, 16), st.floats(0.002, 1.0), st.floats(0.0, math.pi)),
+    min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@example(cells=[(0.0, 3.113530995280409 + 0.3j), (12.0, 7.9), (10.0, 0.4 - 0.1j),
+                (40.0, 25.0 + 3.0j), (2.0, 9.5), (3.3, 8.1 + 0.2j), (4.3, 0.6 + 0.1j),
+                (0.3, -14.0 + 6.5j)])
+@given(cells=st.builds(_mixed_cells, _bases, _bases, _draws))
+def test_order_arrays_match_scalar_calls(cells):
+    nu = np.array([c[0] for c in cells])
+    z = np.array([c[1] for c in cells])
+    for fn in (sph_jy, hat_jy, hat_h1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = fn(nu, z)
+        for i in range(len(z)):
+            alone = fn(float(nu[i]), z[i:i + 1])
+            for name, v in alone.items():
+                got = batch[name][i:i + 1]
+                assert np.array_equal(got.m, v.m), (fn.__name__, i, name)
+                assert np.array_equal(got.e, v.e), (fn.__name__, i, name)
+
+
+_BATCH_Z = np.array([0.5, 2.0 + 0.1j, 9.0])
+
+
+@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
+def test_order_array_rejects_a_non_finite_order(fn):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"order {bad} is not finite"):
+            fn(np.array([1.0, bad, 2.0]), _BATCH_Z)
+
+
+@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
+def test_order_array_rejects_a_negative_order(fn):
+    with pytest.raises(ValueError, match=r"order -0.5 must be >= 0"):
+        fn(np.array([1.0, -0.5, 2.0]), _BATCH_Z)
+
+
+@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
+def test_order_array_rejects_an_order_above_max_order(fn):
+    with pytest.raises(ValueError, match=r"order 2000.0 exceeds MAX_ORDER=1500"):
+        fn(np.array([1.0, 2000.0, 2.0]), _BATCH_Z)
+
+
+@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
+def test_order_array_must_have_the_arguments_shape(fn):
+    for nu, z in ((np.array([1.0, 2.0]), _BATCH_Z), (np.array([1.0, 2.0]), 0.5),
+                  (np.ones((3, 1)), _BATCH_Z)):
+        with pytest.raises(ValueError, match="order array of shape"):
+            fn(nu, z)
+    # scalar orders keep their messages
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        fn(-1.0, _BATCH_Z)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        fn(2000.0, _BATCH_Z)

@@ -1,6 +1,7 @@
 """Reflections, the fixed-sphere trace identity, and the singularity-removing glue."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,17 @@ def test_breakpoint_lookup_takes_inside_region():
         e, h = eval_field_many(sol, [[0.0, 0.0, r]])
         e1, h1 = eval_field_many(sol, [[0.0, 0.0, r], [0.0, 0.0, r]])
         assert np.array_equal(e1, [e[0], e[0]]) and np.array_equal(h1, [h[0], h[0]])
+
+
+@pytest.mark.parametrize("point", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0]])
+def test_field_evaluation_rejects_a_non_finite_point(point):
+    # a ValueError naming the cause, raised before any arithmetic warns
+    src = SurfaceCurrentSource(radius=2.0, amplitudes={mode(1, 0, "TE"): 1.0})
+    sol = solve(vacuum_medium(), src, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            eval_field_many(sol, [[0.0, 0.0, 1.0], point])
 
 
 def test_glued_eval_many_matches_single_point_reflections():

@@ -344,7 +344,7 @@ def test_dcm_fine_pass_raises_no_solver_warning():
 
 def test_te_and_tm_of_a_matched_medium_share_their_end_values(monkeypatch):
     # eps = mu gives TE and TM the same (nu, k) in every region, so adding
-    # TM to a TE solve adds no Bessel call, and leaves the TE column's bits
+    # TM to a TE solve adds no Bessel argument, and leaves the TE column's bits
     calls = _counting(monkeypatch)
     med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-3), 8)
 
@@ -368,17 +368,18 @@ def test_te_and_tm_of_a_matched_medium_share_their_end_values(monkeypatch):
 
 
 def _counting(monkeypatch):
-    """Count the solver module's hat_jy and hat_h1 calls."""
+    """Count the solver module's hat_jy and hat_h1 calls and arguments."""
     import calrlab.layered_maxwell.solver as solver
-    calls = {"hat_jy": 0, "hat_h1": 0}
+    calls = {"hat_jy": 0, "hat_h1": 0, "hat_jy.args": 0, "hat_h1.args": 0}
 
     def counted(name, fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(nu, z):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            calls[name + ".args"] += np.size(z)
+            return fn(nu, z)
         return wrapper
 
-    for name in calls:
+    for name in ("hat_jy", "hat_h1"):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     return calls
 
@@ -418,13 +419,17 @@ def test_basis_traces_match_one_call_per_region(case):
                     assert np.array_equal(got[sides, i, col].e, w.e), (i, col, b)
 
 
-def test_eps_ne_mu_solve_shares_bessel_calls_by_region_set(monkeypatch):
-    # TE and TM differ in the core only: per n, one hat_jy call per core
-    # order, one call on the shell and the inner vacuum (order n) that both
-    # keys share, and one shared hat_h1 outside
+def test_eps_ne_mu_solve_makes_one_bessel_call_per_basis(monkeypatch):
+    # TE and TM differ in the core only: one hat_jy call takes the core's
+    # four fractional orders and the shell's and inner vacuum's orders 1
+    # and 2, which both keys share, and one hat_h1 call the outside
     calls = _counting(monkeypatch)
     sol = eps_ne_mu_solution.__wrapped__()
-    assert calls == {"hat_jy": 6, "hat_h1": 2}
+    # per n: the core's 2 orders (TE, TM) at its one radius (its r_hi and
+    # the placeholder of its r_lo = 0 are both 1), order n at the 4 ends of
+    # the shell and the inner vacuum, and outside at the sheet and the
+    # placeholder of its unbounded end
+    assert calls == {"hat_jy": 1, "hat_h1": 1, "hat_jy.args": 2 * (2 + 4), "hat_h1.args": 2 * 2}
     cached = eps_ne_mu_solution()
     for a, b in ((sol.modes.c_j, cached.modes.c_j), (sol.modes.c_y, cached.modes.c_y)):
         assert np.array_equal(a.m, b.m) and np.array_equal(a.e, b.e)
@@ -681,10 +686,11 @@ def test_stacked_region_steps_match_the_four_product_recursion(monkeypatch):
     assert seen[0][1] == 98 and seen[0][2][1].shape == (99, 4 * 12)
 
 
-def test_basis_values_are_one_call_per_order_and_basis(monkeypatch):
-    # one hat_jy/hat_h1 call per distinct (order, outgoing) pair over the
-    # bit-distinct arguments of its cells, and each cell gets exactly the
-    # values of a one-element call on its own argument.  The table has TE
+def test_basis_values_are_one_call_per_basis(monkeypatch):
+    # one hat_jy call over the bit-distinct (order, argument) pairs of the
+    # cells that are not outgoing and one hat_h1 call over those of the
+    # outgoing cells, and each cell gets exactly the values of a
+    # one-element call on its own order and argument.  The table has TE
     # and TM columns with equal arguments, an outgoing row, a lossless layer
     # with eps and mu both negative (eps mu = 1 - 0j, and k = omega (1 - 0j)
     # = 1 + 0j shares the vacuum arguments' bits), two layers whose
@@ -711,19 +717,19 @@ def test_basis_values_are_one_call_per_order_and_basis(monkeypatch):
 
     def counted(fn):
         def call(nu, z):
-            calls.append((fn is hat_h1, nu, z.tobytes()))
+            calls.append((fn is hat_h1, np.asarray(nu), z))
             return fn(nu, z)
         return call
 
     monkeypatch.setattr(solver, "hat_jy", counted(hat_jy))
     monkeypatch.setattr(solver, "hat_h1", counted(hat_h1))
     tables = _basis_values(modes.nu, modes.k, modes.outgoing, owner, r)
-    cells = {}
+    cells = {False: set(), True: set()}
     for i, row in enumerate(owner):
         for col in range(len(keys)):
             nu, out = float(modes.nu[row, col]), bool(modes.outgoing[row, col])
             z = modes.k[row, col:col + 1] * r[i:i + 1].astype(complex)
-            cells.setdefault((out, nu), set()).add(z.tobytes())
+            cells[out].add((nu, z.tobytes()))
             one = hat_h1(nu, z) if out else hat_jy(nu, z)
             want = ((None, None, one["h"], one["dh"]) if out
                     else (one["j"], one["dj"], one["y"], one["dy"]))
@@ -733,8 +739,39 @@ def test_basis_values_are_one_call_per_order_and_basis(monkeypatch):
                     assert got.m == 0 and got.e == 0
                 else:
                     assert got.m.tobytes() == v.m.tobytes() and got.e == v.e[0]
-    assert len(cells[(False, 1.0)]) == 5       # 0.5, 1.7, 2.2 and +-0.0 + 0.5j
-    assert sorted((out, nu) for out, nu, _ in calls) == sorted(cells)
-    for out, nu, args in calls:
-        bits = {args[i:i + 16] for i in range(0, len(args), 16)}
-        assert len(args) == 16 * len(bits) and bits == cells[(out, nu)]
+    # order 1 at 0.5, 1.7, 2.2 and +-0.0 + 0.5j
+    assert len({z for nu, z in cells[False] if nu == 1.0}) == 5
+    assert sorted(out for out, _, _ in calls) == [False, True]
+    for out, nu, z in calls:
+        pairs = {(v, z[i:i + 1].tobytes()) for i, v in enumerate(nu.tolist())}
+        assert nu.shape == z.shape and len(pairs) == len(z) and pairs == cells[out]
+
+
+def test_each_basis_table_takes_one_bessel_call_per_basis(monkeypatch):
+    # the solve's region ends, a field evaluation and an annulus norm each
+    # build their basis tables from one `_basis_values` call, which makes at
+    # most one hat_jy and one hat_h1 call over all twelve orders
+    import calrlab.layered_maxwell.fields as fields
+    import calrlab.layered_maxwell.solver as solver
+    from calrlab.layered_maxwell import eval_field_many
+    calls = _counting(monkeypatch)
+    per_table = []
+
+    def spied(fn):
+        def call(*args):
+            before = dict(calls)
+            out = fn(*args)
+            per_table.append((calls["hat_jy"] - before["hat_jy"],
+                              calls["hat_h1"] - before["hat_h1"]))
+            return out
+        return call
+
+    for module in (solver, fields):
+        monkeypatch.setattr(module, "_basis_values", spied(module._basis_values))
+    amps = {mode(n, 1, pol): 1.0 for n in range(1, 13) for pol in ("TE", "TM")}
+    med = staircase(make_dcm_example(1.0, 2.0, p=2.0, delta=1e-2), 8)
+    sol = solve(med, SurfaceCurrentSource(radius=5.0, amplitudes=amps), 1.0)
+    eval_field_many(sol, [[0.0, 0.3, 0.4], [1.2, 0.0, 0.9], [0.0, 0.0, 6.0]])
+    l2_norm_annulus(sol, 2.0, 3.0)
+    assert len(per_table) >= 3 and per_table[:2] == [(1, 1), (1, 1)]
+    assert all(jy <= 1 and h1 <= 1 for jy, h1 in per_table)
