@@ -1,10 +1,11 @@
 """Pointwise field evaluation, reflected fields, and the singularity-removing glue.
 
-One kernel, `_components`, evaluates the six radial components of every
-(n, pol) mode at radii spread over several regions into one dense
-(component x radius x key) array, whose key columns `eval_field_many` and
-the norms of `calrlab.layered_maxwell.norms` index.  It maps
-`_radial_components` over the key columns of the basis tables of
+One kernel, `_components`, evaluates three radial components, u and its
+radial and tangential companions, of every (n, pol) mode at radii spread
+over several regions into one dense (component x radius x key) array,
+whose key columns `eval_field_many` and the norms of
+`calrlab.layered_maxwell.norms` index.  It runs `_radial_components` once,
+elementwise, over the whole (radius x key) basis tables of
 `solver._basis_values`, the dispatch the solver uses for its region ends:
 one Bessel call per basis, elementwise in (order, argument).
 Every step is elementwise, so each radius gets exactly the bits of a call
@@ -16,8 +17,8 @@ kernel on the distinct radii of its points and the angular triples on
 their distinct directions, and gathers both per point, so each point
 still gets the bits of a call on it alone.  Every per-(region, mode)
 constant comes from a `ModeTable` of the solve, so the TE/TM rule is
-`solver._mode_constants` alone; here a mode's polarization only places u
-among the six components.
+`solver._mode_constants` alone; the kernel reads no polarization, and
+each consumer places the three components in E and H by it.
 """
 from __future__ import annotations
 
@@ -51,16 +52,23 @@ def mode_radial_components(sol: FieldSolution, key, i: int, r):
     vals = (hat_h1 if outgoing else hat_jy)(nu, k * r.astype(complex))
     basis = ((None, None, vals["h"], vals["dh"]) if outgoing
              else (vals["j"], vals["dj"], vals["y"], vals["dy"]))
-    return _radial_components(key[1], complex(cell.rad[0, 0]), complex(cell.tan[0, 0]),
-                              k, cell.c_j[0], cell.c_y[0], basis, outgoing, r)
+    u, radial, tangential = _radial_components(
+        complex(cell.rad[0, 0]), complex(cell.tan[0, 0]), k, cell.c_j[0], cell.c_y[0],
+        basis, outgoing, r)
+    zero = np.zeros_like(u)
+    if key[1] == TE:
+        return zero, zero, u, radial, tangential, zero
+    return radial, tangential, zero, zero, zero, u
 
 
-def _radial_components(pol: str, rad, tan, k, c_j, c_y, basis, outgoing, r):
-    """`mode_radial_components` at an array of radii r from the cell's
-    factors rad and tan (see `solver._mode_constants`) and wavenumber k,
-    scalars or one value per radius, its coefficients, and the basis
-    values (u0, du0, u1, du1) at k r, hhat's in u1 where `outgoing` holds
-    (one flag, or one per radius).
+def _radial_components(rad, tan, k, c_j, c_y, basis, outgoing, r):
+    """(u, rad u / r, tan (k du/dz + u / r)) of the radial function
+    u = c_j u0 + c_y u1 at radii r, as plain complex arrays, from the cell's
+    factors rad and tan (see `solver._mode_constants`), wavenumber k, its
+    coefficients, and the basis values (u0, du0, u1, du1) at k r, hhat's in
+    u1 where `outgoing` holds.  Every argument is a scalar or broadcasts
+    against the others: one cell at many radii, or a (radius x key) table
+    with r a column.
 
     k multiplies du/dz from the right, so it may also be a ScaledArray of
     split wavenumbers; either way the product has the bits of a scalar k.
@@ -69,33 +77,22 @@ def _radial_components(pol: str, rad, tan, k, c_j, c_y, basis, outgoing, r):
     inv_r = 1.0 / r
     curlish = (du * k + u * inv_r).to_complex()
     uval = u.to_complex()
-    zero = np.zeros_like(uval)
-    radial = rad * uval * inv_r
-    tangential = tan * curlish
-    if pol == TE:
-        return zero, zero, uval, radial, tangential, zero
-    return radial, tangential, zero, zero, zero, uval
+    return uval, rad * uval * inv_r, tan * curlish
 
 
-def _components(keys: list, table: ModeTable, owner, r) -> np.ndarray:
-    """The radial components of the (n, pol) keys at radii r, with owner
-    the row of each in a `ModeTable` with one column per key.
-
-    Returns a complex array of shape (6, len(r), len(keys)) whose [:, i, col]
-    are the six values of `mode_radial_components` of keys[col] at r[i],
-    formed one key column at a time from one `solver._basis_values` call.
-    Every product keeps its operand order, so each radius gets exactly the
-    values of `mode_radial_components` on it alone.
+def _components(table: ModeTable, owner, r) -> np.ndarray:
+    """(u, radial, tangential) of `_radial_components` for every column of
+    a `ModeTable` at radii r, with owner the row of each radius: a complex
+    array of shape (3, len(r), columns), from one `solver._basis_values`
+    call and one elementwise pass over the (radius x key) table.  No value
+    is zero by polarization; each consumer places the three in E and H.
+    Every product keeps its operand order, so each cell gets exactly the
+    values of `mode_radial_components` at its radius alone.
     """
     basis = _basis_values(table.nu, table.k, table.outgoing, owner, r)
-    k_split = ScaledArray.from_complex(table.k)
-    out = np.empty((6, len(r), len(keys)), dtype=complex)
-    for col, (_, pol) in enumerate(keys):
-        at = owner, col
-        out[..., col] = _radial_components(
-            pol, table.rad[at], table.tan[at], k_split[at], table.c_j[at],
-            table.c_y[at], tuple(b[:, col] for b in basis), table.outgoing[at], r)
-    return out
+    return np.stack(_radial_components(
+        table.rad[owner], table.tan[owner], ScaledArray.from_complex(table.k)[owner],
+        table.c_j[owner], table.c_y[owner], basis, table.outgoing[owner], r[:, None]))
 
 
 def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +103,10 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
     distinct radii of the points, and the angular triples are streamed one
     (n, m) at a time over their distinct directions (theta, phi), told apart
     by their bits so that phi = +0.0 and -0.0 stay apart; each point gathers
-    its own.  A TE mode adds only E_V and H_Y, H_U, a TM mode only E_Y, E_U
-    and H_V, the products that are not zero by polarization.  Every step is
-    elementwise, so each point gets exactly the values of a call on it
-    alone.
+    its own.  A mode's u goes along rot into E (TE) or H (TM), and its
+    radial and tangential components along rad and grad into the other
+    field.  Every step is elementwise, so each point gets exactly the values
+    of a call on it alone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
@@ -120,7 +117,7 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     radii, at_r = np.unique(r, return_inverse=True)
-    comps = _components(list(sol.radial), sol.modes, sol.region_indices(radii), radii)
+    comps = _components(sol.modes, sol.region_indices(radii), radii)
     angles = np.stack([theta, phi], axis=-1)
     _, first, at_d = np.unique(angles.view("V16")[:, 0], return_index=True,
                                return_inverse=True)
@@ -133,15 +130,12 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
             nm = (key.n, key.m)
             rad, grad, rot = (v[at_d] for v in angular(key.n, key.m))
         mult = amp * h_jump_factor(key.pol)
-        c = comps[..., sol._columns[(key.n, key.pol)]]
-        if key.pol == TE:
-            e_v, h_y, h_u = c[2:5, at_r, None]
-            e_out += mult * (e_v * rot)
-            h_out += mult * (h_y * rad + h_u * grad)
-        else:
-            e_y, e_u, h_v = c[[0, 1, 5]][:, at_r, None]
-            e_out += mult * (e_y * rad + e_u * grad)
-            h_out += mult * (h_v * rot)
+        u, radial, tangential = comps[..., sol._columns[(key.n, key.pol)]][:, at_r, None]
+        along_u = mult * (u * rot)
+        across = mult * (radial * rad + tangential * grad)
+        e_add, h_add = (along_u, across) if key.pol == TE else (across, along_u)
+        e_out += e_add
+        h_out += h_add
     return e_out, h_out
 
 

@@ -1,15 +1,15 @@
 """Modal norms, far-field flux, and the lossy-layer energy functional.
 
 Vector-harmonic orthonormality collapses every angular integral, so L2 norms
-over annuli reduce to 1-D radial quadratures of the six component functions,
+over annuli reduce to 1-D radial quadratures of three components per mode,
 and the far-field power to a closed-form sum over outgoing coefficients.
 
 Each norm is one `adaptive_gauss` call over all of its intervals (the
 staircase segments of an annulus, or the lossy layers): every interval
 doubles its panels and tests its convergence on its own, and each level
 evaluates the panels of every interval still running in one integrand call.
-The modal density sums the key columns of the dense component array of
-the radial kernel that field evaluation uses (`fields._components`), which
+The modal density weighs the three polarization-free components of the
+radial kernel that field evaluation uses (`fields._components`), which
 is elementwise, so every row gets the bits of a call on that row alone and
 a norm is the same float as the sum of separate one-interval quadratures.
 Every per-(region, mode) constant, and with it the choice between eps and
@@ -144,13 +144,16 @@ def _modal_density(starts, comps: list, weights: dict, table):
     its middle node.  comps[i] holds interval i's weights of |E_Y|^2,
     |E_U|^2 + |E_V|^2, |H_Y|^2 and |H_U|^2 + |H_V|^2, and row i of `table`
     (a `ModeTable` of `FieldSolution.table`) the region it lies in, one
-    column per (n, pol) of `weights`, which maps (n, pol) to w.  The
-    components come from one `fields._components` call over all
-    intervals, so each row gets exactly the values of a call on that row
+    column per (n, pol) of `weights`, which maps (n, pol) to w.  A TE
+    mode's (u, radial, tangential) are (E_V, H_Y, H_U), a TM mode's (H_V,
+    E_Y, E_U).  The components come from one `fields._components` call over
+    all intervals, so each row gets exactly the values of a call on that row
     alone.
     """
     starts = np.asarray(starts, dtype=float)
-    comp = np.array(comps, dtype=float).T.copy()
+    # the places in comps[i] of each column's weights of (u, radial, tangential)
+    slots = np.array([(1, 2, 3) if pol == TE else (3, 0, 1) for _, pol in weights]).T
+    placed = np.array(comps, dtype=float)[:, slots].transpose(1, 0, 2)
 
     def density(rows):
         rows = np.atleast_2d(rows)
@@ -158,13 +161,12 @@ def _modal_density(starts, comps: list, weights: dict, table):
         owner = np.repeat(np.searchsorted(starts, rows[:, order // 2], side="right") - 1,
                           order)
         r = rows.reshape(-1)
-        ey_w, et_w, hy_w, ht_w = comp[:, owner]
+        w_u, w_r, w_t = placed[:, owner]
+        u, radial, tangential = np.abs(_components(table, owner, r)) ** 2
+        cells = w_u * u + (w_r * radial + w_t * tangential)
         out = np.zeros_like(r, dtype=float)
-        values = _components(list(weights), table, owner, r)
-        for key, (e_y, e_u, e_v, h_y, h_u, h_v) in zip(weights, values.transpose(2, 0, 1)):
-            e_sq = ey_w * np.abs(e_y) ** 2 + et_w * (np.abs(e_u) ** 2 + np.abs(e_v) ** 2)
-            h_sq = hy_w * np.abs(h_y) ** 2 + ht_w * (np.abs(h_u) ** 2 + np.abs(h_v) ** 2)
-            out += weights[key] * (e_sq + h_sq)
+        for col, w in enumerate(weights.values()):
+            out += w * cells[:, col]
         return (out * r * r).reshape(rows.shape)
 
     return density
@@ -253,12 +255,11 @@ class DataReport:
 def _source_pairing(sol: FieldSolution) -> complex:
     """int J . conj(E) over the sheet, by modal orthonormality."""
     r_s = sol.source.radius
-    values = _components(list(sol.radial), sol.modes, sol.region_indices([r_s]),
-                         np.array([r_s]))[:, 0]
+    values = _components(sol.modes, sol.region_indices([r_s]), np.array([r_s]))[:, 0]
     pairing = 0.0 + 0.0j
     for key, amp in sol.source.amplitudes.items():
-        _, e_u, e_v, _, _, _ = values[:, sol._columns[(key.n, key.pol)]]
-        e_sheet = e_v if key.pol == TE else e_u     # the sheet runs along Vtilde or Utilde
+        u, _, tangential = values[:, sol._columns[(key.n, key.pol)]]
+        e_sheet = u if key.pol == TE else tangential    # E_V or E_U, along the sheet
         e_comp = amp * h_jump_factor(key.pol) * e_sheet
         pairing += r_s * r_s * amp * np.conj(e_comp)
     return complex(pairing)

@@ -228,8 +228,8 @@ def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
     """Trace pair of the state cj jhat + cy yhat, or cy hhat where `outgoing`
     holds (one flag, or one per element; cj is zero there), from the basis
     traces (e0, h0, e1, h1)."""
-    # _solve_radial steps on stacked pair tables; the field kernel (one key
-    # column of its dense tables at a time) and _interface_residual keep this
+    # _solve_radial steps on stacked pair tables; the field kernel (whole
+    # (radius x key) tables at once) and _interface_residual keep this
     # elementwise form, as stacking costs them more in copies than it saves
     e0, h0, e1, h1 = basis
     e, h = cy * e1, cy * h1

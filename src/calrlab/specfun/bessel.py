@@ -64,9 +64,12 @@ def _as_z_array(z):
 
 def _orders(nu, shape):
     """The checked order argument: a float, or a float array of the
-    argument's shape (returned as a float when its elements are all equal)."""
+    argument's shape (returned as a float when its elements are all equal,
+    and as 0.0 when it has none, so that no order is gathered)."""
     if np.ndim(nu) == 0:
         nu = float(nu)
+        if not math.isfinite(nu):
+            raise ValueError(f"order {nu} is not finite")
         if nu < 0:
             raise ValueError("order must be >= 0")
         if nu > MAX_ORDER:
@@ -80,7 +83,9 @@ def _orders(nu, shape):
                       (nu > MAX_ORDER, f"exceeds MAX_ORDER={MAX_ORDER}")):
         if bad.any():
             raise ValueError(f"order {nu[bad][0]} {what}")
-    return float(nu.flat[0]) if nu.size and np.all(nu == nu.flat[0]) else nu
+    if not nu.size:
+        return 0.0
+    return float(nu.flat[0]) if np.all(nu == nu.flat[0]) else nu
 
 
 def _each(nu, fn):
@@ -180,7 +185,7 @@ def _series_j(nu, z: np.ndarray) -> ScaledArray:
     """
     if np.any(nu <= -1.5):
         raise ValueError(f"series invalid for order {np.min(nu)}")
-    if float(np.max(np.abs(z))) > _SERIES_MAX_Z:
+    if np.any(np.abs(z) > _SERIES_MAX_Z):
         raise ValueError(f"ascending series unreliable for |z| > {_SERIES_MAX_Z:g}")
     out = ScaledArray.from_complex(_ascending_sum(-(z * z) / 4.0, lambda k: k * (k + nu + 0.5)))
     # prefactor (sqrt(pi)/2) (z/2)^nu / Gamma(nu+3/2), in log10 pieces

@@ -428,6 +428,28 @@ def test_order_array_rejects_a_non_finite_order(fn):
 
 
 @pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
+def test_scalar_order_rejects_a_non_finite_order(fn):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"order {bad} is not finite"):
+            fn(bad, _BATCH_Z)
+
+
+@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
+def test_empty_argument_gives_empty_tables(fn):
+    # a scalar order (integer, fractional or high) or an empty order
+    # array; every table takes the argument's shape, with no warning
+    empty = np.array([])
+    for nu, z in ((1.0, empty), (2.3, empty), (14.0, empty), (empty, empty),
+                  (1.0, np.zeros((2, 0), dtype=complex))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fn(nu, z)
+        assert out
+        for v in out.values():
+            assert v.m.shape == v.e.shape == z.shape
+
+
+@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
 def test_order_array_rejects_a_negative_order(fn):
     with pytest.raises(ValueError, match=r"order -0.5 must be >= 0"):
         fn(np.array([1.0, -0.5, 2.0]), _BATCH_Z)

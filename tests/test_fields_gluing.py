@@ -470,9 +470,9 @@ def test_field_evaluation_works_on_distinct_radii_and_directions(monkeypatch):
     seen = {}
     components, stream = fields._components, fields.VshStream
 
-    def spy_components(keys, table, owner, r):
+    def spy_components(table, owner, r):
         seen["r"] = r
-        return components(keys, table, owner, r)
+        return components(table, owner, r)
 
     def spy_stream(nmax, theta, phi):
         seen["angles"] = np.stack([theta, phi], axis=-1)
