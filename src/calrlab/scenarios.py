@@ -375,11 +375,10 @@ def run_three_sphere_suite(p: dict):
     mono_dev = np.max([abs(ratio - 1.0) for *_, ratio in check_hadamard(monomials)])
     family = [SphericalExpansion(kind="harmonic", coeffs={(n, 0): (1.0, 0.0)})
               for n in range(12, 40)]
-    alpha_rows = []
-    for r0 in p["alpha_excisions"]:
-        fit = empirical_alpha(family, _alpha_boundary(r0), (1.44, 1.46), (1.0, 2.0))
-        alpha_rows.append(["empirical_alpha", 1.0, 1.45, 2.0, r0,
-                           fit.alpha_hat, fit.intercept, fit.count])
+    fits = empirical_alpha(family, [_alpha_boundary(r0) for r0 in p["alpha_excisions"]],
+                           (1.44, 1.46), (1.0, 2.0))
+    alpha_rows = [["empirical_alpha", 1.0, 1.45, 2.0, r0, fit.alpha_hat, fit.intercept, fit.count]
+                  for r0, fit in zip(p["alpha_excisions"], fits)]
     tables = {"three_sphere_suite.csv":
               (["experiment", "r1", "r2", "r3", "r0", "lhs_or_alpha",
                 "rhs_or_intercept", "ratio_or_count"], rows + alpha_rows)}

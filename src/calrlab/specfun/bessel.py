@@ -44,6 +44,12 @@ _SERIES_CUTOFF = 8.0  # |z| below which the ascending series is used for j
 # at 20 and 1e-3 at 30.
 _SERIES_MAX_Z = 20.0
 _LN10 = math.log(10.0)
+# The reflection formula that seeds y at a fractional order divides by
+# sin(pi (nu + 1/2)), which vanishes at half-integer orders; orders where
+# it is this small are rejected up front, by the order asked for.
+_HALF_INTEGER_TOL = 1e-8
+_HALF_INTEGER = ("too close to half-integer for the reflection formula; "
+                 "perturb the order slightly")
 
 
 def log_dfact_plus(nu: float) -> float:
@@ -74,6 +80,8 @@ def _orders(nu, shape):
             raise ValueError("order must be >= 0")
         if nu > MAX_ORDER:
             raise ValueError(f"order {nu} exceeds MAX_ORDER={MAX_ORDER}")
+        if abs(math.sin(math.pi * (nu + 0.5))) < _HALF_INTEGER_TOL:
+            raise ValueError(f"order {nu} {_HALF_INTEGER}")
         return nu
     nu = np.asarray(nu, dtype=float)
     if nu.shape != shape:
@@ -83,6 +91,10 @@ def _orders(nu, shape):
                       (nu > MAX_ORDER, f"exceeds MAX_ORDER={MAX_ORDER}")):
         if bad.any():
             raise ValueError(f"order {nu[bad][0]} {what}")
+    # only on finite orders, which np.sin takes without a warning
+    bad = np.abs(np.sin(np.pi * (nu + 0.5))) < _HALF_INTEGER_TOL
+    if bad.any():
+        raise ValueError(f"order {nu[bad][0]} {_HALF_INTEGER}")
     if not nu.size:
         return 0.0
     return float(nu.flat[0]) if np.all(nu == nu.flat[0]) else nu
@@ -206,10 +218,9 @@ def _series_rows(lo, hi, z: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
 
 def _reflection_constants(nu: float) -> tuple[float, float]:
     """Sign and log10 magnitude of sqrt(pi)/2 / Gamma(1/2 - nu), for the
-    second series of the reflection formula."""
+    second series of the reflection formula.  g0 = 1/2 - nu is no pole of
+    Gamma: `_orders` has rejected the half-integer orders."""
     g0 = 0.5 - nu
-    if abs(g0 - round(g0)) < 1e-12 and round(g0) <= 0:
-        raise ValueError(f"reflection series degenerate at order {nu}")
     # 1/Gamma(g0) with sign (g0 may be negative non-integer)
     sign = 1.0
     if g0 < 0:
@@ -258,14 +269,11 @@ def _trig_y(nu, z: np.ndarray) -> ScaledArray:
 
 
 def _reflection_factors(nu: float) -> tuple[ScaledArray, ScaledArray]:
-    """cos(pi a) and 1/sin(pi a), a = nu + 1/2, of the reflection formula."""
+    """cos(pi a) and 1/sin(pi a), a = nu + 1/2, of the reflection formula
+    (`_orders` has rejected the orders where sin(pi a) nearly vanishes)."""
     a = nu + 0.5
-    s = math.sin(math.pi * a)
-    if abs(s) < 1e-8:
-        raise ValueError(
-            f"order {nu} too close to half-integer for the reflection formula; "
-            "perturb the order slightly")
-    return ScaledArray.from_complex(math.cos(math.pi * a)), ScaledArray.from_complex(1.0 / s)
+    return (ScaledArray.from_complex(math.cos(math.pi * a)),
+            ScaledArray.from_complex(1.0 / math.sin(math.pi * a)))
 
 
 def _reflection_y(nu, z: np.ndarray) -> ScaledArray:

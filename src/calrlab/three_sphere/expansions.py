@@ -95,17 +95,19 @@ class SphericalExpansion:
             grads += (dfr * y)[:, None] * xhat + (fr / r)[:, None] * gs
         return vals, grads
 
-    def ring_density(self, radius: float, theta) -> np.ndarray:
+    def ring_density(self, radius: float, legendre) -> np.ndarray:
         """Mean over phi of |v|^2 + |grad v|^2 on the circles |x| = radius
-        at the polar angles theta.  There v, dv/dr, (1/r) dv/dtheta and
-        (1/(r sin theta)) dv/dphi are sums A_m e^{i m phi}, so the mean is
-        sum_m |A_m|^2."""
-        theta = np.asarray(theta, dtype=float)
+        at the polar angles theta of `legendre`, where `legendre(m)` is
+        `pbar_tau_pi(N, m, theta)` for some N >= n_max.  The Legendre
+        recurrence runs upward in n, so the rows read here do not depend
+        on N, and one table serves every expansion of a family.  On the
+        circles v, dv/dr, (1/r) dv/dtheta and (1/(r sin theta)) dv/dphi are
+        sums A_m e^{i m phi}, so the mean is sum_m |A_m|^2."""
         amps = {}                     # m -> (pbar, tau, pi), the four A_m
         for n, m, fr, dfr in self._terms(radius):
             if m not in amps:
-                amps[m] = (pbar_tau_pi(self.n_max, m, theta),
-                           np.zeros((4, theta.size), dtype=complex))
+                table = legendre(m)
+                amps[m] = (table, np.zeros((4,) + table[0].shape[1:], dtype=complex))
             (pbar, tau, pi_m), a = amps[m]
             idx = n - abs(m)
             a[0] += fr * pbar[idx]

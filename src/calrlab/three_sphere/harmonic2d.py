@@ -2,7 +2,10 @@
 
 `sup_norms_circle` takes the sup norms of many (expansion, radius) rows in
 stacks, one per frequency tuple, and every row keeps the bits of a one-row
-call, which is `sup_norm_circle`.  `check_hadamard` takes a list of items
+call, which is `sup_norm_circle`.  Newton starts from each row's three
+best grid points, more than 3 cells apart; they lie among the row's 15
+largest grid values, so a partition finds them, not a full sort of the
+row's 512 or more grid cells.  `check_hadamard` takes a list of items
 and makes one stacked call for all of them; `three_sphere_suite` passes it
 blocks of 256 polynomials (`scenarios._HADAMARD_BLOCK`), so its stacks, and
 its memory, stay bounded whatever its `count`.
@@ -64,13 +67,19 @@ _NEWTON_STEPS = 12
 _NEWTON_TOL = 1e-12
 # Newton starts from this many grid maxima per row, more than 3 cells apart.
 _CANDIDATES = 3
+# Each pick rules out itself and its 3 neighbours on either side, so the
+# last pick lies among the row's 1 + 7 (_CANDIDATES - 1) = 15 largest cells.
+_TOP = 1 + 7 * (_CANDIDATES - 1)
 
 
 def _top_candidates(prof, n):
     """Per row of prof, the indices of the top `_CANDIDATES` values, greedily
-    from a full argsort: a value is taken when it lies more than 3 cells
+    from the row's `_TOP` largest cells in descending order, ties to the
+    lower index: a value is taken when it lies more than 3 cells
     (circularly) from every value taken before it."""
-    order = np.argsort(prof, axis=1)[:, ::-1]
+    top = np.argpartition(prof, n - _TOP, axis=1)[:, n - _TOP:]
+    order = np.take_along_axis(
+        top, np.lexsort((top, -np.take_along_axis(prof, top, axis=1))), axis=1)
     rows = np.arange(len(prof))
     free = np.ones(order.shape, dtype=bool)
     taken = []
@@ -130,14 +139,16 @@ def sup_norms_circle(rows) -> list:
     holomorphic and general expansions alike.  Rows whose traces have the
     same frequency tuple (in order) form one stack: one in-place FFT samples
     |f| of every row on a grid fine enough to locate its global maximum,
-    `_top_candidates` picks each row's best grid points, and safeguarded
+    `_top_candidates` picks each row's best grid points from its 15 largest
+    grid values (one partition per stack, no full sort), and safeguarded
     Newton steps on |f|^2, kept inside one grid cell of each candidate, then
     polish them.  A row leaves the stack at the step where all its
     candidates have stopped moving.  A row's norm is the largest value seen
     on its grid or at a refined point.
 
-    Every operation is elementwise or per row (the FFT and sort along rows,
-    one matrix product per row), so a row's norm keeps the bits it has when
+    Every operation is elementwise or per row (the FFT along rows, the
+    partition and sort of each row's 15 largest grid values, one matrix
+    product per row), so a row's norm keeps the bits it has when
     computed alone: a one-row call is `sup_norm_circle`.
     """
     stacks = {}                 # frequency tuple -> (row positions, coefficients)

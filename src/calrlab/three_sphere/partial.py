@@ -3,15 +3,26 @@
 Only ratios within one experiment are meaningful, so a fixed L2-based
 surrogate (values plus full gradient on the kept part of the sphere) stands
 in for the fractional pieces; it is held constant across a sweep.
+
+`partial_data_norm` is the one-expansion reference.  `empirical_alpha`
+takes a family and a list of boundaries and pays once for what they share:
+each member's two annulus norms are computed once for all boundaries, and
+each boundary's rings get one Legendre table per order m, of the family's
+largest degree, that every member reads.  The Legendre recurrence runs
+upward in the degree, so a member's rows are the same bits in that table
+as in its own, and each fit keeps the bits of per-member
+`partial_data_norm` calls.  Tables live for one call; nothing is cached
+across calls.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..specfun.vsh import sphere_rule
+from ..specfun.vsh import pbar_tau_pi, sphere_rule
 
 
 @dataclass
@@ -43,22 +54,35 @@ class PartialBoundary:
         return float(np.sum(w) / (4.0 * math.pi * self.radius ** 2))
 
 
+def _ring_tables(nmax: int, theta):
+    """`legendre` for `ring_density`: m -> pbar_tau_pi(nmax, m, theta), each
+    order's table built on its first use and kept as long as the returned
+    function."""
+    return functools.cache(lambda m: pbar_tau_pi(nmax, m, theta))
+
+
+def _ring_norm(v, boundary: PartialBoundary, legendre) -> float:
+    """`partial_data_norm` of v, reading the Legendre tables `legendre` of
+    the boundary's rings (see `_ring_tables`)."""
+    if v.n_max >= boundary.quad_order:
+        raise ValueError(f"n_max {v.n_max} needs quad_order > n_max, not "
+                         f"{boundary.quad_order}")
+    _, w = boundary.rings
+    return math.sqrt(float(np.sum(w * v.ring_density(boundary.radius, legendre))))
+
+
 def partial_data_norm(v, boundary: PartialBoundary) -> float:
     """Surrogate boundary datum sqrt(int_Sigma |v|^2 + |grad v|^2 dS).
 
-    `v` must expose `n_max` and `ring_density(radius, theta)`, the mean over
-    phi of |v|^2 + |grad v|^2 on the circles at those polar angles.  The
+    `v` must expose `n_max` and `ring_density(radius, legendre)`, the mean
+    over phi of |v|^2 + |grad v|^2 on the circles at the polar angles of
+    the Legendre tables `legendre(m)` (see `SphericalExpansion`).  The
     2q-point trapezoid rule in phi (q = `quad_order`) integrates that
     density exactly only while n_max < q, so a larger n_max raises
     ValueError.  The surrogate is documented and held fixed so that only
     ratios across an experiment matter.
     """
-    if v.n_max >= boundary.quad_order:
-        raise ValueError(f"n_max {v.n_max} needs quad_order > n_max, not "
-                         f"{boundary.quad_order}")
-    theta, w = boundary.rings
-    dens = v.ring_density(boundary.radius, theta)
-    return math.sqrt(float(np.sum(w * dens)))
+    return _ring_norm(v, boundary, _ring_tables(v.n_max, boundary.rings[0]))
 
 
 @dataclass(frozen=True)
@@ -70,25 +94,44 @@ class AlphaFit:
     count: int
 
 
-def empirical_alpha(family, boundary: PartialBoundary,
-                    mid_annulus: tuple[float, float],
-                    full_annulus: tuple[float, float]) -> AlphaFit:
-    """Fit ln(mid/full) = alpha * ln(partial/full) + const over a family.
+# Fewest members with nonzero norms that a fit takes.
+_MIN_FIT = 10
 
-    Produces the evidence table behind the partial-data claim; it reports a
-    fitted exponent, never a pass/fail.
+
+def empirical_alpha(family, boundaries, mid_annulus: tuple[float, float],
+                    full_annulus: tuple[float, float]) -> list[AlphaFit]:
+    """Fit ln(mid/full) = alpha * ln(partial/full) + const over a family,
+    one `AlphaFit` per boundary of the list `boundaries`.
+
+    A member whose partial, full or mid norm is zero is left out of a fit,
+    and a boundary whose fit would keep fewer than 10 members raises
+    ValueError.  Each fit equals the one from `partial_data_norm` and the
+    two annulus norms of each member (see the module docstring).  Produces
+    the evidence table behind the partial-data claim; it reports fitted
+    exponents, never a pass/fail.
     """
-    if len(family) < 10:
-        raise ValueError("need at least 10 family members for the regression")
-    xs, ys = [], []
+    family = list(family)
+    norms = []                        # (member, full, mid) with full, mid > 0
     for v in family:
-        partial = partial_data_norm(v, boundary)
         full = math.sqrt(v.annulus_norm_sq(*full_annulus, include_gradient=True))
         mid = math.sqrt(v.annulus_norm_sq(*mid_annulus, include_gradient=False))
-        if partial <= 0 or full <= 0 or mid <= 0:
-            continue
-        xs.append(math.log(partial / full))
-        ys.append(math.log(mid / full))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return AlphaFit(alpha_hat=float(slope), intercept=float(intercept),
-                    count=len(xs))
+        if full > 0 and mid > 0:
+            norms.append((v, full, mid))
+    nmax = max((v.n_max for v in family), default=0)
+    fits = []
+    for boundary in boundaries:
+        legendre = _ring_tables(nmax, boundary.rings[0])
+        xs, ys = [], []
+        for v, full, mid in norms:
+            partial = _ring_norm(v, boundary, legendre)
+            if partial > 0:
+                xs.append(math.log(partial / full))
+                ys.append(math.log(mid / full))
+        if len(xs) < _MIN_FIT:
+            raise ValueError(
+                f"excision {boundary.excision}: {len(xs)} family members with "
+                f"nonzero norms, need at least {_MIN_FIT} for the regression")
+        slope, intercept = np.polyfit(xs, ys, 1)
+        fits.append(AlphaFit(alpha_hat=float(slope), intercept=float(intercept),
+                             count=len(xs)))
+    return fits

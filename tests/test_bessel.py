@@ -347,9 +347,10 @@ def test_grouped_series_stops_per_group():
 # Random arguments for integer and fractional orders, |z| on both sides of
 # the series/Miller switch at 8, anywhere in the upper half-plane (the
 # branch Im k >= 0 at r > 0).  Derandomized, so every run draws the same
-# examples; the two pinned examples hold the cases draws may miss.  The
-# reflection formula rejects orders within 1e-8 of a half-integer with a
-# ValueError, so none are drawn.
+# examples; the two pinned examples hold the cases draws may miss.  Orders
+# with |sin(pi (nu + 1/2))| < 1e-8, next to a half-integer, are rejected
+# with a ValueError (the reflection formula divides by it), so none are
+# drawn.
 _orders = st.one_of(st.integers(0, 16).map(float),
                     st.floats(0.05, 16.0).filter(
                         lambda v: abs(math.sin(math.pi * (v + 0.5))) >= 1e-8))
@@ -459,6 +460,22 @@ def test_order_array_rejects_a_negative_order(fn):
 def test_order_array_rejects_an_order_above_max_order(fn):
     with pytest.raises(ValueError, match=r"order 2000.0 exceeds MAX_ORDER=1500"):
         fn(np.array([1.0, 2000.0, 2.0]), _BATCH_Z)
+
+
+@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
+def test_half_integer_order_is_rejected_by_its_own_name(fn):
+    # the reflection formula behind fractional-order y divides by
+    # sin(pi (nu + 1/2)); the message names the order asked for, not the
+    # seed order the recurrence would start from
+    for bad in (0.5, 1.5, 2.5, 40.5, 2.5 + 1e-12):
+        with pytest.raises(ValueError, match=f"order {bad} too close to half-integer"):
+            fn(bad, np.array([1.0]))
+        with pytest.raises(ValueError, match=f"order {bad} too close to half-integer"):
+            fn(np.array([1.0, bad, 2.3]), _BATCH_Z)
+    # integer orders and fractional ones off the half-integers pass
+    for ok in (0.0, 1.0, 2.0, 2.49, 2.5 + 1e-6):
+        fn(ok, _BATCH_Z)
+    fn(np.array([1.0, 2.49, 3.0]), _BATCH_Z)
 
 
 @pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])

@@ -4,15 +4,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import calrlab
 from calrlab.three_sphere import (
+    AlphaFit,
     HarmonicExpansion2D,
     PartialBoundary,
     SphericalExpansion,
@@ -27,6 +29,8 @@ from calrlab.three_sphere import (
 )
 from calrlab.scenarios import run_scenario
 from calrlab.specfun import sphere_rule
+from calrlab.specfun.vsh import pbar_tau_pi
+from calrlab.three_sphere.harmonic2d import _grid_profile, _top_candidates
 
 
 def test_sup_norm_monomial_and_constant():
@@ -124,6 +128,60 @@ def test_stacked_sup_norm_matches_scalar_bitwise():
              for r in (0.8, 1.3, 1.9)]
     rows = [rows[i] for i in rng.permutation(len(rows))]
     assert sup_norms_circle(rows) == [_scalar_sup_norm_circle(v, r) for v, r in rows]
+
+
+def _greedy_picks(prof, n, order):
+    """The three greedy picks of one grid row from a full ordering of it:
+    a cell is taken when it lies more than 3 cells (circularly) from every
+    cell taken before it."""
+    taken = []
+    for idx in order:
+        if all(min(abs(idx - t), n - abs(idx - t)) > 3 for t in taken):
+            taken.append(int(idx))
+        if len(taken) == 3:
+            return taken
+    raise AssertionError("fewer than three picks")
+
+
+def _full_sort_picks(prof):
+    """The greedy picks from a full sort, values descending, ties to the
+    lower index: the order that `_top_candidates` keeps on its 15 cells."""
+    n = prof.shape[1]
+    return [_greedy_picks(row, n, np.argsort(-row, kind="stable")) for row in prof]
+
+
+def test_top_candidates_match_full_sort_greedy():
+    rng = np.random.default_rng(5)
+    for n in (512, 1024, 3264):
+        prof = rng.random((40, n))
+        assert _top_candidates(prof, n).tolist() == _full_sort_picks(prof)
+    # a built row whose third pick is entry 14, the deepest the partition
+    # allows: each of the first two picks rules out its 6 neighbours
+    prof = rng.random((1, 512))
+    cells = [100, 97, 98, 99, 101, 102, 103, 200, 197, 198, 199, 201, 202, 203, 300]
+    prof[0, cells] = 100.0 - np.arange(15)
+    assert _full_sort_picks(prof) == [[100, 200, 300]]
+    assert _top_candidates(prof, 512).tolist() == [[100, 200, 300]]
+
+
+def test_tie_heavy_sup_norms_match_full_sort_bitwise():
+    # |z^k| and |1 + z^k| repeat their grid maxima k times, so the
+    # partition and the full sort it replaced can pick different tied cells;
+    # Newton polishes either choice to the same bits
+    rows = [(HarmonicExpansion2D.holomorphic([c] + [0.0] * (k - 1) + [1.0]), r)
+            for k in range(1, 41) for c in (0.0, 1.0)
+            for r in (0.5, 0.9, 1.0, 1.1, 1.7, 2.5)]
+    assert sup_norms_circle(rows) == [_scalar_sup_norm_circle(v, r) for v, r in rows]
+    # the sweep does reach rows whose tied picks differ
+    moved = 0
+    for v, r in rows:
+        coeffs = v.circle_coeffs(r)
+        ks = np.array(list(coeffs), dtype=float)
+        n = max(512, 64 * (int(ks.max()) + 1))
+        prof = _grid_profile(ks, np.array([list(coeffs.values())], dtype=complex), n)
+        moved += _greedy_picks(prof[0], n, np.argsort(prof[0])[::-1]) != \
+            _top_candidates(prof, n).tolist()[0]
+    assert moved > 0
 
 
 def test_three_sphere_suite_memory_flat_in_count(tmp_path):
@@ -258,6 +316,24 @@ def test_maxwell_3sphere_zero_field_needs_no_constant():
     assert check_maxwell_3sphere({(2, 1): (0j, 0j, 0j, 0j)}, 1.0, 1.5, 2.0) == (0.0, 0.0, 0.0)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@example(m=0, k=5, extra=7, theta=[0.0, math.pi])
+@example(m=-3, k=4, extra=20, theta=[0.0, 1.1, math.pi])
+@example(m=-30, k=1, extra=0, theta=[math.pi])
+@given(m=st.integers(-30, 30), k=st.integers(1, 12), extra=st.integers(0, 30),
+       theta=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6))
+def test_legendre_rows_do_not_depend_on_the_table_degree(m, k, extra, theta):
+    # the recurrence runs upward, so a table to degree N >= |m| + k - 1
+    # starts with the k rows of a table to degree |m| + k - 1, bit for bit;
+    # ring_density reads one table of a family's largest degree
+    theta = np.array(theta)
+    short = pbar_tau_pi(abs(m) + k - 1, m, theta)
+    long = pbar_tau_pi(abs(m) + k - 1 + extra, m, theta)
+    for a, b in zip(short, long):
+        assert a.shape == (k, theta.size)
+        assert np.array_equal(a, b[:k])
+
+
 def test_partial_norm_monotone_and_limit():
     coeffs = {(3, 1): (0.4, 0.1), (5, 0): (0.2, 0.0)}
     v = SphericalExpansion(kind="harmonic", coeffs=coeffs)
@@ -357,7 +433,7 @@ def test_empirical_alpha_full_data_recovers_alpha0():
     family = [SphericalExpansion(kind="harmonic", coeffs={(n, 0): (1.0, 0.0)})
               for n in range(12, 49)]
     pb = PartialBoundary(radius=r1, excision=1e-9, quad_order=60)
-    fit = empirical_alpha(family, pb, (1.44, 1.46), (r1, r3))
+    [fit] = empirical_alpha(family, [pb], (1.44, 1.46), (r1, r3))
     alpha0 = math.log(r3 / 1.45) / math.log(r3 / r1)
     assert fit.alpha_hat == pytest.approx(alpha0, abs=0.05)
 
@@ -365,17 +441,17 @@ def test_empirical_alpha_full_data_recovers_alpha0():
 def test_empirical_alpha_small_family_rejected():
     v = SphericalExpansion(kind="harmonic", coeffs={(2, 0): (1.0, 0.0)})
     pb = PartialBoundary(radius=1.0, excision=0.1)
-    with pytest.raises(ValueError):
-        empirical_alpha([v], pb, (1.2, 1.3), (1.0, 2.0))
+    with pytest.raises(ValueError, match="excision 0.1: 1 family members"):
+        empirical_alpha([v], [pb], (1.2, 1.3), (1.0, 2.0))
 
 
 def test_empirical_alpha_excision_trend_reported():
     family = [SphericalExpansion(kind="harmonic", coeffs={(n, 1): (1.0, 0.0)})
               for n in range(3, 20)]
-    fits = []
-    for r0 in (0.2, 0.1, 0.05):
-        pb = PartialBoundary(radius=1.0, excision=r0, quad_order=48)
-        fits.append(empirical_alpha(family, pb, (1.4, 1.5), (1.0, 2.0)))
+    fits = empirical_alpha(family, [PartialBoundary(radius=1.0, excision=r0, quad_order=48)
+                                    for r0 in (0.2, 0.1, 0.05)],
+                           (1.4, 1.5), (1.0, 2.0))
+    assert len(fits) == 3
     # evidence table, not pass/fail: the fitted exponents exist and are finite
     assert all(np.isfinite(f.alpha_hat) for f in fits)
     assert all(f.count >= 10 for f in fits)
@@ -386,8 +462,60 @@ def test_empirical_alpha_helmholtz_family():
                                  omega=1.0)
               for n in range(10, 30)]
     pb = PartialBoundary(radius=1.0, excision=0.1, quad_order=48)
-    fit = empirical_alpha(family, pb, (1.44, 1.46), (1.0, 2.0))
+    [fit] = empirical_alpha(family, [pb], (1.44, 1.46), (1.0, 2.0))
     assert np.isfinite(fit.alpha_hat) and fit.count >= 10
+
+
+def _alpha_fit_reference(family, boundary, mid_annulus, full_annulus):
+    """One boundary's fit from per-member `partial_data_norm` calls, which
+    build each member's own Legendre tables, and per-member annulus norms."""
+    xs, ys = [], []
+    for v in family:
+        partial = partial_data_norm(v, boundary)
+        full = math.sqrt(v.annulus_norm_sq(*full_annulus, include_gradient=True))
+        mid = math.sqrt(v.annulus_norm_sq(*mid_annulus, include_gradient=False))
+        if partial > 0 and full > 0 and mid > 0:
+            xs.append(math.log(partial / full))
+            ys.append(math.log(mid / full))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    return AlphaFit(alpha_hat=float(slope), intercept=float(intercept), count=len(xs))
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "helmholtz"])
+def test_empirical_alpha_list_matches_per_member_norms_bitwise(kind):
+    # members of different degrees and orders (negative m too) read rows of
+    # tables built to the family's largest degree; the zero member is left
+    # out of every fit
+    rng = np.random.default_rng(7)
+    family = [SphericalExpansion(kind="harmonic", coeffs={(4, 1): (0.0, 0.0)})]
+    for n_max in rng.integers(2, 30, size=14):
+        coeffs = {}
+        for n in [int(n_max), *rng.integers(0, n_max + 1, size=3)]:
+            m = int(rng.integers(-n, n + 1))
+            coeffs[(int(n), m)] = (float(rng.standard_normal()), 0.0)
+        family.append(SphericalExpansion(kind=kind, coeffs=coeffs, omega=1.3))
+    boundaries = [PartialBoundary(radius=1.0, excision=r0, quad_order=q)
+                  for r0, q in ((0.2, 48), (0.05, 48), (0.1, 32))]
+    fits = empirical_alpha(family, boundaries, (1.44, 1.46), (1.0, 2.0))
+    assert fits == [_alpha_fit_reference(family, pb, (1.44, 1.46), (1.0, 2.0))
+                    for pb in boundaries]
+    assert all(fit.count == 14 for fit in fits)
+    assert empirical_alpha(family, [], (1.44, 1.46), (1.0, 2.0)) == []
+
+
+def test_empirical_alpha_counts_the_members_it_fits():
+    # ten members, nine of them zero: the rule reads the one member a fit
+    # could use, before any regression runs
+    zero = [SphericalExpansion(kind="harmonic", coeffs={(n, 0): (0.0, 0.0)})
+            for n in range(3, 12)]
+    one = SphericalExpansion(kind="harmonic", coeffs={(5, 0): (1.0, 0.0)})
+    boundaries = [PartialBoundary(radius=1.0, excision=r0) for r0 in (0.2, 0.1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="excision 0.2: 1 family members"):
+            empirical_alpha(zero + [one], boundaries, (1.4, 1.5), (1.0, 2.0))
+        with pytest.raises(ValueError, match="excision 0.2: 0 family members"):
+            empirical_alpha(zero + zero[:1], boundaries, (1.4, 1.5), (1.0, 2.0))
 
 
 def test_helmholtz_expansion_satisfies_equation():
