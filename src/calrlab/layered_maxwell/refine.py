@@ -14,7 +14,7 @@ import numpy as np
 
 from ..specfun.scaled import ScaledArray
 from .modes import SurfaceCurrentSource
-from .solver import FieldSolution, _solve_media
+from .solver import FieldSolution, _solve_levels
 from .staircase import staircase
 
 
@@ -51,9 +51,10 @@ def staircase_levels(medium, layers: int, richardson: bool = True) -> list:
 
 def solve_staircased(media, source: SurfaceCurrentSource, omega: float,
                      layers: int, richardson: bool = True) -> list[FieldSolution]:
-    """One solution per medium, from one region pass per `staircase_levels`
-    level over all media, which must share their breakpoints (a loss sweep).
-    Two levels are Richardson-combined, accurate outside the graded shell."""
+    """One solution per medium, from one region pass over every
+    `staircase_levels` level of all media, which must share their breakpoints
+    (a loss sweep); each level is a column group of the pass.  Two levels are
+    Richardson-combined, accurate outside the graded shell."""
     levels = zip(*(staircase_levels(m, layers, richardson) for m in media), strict=True)
-    sols = [_solve_media(list(level), source, omega) for level in levels]
+    sols = _solve_levels([list(level) for level in levels], source, omega)
     return sols[0] if len(sols) == 1 else [richardson_exterior(lo, hi) for hi, lo in zip(*sols)]

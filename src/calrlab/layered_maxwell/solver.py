@@ -15,27 +15,30 @@ and norm kernels.
 Coefficients are propagated as scaled projective pairs: a region's state
 is one (2, ncols) `ScaledArray` [c_j, c_y], and each region end is one
 multiply, add and divide of it against trace and match tables built once
-per solve.  Interfaces are resolved with the exact Wronskian determinant
--(2nu+1)/z^2, so localized resonance (condition numbers like
+per region pass.  Interfaces are resolved with the exact Wronskian
+determinant -(2nu+1)/z^2, so localized resonance (condition numbers like
 (r2/r1)^(2n)/delta) costs accuracy, never overflow.  This is the
 impedance-safe form of the transfer recursion (Toon & Ackerman, Appl. Opt.
 20, 1981).
 
 The radial basis is evaluated in one place, `_basis_values`, which returns
 dense (radius x key) tables from one Bessel call per basis (hat_jy for the
-inner regions, hat_h1 for the outgoing one) over all orders; the solver
-takes every region end from one of its calls.  The Bessel functions are
-elementwise in (order, argument), so each cell gets exactly the values of
-a call on it alone.  All (n, pol) keys are propagated together as
+inner regions, hat_h1 for the outgoing one) over all orders; each column
+group of a region pass takes every region end from one of its calls.  The
+Bessel functions are elementwise in (order, argument), so each cell gets
+exactly the values of a call on it alone.  All (n, pol) keys are propagated together as
 the columns of (region x key) `ScaledArray` tables, the only stored form of
 the coefficients, and the source scaling and the interface residual take
 one pass over all interfaces.  Every operation on a coefficient is the
 elementwise numpy operation a one-key, one-region-at-a-time solve would do,
 so the coefficients keep their exact bits; the residual, a diagnostic, may
 differ from such a solve in its last bit.  `_solve_media` makes the media
-of a loss sweep, which share their breakpoints, further columns of the same
-pass: one region pass per sweep and refinement level, and each medium's
-solution has exactly the bits of its own `solve`, residual included.
+of a loss sweep, which share their breakpoints, further columns of one
+column group, and `_solve_levels` runs several groups with their own
+region counts (the staircase levels of a Richardson-refined sweep) as one
+ragged pass: the groups' chains step together on padded tables, as many
+steps as the longest chain.  Each medium's solution has exactly the bits
+of its own `solve`, residual included.
 """
 from __future__ import annotations
 
@@ -309,82 +312,147 @@ def _basis_traces(regions, keys, modes: ModeTable, omega: float):
     return (e0, h0, e1, h1), det
 
 
-def _solve_radial(regions, src_idx, keys, modes, omega):
-    """Unit-jump radial solves for every (n, pol) in keys, propagated together.
+# Step-table entries as (basis trace, negated), basis traces (e0, h0, e1, h1)
+# as `_basis_traces` orders them.  The forward table's [b, t] is trace t
+# ([e, h]) of basis b, which maps a pair [c_j, c_y] to its traces; the
+# inverse table's [t, b] is what trace t adds to the pair, times the
+# Wronskian determinant.
+_FORWARD = (((0, False), (1, False)), ((2, False), (3, False)))
+_INVERSE = (((3, False), (1, True)), ((2, True), (0, False)))
 
-    Columns of every ScaledArray below are keys, which may repeat (one
-    column per key and medium of a batch); the coefficients of each column
-    are exactly those of a solve of that column alone.  A region's state
-    is one (2, ncols) pair [c_j, c_y]; each region end is one multiply, add
-    and divide on it against `fwd`, which maps the pair to its traces
-    [e, h], and `bwd`, which maps traces back to the pair times the
-    Wronskian determinant.  Each element takes the ufunc sequence of
-    c_j = (e h1 - h e1) / det and c_y = (h e0 - e h0) / det with the
-    negations moved onto table entries; IEEE negation is exact and sums
-    and products commute, so every coefficient equals that of the
-    four-product form exactly.  Returns the `RadialSolve` of each column,
-    in column order, and the (region x key) tables c_j and c_y.
+
+def _empty(shape) -> ScaledArray:
+    return ScaledArray(np.empty(shape, complex), np.empty(shape, np.int64), normalize=False)
+
+
+def _assign(table: ScaledArray, idx, part: ScaledArray):
+    """table[idx] = part."""
+    table.m[idx], table.e[idx] = part.m, part.e
+
+
+def _put_steps(table, cols, basis, side, rows, entries):
+    """Write the step-table entries of one end (side 0 r_lo, 1 r_hi) of the
+    given regions into columns cols of a (row, 2, 2, key) table."""
+    for x, row in enumerate(entries):
+        for y, (trace, negated) in enumerate(row):
+            part = basis[trace][side, rows]
+            _assign(table, np.s_[:, x, y, cols], -part if negated else part)
+
+
+def _solve_radial(groups, omega):
+    """Unit-jump radial solves of ragged column groups, in one region pass.
+
+    Each group is a (regions, src_idx, keys, modes) with its own region
+    count; its keys may repeat (one column per key and medium of a batch).
+    The coefficients of each column are exactly those of a solve of that
+    column alone.  A region's state is one (2, ncols) pair [c_j, c_y] over
+    the columns of every group, and each region end is one multiply, add
+    and divide on it against padded step tables, so all groups step
+    together, as many steps as the longest chain.  Each element takes the
+    ufunc sequence of c_j = (e h1 - h e1) / det and c_y = (h e0 - e h0) / det
+    with the negations moved onto table entries; IEEE negation is exact and
+    sums and products commute, so every coefficient equals that of the
+    four-product form exactly.  The source step, the scaling, the condition
+    guard and the interface residual then run per group, in group order.
+    Returns, per group, the `RadialSolve` of each column, in column order,
+    and the (region x key) tables c_j and c_y.
     """
-    nreg = len(regions)
-    last = nreg - 1
-    basis, det = _basis_traces(regions, keys, modes, omega)
-    e0, h0, e1, h1 = basis
-    # (side, region, 2, 2, key) tables: fwd[side, i, b, t] is trace t of
-    # basis b, bwd[side, i, t] the row that trace t adds to [c_j, c_y]
-    fwd, bwd = (ScaledArray.stack([ScaledArray.stack(row, axis=2) for row in rows], axis=2)
-                for rows in (((e0, h0), (e1, h1)), ((h1, -h0), (-e1, e0))))
+    traces = [_basis_traces(regions, keys, modes, omega)
+              for regions, _, keys, modes in groups]
+    lasts = [len(regions) - 1 for regions, _, _, _ in groups]
+    steps_in = max(src_idx for _, src_idx, _, _ in groups)
+    steps_out = max(last - src_idx - 1 for last, (_, src_idx, _, _) in zip(lasts, groups))
+    # The padded layout, built once.  Inner step i leaves region i at r_hi
+    # for region i + 1 (start-aligned rows); outer step d leaves region
+    # last - d at r_lo for region last - d - 1 (end-aligned rows, so d = 0
+    # is every group's outgoing step).  Rows past a group's own regions
+    # repeat its last ones; cells past its own chain are stepped but never
+    # read.
+    widths = [len(keys) for _, _, keys, _ in groups]
+    stops = np.cumsum(widths)
+    spans = [slice(stop - width, stop) for width, stop in zip(widths, stops.tolist())]
+    ncols = spans[-1].stop
+    # The forward tables have one row more than the chains: a group's
+    # source step reads its row there, after its last step.
+    f_in, f_out = _empty((steps_in + 1, 2, 2, ncols)), _empty((steps_out + 1, 2, 2, ncols))
+    b_in, b_out = _empty((steps_in, 2, 2, ncols)), _empty((steps_out, 2, 2, ncols))
+    d_in, d_out = _empty((steps_in, ncols)), _empty((steps_out, ncols))
+    for (basis, det), last, cols in zip(traces, lasts, spans):
+        inward = np.minimum(np.arange(steps_in + 1), last - 1)
+        outward = np.maximum(last - np.arange(steps_out + 1), 1)
+        _put_steps(f_in, cols, basis, 1, inward, _FORWARD)
+        _put_steps(b_in, cols, basis, 0, inward[:-1] + 1, _INVERSE)
+        _assign(d_in, np.s_[:, cols], det[0, inward[:-1] + 1])
+        _put_steps(f_out, cols, basis, 0, outward, _FORWARD)
+        _put_steps(b_out, cols, basis, 1, outward[:-1] - 1, _INVERSE)
+        _assign(d_out, np.s_[:, cols], det[1, outward[:-1] - 1])
 
-    def state(c, side, i):
-        # traces [e, h] of the pair c at that end of region i (c_y hhat in
-        # the outermost region, where c_j is zero)
-        if i == last:
-            return c[1, None] * fwd[side, i, 1]
-        p = c[:, None] * fwd[side, i]
+    def state(c, fwd, outgoing=False):
+        # traces [e, h] of the pair c against forward rows (c_y hhat in the
+        # outermost region, where c_j is zero)
+        if outgoing:
+            return c[1, None] * fwd[1]
+        p = c[:, None] * fwd
         return p[0] + p[1]
 
-    def match(t, side, i):
-        # the pair in region i whose traces at that end are t
-        q = t[:, None] * bwd[side, i]
-        return (q[0] + q[1]) / det[side, i]
+    def match(t, bwd, det):
+        # the pair whose traces at that end are t
+        q = t[:, None] * bwd
+        return (q[0] + q[1]) / det
 
-    ncols = len(keys)
-    inner = [ScaledArray.from_complex(np.array([np.ones(ncols), np.zeros(ncols)]))]
-    for i in range(src_idx):
-        inner.append(match(state(inner[-1], 1, i), 0, i + 1))
-    outer = [ScaledArray.from_complex(np.array([np.zeros(ncols), np.ones(ncols)]))]
-    for i in range(last, src_idx + 1, -1):
-        outer.append(match(state(outer[-1], 0, i), 1, i - 1))
-    outer.reverse()
+    # the states of the inner chains, rows 0..steps_in, then of the outer
+    # ones, from the outgoing region inwards
+    chain = _empty((2, steps_in + steps_out + 2, ncols))
 
-    s_m = state(inner[-1], 1, src_idx)
-    s_p = state(outer[0], 0, src_idx + 1)
-    e_m, h_m, e_p, h_p = s_m[0], s_m[1], s_p[0], s_p[1]
+    def keep(row, c):
+        _assign(chain, np.s_[:, row], c)
+        return c
 
-    # E continuous, H_t jumps by 1:  E+ B - E- A = 0,  H+ B - H- A = 1
-    t1 = h_p * e_m
-    t2 = h_m * e_p
-    det_src = t1 - t2
-    conds = []
-    for lmag, ldet in zip(np.maximum(t1.log10_abs(), t2.log10_abs()),
-                          det_src.log10_abs()):
-        mag, det_mag = 10.0 ** lmag, 10.0 ** ldet
-        conds.append(math.inf if det_mag == 0 else float(mag / det_mag))
-    rows = np.arange(nreg)[:, None] <= src_idx
-    scale = ScaledArray.where(rows, e_p / det_src, e_m / det_src)
-    c = ScaledArray.stack(inner + outer, axis=1) * scale
-    c_j, c_y = c[0], c[1]
-    resid = _interface_residual(basis, c_j, c_y, src_idx)
+    seed = ScaledArray.from_complex(np.array([np.ones(ncols), np.zeros(ncols)]))
+    c = keep(0, seed)
+    for i in range(steps_in):
+        c = keep(1 + i, match(state(c, f_in[i]), b_in[i], d_in[i]))
+    c = keep(steps_in + 1, seed[::-1])
+    for d in range(steps_out):
+        c = keep(steps_in + 2 + d, match(state(c, f_out[d], d == 0), b_out[d], d_out[d]))
+    del b_in, d_in, b_out, d_out                  # not live in the per-group work
 
-    out = []
-    for col, (n, pol) in enumerate(keys):
-        if conds[col] > _COND_GUARD:
-            raise NearSingularMode(
-                f"near-singular mode (n={n}, pol={pol}): condition {conds[col]:.3e}")
-        if resid[col] > _INTERFACE_TOL:
-            warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
-                          RuntimeWarning)
-        out.append(RadialSolve(condition=conds[col], interface_residual=float(resid[col])))
-    return out, c_j, c_y
+    solved = []
+    for (_, src_idx, keys, _), (basis, _), last, cols in zip(groups, traces, lasts, spans):
+        n_out = last - src_idx - 1
+        s_m = state(chain[:, src_idx, cols], f_in[src_idx, ..., cols])
+        s_p = state(chain[:, steps_in + 1 + n_out, cols], f_out[n_out, ..., cols], n_out == 0)
+        e_m, h_m, e_p, h_p = s_m[0], s_m[1], s_p[0], s_p[1]
+
+        # E continuous, H_t jumps by 1:  E+ B - E- A = 0,  H+ B - H- A = 1
+        t1 = h_p * e_m
+        t2 = h_m * e_p
+        det_src = t1 - t2
+        conds = []
+        for lmag, ldet in zip(np.maximum(t1.log10_abs(), t2.log10_abs()),
+                              det_src.log10_abs()):
+            mag, det_mag = 10.0 ** lmag, 10.0 ** ldet
+            conds.append(math.inf if det_mag == 0 else float(mag / det_mag))
+        rows = np.arange(last + 1)[:, None] <= src_idx
+        scale = ScaledArray.where(rows, e_p / det_src, e_m / det_src)
+        # the group's rows of the chain: its inner states up to the source
+        # region, then its outer ones back from there to the outgoing region
+        at = np.r_[:src_idx + 1, steps_in + 1 + n_out:steps_in:-1]
+        c = chain[:, at, cols] * scale
+        c_j, c_y = c[0], c[1]
+        resid = _interface_residual(basis, c_j, c_y, src_idx)
+
+        out = []
+        for col, (n, pol) in enumerate(keys):
+            if conds[col] > _COND_GUARD:
+                raise NearSingularMode(
+                    f"near-singular mode (n={n}, pol={pol}): condition {conds[col]:.3e}")
+            if resid[col] > _INTERFACE_TOL:
+                warnings.warn(f"interface residual {resid[col]:.2e} for (n={n}, pol={pol})",
+                              RuntimeWarning)
+            out.append(RadialSolve(condition=conds[col], interface_residual=float(resid[col])))
+        solved.append((out, c_j, c_y))
+    return solved
 
 
 def _interface_residual(basis, c_j, c_y, src_idx) -> np.ndarray:
@@ -417,36 +485,56 @@ def _solve_media(media, source: SurfaceCurrentSource,
     """`solve` of each medium, as the columns of one region pass.
 
     The media must share their region breakpoints, so the source lies in
-    the same region of each; their mode tables are joined along the key
-    axis, solved together, and each medium's `FieldSolution` gets its own
-    columns, with exactly the bits of a solve of that medium alone.
+    the same region of each; they are one column group of `_solve_levels`,
+    and each medium's `FieldSolution` has exactly the bits of a solve of
+    that medium alone.
+    """
+    return _solve_levels([media], source, omega)[0]
+
+
+def _solve_levels(levels, source: SurfaceCurrentSource,
+                  omega: float) -> list[list[FieldSolution]]:
+    """`_solve_media` of each level, all levels in one region pass.
+
+    Each level is a list of media that share their region breakpoints; its
+    mode tables are joined along the key axis into one column group of
+    `_solve_radial`, and levels may differ in their region counts.  Each
+    medium's `FieldSolution` gets its own columns, with exactly the bits of
+    a solve of that medium alone.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    built = [_build_regions(medium, source.radius) for medium in media]
-    regions, src_idx = built[0]
-    ends = [(reg.r_lo, reg.r_hi) for reg in regions]
-    for regs, _ in built:
-        out = regs[-1]
-        if any(abs(c - 1) > 1e-14
-               for c in (out.eps_rad, out.eps_tan, out.mu_rad, out.mu_tan)):
-            raise ValueError("outermost layer must be vacuum")
-        if [(reg.r_lo, reg.r_hi) for reg in regs] != ends:
-            raise ValueError("media solved together need the same region "
-                             "breakpoints, the source radius included")
     keys = source.radial_keys()
-    tables = [_mode_constants(regs, keys, omega) for regs, _ in built]
-    joined = ModeTable._make(
-        None if column[0] is None else np.concatenate(column, axis=1)
-        for column in zip(*tables))
-    radial, c_j, c_y = _solve_radial(regions, src_idx, keys * len(media), joined, omega)
-    joined = joined._replace(c_j=c_j, c_y=c_y)
     nkeys = len(keys)
-    solutions = []
-    for i, (medium, (regs, _)) in enumerate(zip(media, built)):
-        cols = np.arange(i * nkeys, (i + 1) * nkeys)
-        solutions.append(FieldSolution(
-            medium=medium, source=source, omega=omega, regions=tuple(regs),
-            radial=dict(zip(keys, radial[i * nkeys:(i + 1) * nkeys])),
-            modes=ModeTable._make(column[:, cols] for column in joined)))
-    return solutions
+    groups, built = [], []
+    for media in levels:
+        regs_src = [_build_regions(medium, source.radius) for medium in media]
+        regions, src_idx = regs_src[0]
+        ends = [(reg.r_lo, reg.r_hi) for reg in regions]
+        for regs, _ in regs_src:
+            out = regs[-1]
+            if any(abs(c - 1) > 1e-14
+                   for c in (out.eps_rad, out.eps_tan, out.mu_rad, out.mu_tan)):
+                raise ValueError("outermost layer must be vacuum")
+            if [(reg.r_lo, reg.r_hi) for reg in regs] != ends:
+                raise ValueError("media solved together need the same region "
+                                 "breakpoints, the source radius included")
+        tables = [_mode_constants(regs, keys, omega) for regs, _ in regs_src]
+        joined = ModeTable._make(
+            None if column[0] is None else np.concatenate(column, axis=1)
+            for column in zip(*tables))
+        groups.append((regions, src_idx, keys * len(media), joined))
+        built.append(regs_src)
+    solved = []
+    for media, regs_src, (_, _, _, joined), (radial, c_j, c_y) in zip(
+            levels, built, groups, _solve_radial(groups, omega)):
+        joined = joined._replace(c_j=c_j, c_y=c_y)
+        solutions = []
+        for i, (medium, (regs, _)) in enumerate(zip(media, regs_src)):
+            cols = np.arange(i * nkeys, (i + 1) * nkeys)
+            solutions.append(FieldSolution(
+                medium=medium, source=source, omega=omega, regions=tuple(regs),
+                radial=dict(zip(keys, radial[i * nkeys:(i + 1) * nkeys])),
+                modes=ModeTable._make(column[:, cols] for column in joined)))
+        solved.append(solutions)
+    return solved

@@ -190,14 +190,14 @@ def test_sweep_check_returns_the_media_the_run_solves(tmp_path, monkeypatch, sce
     import calrlab.layered_maxwell.solver as solver
     import calrlab.scenarios as scenarios
     solved = []
-    inner = solver._solve_media
+    inner = solver._solve_levels
 
-    def recorded(media, source, omega):
-        solved.extend(tuple(medium.breakpoints) for medium in media)
-        return inner(media, source, omega)
+    def recorded(levels, source, omega):
+        solved.extend(tuple(medium.breakpoints) for media in levels for medium in media)
+        return inner(levels, source, omega)
 
-    monkeypatch.setattr(solver, "_solve_media", recorded)
-    monkeypatch.setattr(refine, "_solve_media", recorded)
+    monkeypatch.setattr(solver, "_solve_levels", recorded)
+    monkeypatch.setattr(refine, "_solve_levels", recorded)
     p = scenario_params(scenario, {"n_src": 1, "layers": 8, "deltas": [1e-2, 1e-3]})
     checked = getattr(scenarios, sweep).check(p)
     assert solved == []

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calrlab.layered_maxwell import (
     SurfaceCurrentSource,
@@ -517,26 +519,32 @@ def test_batched_media_need_the_same_region_breakpoints():
         _solve_media([eps_ne_mu_medium(), wide], src, 1.0)
 
 
-def test_richardson_delta_sweep_makes_one_region_pass_per_level(monkeypatch):
-    # four losses with Richardson: one batched solve per refinement level,
-    # plus the reference solve
+def test_richardson_delta_sweep_makes_one_region_pass_for_both_levels(monkeypatch):
+    # four losses with Richardson: one region pass whose column groups are
+    # the two refinement levels, four losses each, plus the reference solve
     import calrlab.layered_maxwell.solver as solver
     from calrlab.scenarios import Sweep
     calls = []
     inner = solver._solve_radial
 
-    def counted(regions, src_idx, keys, modes, omega):
-        calls.append(len(keys))
-        return inner(regions, src_idx, keys, modes, omega)
+    def counted(groups, omega):
+        calls.append([(len(regions), len(keys)) for regions, _, keys, _ in groups])
+        return inner(groups, omega)
 
     monkeypatch.setattr(solver, "_solve_radial", counted)
+    bessel = _counting(monkeypatch)
     p = {"r_s": 5.0, "n_src": 1, "seed": 7, "omega": 1.0, "layers": 4,
          "deltas": [1e-2, 1e-3, 1e-4, 1e-5]}
     swept = list(Sweep(lambda p, d: make_dcm_example(1.0, 2.0, 2.0, d),
                        reference=lambda p: vacuum_medium()).solves(p))
     assert [delta for delta, _, _ in swept] == p["deltas"]
-    assert len(calls) == 3
-    assert calls[1:] == [4 * calls[0]] * 2
+    assert len(calls) == 2
+    # each group takes its region ends from one hat_jy and one hat_h1 call
+    assert bessel["hat_jy"] == bessel["hat_h1"] == 1 + 2
+    (ref,), levels = calls
+    # the core, the shell at 2 * 4 and at 4 sublayers, the vacuum split at
+    # the source
+    assert levels == [(1 + 8 + 2, 4 * ref[1]), (1 + 4 + 2, 4 * ref[1])]
 
 
 def _high_order_fields(sol, n, r, omega, r_s):
@@ -645,45 +653,90 @@ def _four_product_solve(regions, src_idx, keys, modes, omega):
 
 
 def _reference_chain_cases():
+    """(levels, source) of region passes; each level is one column group."""
     from calrlab.scenarios import mixed_mode_source
+    deltas = (1e-2, 1e-3, 1e-4, 1e-5)
+    # the Richardson pass of a four-loss sweep: groups of 99 and 51 regions
+    yield ([[staircase(make_dcm_example(1.0, 2.0, 2.0, d), n) for d in deltas]
+            for n in (96, 48)], mixed_mode_source(5.0, 6, 7))
     dcm = [make_dcm_example(1.0, 2.0, 2.0, d) for d in (1e-2, 1e-3)]
-    yield ([staircase(make_dcm_example(1.0, 2.0, 2.0, d), 96)
-            for d in (1e-2, 1e-3, 1e-4, 1e-5)], mixed_mode_source(5.0, 6, 7))
-    yield [staircase(m, 16) for m in dcm], mixed_mode_source(5.0, 12, 19)
+    yield [[staircase(m, 16) for m in dcm]], mixed_mode_source(5.0, 12, 19)
     for family in ("superlens", "cloak"):
-        yield [staircase(m, 8) for m in _graded_family(family)], _mixed_source(5.0)
+        yield [[staircase(m, 8) for m in _graded_family(family)]], _mixed_source(5.0)
     # the sheet in the core (empty inner chain), in the shell, and in the
     # vacuum next to the exterior region (outgoing source state)
     for r_s in (0.5, 1.5, 3.0):
-        yield [eps_ne_mu_medium()], _mixed_source(r_s)
+        yield [[eps_ne_mu_medium()]], _mixed_source(r_s)
+    # one ragged pass with all three: at r = 3 the sheet lies in the vacuum
+    # next to the exterior of eps_ne_mu_medium and of a staircased DCM, in
+    # the core of a (0, 4) core, and in the shell of a (1, 4) shell
+    core, shell, vac = eps_ne_mu_medium().layers
+    big_core = RadialMedium(layers=(Layer(0.0, 4.0, core.eps, core.mu),
+                                    Layer(4.0, math.inf, vac.eps, vac.mu)))
+    wide = RadialMedium(layers=(core, Layer(1.0, 4.0, shell.eps, shell.mu),
+                                Layer(4.0, math.inf, vac.eps, vac.mu)))
+    yield ([[eps_ne_mu_medium()], [staircase(dcm[0], 8)], [big_core], [wide]],
+           _mixed_source(3.0))
 
 
 def test_stacked_region_steps_match_the_four_product_recursion(monkeypatch):
-    # the (2, ncols) pair steps give every coefficient, condition and
-    # residual of the one-pair-per-region recursion bit for bit
+    # the (2, ncols) pair steps of a ragged pass give every coefficient,
+    # condition and residual of each group's one-pair-per-region recursion
+    # bit for bit
     import calrlab.layered_maxwell.solver as solver
-    from calrlab.layered_maxwell.solver import _solve_media
+    from calrlab.layered_maxwell.solver import _solve_levels
     inner = solver._solve_radial
     seen = []
 
-    def checked(regions, src_idx, keys, modes, omega):
-        got = inner(regions, src_idx, keys, modes, omega)
-        seen.append((src_idx, len(regions) - 1, got,
-                     _four_product_solve(regions, src_idx, keys, modes, omega)))
+    def checked(groups, omega):
+        got = inner(groups, omega)
+        seen.append([(src_idx, len(regions) - 1, solved,
+                      _four_product_solve(regions, src_idx, keys, modes, omega))
+                     for (regions, src_idx, keys, modes), solved in zip(groups, got)])
         return got
 
     monkeypatch.setattr(solver, "_solve_radial", checked)
-    for media, src in _reference_chain_cases():
-        _solve_media(media, src, 1.0)
-    for src_idx, last, (radial, c_j, c_y), (conds, resid, want_j, want_y) in seen:
+    for levels, src in _reference_chain_cases():
+        _solve_levels(levels, src, 1.0)
+    for src_idx, last, (radial, c_j, c_y), (conds, resid, want_j, want_y) in (
+            group for groups in seen for group in groups):
         assert [rs.condition for rs in radial] == conds
         assert [rs.interface_residual for rs in radial] == resid
         for got, want in ((c_j, want_j), (c_y, want_y)):
             assert np.array_equal(got.m, want.m) and np.array_equal(got.e, want.e)
-    ends = {(src_idx == 0, src_idx + 1 == last) for src_idx, last, _, _ in seen}
+    ends = {(src_idx == 0, src_idx + 1 == last) for src_idx, last, _, _ in seen[-1]}
     assert ends == {(True, False), (False, False), (False, True)}
-    # the first pass is the 96-layer staircase: four losses of twelve keys
-    assert seen[0][1] == 98 and seen[0][2][1].shape == (99, 4 * 12)
+    # the first pass is the Richardson pair: four losses of twelve keys each
+    assert [(last, solved[1].shape) for _, last, solved, _ in seen[0]] == [
+        (98, (99, 4 * 12)), (50, (51, 4 * 12))]
+
+
+# (r1, r2) of a DCM that puts a sheet at r = 3 in its core, in its shell
+# (off every breakpoint of a staircase at up to 12 layers), or in the
+# vacuum next to the outgoing region
+_SHEET_AT = {"core": (3.5, 4.0), "shell": (2.1, 4.0), "outgoing": (1.0, 2.0)}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+# every inner chain empty
+@example(groups=[("core", 3, 1)])
+# the core group's outer chain is longer than the others', and not first
+@example(groups=[("outgoing", 2, 1), ("core", 12, 2), ("shell", 1, 1)])
+@given(groups=st.lists(st.tuples(st.sampled_from(sorted(_SHEET_AT)), st.integers(1, 12),
+                                 st.integers(1, 2)), min_size=1, max_size=3))
+def test_ragged_groups_equal_their_own_solves(groups):
+    # one region pass over groups of other region counts and source
+    # regions gives each medium exactly the bits of its own solve
+    from calrlab.layered_maxwell.solver import _solve_levels
+    src = _mixed_source(3.0)
+    levels = [[staircase(make_dcm_example(*_SHEET_AT[sheet], 2.0, delta), layers)
+               for delta in (1e-2, 1e-3)[:losses]] for sheet, layers, losses in groups]
+    solved = _solve_levels(levels, src, 1.0)
+    assert [len(sols) for sols in solved] == [len(media) for media in levels]
+    for media, sols in zip(levels, solved):
+        for medium, got in zip(media, sols):
+            assert got.medium is medium
+            _assert_same_solution(got, solve(medium, src, 1.0))
 
 
 def test_basis_values_are_one_call_per_basis(monkeypatch):
