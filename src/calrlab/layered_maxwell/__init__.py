@@ -20,6 +20,7 @@ from .fields import (
     mode_radial_components,
     reflect_solution,
     remove_localized_singularity,
+    residual_reports,
 )
 from .norms import (
     DataReport,
@@ -39,6 +40,7 @@ __all__ = [
     "branch_sqrt", "effective_order", "solve",
     "GluedField", "GluedReport", "eval_field", "eval_field_many", "fd_curl", "field_evaluator",
     "mode_radial_components", "reflect_solution", "remove_localized_singularity",
+    "residual_reports",
     "DataReport", "adaptive_gauss", "check_media_agree", "data_quantity", "farfield_flux",
     "l2_norm_annulus", "l2_norm_annulus_diff", "second_order_residual",
     "graded_midpoints", "staircase",

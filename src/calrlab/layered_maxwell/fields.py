@@ -3,22 +3,27 @@
 One kernel, `_components`, evaluates three radial components, u and its
 radial and tangential companions, of every (n, pol) mode at radii spread
 over several regions into one dense (component x radius x key) array,
-whose key columns `eval_field_many` and the norms of
+whose key columns `_eval_fields` and the norms of
 `calrlab.layered_maxwell.norms` index.  It runs `_radial_components` once,
 elementwise, over the whole (radius x key) basis tables of
 `solver._basis_values`, the dispatch the solver uses for its region ends:
 one Bessel call per basis, elementwise in (order, argument).
 Every step is elementwise, so each radius gets exactly the bits of a call
-on it alone: a gluing residual report evaluates all of its point sets
-(both gluing spheres, the finite-difference stencil and its centres, raw
-and reflected) in one `eval_field_many` call, and a norm evaluates all of
-its quadrature panels in one kernel call.  `eval_field_many` runs the
-kernel on the distinct radii of its points and the angular triples on
-their distinct directions, and gathers both per point, so each point
-still gets the bits of a call on it alone.  Every per-(region, mode)
-constant comes from a `ModeTable` of the solve, so the TE/TM rule is
-`solver._mode_constants` alone; the kernel reads no polarization, and
-each consumer places the three components in E and H by it.
+on it alone.  `_eval_fields` evaluates the solutions of one loss sweep,
+which share their source and region ends, at one point set: one kernel
+call over their `ModeTable`s joined along the key columns, at the distinct
+radii of the points, angular triples on their distinct directions, and a
+key loop over the distinct (radius, direction) pairs, each solution on its
+own arrays; each point gathers its pair, so it still gets the bits of a
+call on it alone with its solution alone.  `eval_field_many` is its
+one-solution case.  `residual_reports` answers a whole sweep's gluing
+residual reports (both gluing spheres, the finite-difference stencil and
+its centres, raw and reflected) from one `_eval_fields` call, and a norm
+evaluates all of its quadrature panels in one kernel call.  Every
+per-(region, mode) constant comes from a `ModeTable` of the solve, so the
+TE/TM rule is `solver._mode_constants` alone; the kernel reads no
+polarization, and each consumer places the three components in E and H by
+it.
 """
 from __future__ import annotations
 
@@ -95,18 +100,33 @@ def _components(table: ModeTable, owner, r) -> np.ndarray:
         table.c_j[owner], table.c_y[owner], basis, table.outgoing[owner], r[:, None]))
 
 
-def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]:
-    """(E, H) at an (N, 3) array of finite, nonzero points; on a
-    breakpoint the inside region is used.
+def _joined(tables) -> ModeTable:
+    """The `ModeTable`s of solves of one region layout, joined along their
+    key columns; each `ScaledArray` field joins its mantissas and exponents."""
+    return ModeTable._make(
+        ScaledArray(np.concatenate([c.m for c in column], axis=1),
+                    np.concatenate([c.e for c in column], axis=1), normalize=False)
+        if isinstance(column[0], ScaledArray) else np.concatenate(column, axis=1)
+        for column in zip(*tables))
 
-    The radial components come from one `_components` kernel over the
-    distinct radii of the points, and the angular triples are streamed one
-    (n, m) at a time over their distinct directions (theta, phi), told apart
-    by their bits so that phi = +0.0 and -0.0 stay apart; each point gathers
-    its own.  A mode's u goes along rot into E (TE) or H (TM), and its
-    radial and tangential components along rad and grad into the other
-    field.  Every step is elementwise, so each point gets exactly the values
-    of a call on it alone.
+
+def _eval_fields(sols, points) -> list:
+    """(E, H) of each solution at an (N, 3) array of finite, nonzero points;
+    on a breakpoint the inside region is used.  The solutions share their
+    source amplitudes and region ends, as the solves of one loss sweep do;
+    only their coefficients differ.
+
+    The radial components of every solution come from one `_components`
+    kernel over the joined `ModeTable`s at the distinct radii of the points,
+    and the angular triples are streamed one (n, m) at a time over their
+    distinct directions (theta, phi), told apart by their bits so that
+    phi = +0.0 and -0.0 stay apart.  The key loop runs over the distinct
+    (radius, direction) pairs, with the solutions inside it, each on its own
+    (pairs x 3) arrays; every point then gathers its pair.  A mode's u goes
+    along rot into E (TE) or H (TM), and its radial and tangential components
+    along rad and grad into the other field.  Every step is elementwise, so
+    each point gets exactly the values of a call on it alone with its
+    solution alone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
@@ -117,26 +137,39 @@ def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     radii, at_r = np.unique(r, return_inverse=True)
-    comps = _components(sol.modes, sol.region_indices(radii), radii)
     angles = np.stack([theta, phi], axis=-1)
     _, first, at_d = np.unique(angles.view("V16")[:, 0], return_index=True,
                                return_inverse=True)
+    pairs, at_p = np.unique(at_r * len(first) + at_d, return_inverse=True)
+    pair_r, pair_d = np.divmod(pairs, len(first))
+    sol = sols[0]
+    comps = _components(_joined([s.modes for s in sols]), sol.region_indices(radii), radii)
+    width = sol.modes.nu.shape[1]
     angular = VshStream(sol.source.n_max, theta[first], phi[first])
-    e_out = np.zeros((len(pts), 3), dtype=complex)
-    h_out = np.zeros((len(pts), 3), dtype=complex)
+    out = [(np.zeros((len(pairs), 3), dtype=complex), np.zeros((len(pairs), 3), dtype=complex))
+           for _ in sols]
     nm = None
     for key, amp in sol.source.amplitudes.items():
         if (key.n, key.m) != nm:
             nm = (key.n, key.m)
-            rad, grad, rot = (v[at_d] for v in angular(key.n, key.m))
+            rad, grad, rot = (v[pair_d] for v in angular(key.n, key.m))
         mult = amp * h_jump_factor(key.pol)
-        u, radial, tangential = comps[..., sol._columns[(key.n, key.pol)]][:, at_r, None]
-        along_u = mult * (u * rot)
-        across = mult * (radial * rad + tangential * grad)
-        e_add, h_add = (along_u, across) if key.pol == TE else (across, along_u)
-        e_out += e_add
-        h_out += h_add
-    return e_out, h_out
+        for i, (s, (e_out, h_out)) in enumerate(zip(sols, out)):
+            col = i * width + s._columns[(key.n, key.pol)]
+            u, radial, tangential = comps[..., col][:, pair_r, None]
+            along_u = mult * (u * rot)
+            across = mult * (radial * rad + tangential * grad)
+            e_add, h_add = (along_u, across) if key.pol == TE else (across, along_u)
+            e_out += e_add
+            h_out += h_add
+    return [(e[at_p], h[at_p]) for e, h in out]
+
+
+def eval_field_many(sol: FieldSolution, points) -> tuple[np.ndarray, np.ndarray]:
+    """(E, H) at an (N, 3) array of finite, nonzero points; on a
+    breakpoint the inside region is used.  The one-solution case of
+    `_eval_fields`."""
+    return _eval_fields([sol], points)[0]
 
 
 def eval_field(sol: FieldSolution, x) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +259,11 @@ class GluedField:
     Every evaluation is a list of (branch, points) requests, where a branch
     is the raw solution ("raw"), its reflection through F ("refl1") or
     through G after F ("refl2").  `_fields` answers all of a list with one
-    `eval_field_many` call, and each request gets the values of an
-    evaluation on its points alone.  The maps must take stacks
-    of points, as those of `calrlab.media.maps` do.
+    field evaluation, and each request gets the values of an evaluation on
+    its points alone.  `residual_reports` takes the glued fields of a whole
+    loss sweep and evaluates all of them at once; `residual_report` is its
+    one-field case.  The maps must take stacks of points, as those of
+    `calrlab.media.maps` do.
     """
 
     def __init__(self, sol: FieldSolution, f_map: SmoothMap, g_map: SmoothMap,
@@ -259,23 +294,7 @@ class GluedField:
 
     def _fields(self, requests) -> list:
         """(E, H) of each (branch, points) request, from one field evaluation."""
-        return self._pushed([self._pullback(branch, ys) for branch, ys in requests])
-
-    def _pushed(self, pulled) -> list:
-        """(E, H) of each `_pullback` (x, chain), from one field evaluation:
-        the solution at every x, pulled forward through each map's transposed
-        Jacobian, the innermost map first."""
-        e_all, h_all = eval_field_many(self.sol, np.vstack([x for x, _ in pulled]))
-        bounds = np.cumsum([len(x) for x, _ in pulled])[:-1]
-        out = []
-        for (_, chain), e, h in zip(pulled, np.split(e_all, bounds),
-                                    np.split(h_all, bounds)):
-            for mapping, x in chain:
-                jt = np.swapaxes(mapping.jacobian(x), -1, -2)
-                e = np.linalg.solve(jt, e[..., None])[..., 0]
-                h = np.linalg.solve(jt, h[..., None])[..., 0]
-            out.append((e, h))
-        return out
+        return _pushed([self.sol], [self._pullback(branch, ys) for branch, ys in requests])[0]
 
     def eval_many(self, ys) -> tuple[np.ndarray, np.ndarray]:
         """(E, H) of the glued field at an (N, 3) array of points: the raw
@@ -295,61 +314,114 @@ class GluedField:
         return e, h
 
     def residual_report(self, sample_radii, seed: int = 0) -> GluedReport:
-        """Jump residuals plus the interior Maxwell residual in D.
+        """The one-field case of `residual_reports`."""
+        return residual_reports([self], sample_radii, seed)[0]
 
-        At r2 the tangential trace jump of the glued field reduces to that of
-        (field - first reflection); at r3 to that of (first - second
-        reflection); both vanish exactly in the continuum because the
-        reflections fix their spheres pointwise.  The glued field must
-        satisfy curl E = i omega H + delta omega F_* I H1 in D (vacuum
-        background there), so the finite-difference residual at
-        _POINTS_PER_RADIUS random points per sample radius is compared
-        against that predicted forcing.  The stencil step is `self.step`,
-        which keeps the pulled-back stencil off the shell's breakpoints at
-        radii that reflect sublayer midpoints.  Every sample radius must lie
-        in (r2 + 4 step, r3 - 4 step), so that the whole stencil lies in D,
-        or ValueError names the band; and the 13 pulled-back points of each
-        sample's stencil must lie in one solved region on each of the three
-        branches, or ValueError names the radius and the branch.  Every
-        field value comes from one field evaluation.
-        """
-        h = self.step
-        lo, hi = self.r2 + 4 * h, self.r3 - 4 * h
-        radii = list(sample_radii)
-        if not radii or not all(lo < r < hi for r in radii):
-            raise ValueError(f"sample radii {radii} must be a nonempty list in "
-                             f"({lo}, {hi}), the gluing annulus less the stencil")
-        rng = np.random.default_rng(seed)
-        samples = []
-        for r in radii:
-            for _ in range(_POINTS_PER_RADIUS):
-                d = rng.standard_normal(3)
-                d /= np.linalg.norm(d)
-                samples.append(r * d)
-        ys = np.array(samples)
-        n = len(ys)
-        # the stencil: center + four shifts per axis
-        stencil = [ys]
-        for k in range(3):
-            for sgn in (2.0, 1.0, -1.0, -2.0):
-                shifted = ys.copy()
-                shifted[:, k] += sgn * h
-                stencil.append(shifted)
-        stencil = np.vstack(stencil)
-        pts, w, _, _ = sphere_rule(_JUMP_QUAD_ORDER)
-        on_r2, on_r3 = self.r2 * pts, self.r3 * pts
-        pulled = [self._pullback(branch, y) for branch, y in (
-            ("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
-            ("refl1", ys), ("raw", stencil), ("refl1", stencil), ("refl2", stencil))]
-        for branch, (x, _) in zip(("raw", "refl1", "refl2"), pulled[5:]):
-            owner = self.sol.region_indices(np.linalg.norm(x, axis=1)).reshape(13, n)
-            crossed = np.flatnonzero(np.any(owner != owner[0], axis=0))
-            if crossed.size:
-                raise ValueError(
-                    f"the {branch} stencil of sample radius "
-                    f"{radii[crossed[0] // _POINTS_PER_RADIUS]} crosses a breakpoint "
-                    f"of the solve at step {h}")
-        raw2, refl1_2, refl1_3, refl2_3, (_, h_refl), raw, refl1, refl2 = self._pushed(pulled)
+
+def _pushed(sols, pulled) -> list:
+    """For each solution, (E, H) of each `_pullback` (x, chain): one field
+    evaluation of every solution at every x, pulled forward through each
+    map's transposed Jacobian, the innermost map first.  Each Jacobian is
+    formed once per request and solved against E and H of every solution as
+    the columns of one right-hand side."""
+    fields = _eval_fields(sols, np.vstack([x for x, _ in pulled]))
+    bounds = np.cumsum([len(x) for x, _ in pulled])[:-1]
+    out = np.split(np.stack([f for eh in fields for f in eh], axis=-1), bounds)
+    for i, (_, chain) in enumerate(pulled):
+        for mapping, x in chain:
+            out[i] = np.linalg.solve(np.swapaxes(mapping.jacobian(x), -1, -2), out[i])
+    return [[(cols[..., 2 * k], cols[..., 2 * k + 1]) for cols in out]
+            for k in range(len(sols))]
+
+
+def _sweep_mismatch(first: GluedField, other: GluedField):
+    """The first thing `residual_reports` needs shared that other does not
+    share with first, or None."""
+    checks = (
+        ("source amplitudes", lambda g: list(g.sol.source.amplitudes.items())),
+        ("region ends", lambda g: g.sol._r_hi.tolist()),
+        ("(r1, r2, r3)", lambda g: (g.r1, g.r2, g.r3)),
+        ("F/G maps", lambda g: [(m.label, m.params) for m in (g.f_map, g.g_map)]),
+        ("step", lambda g: g.step),
+    )
+    return next((what for what, of in checks if of(other) != of(first)), None)
+
+
+def residual_reports(glued_fields, sample_radii, seed: int = 0) -> list:
+    """The `GluedReport` of each glued field of one loss sweep at the same
+    sample points, from one field evaluation.
+
+    At r2 the tangential trace jump of the glued field reduces to that of
+    (field - first reflection); at r3 to that of (first - second
+    reflection); both vanish exactly in the continuum because the
+    reflections fix their spheres pointwise.  The glued field must satisfy
+    curl E = i omega H + delta omega F_* I H1 in D (vacuum background
+    there), so the finite-difference residual at _POINTS_PER_RADIUS random
+    points per sample radius is compared against that predicted forcing.
+    The stencil step is the fields' `step`, which keeps the pulled-back
+    stencil off the shell's breakpoints at radii that reflect sublayer
+    midpoints.  Every sample radius must lie in (r2 + 4 step, r3 - 4 step),
+    so that the whole stencil lies in D, or ValueError names the band; and
+    the 13 pulled-back points of each sample's stencil must lie in one
+    solved region on each of the three branches, or ValueError names the
+    radius and the branch.
+
+    The fields must share source amplitudes, region ends, (r1, r2, r3), the
+    F and G maps and `step`, so that every point and every Jacobian is the
+    same for all of them; otherwise, or for an empty list, ValueError is
+    raised (naming the first mismatch) before any evaluation.  The
+    evaluation takes each distinct (radius, direction) pair of the points
+    once for all fields, each Jacobian is formed once per request, and each
+    report gets exactly the bits of a report on its field alone.
+    """
+    glued_fields = list(glued_fields)
+    if not glued_fields:
+        raise ValueError("residual_reports needs at least one glued field")
+    first = glued_fields[0]
+    for i, other in enumerate(glued_fields[1:], 1):
+        what = _sweep_mismatch(first, other)
+        if what is not None:
+            raise ValueError(f"glued field {i} does not share the {what} of glued field 0")
+    h = first.step
+    lo, hi = first.r2 + 4 * h, first.r3 - 4 * h
+    radii = list(sample_radii)
+    if not radii or not all(lo < r < hi for r in radii):
+        raise ValueError(f"sample radii {radii} must be a nonempty list in "
+                         f"({lo}, {hi}), the gluing annulus less the stencil")
+    rng = np.random.default_rng(seed)
+    samples = []
+    for r in radii:
+        for _ in range(_POINTS_PER_RADIUS):
+            d = rng.standard_normal(3)
+            d /= np.linalg.norm(d)
+            samples.append(r * d)
+    ys = np.array(samples)
+    n = len(ys)
+    # the stencil: center + four shifts per axis
+    stencil = [ys]
+    for k in range(3):
+        for sgn in (2.0, 1.0, -1.0, -2.0):
+            shifted = ys.copy()
+            shifted[:, k] += sgn * h
+            stencil.append(shifted)
+    stencil = np.vstack(stencil)
+    pts, w, _, _ = sphere_rule(_JUMP_QUAD_ORDER)
+    on_r2, on_r3 = first.r2 * pts, first.r3 * pts
+    pulled = [first._pullback(branch, y) for branch, y in (
+        ("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
+        ("refl1", ys), ("raw", stencil), ("refl1", stencil), ("refl2", stencil))]
+    for branch, (x, _) in zip(("raw", "refl1", "refl2"), pulled[5:]):
+        owner = first.sol.region_indices(np.linalg.norm(x, axis=1)).reshape(13, n)
+        crossed = np.flatnonzero(np.any(owner != owner[0], axis=0))
+        if crossed.size:
+            raise ValueError(
+                f"the {branch} stencil of sample radius "
+                f"{radii[crossed[0] // _POINTS_PER_RADIUS]} crosses a breakpoint "
+                f"of the solve at step {h}")
+    fstar = push_forward_tensor(first.f_map, np.eye(3), ys)
+    reports = []
+    for glued, fields in zip(glued_fields, _pushed([g.sol for g in glued_fields], pulled)):
+        raw2, refl1_2, refl1_3, refl2_3, (_, h_refl), raw, refl1, refl2 = fields
         jump2 = _trace_jump(pts, w, raw2, refl1_2)
         jump3 = _trace_jump(pts, w, refl1_3, refl2_3)
         e = (raw[0] - refl1[0] + refl2[0]).reshape(13, n, 3)
@@ -361,20 +433,20 @@ class GluedField:
         curls[:, 0] = de[1][:, 2] - de[2][:, 1]
         curls[:, 1] = de[2][:, 0] - de[0][:, 2]
         curls[:, 2] = de[0][:, 1] - de[1][:, 0]
-        resid = curls - 1j * self.omega * h_c
-        delta = self.sol.medium.provenance.get("delta", 0.0)
-        fstar = push_forward_tensor(self.f_map, np.eye(3), ys)
-        predicted = delta * self.omega * (fstar @ h_refl[..., None])[..., 0]
+        resid = curls - 1j * glued.omega * h_c
+        delta = glued.sol.medium.provenance.get("delta", 0.0)
+        predicted = delta * glued.omega * (fstar @ h_refl[..., None])[..., 0]
         resid_sq = float(np.mean(np.sum(np.abs(resid) ** 2, axis=1)))
         forcing_sq = float(np.mean(np.sum(np.abs(predicted) ** 2, axis=1)))
         dev_sq = float(np.mean(np.sum(np.abs(resid - predicted) ** 2, axis=1)))
-        return GluedReport(
+        reports.append(GluedReport(
             jump_rel_r2=jump2,
             jump_rel_r3=jump3,
             maxwell_resid_norm=math.sqrt(resid_sq),
             forcing_norm=math.sqrt(forcing_sq),
             forcing_rel_deviation=math.sqrt(dev_sq / max(forcing_sq, 1e-300)),
-        )
+        ))
+    return reports
 
 
 def remove_localized_singularity(sol: FieldSolution, f_map: SmoothMap,

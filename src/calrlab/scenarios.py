@@ -46,6 +46,7 @@ from .layered_maxwell import (
     l2_norm_annulus_diff,
     mode,
     remove_localized_singularity,
+    residual_reports,
     solve,
 )
 from .layered_maxwell.refine import solve_staircased, staircase_levels
@@ -304,14 +305,14 @@ def _gluing_check(p: dict) -> None:
           check=_gluing_check)
 def run_gluing_demo(p: dict):
     """Removing the localized singularity: jump residuals and the delta-forcing."""
-    rows = []
-    # without Richardson, sol.medium is the staircased DCM that was solved
-    for delta, sol, _ in _GLUING_DEMO.solves(p):
-        glued = remove_localized_singularity(sol, *dcm_maps(sol.medium))
-        rep = glued.residual_report(_gluing_radii(p, sol.medium), seed=p["seed"])
-        rows.append([delta, rep.jump_rel_r2, rep.jump_rel_r3,
-                     rep.maxwell_resid_norm, rep.maxwell_resid_norm / delta,
-                     rep.forcing_rel_deviation])
+    # without Richardson, sol.medium is the staircased DCM that was solved;
+    # its layer geometry, and so the sample radii, is the same for every loss
+    glued = [remove_localized_singularity(sol, *dcm_maps(sol.medium))
+             for _, sol, _ in _GLUING_DEMO.solves(p)]
+    reports = residual_reports(glued, _gluing_radii(p, glued[0].sol.medium), seed=p["seed"])
+    rows = [[delta, rep.jump_rel_r2, rep.jump_rel_r3, rep.maxwell_resid_norm,
+             rep.maxwell_resid_norm / delta, rep.forcing_rel_deviation]
+            for delta, rep in zip(p["deltas"], reports)]
     ratios = [row[4] for row in rows]
     jumps = [np.max(row[1:3]) for row in rows]
     tables = {"gluing_demo.csv":

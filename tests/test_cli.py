@@ -256,9 +256,47 @@ def test_carleman_boundary_term_at_large_beta_stays_finite(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", str(cfg)]) == EXIT_OK
-    rows = (tmp_path / "outbeta" / "carleman_inequality.csv").read_text().splitlines()
-    assert len(rows) == 9
-    assert all(math.isfinite(float(row.split(",")[-1])) for row in rows[1:])
+    text = (tmp_path / "outbeta" / "carleman_inequality.csv").read_text()
+    rows = [row.split(",") for row in text.splitlines()]
+    assert len(rows) == 9 and "inf" not in text
+    # every numeric field, not only the measured constant, is finite
+    numeric = [i for i, name in enumerate(rows[0]) if name != "medium"]
+    assert all(math.isfinite(float(row[i])) for row in rows[1:] for i in numeric)
+
+
+def _run_warning_free(cfg) -> int:
+    """`cli.main(["run", cfg])` with every RuntimeWarning an error."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(["run", str(cfg)])
+
+
+def test_gluing_a_4096_layer_shell_keeps_the_forcing_deviation_small(tmp_path):
+    # the residual report's finite-difference step comes from the solve: a
+    # fixed step of 1e-4 crossed these 2.4e-4-wide sublayers, and the run
+    # failed resid_over_delta_bounded with forcing_rel_dev up to 92
+    out = tmp_path / "gluing_4096_layers"
+    cfg = _write_config(tmp_path, "glue4096.json", "gluing_demo",
+                        {"layers": 4096, "n_src": 1, "deltas": [1e-2, 1e-3]}, out)
+    assert _run_warning_free(cfg) == EXIT_OK
+    rows = [row.split(",") for row in (out / "gluing_demo.csv").read_text().splitlines()]
+    assert rows[0][5] == "forcing_rel_dev" and len(rows) == 3
+    assert all(float(row[5]) < 1e-4 for row in rows[1:])
+
+
+def test_gluing_twelve_orders_reruns_to_the_same_bytes(tmp_path):
+    # one field evaluation serves the whole loss sweep, on the distinct
+    # (radius, direction) pairs of the reports' points; a rerun must write
+    # the same directory, byte for byte
+    outs = [tmp_path / f"glue_orders_{i}" for i in (1, 2)]
+    for i, out in enumerate(outs, 1):
+        cfg = _write_config(tmp_path, f"orders_{i}.json", "gluing_demo",
+                            {"n_src": 12, "layers": 16, "deltas": [1e-2, 1e-3]}, out)
+        assert _run_warning_free(cfg) == EXIT_OK
+        assert (out / "gluing_demo.csv").stat().st_size > 0
+    first, second = ({f.name: f.read_bytes() for f in out.iterdir()} for out in outs)
+    assert first == second
 
 
 def test_tripped_guard_exit_numerical(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,13 @@
 """Reflections, the fixed-sphere trace identity, and the singularity-removing glue."""
+import functools
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calrlab.layered_maxwell import (
     GluedField,
@@ -17,6 +20,7 @@ from calrlab.layered_maxwell import (
     mode_radial_components,
     reflect_solution,
     remove_localized_singularity,
+    residual_reports,
     solve,
     staircase,
 )
@@ -24,6 +28,8 @@ from calrlab.media import dcm_maps, identity_map, kelvin_map, make_dcm_example, 
 from calrlab.layered_maxwell.modes import h_jump_factor
 from calrlab.specfun import sphere_rule, vsh_table
 from layered_cases import eps_ne_mu_solution
+
+import calrlab.layered_maxwell.fields as fields
 
 
 def _dcm_solution(delta, layers=48, n_hi=2):
@@ -264,36 +270,46 @@ def test_glued_eval_many_matches_single_point_reflections():
 
 
 def test_field_evaluation_memory_at_glue_high_order_size(monkeypatch):
-    # the one field evaluation of a gluing residual report at the size of
-    # the glue_high_order benchmark workload: 2128 points x 24 keys x 19
-    # regions.  Its tracemalloc peak read 10.2 MB with the per-set kernel
-    # that the dense basis tables replaced, and 11.4 MB with them
+    # the one field evaluation of a two-loss sweep's residual reports at the
+    # size of the glue_high_order benchmark workload: 2128 points x 24 keys
+    # x 19 regions, for both losses.  Its tracemalloc peak read 10.2 MB with
+    # the per-set kernel that the dense basis tables replaced, for one loss
     import tracemalloc
 
-    import calrlab.layered_maxwell.fields as fields
     from calrlab.layered_maxwell.refine import solve_staircased
     from calrlab.scenarios import mixed_mode_source
-    sol, = solve_staircased([make_dcm_example(1.0, 2.0, 2.0, 1e-2)],
+    sols = solve_staircased([make_dcm_example(1.0, 2.0, 2.0, d) for d in (1e-2, 1e-3)],
                             mixed_mode_source(5.0, 12, 19), 1.0, layers=16,
                             richardson=False)
-    glued = remove_localized_singularity(sol, *dcm_maps(sol.medium))
-    radii = sorted(4.0 / m for m in graded_midpoints(sol.medium, 1.0, 2.0)
-                   if 2.2 < 4.0 / m < 0.95 * glued.r3)[::12]
+    glued = [remove_localized_singularity(sol, *dcm_maps(sol.medium)) for sol in sols]
+    radii = sorted(4.0 / m for m in graded_midpoints(sols[0].medium, 1.0, 2.0)
+                   if 2.2 < 4.0 / m < 0.95 * glued[0].r3)[::12]
     peaks = []
+    calls = {"_components": 0, "VshStream": 0}
+    eval_fields, components, stream = fields._eval_fields, fields._components, fields.VshStream
 
-    def measured(sol, points):
+    def measured(sols, points):
         tracemalloc.start()
         try:
-            return eval_field_many(sol, points)
+            return eval_fields(sols, points)
         finally:
-            peaks.append((len(points), tracemalloc.get_traced_memory()[1]))
+            peaks.append((len(sols), len(points), tracemalloc.get_traced_memory()[1]))
             tracemalloc.stop()
 
-    monkeypatch.setattr(fields, "eval_field_many", measured)
-    glued.residual_report(radii, seed=19)
-    assert len(sol.radial) == 24 and len(sol.regions) == 19
-    assert [n for n, _ in peaks] == [2128]
-    assert peaks[0][1] < 1.5 * 10.2e6
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fields, "_eval_fields", measured)
+    monkeypatch.setattr(fields, "_components", counted("_components", components))
+    monkeypatch.setattr(fields, "VshStream", counted("VshStream", stream))
+    residual_reports(glued, radii, seed=19)
+    assert all(len(sol.radial) == 24 and len(sol.regions) == 19 for sol in sols)
+    assert [(k, n) for k, n, _ in peaks] == [(2, 2128)]
+    assert calls == {"_components": 1, "VshStream": 1}
+    assert peaks[0][2] < 1.5 * 10.2e6
 
 
 def _closure_glued(glued, ys):
@@ -324,6 +340,23 @@ def _closure_glued(glued, ys):
     return requests, assemble
 
 
+def _closure_fields(glued, requests):
+    """(E, H) of each (branch, points) request as first written: one
+    `eval_field_many` call, then, per request and per map, E and H each
+    solved alone against the transposed Jacobian."""
+    pulled = [glued._pullback(branch, ys) for branch, ys in requests]
+    e_all, h_all = eval_field_many(glued.sol, np.vstack([x for x, _ in pulled]))
+    bounds = np.cumsum([len(x) for x, _ in pulled])[:-1]
+    out = []
+    for (_, chain), e, h in zip(pulled, np.split(e_all, bounds), np.split(h_all, bounds)):
+        for mapping, x in chain:
+            jt = np.swapaxes(mapping.jacobian(x), -1, -2)
+            e = np.linalg.solve(jt, e[..., None])[..., 0]
+            h = np.linalg.solve(jt, h[..., None])[..., 0]
+        out.append((e, h))
+    return out
+
+
 def _closure_residual_report(glued, sample_radii, seed):
     """`GluedField.residual_report` as first written, at its one used
     setting: 16 nodes, 2 points per radius, h = 1e-4, the closure's
@@ -351,9 +384,9 @@ def _closure_residual_report(glued, sample_radii, seed):
     requests, assemble = _closure_glued(glued, np.vstack(stencil))
     pts, w, _, _ = sphere_rule(16)
     on_r2, on_r3 = glued.r2 * pts, glued.r3 * pts
-    raw2, refl1_2, refl1_3, refl2_3, (_, h1), *rest = glued._fields(
-        [("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
-         ("refl1", ys)] + requests)
+    raw2, refl1_2, refl1_3, refl2_3, (_, h1), *rest = _closure_fields(glued, [
+        ("raw", on_r2), ("refl1", on_r2), ("refl1", on_r3), ("refl2", on_r3),
+        ("refl1", ys)] + requests)
     e_all, h_all = assemble(rest)
     h_c = h_all[:n]
     curls = np.zeros((n, 3), dtype=complex)
@@ -397,14 +430,21 @@ def _gluing_demo_fields(params):
 @pytest.mark.parametrize("params", [{"n_src": 12, "layers": 16, "deltas": [1e-2, 1e-3]}, {}],
                          ids=["glue_high_order", "gluing_demo_defaults"])
 def test_glued_report_and_eval_many_match_first_written_bodies_bitwise(params):
-    # the request-list report and eval_many against the closure-assembled
-    # bodies they replaced: at these configs the step from the solve is the
-    # old fixed 1e-4, so every field must agree with ==
+    # the sweep's reports, each field's own report and eval_many against the
+    # closure-assembled bodies they replaced, whose push-forward solves E
+    # and H of one field one column at a time: at these configs the step
+    # from the solve is the old fixed 1e-4, so every field must agree with ==
     rng = np.random.default_rng(23)
-    for glued, radii, seed in _gluing_demo_fields(params):
+    sweep = list(_gluing_demo_fields(params))
+    _, radii, seed = sweep[0]
+    assert all(r == radii and s == seed for _, r, s in sweep)
+    reports = residual_reports([glued for glued, _, _ in sweep], radii, seed=seed)
+    assert len(reports) == len(sweep) > 1
+    for (glued, radii, seed), report in zip(sweep, reports):
         assert glued.step == 1e-4
-        assert glued.residual_report(radii, seed=seed) == _closure_residual_report(
-            glued, radii, seed)
+        want = _closure_residual_report(glued, radii, seed)
+        assert report == want
+        assert glued.residual_report(radii, seed=seed) == want
         # points in the core, the annulus D and outside r3, interleaved, and
         # points in D alone; tobytes tells -0.0 from +0.0
         r = np.concatenate([rng.uniform(1.1, 1.9, 5), rng.uniform(2.1, 3.9, 7),
@@ -412,7 +452,7 @@ def test_glued_report_and_eval_many_match_first_written_bodies_bitwise(params):
         for r in (rng.permutation(r), rng.uniform(2.1, 3.9, 4)):
             ys = r[:, None] * _directions(rng, len(r))
             requests, assemble = _closure_glued(glued, ys)
-            want = assemble(glued._fields(requests))
+            want = assemble(_closure_fields(glued, requests))
             got = glued.eval_many(ys)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
@@ -464,7 +504,6 @@ def test_shared_radii_and_directions_keep_each_points_bits():
 
 
 def test_field_evaluation_works_on_distinct_radii_and_directions(monkeypatch):
-    import calrlab.layered_maxwell.fields as fields
     sol, _ = _dcm_solution(1e-3, layers=8)
     ys = _shared_radius_and_direction_points(sol)
     seen = {}
@@ -501,3 +540,107 @@ def test_glued_report_rejects_a_stencil_across_a_breakpoint():
     r = glued.r2 ** 2 / b + glued.step / 4
     with pytest.raises(ValueError, match=re.escape(f"refl1 stencil of sample radius {r} crosses")):
         glued.residual_report([2.5, r])
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_solutions(deltas, layers, n_src, seed):
+    """The solves of one `gluing_demo`-style loss sweep (r1 1, r2 2, p 2,
+    omega 1, r_s 5, no Richardson), cached across examples."""
+    from calrlab.layered_maxwell.refine import solve_staircased
+    from calrlab.scenarios import mixed_mode_source
+    return tuple(solve_staircased([make_dcm_example(1.0, 2.0, 2.0, d) for d in deltas],
+                                  mixed_mode_source(5.0, n_src, seed), 1.0, layers=layers,
+                                  richardson=False))
+
+
+def _polar(pts):
+    """(r, theta, phi) of each point, as field evaluation computes them."""
+    r = np.linalg.norm(pts, axis=1)
+    return np.stack([r, np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0)),
+                     np.arctan2(pts[:, 1], pts[:, 0])], axis=-1)
+
+
+def _polar_twin(rng):
+    """Two points whose (r, theta, phi) bits agree while their x bits differ."""
+    for _ in range(1000):
+        a = rng.uniform(0.5, 6.0) * _directions(rng, 1)[0]
+        b = a.copy()
+        b[0] = np.nextafter(a[0], np.inf)
+        if _polar(a[None]).tobytes() == _polar(b[None]).tobytes():
+            return a, b
+    raise AssertionError("no twin found")
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+# gluing_demo's defaults: three losses of a 192-layer shell, n_src 2, seed 19
+@example(deltas=(1e-2, 1e-3, 1e-4), layers=192, n_src=2, seed=19, count=30)
+@example(deltas=(1e-3,), layers=8, n_src=1, seed=0, count=1)
+@given(deltas=st.lists(st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]), min_size=1, max_size=3,
+                       unique=True).map(tuple),
+       layers=st.sampled_from([4, 8, 16]), n_src=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), count=st.integers(1, 40))
+def test_sweep_evaluation_matches_each_solutions_own_bitwise(deltas, layers, n_src, seed,
+                                                              count):
+    # one evaluation of a loss sweep, over the joined mode tables and the
+    # distinct (radius, direction) pairs, must give each solution the bytes
+    # of its own evaluation; the points repeat, include a pair with the same
+    # (r, theta, phi) bits but other (x, y, z) bits, phi = +0.0 and -0.0 on
+    # both sides of the z axis, and a breakpoint radius on the axis
+    sols = _sweep_solutions(deltas, layers, n_src, 19 if seed == 19 else 7)
+    rng = np.random.default_rng(seed)
+    bp = sols[0].regions[len(sols[0].regions) // 2].r_hi
+    radii = rng.uniform(0.3, 7.0, count)
+    pts = radii[:, None] * _directions(rng, count)
+    twin = _polar_twin(rng)
+    special = np.array([[1.5, 0.0, 0.7], [1.5, -0.0, 0.7], [-1.5, 0.0, 0.7],
+                        [-1.5, -0.0, 0.7], [0.0, 0.0, bp], [0.0, -0.0, -bp], *twin])
+    pts = np.vstack([pts, pts[rng.integers(0, count, 3)], special])
+    pts = pts[rng.permutation(len(pts))]
+    polar = _polar(pts)
+    assert len({row.tobytes() for row in polar}) < len({row.tobytes() for row in pts})
+    got = fields._eval_fields(list(sols), pts)
+    assert len(got) == len(sols)
+    for sol, (e, h) in zip(sols, got):
+        e1, h1 = eval_field_many(sol, pts)
+        assert e.tobytes() == e1.tobytes() and h.tobytes() == h1.tobytes()
+
+
+def test_residual_reports_reject_an_empty_list(monkeypatch):
+    monkeypatch.setattr(fields, "_eval_fields", _no_evaluation)
+    with pytest.raises(ValueError, match="at least one glued field"):
+        residual_reports([], [2.5])
+
+
+def _no_evaluation(*args):
+    raise AssertionError("evaluated before the check")
+
+
+def _mismatched(case, glued):
+    """A glued field that differs from glued in the named shared input only
+    (and in what follows from it)."""
+    from dataclasses import replace
+    if case == "source amplitudes":
+        sol, med = _dcm_solution(1e-2, n_hi=1)
+        return remove_localized_singularity(sol, *dcm_maps(med))
+    if case == "region ends":
+        sol, med = _dcm_solution(1e-2, layers=24)
+        return remove_localized_singularity(sol, *dcm_maps(med))
+    if case == "(r1, r2, r3)":
+        return GluedField(glued.sol, glued.f_map, glued.g_map, glued.r1, glued.r2, 4.5)
+    if case == "F/G maps":
+        return GluedField(glued.sol, glued.f_map, replace(glued.g_map, params={"r2": 5.0}),
+                          glued.r1, glued.r2, glued.r3)
+    other = GluedField(glued.sol, glued.f_map, glued.g_map, glued.r1, glued.r2, glued.r3)
+    other.step = glued.step / 2
+    return other
+
+
+@pytest.mark.parametrize("case", ["source amplitudes", "region ends", "(r1, r2, r3)",
+                                  "F/G maps", "step"])
+def test_residual_reports_reject_fields_of_another_sweep(monkeypatch, case):
+    sol, med = _dcm_solution(1e-3)
+    glued = remove_localized_singularity(sol, *dcm_maps(med))
+    other = _mismatched(case, glued)
+    monkeypatch.setattr(fields, "_eval_fields", _no_evaluation)
+    with pytest.raises(ValueError, match=re.escape(f"glued field 2 does not share the {case}")):
+        residual_reports([glued, glued, other], [2.5])
