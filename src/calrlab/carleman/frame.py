@@ -25,11 +25,7 @@ class ConformalFrame:
     lams: np.ndarray
     big_z0: np.ndarray        # image (0, 0, Z3) of the anchor (0, 0, z3)
     lam_bound: float          # ellipticity constant Lambda
-
-    @property
-    def gamma(self) -> float:
-        """1/|det H| = sqrt(det M0)."""
-        return 1.0 / abs(np.linalg.det(self.h))
+    gamma: float              # 1/|det H| = sqrt(det M0), positive and finite
 
     def hat_z0(self, n: float) -> np.ndarray:
         """Shifted center (1/n, 1/n + Lambda pi/(2n^2), Z3)."""
@@ -53,7 +49,8 @@ def build_frame(m0, z3: float = 0.0, lam: float | None = None) -> ConformalFrame
 
     The rotation completing Q1 beyond its pinned first row is resolved by
     Gram-Schmidt against the standard basis (lexicographic completion) so
-    runs are reproducible.
+    runs are reproducible.  Raises FloatingPointError, a numerical guard,
+    when gamma = 1/|det H| is not a positive finite float.
     """
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (3, 3) or np.max(np.abs(m0 - m0.T)) > 1e-12 * max(1, np.max(np.abs(m0))):
@@ -86,9 +83,15 @@ def build_frame(m0, z3: float = 0.0, lam: float | None = None) -> ConformalFrame
     row3 = np.cross(w1, row2)
     q1 = np.vstack([w1, row2, row3])
     h = q1 @ s @ q.T
+    # an anchor of extreme scale whitens to an H whose determinant under- or
+    # overflows; every deviation measured through gamma would then be NaN
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        gamma = 1.0 / abs(np.linalg.det(h))
+    if not 0.0 < gamma < math.inf:
+        raise FloatingPointError(f"singular whitening: gamma = 1/|det H| = {float(gamma)}")
     hz = h @ np.array([0.0, 0.0, z3])     # image of the anchor (0, 0, z3)
     if np.hypot(hz[0], hz[1]) > 1e-10 * max(1.0, abs(z3)):
         raise AssertionError("frame alignment failed: axis image left the axis")
     big = np.array([0.0, 0.0, hz[2]])
     return ConformalFrame(q=q, s=s, q1=q1, h=h, lams=lams, big_z0=big,
-                          lam_bound=float(lam))
+                          lam_bound=float(lam), gamma=gamma)

@@ -38,7 +38,7 @@ from ..specfun.bessel import hat_h1, hat_jy
 from ..specfun.scaled import ScaledArray
 from ..specfun.vsh import VshStream, sphere_rule
 from .modes import TE, h_jump_factor
-from .solver import FieldSolution, ModeTable, _basis_values, _state
+from .solver import FieldSolution, ModeTable, _basis_values, _join_tables, _state
 
 
 def mode_radial_components(sol: FieldSolution, key, i: int, r):
@@ -100,16 +100,6 @@ def _components(table: ModeTable, owner, r) -> np.ndarray:
         table.c_j[owner], table.c_y[owner], basis, table.outgoing[owner], r[:, None]))
 
 
-def _joined(tables) -> ModeTable:
-    """The `ModeTable`s of solves of one region layout, joined along their
-    key columns; each `ScaledArray` field joins its mantissas and exponents."""
-    return ModeTable._make(
-        ScaledArray(np.concatenate([c.m for c in column], axis=1),
-                    np.concatenate([c.e for c in column], axis=1), normalize=False)
-        if isinstance(column[0], ScaledArray) else np.concatenate(column, axis=1)
-        for column in zip(*tables))
-
-
 def _eval_fields(sols, points) -> list:
     """(E, H) of each solution at an (N, 3) array of finite, nonzero points;
     on a breakpoint the inside region is used.  The solutions share their
@@ -143,7 +133,7 @@ def _eval_fields(sols, points) -> list:
     pairs, at_p = np.unique(at_r * len(first) + at_d, return_inverse=True)
     pair_r, pair_d = np.divmod(pairs, len(first))
     sol = sols[0]
-    comps = _components(_joined([s.modes for s in sols]), sol.region_indices(radii), radii)
+    comps = _components(_join_tables([s.modes for s in sols]), sol.region_indices(radii), radii)
     width = sol.modes.nu.shape[1]
     angular = VshStream(sol.source.n_max, theta[first], phi[first])
     out = [(np.zeros((len(pairs), 3), dtype=complex), np.zeros((len(pairs), 3), dtype=complex))

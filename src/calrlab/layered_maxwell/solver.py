@@ -32,13 +32,14 @@ the coefficients, and the source scaling and the interface residual take
 one pass over all interfaces.  Every operation on a coefficient is the
 elementwise numpy operation a one-key, one-region-at-a-time solve would do,
 so the coefficients keep their exact bits; the residual, a diagnostic, may
-differ from such a solve in its last bit.  `_solve_media` makes the media
+differ from such a solve in its last bit.  `_solve_levels` makes the media
 of a loss sweep, which share their breakpoints, further columns of one
-column group, and `_solve_levels` runs several groups with their own
-region counts (the staircase levels of a Richardson-refined sweep) as one
-ragged pass: the groups' chains step together on padded tables, as many
-steps as the longest chain.  Each medium's solution has exactly the bits
-of its own `solve`, residual included.
+column group (their tables joined by `_join_tables`), and runs several
+groups with their own region counts (the staircase levels of a
+Richardson-refined sweep) as one ragged pass: the groups' chains step
+together on padded tables, as many steps as the longest chain.  `solve`
+is its one-medium case.  Each medium's solution has exactly the bits of
+its own `solve`, residual included.
 """
 from __future__ import annotations
 
@@ -142,6 +143,25 @@ def _mode_constants(regions, keys, omega: float) -> ModeTable:
     outgoing[-1] = True
     return ModeTable(*(np.array(column).reshape(shape) for column in zip(*cells)),
                      c_j=None, c_y=None, outgoing=outgoing)
+
+
+def _join_tables(tables) -> ModeTable:
+    """`ModeTable`s of one region layout joined along their key columns.
+
+    A `ScaledArray` field joins its mantissas and exponents, and a field
+    that is None (c_j and c_y before the solve) stays None.  Joining is a
+    copy, so every cell keeps its bits.
+    """
+    def join(column):
+        if column[0] is None:
+            return None
+        if isinstance(column[0], ScaledArray):
+            return ScaledArray(np.concatenate([c.m for c in column], axis=1),
+                               np.concatenate([c.e for c in column], axis=1),
+                               normalize=False)
+        return np.concatenate(column, axis=1)
+
+    return ModeTable._make(join(column) for column in zip(*tables))
 
 
 class NearSingularMode(RuntimeError):
@@ -477,30 +497,18 @@ def solve(medium: RadialMedium, source: SurfaceCurrentSource,
     is allowed only as long as every per-mode system stays away from the
     condition guard `_COND_GUARD`, above which it raises NearSingularMode.
     """
-    return _solve_media([medium], source, omega)[0]
-
-
-def _solve_media(media, source: SurfaceCurrentSource,
-                 omega: float) -> list[FieldSolution]:
-    """`solve` of each medium, as the columns of one region pass.
-
-    The media must share their region breakpoints, so the source lies in
-    the same region of each; they are one column group of `_solve_levels`,
-    and each medium's `FieldSolution` has exactly the bits of a solve of
-    that medium alone.
-    """
-    return _solve_levels([media], source, omega)[0]
+    return _solve_levels([[medium]], source, omega)[0][0]
 
 
 def _solve_levels(levels, source: SurfaceCurrentSource,
                   omega: float) -> list[list[FieldSolution]]:
-    """`_solve_media` of each level, all levels in one region pass.
+    """`solve` of each medium of each level, all levels in one region pass.
 
-    Each level is a list of media that share their region breakpoints; its
-    mode tables are joined along the key axis into one column group of
-    `_solve_radial`, and levels may differ in their region counts.  Each
-    medium's `FieldSolution` gets its own columns, with exactly the bits of
-    a solve of that medium alone.
+    Each level is a list of media that share their region breakpoints, so
+    the source lies in the same region of each; its mode tables are joined
+    along the key axis into one column group of `_solve_radial`, and levels
+    may differ in their region counts.  Each medium's `FieldSolution` gets
+    its own columns, with exactly the bits of a solve of that medium alone.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -520,9 +528,7 @@ def _solve_levels(levels, source: SurfaceCurrentSource,
                 raise ValueError("media solved together need the same region "
                                  "breakpoints, the source radius included")
         tables = [_mode_constants(regs, keys, omega) for regs, _ in regs_src]
-        joined = ModeTable._make(
-            None if column[0] is None else np.concatenate(column, axis=1)
-            for column in zip(*tables))
+        joined = _join_tables(tables)
         groups.append((regions, src_idx, keys * len(media), joined))
         built.append(regs_src)
     solved = []

@@ -111,6 +111,17 @@ def test_frame_diag_example():
     assert fr.gamma == pytest.approx(2.0)  # sqrt(det M0)
 
 
+def test_singular_whitening_is_a_numerical_guard():
+    # |det H| = scale^(-3/2) underflows to 0 or overflows to inf, so gamma
+    # = 1/|det H| would not be a positive finite float: the frame raises an
+    # ArithmeticError, which a run reports as a tripped guard (exit 4)
+    for scale in (1e300, 1e-300):
+        with pytest.raises(ArithmeticError, match="singular whitening"):
+            build_frame(np.diag([scale] * 3))
+    fr = build_frame(np.diag([0.1, 1.0, 10.0]))
+    assert fr.gamma == pytest.approx(1.0)
+
+
 def test_kn_matrix_structure():
     fr = build_frame(np.eye(3))
     # n = 1: K_1 = gamma^(1/2) blockdiag(R(0), 1) H = I for the identity frame

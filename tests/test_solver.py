@@ -476,12 +476,12 @@ def _assert_same_solution(got, want):
 def test_batched_media_match_one_solve_per_medium(family):
     # every medium of a loss sweep is a set of columns of one region pass,
     # with exactly the bits of its own solve
-    from calrlab.layered_maxwell.solver import _solve_media
+    from calrlab.layered_maxwell.solver import _solve_levels
     if family == "eps_ne_mu_lossless":
         media, src = _eps_ne_mu_lossless_family(), _mixed_source(3.0)
     else:
         media, src = [staircase(m, 8) for m in _graded_family(family)], _mixed_source(5.0)
-    batched = _solve_media(media, src, 1.0)
+    batched = _solve_levels([media], src, 1.0)[0]
     assert len(batched) == len(media)
     for got, medium in zip(batched, media):
         assert got.medium is medium
@@ -505,18 +505,18 @@ def test_batched_solve_staircased_matches_per_medium_refinement(family, richards
 
 
 def test_batched_media_need_the_same_region_breakpoints():
-    from calrlab.layered_maxwell.solver import _solve_media
+    from calrlab.layered_maxwell.solver import _solve_levels
     src = _mixed_source(3.0)
     dcm = make_dcm_example(1.0, 2.0, 2.0, 1e-2)
     with pytest.raises(ValueError, match="same region breakpoints"):
-        _solve_media([staircase(dcm, 4), staircase(dcm, 8)], src, 1.0)
+        _solve_levels([[staircase(dcm, 4), staircase(dcm, 8)]], src, 1.0)
     # as many regions, but the sheet at r = 3 splits the third layer of one
     # and the second of the other
     core, shell, vac = eps_ne_mu_medium().layers
     wide = RadialMedium(layers=(core, Layer(1.0, 4.0, shell.eps, shell.mu),
                                 Layer(4.0, math.inf, vac.eps, vac.mu)))
     with pytest.raises(ValueError, match="same region breakpoints"):
-        _solve_media([eps_ne_mu_medium(), wide], src, 1.0)
+        _solve_levels([[eps_ne_mu_medium(), wide]], src, 1.0)
 
 
 def test_richardson_delta_sweep_makes_one_region_pass_for_both_levels(monkeypatch):
