@@ -24,6 +24,7 @@ from .fields import (
 )
 from .norms import (
     DataReport,
+    SweepNorms,
     adaptive_gauss,
     check_media_agree,
     data_quantity,
@@ -31,6 +32,7 @@ from .norms import (
     l2_norm_annulus,
     l2_norm_annulus_diff,
     second_order_residual,
+    sweep_norms,
 )
 from .staircase import graded_midpoints, staircase
 
@@ -41,7 +43,8 @@ __all__ = [
     "GluedField", "GluedReport", "eval_field", "eval_field_many", "fd_curl", "field_evaluator",
     "mode_radial_components", "reflect_solution", "remove_localized_singularity",
     "residual_reports",
-    "DataReport", "adaptive_gauss", "check_media_agree", "data_quantity", "farfield_flux",
-    "l2_norm_annulus", "l2_norm_annulus_diff", "second_order_residual",
+    "DataReport", "SweepNorms", "adaptive_gauss", "check_media_agree", "data_quantity",
+    "farfield_flux", "l2_norm_annulus", "l2_norm_annulus_diff", "second_order_residual",
+    "sweep_norms",
     "graded_midpoints", "staircase",
 ]

@@ -18,12 +18,12 @@ own arrays; each point gathers its pair, so it still gets the bits of a
 call on it alone with its solution alone.  `eval_field_many` is its
 one-solution case.  `residual_reports` answers a whole sweep's gluing
 residual reports (both gluing spheres, the finite-difference stencil and
-its centres, raw and reflected) from one `_eval_fields` call, and a norm
-evaluates all of its quadrature panels in one kernel call.  Every
-per-(region, mode) constant comes from a `ModeTable` of the solve, so the
-TE/TM rule is `solver._mode_constants` alone; the kernel reads no
-polarization, and each consumer places the three components in E and H by
-it.
+its centres, raw and reflected) from one `_eval_fields` call, and a loss
+sweep's norms (`norms.sweep_norms`) evaluate the panels of each quadrature
+level in one kernel call.  Every per-(region, mode) constant comes from a
+`ModeTable` of the solve, so the TE/TM rule is `solver._mode_constants`
+alone; the kernel reads no polarization, and each consumer places the
+three components in E and H by it.
 """
 from __future__ import annotations
 

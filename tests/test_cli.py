@@ -330,6 +330,17 @@ def test_carleman_boundary_term_at_large_beta_stays_finite(tmp_path):
     assert all(math.isfinite(float(row[i])) for row in rows[1:] for i in numeric)
 
 
+@pytest.mark.parametrize("frame_lam", [1e100, 1e154, 1e200])
+def test_anchor_exactness_holds_at_large_frame_lam(tmp_path, capsys, frame_lam):
+    # gamma, and with it the pushed matrix and the anchor block, grows with
+    # frame_lam; an exact frame deviates by roundoff relative to the block
+    cfg = _write_config(tmp_path, "lam.json", "carleman_suite",
+                        {"frame_lam": frame_lam, "frame_count": 5, "claims_samples": 5},
+                        tmp_path / "outlam")
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert "[PASS] anchor_exactness: max deviation=" in capsys.readouterr().out
+
+
 def test_gluing_a_4096_layer_shell_keeps_the_forcing_deviation_small(tmp_path):
     # the residual report's finite-difference step comes from the solve: a
     # fixed step of 1e-4 crossed these 2.4e-4-wide sublayers, and the run

@@ -422,7 +422,7 @@ def _gluing_demo_fields(params):
     at params (over the scenario's defaults), built as the scenario does."""
     from calrlab.scenarios import SCENARIOS, Sweep, _dcm, _gluing_radii
     p = {**SCENARIOS["gluing_demo"].defaults, **params}
-    for _, sol, _ in Sweep(_dcm, richardson=False).solves(p):
+    for sol in Sweep(_dcm, richardson=False).solves(p)[0]:
         glued = remove_localized_singularity(sol, *dcm_maps(sol.medium))
         yield glued, _gluing_radii(p, sol.medium), p["seed"]
 

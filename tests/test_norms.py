@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calrlab.layered_maxwell import (
@@ -21,6 +21,7 @@ from calrlab.layered_maxwell import (
     second_order_residual,
     solve,
     staircase,
+    sweep_norms,
 )
 from calrlab.media import make_dcm_example, vacuum_medium
 from calrlab.specfun import sphere_rule
@@ -348,7 +349,7 @@ def _assert_density_rows_match(sol, intervals, loss_scales):
     table = sol.table(rows, keys)
     assert len(set(comps)) == 1 + sum(scale is not None for scale in loss_scales)
     los = [lo for lo, _ in intervals]
-    density = _modal_density(los, comps, weights, table)
+    density = _modal_density(los, weights, [(0, comps)], table)
     nodes = np.polynomial.legendre.leggauss(16)[0]
     radii, owner = [], []
     for i, (lo, hi) in enumerate(intervals):
@@ -356,12 +357,12 @@ def _assert_density_rows_match(sol, intervals, loss_scales):
         radii += [lo + half * (2 * j + 1) + half * nodes for j in range(3)]
         owner += [i] * 3
     radii = np.array(radii)
-    together = density(radii)
+    together = density(radii)[:, 0]
     assert together.shape == radii.shape
     for row, i, value in zip(radii, owner, together):
-        alone = _modal_density([los[i]], [comps[i]], weights, sol.table([rows[i]], keys))
-        assert np.array_equal(density(row[None, :])[0], value)
-        assert np.array_equal(alone(row[None, :])[0], value)
+        alone = _modal_density([los[i]], weights, [(0, [comps[i]])], sol.table([rows[i]], keys))
+        assert np.array_equal(density(row[None, :])[0, 0], value)
+        assert np.array_equal(alone(row[None, :])[0, 0], value)
         assert np.array_equal(
             _density_one_region(sol, weights, rows[i], comps[i], row), value)
     return table, keys
@@ -392,6 +393,9 @@ def _lossy_dcm_solution():
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(a=st.floats(0.5, 2.4), width=st.floats(0.02, 1.5), t=st.floats(0.01, 0.99))
+@example(a=0.5, width=1.125, t=0.5)      # split on the breakpoint 1 + 1/16
+@example(a=1.5, width=1.0, t=0.5)        # split on r2 = 2.0
+@example(a=1.8, width=0.8, t=0.75)       # [a, c] crosses into the vacuum past r2
 def test_norm_is_additive_over_any_split(a, width, t):
     sol = _lossy_dcm_solution()
     c = a + width
@@ -413,3 +417,122 @@ def test_exterior_bound_across_wide_delta_range():
         norms.append(l2_norm_annulus(sol, 4.0, 6.0))
     assert all(np.isfinite(v) for v in norms)
     assert max(norms) / min(norms) < 1.2
+
+
+# The batch keeps every bit: each solution's norms from one `sweep_norms`
+# call over a whole DCM sweep (1-3 losses at 4-16 layers, several annuli,
+# overlapping ones included, difference norms against the vacuum, with and
+# without the lossy-layer functional) against its one-request calls.
+@functools.lru_cache(maxsize=None)
+def _dcm_sweep(layers, losses, omega, r_s):
+    from calrlab.layered_maxwell.refine import solve_staircased
+    from calrlab.scenarios import mixed_mode_source
+    src = mixed_mode_source(r_s, 2, 11)
+    sols = solve_staircased([make_dcm_example(1.0, 2.0, 2.0, delta) for delta in losses],
+                            src, omega, layers=layers, richardson=False)
+    return sols, solve(vacuum_medium(), src, omega)
+
+
+def _hex(report):
+    return [float(getattr(report, name)).hex() for name in
+            ("value", "pairing_im", "flux_im", "j_norm_sq", "delta", "lossy_norm_weighted")]
+
+
+_ANNULUS = st.tuples(st.floats(0.3, 8.0), st.floats(0.05, 4.0)).map(lambda t: (t[0], t[0] + t[1]))
+# difference norms against the vacuum, where the DCM medium is vacuum too
+_VACUUM_ANNULUS = st.tuples(st.floats(4.0, 8.0), st.floats(0.05, 4.0)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(layers=st.integers(4, 16),
+       losses=st.lists(st.sampled_from([1e-1, 1e-2, 1e-3, 1e-5]), min_size=1, max_size=3,
+                       unique=True).map(tuple),
+       omega=st.sampled_from([1.0, 4.0]), r_s=st.sampled_from([3.0, 5.0, 9.0]),
+       annuli=st.lists(_ANNULUS, max_size=3), diff_annuli=st.lists(_VACUUM_ANNULUS, max_size=2),
+       data=st.booleans())
+# the blowup_norms workload's sweep
+@example(layers=16, losses=(1e-2, 1e-3), omega=1.0, r_s=3.0, annuli=[(1.0, 2.0), (4.0, 6.0)],
+         diff_annuli=[], data=True)
+# on [4, 9] the norm takes one more doubling than the difference norm
+@example(layers=4, losses=(1e-1, 1e-3), omega=4.0, r_s=9.0, annuli=[(4.0, 9.0)],
+         diff_annuli=[(4.0, 9.0)], data=False)
+# overlapping annuli, one of them cut at the shell's breakpoints
+@example(layers=8, losses=(1e-2,), omega=1.0, r_s=5.0, annuli=[(0.5, 1.6), (1.3, 4.5)],
+         diff_annuli=[(4.2, 6.0), (5.0, 7.0)], data=True)
+def test_sweep_norms_keep_the_bits_of_one_request(layers, losses, omega, r_s, annuli,
+                                                  diff_annuli, data):
+    sols, vac = _dcm_sweep(layers, losses, omega, r_s)
+    batch = sweep_norms(sols, annuli, deltas=losses if data else None,
+                        ref=vac, diff_annuli=diff_annuli)
+    for sol, delta, got in zip(sols, losses, batch):
+        assert [v.hex() for v in got.annuli] == [
+            l2_norm_annulus(sol, a, b).hex() for a, b in annuli]
+        assert [v.hex() for v in got.diffs] == [
+            l2_norm_annulus_diff(sol, vac, a, b).hex() for a, b in diff_annuli]
+        if data:
+            assert _hex(got.data) == _hex(data_quantity(sol, delta))
+        else:
+            assert got.data is None
+
+
+def test_uneven_example_needs_more_doublings_for_one_quantity(monkeypatch):
+    # the second @example above: on the one interval [4, 9], the norm of the
+    # standing field needs a second level, the outgoing difference does not
+    import calrlab.layered_maxwell.norms as norms
+    inner = norms.adaptive_gauss
+    levels = []
+
+    def counted(fn, a, b, max_doublings=10):
+        levels.append(0)
+
+        def level(x):
+            levels[-1] += 1
+            return fn(x)
+
+        return inner(level, a, b, max_doublings)
+
+    monkeypatch.setattr(norms, "adaptive_gauss", counted)
+    sols, vac = _dcm_sweep(4, (1e-1, 1e-3), 4.0, 9.0)
+    for sol in sols:
+        assert norms._segments([sol], 4.0, 9.0) == norms._segments([sol, vac], 4.0, 9.0) == \
+            [(4.0, 9.0)]
+        l2_norm_annulus(sol, 4.0, 9.0)
+        l2_norm_annulus_diff(sol, vac, 4.0, 9.0)
+    assert levels == [2, 1, 2, 1]
+
+
+def test_lossy_functional_shares_the_shell_norms_kernel_calls(monkeypatch):
+    # at the blowup_norms workload's params, the lossy layers are the shell
+    # norm's segments: Data adds only its sheet pairing's kernel call, and
+    # the whole sweep's quadrature is one kernel call with one hat_jy call
+    import calrlab.layered_maxwell.norms as norms
+    import calrlab.layered_maxwell.solver as solver
+    counts = {"components": 0, "hat_jy": 0, "args": 0}
+    components, hat_jy = norms._components, solver.hat_jy
+
+    def counted_components(*args):
+        counts["components"] += 1
+        return components(*args)
+
+    def counted_hat_jy(nu, z):
+        counts["hat_jy"] += 1
+        counts["args"] += np.size(z)
+        return hat_jy(nu, z)
+
+    monkeypatch.setattr(norms, "_components", counted_components)
+    monkeypatch.setattr(solver, "hat_jy", counted_hat_jy)
+    sols, _ = _dcm_sweep(16, (1e-2, 1e-3), 1.0, 3.0)
+
+    def cost(fn):
+        before = dict(counts)
+        fn()
+        return {name: counts[name] - before[name] for name in counts}
+
+    annuli = [(1.0, 2.0), (4.0, 6.0)]
+    shell = cost(lambda: sweep_norms(sols, annuli))
+    with_data = cost(lambda: sweep_norms(sols, annuli, deltas=[1e-2, 1e-3]))
+    sheet = cost(lambda: norms._sheet_pairings(sols, list(norms._mode_weights(sols[0]))))
+    assert shell["components"] == shell["hat_jy"] == 1 and shell["args"] > 0
+    assert with_data == {name: shell[name] + sheet[name] for name in shell}
+    assert sheet["components"] == 1
