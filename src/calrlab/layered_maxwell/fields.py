@@ -7,7 +7,8 @@ whose key columns `_eval_fields` and the norms of
 `calrlab.layered_maxwell.norms` index.  It runs `_radial_components` once,
 elementwise, over the whole (radius x key) basis tables of
 `solver._basis_values`, the dispatch the solver uses for its region ends:
-one Bessel call per basis, elementwise in (order, argument).
+one hat_jy call for inner and outgoing cells alike, elementwise in
+(order, argument).
 Every step is elementwise, so each radius gets exactly the bits of a call
 on it alone.  `_eval_fields` evaluates the solutions of one loss sweep,
 which share their source and region ends, at one point set: one kernel
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..media.maps import SmoothMap
 from ..media.pushforward import push_forward_tensor
-from ..specfun.bessel import hat_h1, hat_jy
+from ..specfun.bessel import hat_jy
 from ..specfun.scaled import ScaledArray
 from ..specfun.vsh import VshStream, sphere_rule
 from .modes import TE, h_jump_factor
@@ -54,7 +55,7 @@ def mode_radial_components(sol: FieldSolution, key, i: int, r):
     cell = sol.table([i], [key])
     nu, k = float(cell.nu[0, 0]), complex(cell.k[0, 0])
     outgoing = bool(cell.outgoing[0, 0])
-    vals = (hat_h1 if outgoing else hat_jy)(nu, k * r.astype(complex))
+    vals = hat_jy(nu, k * r.astype(complex))
     basis = ((None, None, vals["h"], vals["dh"]) if outgoing
              else (vals["j"], vals["dj"], vals["y"], vals["dy"]))
     u, radial, tangential = _radial_components(
@@ -94,10 +95,11 @@ def _components(table: ModeTable, owner, r) -> np.ndarray:
     Every product keeps its operand order, so each cell gets exactly the
     values of `mode_radial_components` at its radius alone.
     """
-    basis = _basis_values(table.nu, table.k, table.outgoing, owner, r)
+    outgoing = table.outgoing[owner]
+    basis = _basis_values(table.nu[owner], table.k[owner] * r[:, None].astype(complex), outgoing)
     return np.stack(_radial_components(
         table.rad[owner], table.tan[owner], ScaledArray.from_complex(table.k)[owner],
-        table.c_j[owner], table.c_y[owner], basis, table.outgoing[owner], r[:, None]))
+        table.c_j[owner], table.c_y[owner], basis, outgoing, r[:, None]))
 
 
 def _eval_fields(sols, points) -> list:

@@ -50,11 +50,17 @@ def staircase_levels(medium, layers: int, richardson: bool = True) -> list:
 
 
 def solve_staircased(media, source: SurfaceCurrentSource, omega: float,
-                     layers: int, richardson: bool = True) -> list[FieldSolution]:
+                     layers: int, richardson: bool = True,
+                     reference=None) -> list[FieldSolution]:
     """One solution per medium, from one region pass over every
     `staircase_levels` level of all media, which must share their breakpoints
     (a loss sweep); each level is a column group of the pass.  Two levels are
-    Richardson-combined, accurate outside the graded shell."""
+    Richardson-combined, accurate outside the graded shell.  A reference
+    medium (piecewise constant) is one more group, the first, so that its
+    guards fire first; its solution is appended."""
     levels = zip(*(staircase_levels(m, layers, richardson) for m in media), strict=True)
-    sols = _solve_levels([list(level) for level in levels], source, omega)
-    return sols[0] if len(sols) == 1 else [richardson_exterior(lo, hi) for hi, lo in zip(*sols)]
+    refs = [] if reference is None else [[reference]]
+    solved = _solve_levels(refs + [list(level) for level in levels], source, omega)
+    sols = solved[len(refs):]
+    sols = sols[0] if len(sols) == 1 else [richardson_exterior(lo, hi) for hi, lo in zip(*sols)]
+    return sols + (solved[0] if refs else [])

@@ -22,11 +22,11 @@ impedance-safe form of the transfer recursion (Toon & Ackerman, Appl. Opt.
 20, 1981).
 
 The radial basis is evaluated in one place, `_basis_values`, which returns
-dense (radius x key) tables from one Bessel call per basis (hat_jy for the
-inner regions, hat_h1 for the outgoing one) over all orders; each column
-group of a region pass takes every region end from one of its calls.  The
-Bessel functions are elementwise in (order, argument), so each cell gets
-exactly the values of a call on it alone.  All (n, pol) keys are propagated together as
+dense tables from one hat_jy call over all orders, inner and outgoing
+cells alike (hat_jy also gives hhat); a region pass takes the ends of all
+its column groups from one such call.  The Bessel functions are
+elementwise in (order, argument), so each cell gets exactly the values of
+a call on it alone.  All (n, pol) keys are propagated together as
 the columns of (region x key) `ScaledArray` tables, the only stored form of
 the coefficients, and the source scaling and the interface residual take
 one pass over all interfaces.  Every operation on a coefficient is the
@@ -36,9 +36,9 @@ differ from such a solve in its last bit.  `_solve_levels` makes the media
 of a loss sweep, which share their breakpoints, further columns of one
 column group (their tables joined by `_join_tables`), and runs several
 groups with their own region counts (the staircase levels of a
-Richardson-refined sweep) as one ragged pass: the groups' chains step
-together on padded tables, as many steps as the longest chain.  `solve`
-is its one-medium case.  Each medium's solution has exactly the bits of
+Richardson-refined sweep, and its reference medium) as one ragged pass:
+the groups' chains step together on padded tables, as many steps as the
+longest chain.  `solve` is its one-medium case.  Each medium's solution has exactly the bits of
 its own `solve`, residual included.
 """
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Dict, NamedTuple
 import numpy as np
 
 from ..media.radial import RadialMedium
-from ..specfun.bessel import hat_h1, hat_jy, log_dfact_minus, log_dfact_plus
+from ..specfun.bessel import hat_jy, log_dfact_minus, log_dfact_plus
 from ..specfun.scaled import ScaledArray
 from .modes import TE, SurfaceCurrentSource
 
@@ -264,72 +264,82 @@ def _state(cj, cy, basis, outgoing=False) -> tuple[ScaledArray, ScaledArray]:
             ScaledArray.where(outgoing, h, cj * h0 + h))
 
 
-def _basis_values(nu, k, outgoing, owner, r) -> tuple:
-    """The one Bessel dispatch of the radial basis, over a (row x column)
-    table of orders nu, wavenumbers k and `outgoing` flags, at positive
-    radii r of rows owner (both of one shape).
+def _basis_values(nu, z, outgoing) -> tuple:
+    """The one Bessel dispatch of the radial basis, over cells of one shape
+    with orders nu, arguments z and `outgoing` flags.
 
-    Returns the tables (u0, du0, u1, du1), ScaledArrays of shape
-    r.shape + (columns,): jhat, yhat and their derivatives at k r in each
-    cell, or 0, 0, hhat and its derivative in an outgoing one.  One hat_jy
-    call takes the distinct (order, argument k r) pairs of the cells that
-    are not outgoing and one hat_h1 call those of the outgoing cells, told
-    apart by their bits (so +0.0 and -0.0 stay apart); the Bessel functions
-    are elementwise in (order, argument), so each cell gets exactly the
-    values of a call on its own order and argument.
+    Returns the tables (u0, du0, u1, du1), ScaledArrays of that shape:
+    jhat, yhat and their derivatives at each cell's (order, argument), or
+    0, 0, hhat and its derivative in an outgoing one.  One hat_jy call takes
+    the distinct (order, argument) pairs of all cells, inner and outgoing
+    alike, told apart by their bits (so +0.0 and -0.0 stay apart); the
+    Bessel functions are elementwise in (order, argument), so each cell gets
+    exactly the values of a call on its own order and argument.
     """
-    nu, z, out = nu[owner], k[owner] * r[..., None].astype(complex), outgoing[owner]
-    calls = []
-    for flag, fn, names in ((False, hat_jy, ("j", "dj", "y", "dy")), (True, hat_h1, ("h", "dh"))):
-        cells = out == flag
-        if cells.any():
-            orders, args = nu[cells], z[cells]
-            _, first, at = np.unique(
-                np.stack([orders, args.real, args.imag], axis=-1).view("V24")[:, 0],
-                return_index=True, return_inverse=True)
-            calls.append((cells, at, names, fn(orders[first], args[first])))
-    # the tables are made once the Bessel calls are done, so that they are
-    # not live during the calls
-    m = [np.zeros(z.shape, complex) for _ in range(4)]
-    e = [np.zeros(z.shape, np.int64) for _ in range(4)]
-    for cells, at, names, vals in calls:
-        for slot, name in enumerate(names, 4 - len(names)):
-            m[slot][cells], e[slot][cells] = vals[name].m[at], vals[name].e[at]
-    return tuple(ScaledArray(*table, normalize=False) for table in zip(m, e))
+    orders, args = nu.ravel(), z.ravel()
+    _, first, at = np.unique(
+        np.stack([orders, args.real, args.imag], axis=-1).view("V24")[:, 0],
+        return_index=True, return_inverse=True)
+    vals = hat_jy(orders[first], args[first])
+    at = at.reshape(z.shape)
+    zero = ScaledArray(0j, 0, normalize=False)
+
+    def table(inner, outer):
+        return ScaledArray.where(outgoing, vals[outer][at] if outer else zero, vals[inner][at])
+
+    return table("j", None), table("dj", None), table("y", "h"), table("dy", "dh")
 
 
-def _basis_traces(regions, keys, modes: ModeTable, omega: float):
-    """Basis traces (e0, h0, e1, h1) at every region end for every key.
-
-    Each is a ScaledArray of shape (2, nreg, nkeys): [0, i] at r_lo and
-    [1, i] at r_hi of region i, one column per (n, pol) key; basis 0 is
-    jhat, basis 1 yhat (hhat in the outermost region).  `modes` is the
-    table of `_mode_constants`.  Also returns the match determinants at
-    every end.  Every end takes its basis values from one `_basis_values`
-    call, the two that are not there (r = 0, r = inf) at r = 1, unused.
-    """
-    nu, k, coef, tan = modes.nu, modes.k, modes.coef, modes.tan
+def _end_cells(regions, modes: ModeTable) -> tuple:
+    """The radii of every region end, of shape (2, nreg), r_lo then r_hi,
+    and the basis cells (nu, z, outgoing) there, each of shape
+    (2, nreg, nkeys); the two ends that are not there (r = 0, r = inf) are
+    taken at r = 1, unused."""
     radius = np.array([[reg.r_lo for reg in regions],
                        [reg.r_hi for reg in regions]])
     radius[0, 0] = radius[1, -1] = 1.0          # no end there; placeholders
     owner = np.broadcast_to(np.arange(len(regions)), radius.shape)
-    u0, du0, u1, du1 = _basis_values(nu, k, modes.outgoing, owner, radius)
-    te = np.array([pol == TE for _, pol in keys])
-    inv_r = (1.0 / radius)[..., None]
+    return radius, (modes.nu[owner], modes.k[owner] * radius[..., None].astype(complex),
+                    modes.outgoing[owner])
 
-    def traces(u, du):
-        curlish = (du * k + u * inv_r) * tan
-        return ScaledArray.where(te, u, curlish), ScaledArray.where(te, curlish, u)
 
-    e0, h0 = traces(u0, du0)
-    e1, h1 = traces(u1, du1)
-    # exact Wronskian determinant of the basis at each end:
-    # -i (2nu+1)/(omega b k r^2), with b the tangential coefficient coef
-    cells = [list(zip(*row)) for row in zip(nu.tolist(), k.tolist(), coef.tolist())]
-    det = ScaledArray.from_complex(np.array([
-        [[-1j * (2.0 * v + 1.0) / (omega * b * kv * r * r) for v, kv, b in cells[i]]
-         for i, r in enumerate(row)] for row in radius.tolist()]))
-    return (e0, h0, e1, h1), det
+def _basis_traces(groups, omega: float) -> list:
+    """Basis traces (e0, h0, e1, h1) at every region end for every key, and
+    the match determinants there, of each column group of `_solve_radial`.
+
+    Each trace is a ScaledArray of shape (2, nreg, nkeys): [0, i] at r_lo
+    and [1, i] at r_hi of region i, one column per (n, pol) key; basis 0 is
+    jhat, basis 1 yhat (hhat in the outermost region).  The `_end_cells`
+    of every group take their basis values from one `_basis_values` call
+    over all of them, concatenated flat.
+    """
+    ends = [_end_cells(regions, modes) for regions, _, _, modes in groups]
+    flat = _basis_values(*(np.concatenate([cells[i].ravel() for _, cells in ends])
+                           for i in range(3)))
+    cuts = np.cumsum([cells[0].size for _, cells in ends])[:-1]
+    parts = zip(*(zip(np.split(v.m, cuts), np.split(v.e, cuts)) for v in flat))
+    out = []
+    for (_, _, keys, modes), (radius, (nu, _, _)), part in zip(groups, ends, parts):
+        u0, du0, u1, du1 = (ScaledArray(m.reshape(nu.shape), e.reshape(nu.shape), normalize=False)
+                            for m, e in part)
+        k, coef, tan = modes.k, modes.coef, modes.tan
+        te = np.array([pol == TE for _, pol in keys])
+        inv_r = (1.0 / radius)[..., None]
+
+        def traces(u, du):
+            curlish = (du * k + u * inv_r) * tan
+            return ScaledArray.where(te, u, curlish), ScaledArray.where(te, curlish, u)
+
+        e0, h0 = traces(u0, du0)
+        e1, h1 = traces(u1, du1)
+        # exact Wronskian determinant of the basis at each end:
+        # -i (2nu+1)/(omega b k r^2), with b the tangential coefficient coef
+        rows = [list(zip(*row)) for row in zip(modes.nu.tolist(), k.tolist(), coef.tolist())]
+        det = ScaledArray.from_complex(np.array([
+            [[-1j * (2.0 * v + 1.0) / (omega * b * kv * r * r) for v, kv, b in rows[i]]
+             for i, r in enumerate(row)] for row in radius.tolist()]))
+        out.append(((e0, h0, e1, h1), det))
+    return out
 
 
 # Step-table entries as (basis trace, negated), basis traces (e0, h0, e1, h1)
@@ -377,8 +387,7 @@ def _solve_radial(groups, omega):
     Returns, per group, the `RadialSolve` of each column, in column order,
     and the (region x key) tables c_j and c_y.
     """
-    traces = [_basis_traces(regions, keys, modes, omega)
-              for regions, _, keys, modes in groups]
+    traces = _basis_traces(groups, omega)
     lasts = [len(regions) - 1 for regions, _, _, _ in groups]
     steps_in = max(src_idx for _, src_idx, _, _ in groups)
     steps_out = max(last - src_idx - 1 for last, (_, src_idx, _, _) in zip(lasts, groups))

@@ -44,7 +44,6 @@ from .layered_maxwell import (
     mode,
     remove_localized_singularity,
     residual_reports,
-    solve,
     sweep_norms,
 )
 from .layered_maxwell.refine import solve_staircased, staircase_levels
@@ -142,13 +141,15 @@ class Sweep:
 
     def solves(self, p: dict):
         """(sols, ref): the solutions at the losses p["deltas"], in order,
-        from one source and one `solve_staircased` call, and the reference
-        solution (None without a reference)."""
+        and the reference solution (None without a reference), from one
+        source and one `solve_staircased` region pass, in which the
+        reference is one more column group."""
         src = mixed_mode_source(p["r_s"], p["n_src"], p["seed"])
-        ref = None if self.reference is None else solve(self.reference(p), src, p["omega"])
+        ref = None if self.reference is None else self.reference(p)
         sols = solve_staircased([self.medium(p, delta) for delta in p["deltas"]], src,
-                                p["omega"], layers=p["layers"], richardson=self.richardson)
-        return sols, ref
+                                p["omega"], layers=p["layers"], richardson=self.richardson,
+                                reference=ref)
+        return (sols, None) if ref is None else (sols[:-1], sols[-1])
 
 
 def _dcm(p, delta):

@@ -444,12 +444,16 @@ def sph_jy(nu, z) -> dict:
 
 
 def hat_jy(nu, z) -> dict:
-    """Growth-normalized pair: jhat = (2nu+1)!! j, yhat = -y/(2nu-1)!!.
+    """Growth-normalized radial functions of one Bessel evaluation:
+    jhat = (2nu+1)!! j, yhat = -y/(2nu-1)!! and the outgoing
+    hhat = i h1 / (2nu-1)!! = (i j - y) / (2nu-1)!!, with their
+    z-derivatives, under the keys j, dj, y, dy, h and dh.
 
-    Near zero argument jhat(t) ~ t^nu and yhat(t) ~ t^(-nu-1), which keeps
-    high-order coefficients meaningful.  Returns ScaledArrays for the values
-    and their z-derivatives; nu is a scalar or one order per element, as in
-    `sph_jy`.
+    Near zero argument jhat(t) ~ t^nu and yhat(t), hhat(t) ~ t^(-nu-1),
+    which keeps high-order coefficients meaningful.  Returns ScaledArrays;
+    nu is a scalar or one order per element, as in `sph_jy`.  One call
+    serves cells of either basis, so a table of inner and outgoing cells
+    pays one dispatch.
     """
     raw, nu = _jy(nu, z)
     plus, minus = _each(nu, lambda o: (ScaledArray.pow10(log_dfact_plus(o) / _LN10),
@@ -459,20 +463,17 @@ def hat_jy(nu, z) -> dict:
         "dj": raw["dj"] * plus,
         "y": (-raw["y"]) * minus,
         "dy": (-raw["dy"]) * minus,
+        "h": (1j * raw["j"] - raw["y"]) * minus,
+        "dh": (1j * raw["dj"] - raw["dy"]) * minus,
     }
 
 
 def hat_h1(nu, z) -> dict:
-    """Outgoing radial function hhat = i h1 / (2nu-1)!! and its derivative.
-
-    Shares the small-argument normalization of yhat: hhat(t) ~ t^(-nu-1).
-    nu is a scalar or one order per element, as in `sph_jy`.
-    """
-    raw, nu = _jy(nu, z)
-    minus = _each(nu, lambda o: ScaledArray.pow10(-(log_dfact_minus(o) / _LN10)))
-    h = (1j * raw["j"] - raw["y"]) * minus
-    dh = (1j * raw["dj"] - raw["dy"]) * minus
-    return {"h": h, "dh": dh}
+    """The outgoing keys h and dh of `hat_jy`: hhat = i h1 / (2nu-1)!!,
+    which shares the small-argument normalization of yhat, and its
+    derivative."""
+    vals = hat_jy(nu, z)
+    return {"h": vals["h"], "dh": vals["dh"]}
 
 
 def wronskian_residual(n: float, r: float) -> float:

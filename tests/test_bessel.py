@@ -325,7 +325,7 @@ def test_grouped_sweep_matches_per_region_calls(stack):
 def _assert_elementwise(nu, z):
     """Each element of a batched call equals a call on that element alone."""
     z = np.asarray(z, dtype=complex)
-    for fn, names in ((hat_jy, ("j", "dj", "y", "dy")), (hat_h1, ("h", "dh"))):
+    for fn, names in ((hat_jy, ("j", "dj", "y", "dy", "h", "dh")), (hat_h1, ("h", "dh"))):
         batch = fn(nu, z)
         for i in range(len(z)):
             alone = fn(nu, z[i:i + 1])

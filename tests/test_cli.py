@@ -76,8 +76,7 @@ def _assert_rejected(tmp_path, capsys, monkeypatch, cases):
     """Both commands reject each (scenario, params, stderr fragment) case
     before any work: no run or solve starts, no output directory is made,
     and each command prints the fragment after "config error: "."""
-    for target in ("calrlab.cli.run_scenario", "calrlab.scenarios.solve",
-                   "calrlab.scenarios.solve_staircased"):
+    for target in ("calrlab.cli.run_scenario", "calrlab.scenarios.solve_staircased"):
         monkeypatch.setattr(target, pytest.fail)
     out = tmp_path / "out"
     for scenario, params, fragment in cases:
