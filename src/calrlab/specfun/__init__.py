@@ -7,7 +7,6 @@ from .bessel import (
     log_dfact_minus,
     log_dfact_plus,
     sph_jy,
-    wronskian_residual,
 )
 from .vsh import (
     VshTriple,
@@ -25,7 +24,6 @@ __all__ = [
     "log_dfact_minus",
     "log_dfact_plus",
     "sph_jy",
-    "wronskian_residual",
     "VshTriple",
     "gauss_legendre",
     "sphere_rule",

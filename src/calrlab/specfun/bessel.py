@@ -8,17 +8,18 @@ obtained through the reflection formula (fractional order).  Downward for
 j / upward for y is forced by which solution is recessive or dominant as
 the order grows at fixed argument.
 
-The order is a scalar or an array of z's shape, and every decision is
-made per element, in the order as well as in z: the series stops on each
+The order is a scalar or an array of z's shape; a scalar is broadcast,
+so there is one order per element and one path.  Every decision is made
+per element, in the order as well as in z: the series stops on each
 element's own term, the series/Miller switch reads each element's own |z|,
 Miller starts each element at the order its own (order, |z|) calls for and
 keeps its values at that element's own order, upward y takes each
 element's own number of steps, and each element's order picks trig or
 reflection seeds.  Elements past their own stop are left out of the
 arithmetic, so they raise no floating-point warning.  Per-order constants
-(lgamma prefactors, log double factorials, the split factors a scalar
-order multiplies by) are computed once per distinct order on the scalar
-path and gathered.  So each element of a batched call gets exactly the
+(lgamma prefactors, log double factorials, the split factors each order
+multiplies by) are computed once per distinct order, on a Python float,
+and gathered.  So each element of a batched call gets exactly the
 values of a call on its own order and argument alone, whatever else is in
 the batch, and a table of many orders costs one call.
 
@@ -62,56 +63,38 @@ def log_dfact_minus(nu: float) -> float:
     return nu * math.log(2.0) + math.lgamma(nu + 0.5) - 0.5 * math.log(math.pi)
 
 
-def _as_z_array(z):
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    return np.atleast_1d(z), scalar
-
-
-def _orders(nu, shape):
-    """The checked order argument: a float, or a float array of the
-    argument's shape (returned as a float when its elements are all equal,
-    and as 0.0 when it has none, so that no order is gathered)."""
-    if np.ndim(nu) == 0:
-        nu = float(nu)
-        if not math.isfinite(nu):
-            raise ValueError(f"order {nu} is not finite")
-        if nu < 0:
-            raise ValueError("order must be >= 0")
-        if nu > MAX_ORDER:
-            raise ValueError(f"order {nu} exceeds MAX_ORDER={MAX_ORDER}")
-        if abs(math.sin(math.pi * (nu + 0.5))) < _HALF_INTEGER_TOL:
-            raise ValueError(f"order {nu} {_HALF_INTEGER}")
-        return nu
-    nu = np.asarray(nu, dtype=float)
-    if nu.shape != shape:
-        raise ValueError(f"order array of shape {nu.shape} does not match the "
+def _orders(nu, shape) -> np.ndarray:
+    """The checked orders, a float array of the argument's shape: a scalar
+    order is broadcast to it, and an order array must have it.  A rule runs
+    only once every order has passed the ones before it, so np.sin never
+    meets a non-finite order."""
+    given = np.asarray(nu, dtype=float)
+    if given.shape not in ((), shape):
+        raise ValueError(f"order array of shape {given.shape} does not match the "
                          f"argument's shape {shape}")
-    for bad, what in ((~np.isfinite(nu), "is not finite"), (nu < 0, "must be >= 0"),
-                      (nu > MAX_ORDER, f"exceeds MAX_ORDER={MAX_ORDER}")):
+    flat = given.ravel()
+    for ok, what in ((np.isfinite, "is not finite"), (lambda o: o >= 0, "must be >= 0"),
+                     (lambda o: o <= MAX_ORDER, f"exceeds MAX_ORDER={MAX_ORDER}"),
+                     (lambda o: np.abs(np.sin(np.pi * (o + 0.5))) >= _HALF_INTEGER_TOL,
+                      _HALF_INTEGER)):
+        bad = ~ok(flat)
         if bad.any():
-            raise ValueError(f"order {nu[bad][0]} {what}")
-    # only on finite orders, which np.sin takes without a warning
-    bad = np.abs(np.sin(np.pi * (nu + 0.5))) < _HALF_INTEGER_TOL
-    if bad.any():
-        raise ValueError(f"order {nu[bad][0]} {_HALF_INTEGER}")
-    if not nu.size:
-        return 0.0
-    return float(nu.flat[0]) if np.all(nu == nu.flat[0]) else nu
+            if what == "must be >= 0" and not given.ndim:
+                raise ValueError("order must be >= 0")  # a scalar's message names no order
+            raise ValueError(f"order {flat[bad][0]} {what}")
+    return np.broadcast_to(given, shape)
 
 
 def _each(nu, fn):
     """fn(order) at each element's order, where fn returns a float, a 0-d
-    ScaledArray or a tuple of either: one fn call per distinct order, on the
-    Python floats and 0-d arrays a scalar order takes, gathered to nu's
-    shape (for a float nu, fn(nu) itself).  numpy's array loops for log10
+    ScaledArray or a tuple of either: one fn call per distinct order, on a
+    Python float, gathered to nu's shape.  numpy's array loops for log10
     and power may differ from its scalar ones in the last bit, so a
-    per-order constant is never computed on an array."""
-    if np.ndim(nu) == 0:
-        return fn(nu)
+    per-order constant is never computed on an array.  With no element,
+    fn(0.0) only gives the empty tables their types."""
     orders, at = np.unique(nu, return_inverse=True)
     at = at.reshape(nu.shape)
-    vals = [fn(o) for o in orders.tolist()]
+    vals = [fn(o) for o in orders.tolist()] or [fn(0.0)]
 
     def gather(col):
         if isinstance(col[0], ScaledArray):
@@ -122,12 +105,6 @@ def _each(nu, fn):
     if isinstance(vals[0], tuple):
         return tuple(gather(col) for col in zip(*vals))
     return gather(vals)
-
-
-def _take(a, mask):
-    """The elements of a per-element argument where mask holds; a scalar
-    (one order for all elements) as it is."""
-    return a[mask] if isinstance(a, (np.ndarray, ScaledArray)) else a
 
 
 def _merge(mask: np.ndarray, a: ScaledArray, b: ScaledArray) -> ScaledArray:
@@ -142,14 +119,14 @@ def _merge(mask: np.ndarray, a: ScaledArray, b: ScaledArray) -> ScaledArray:
 
 def _split_call(mask, f_true, f_false, *args):
     """f_true on the elements where mask holds and f_false on the others,
-    merged; args are per-element arrays or scalars, and each f returns a
-    ScaledArray or a tuple of them."""
+    merged; args are per-element arrays or ScaledArrays, and each f returns
+    a ScaledArray or a tuple of them."""
     if np.all(mask):
         return f_true(*args)
     if not np.any(mask):
         return f_false(*args)
-    a = f_true(*(_take(x, mask) for x in args))
-    b = f_false(*(_take(x, ~mask) for x in args))
+    a = f_true(*(x[mask] for x in args))
+    b = f_false(*(x[~mask] for x in args))
     if isinstance(a, ScaledArray):
         return _merge(mask, a, b)
     return tuple(_merge(mask, x, y) for x, y in zip(a, b))
@@ -209,10 +186,9 @@ def _series_j(nu, z: np.ndarray) -> ScaledArray:
 
 
 def _series_rows(lo, hi, z: np.ndarray) -> tuple[ScaledArray, ScaledArray]:
-    """The series j at orders lo and hi (each a float or one per element),
-    summed as the two rows of one `_series_j` call."""
-    both = _series_j(np.array([[lo], [hi]]) if np.ndim(lo) == 0 else np.stack([lo, hi]),
-                     np.stack([z, z]))
+    """The series j at orders lo and hi (one each per element), summed as
+    the two rows of one `_series_j` call."""
+    both = _series_j(np.stack([lo, hi]), np.stack([z, z]))
     return both[0], both[1]
 
 
@@ -259,12 +235,10 @@ def _trig_y(nu, z: np.ndarray) -> ScaledArray:
     n = np.rint(nu).astype(np.int64)
     if np.any(np.abs(n) > 1):
         raise ValueError("trig seeds only cover orders -1, 0, 1")
-    if n.ndim == 0:
-        return ScaledArray.from_complex(_TRIG_Y[int(n)](z))
     values = np.empty_like(z)
-    for order in np.unique(n).tolist():
+    for order, y in _TRIG_Y.items():
         at = n == order
-        values[at] = _TRIG_Y[order](z[at])
+        values[at] = y(z[at])
     return ScaledArray.from_complex(values)
 
 
@@ -313,16 +287,16 @@ def _miller_j(nu, z: np.ndarray, base) -> tuple[ScaledArray, ScaledArray]:
     their starts, so the ones recurring at a step are a prefix; the others
     are not touched.
     """
-    steps = np.broadcast_to(np.rint(nu - base).astype(np.int64), z.shape)
+    steps = np.rint(nu - base).astype(np.int64)
     tops = steps + np.maximum(24, np.ceil(1.1 * np.abs(z) - nu).astype(np.int64) + 24)
     rank, back, live = _descending(tops)
-    zs, bs, steps_s = z[rank], _take(base, rank), steps[rank]
+    zs, bs, steps_s = z[rank], base[rank], steps[rank]
     top = len(live) - 1
     fp = np.zeros_like(z)            # f_{k+1}
     fc = np.ones_like(z)             # f_k, arbitrary seed
     eoff = np.zeros(z.shape, dtype=np.int64)
     snap = {d: (np.zeros_like(z), np.zeros(z.shape, dtype=np.int64)) for d in (1, 0, -1)}
-    levels = {s + d for s in np.unique(steps).tolist() for d in snap}
+    levels = {s + d for s in set(steps.tolist()) for d in snap}
     for k in range(top, -1, -1):
         if k in levels:
             for d, (m, e) in snap.items():
@@ -334,7 +308,7 @@ def _miller_j(nu, z: np.ndarray, base) -> tuple[ScaledArray, ScaledArray]:
         if k == 0:
             break
         n = live[k]
-        fm = (2.0 * (_take(bs, slice(n)) + k) + 1.0) / zs[:n] * fc[:n] - fp[:n]
+        fm = (2.0 * (bs[:n] + k) + 1.0) / zs[:n] * fc[:n] - fp[:n]
         fp[:n] = fc[:n]
         fc[:n] = fm
         big = np.flatnonzero(np.abs(fc[:n]) > 1e250)
@@ -366,13 +340,13 @@ def _upward_y(nu, z: np.ndarray, base) -> tuple[ScaledArray, ScaledArray]:
     the elements in descending order of their steps, so the ones still
     stepping are a prefix; the others are not touched.
     """
-    steps = np.broadcast_to(np.rint(nu - base).astype(np.int64), z.shape)
+    steps = np.rint(nu - base).astype(np.int64)
     ym1 = _series_y(base - 1.0, z)
     y0 = _series_y(base, z)
     if not steps.any():
         return ym1, y0
     rank, back, live = _descending(steps)
-    zs, bs = z[rank], _take(base, rank)
+    zs, bs = z[rank], base[rank]
     prev_m, prev_e = ym1.m[rank], ym1.e[rank]
     cur_m, cur_e = y0.m[rank], y0.e[rank]
     # align both registers to the larger exponent (never scales up)
@@ -381,7 +355,7 @@ def _upward_y(nu, z: np.ndarray, base) -> tuple[ScaledArray, ScaledArray]:
     cur_m = cur_m * 10.0 ** np.clip((cur_e - eoff).astype(float), -400, 0)
     for k in range(len(live) - 1):
         n = live[k + 1]
-        nxt = (2.0 * (_take(bs, slice(n)) + k) + 1.0) / zs[:n] * cur_m[:n] - prev_m[:n]
+        nxt = (2.0 * (bs[:n] + k) + 1.0) / zs[:n] * cur_m[:n] - prev_m[:n]
         prev_m[:n] = cur_m[:n]
         cur_m[:n] = nxt
         big = np.flatnonzero(np.abs(cur_m[:n]) > 1e250)
@@ -403,21 +377,16 @@ def _j_pair(nu, z: np.ndarray, base) -> tuple[ScaledArray, ScaledArray]:
                        lambda nu, z, base: _series_rows(nu - 1.0, nu, z), _miller_j, nu, z, base)
 
 
-def _jy(nu, z) -> tuple[dict, object]:
-    """`sph_jy`, and its order as `_orders` checked it."""
-    z, scalar = _as_z_array(z)
-    nu = _orders(nu, () if scalar else z.shape)
+def _jy(nu, z) -> tuple[dict, np.ndarray]:
+    """`sph_jy`, and its orders as `_orders` checked them, in the tables'
+    shape."""
+    z = np.asarray(z, dtype=complex)
+    nu = _orders(nu, z.shape)
     if np.any(z == 0):
         raise ZeroDivisionError("sph_jy requires z != 0 (y is singular there)")
-    shape = z.shape
-    z = z.ravel()
-    if isinstance(nu, np.ndarray):
-        nu = nu.ravel()
-        base = nu - np.floor(nu)
-        if np.all(base == base[0]):     # integer orders, say: one anchor order
-            base = float(base[0])
-    else:
-        base = nu - math.floor(nu)
+    shape = z.shape or (1,)     # a scalar argument gives one-element tables
+    z, nu = z.ravel(), nu.ravel()
+    base = nu - np.floor(nu)
     j_below, j_at = _j_pair(nu, z, base)
     y_below, y_at = _upward_y(nu, z, base)
     inv_z = ScaledArray.from_complex(1.0 / z)
@@ -426,10 +395,8 @@ def _jy(nu, z) -> tuple[dict, object]:
     dy = y_below - (y_at * inv_z) * nu1
     out = {"j": j_at, "dj": dj, "y": y_at, "dy": dy,
            "j_prev": j_below, "y_prev": y_below}
-    if scalar:
-        return {k: v[0:1] for k, v in out.items()}, nu
     return {k: ScaledArray(v.m.reshape(shape), v.e.reshape(shape), normalize=False)
-            for k, v in out.items()}, (nu.reshape(shape) if isinstance(nu, np.ndarray) else nu)
+            for k, v in out.items()}, nu.reshape(shape)
 
 
 def sph_jy(nu, z) -> dict:
@@ -474,13 +441,3 @@ def hat_h1(nu, z) -> dict:
     derivative."""
     vals = hat_jy(nu, z)
     return {"h": vals["h"], "dh": vals["dh"]}
-
-
-def wronskian_residual(n: float, r: float) -> float:
-    """|j_n y_n' - j_n' y_n - 1/r^2| via recurrence derivatives, scaled."""
-    if r <= 0:
-        raise ValueError("argument must be > 0")
-    vals = sph_jy(float(n), complex(r))
-    w = vals["j"] * vals["dy"] - vals["dj"] * vals["y"]
-    resid = w - (1.0 / r ** 2)
-    return float(np.abs(resid.to_complex())[0])

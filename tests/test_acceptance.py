@@ -11,8 +11,9 @@ import pytest
 
 from calrlab.carleman import exponent_bookkeeping, minimal_fold_parameter
 from calrlab.scenarios import run_scenario
-from calrlab.specfun import hat_jy, wronskian_residual
+from calrlab.specfun import hat_jy
 from calrlab.three_sphere import HarmonicExpansion2D, sup_norm_circle
+from oracles import wronskian_residual
 
 
 def _report(num, name, ok, detail):

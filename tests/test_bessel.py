@@ -5,7 +5,11 @@ ascending power series, written out inline, is the derived oracle for the
 complex-argument case.
 """
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,13 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import calrlab
 from calrlab.specfun import (
     hat_h1,
     hat_jy,
     sph_jy,
-    wronskian_residual,
 )
 from calrlab.specfun.scaled import ScaledArray
+from oracles import wronskian_residual
 
 mp.mp.dps = 50
 
@@ -374,7 +379,7 @@ def test_grouped_calls_match_per_group_calls(nu, z):
 # base anchor and recur together.  Every element must get exactly the bits
 # of a scalar call on its own (order, argument): its own series stop,
 # Miller start, snapshots, upward steps and seeds, and per-order constants
-# computed on the scalar path.  The pinned example holds a zero of Re j_0
+# computed on a Python float.  The pinned example holds a zero of Re j_0
 # next to high orders whose series run longer, orders 10 and 12, whose
 # array-computed scale factors would differ in the last bit, and two
 # elements in the Miller range with different starts.
@@ -399,6 +404,10 @@ _draws = st.lists(
 
 
 @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+# one integer order on every element, on both sides of the series/Miller
+# switch (the layout of a staircased DCM pass), and an empty argument
+@example(cells=[(3.0, 0.5), (3.0, 7.9 + 0.2j), (3.0, 12.0), (3.0, -20.0 + 9.0j)])
+@example(cells=[])
 @example(cells=[(0.0, 3.113530995280409 + 0.3j), (12.0, 7.9), (10.0, 0.4 - 0.1j),
                 (40.0, 25.0 + 3.0j), (2.0, 9.5), (3.3, 8.1 + 0.2j), (4.3, 0.6 + 0.1j),
                 (0.3, -14.0 + 6.5j)])
@@ -421,18 +430,23 @@ def test_order_arrays_match_scalar_calls(cells):
 _BATCH_Z = np.array([0.5, 2.0 + 0.1j, 9.0])
 
 
-@pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
-def test_order_array_rejects_a_non_finite_order(fn):
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"order {bad} is not finite"):
-            fn(np.array([1.0, bad, 2.0]), _BATCH_Z)
+def _in_array(bad):
+    """An order array for _BATCH_Z whose middle element is bad."""
+    return np.array([1.0, bad, 2.0])
+
+
+# each order rule holds for a scalar order and for one element of an order
+# array alike
+_AS_SCALAR_OR_IN_ARRAY = pytest.mark.parametrize(
+    "as_order", [float, _in_array], ids=["scalar", "array"])
 
 
 @pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
-def test_scalar_order_rejects_a_non_finite_order(fn):
+@_AS_SCALAR_OR_IN_ARRAY
+def test_rejects_a_non_finite_order(as_order, fn):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"order {bad} is not finite"):
-            fn(bad, _BATCH_Z)
+            fn(as_order(bad), _BATCH_Z)
 
 
 @pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
@@ -451,15 +465,20 @@ def test_empty_argument_gives_empty_tables(fn):
 
 
 @pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
-def test_order_array_rejects_a_negative_order(fn):
-    with pytest.raises(ValueError, match=r"order -0.5 must be >= 0"):
-        fn(np.array([1.0, -0.5, 2.0]), _BATCH_Z)
+@pytest.mark.parametrize("order, message", [
+    (-1.0, "order must be >= 0"),         # a scalar's message names no order
+    (_in_array(-0.5), r"order -0.5 must be >= 0"),
+], ids=["scalar", "array"])
+def test_rejects_a_negative_order(order, message, fn):
+    with pytest.raises(ValueError, match=message):
+        fn(order, _BATCH_Z)
 
 
 @pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
-def test_order_array_rejects_an_order_above_max_order(fn):
+@_AS_SCALAR_OR_IN_ARRAY
+def test_rejects_an_order_above_max_order(as_order, fn):
     with pytest.raises(ValueError, match=r"order 2000.0 exceeds MAX_ORDER=1500"):
-        fn(np.array([1.0, 2000.0, 2.0]), _BATCH_Z)
+        fn(as_order(2000.0), _BATCH_Z)
 
 
 @pytest.mark.parametrize("fn", [sph_jy, hat_jy, hat_h1])
@@ -484,8 +503,21 @@ def test_order_array_must_have_the_arguments_shape(fn):
                   (np.ones((3, 1)), _BATCH_Z)):
         with pytest.raises(ValueError, match="order array of shape"):
             fn(nu, z)
-    # scalar orders keep their messages
-    with pytest.raises(ValueError, match="order must be >= 0"):
-        fn(-1.0, _BATCH_Z)
-    with pytest.raises(ValueError, match="MAX_ORDER"):
-        fn(2000.0, _BATCH_Z)
+
+
+def test_no_call_imports_numpy_ma():
+    # a bare np.unique (no return_* flag) imports numpy.ma on first use,
+    # which raises peak memory; series, Miller, trig-seed and
+    # reflection-seed elements, under a scalar order and an order array
+    code = ("import sys; import numpy as np; from calrlab.specfun import hat_jy; "
+            "before = 'numpy.ma' in sys.modules; "
+            "hat_jy(3.0, [12.0, 30.0]); hat_jy(2.3, [0.5, 9.0 + 1.0j]); "
+            "hat_jy(np.array([0.0, 3.0, 14.0, 0.3, 2.3]), "
+            "np.array([0.5, 12.0, 30.0 + 2.0j, 1.5, 9.0])); "
+            "print(before, 'numpy.ma' in sys.modules)")
+    src = str(Path(calrlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["False", "False"]
